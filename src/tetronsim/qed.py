@@ -25,6 +25,7 @@ with per-observable variants lambda_x and lambda_z.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -384,6 +385,12 @@ class DecayExperimentSpec:
             raise ValueError("rounds_grid needs at least three distinct values")
         if any(r < 1 for r in self.rounds_grid):
             raise ValueError("round counts must be >= 1")
+        if self.shots is not None and (
+            isinstance(self.shots, bool)
+            or not isinstance(self.shots, (int, np.integer))
+            or self.shots < 1
+        ):
+            raise ValueError(f"shots must be None or a positive integer, got {self.shots!r}")
 
 
 @dataclass(frozen=True)
@@ -426,9 +433,15 @@ def fit_decay(rounds, values, *, rate_tolerance: float = 1e-9) -> "tuple":
 
 
 def _decay_circuit(spec: DecayExperimentSpec) -> DerivedCircuit:
-    rounds = max(spec.rounds_grid)
-    prep = _PREP_FOR_BASIS["XX" if spec.observable == "XX" else "ZZ"]
-    if spec.level == "physical":
+    """The decay circuit of ``spec``, derived once per level, observable and
+    largest round count: it does not depend on the noise."""
+    return _derive_decay_circuit(spec.level, spec.observable, max(spec.rounds_grid))
+
+
+@functools.lru_cache(maxsize=64)
+def _derive_decay_circuit(level: str, observable: str, rounds: int) -> DerivedCircuit:
+    prep = _PREP_FOR_BASIS["XX" if observable == "XX" else "ZZ"]
+    if level == "physical":
         builder = CircuitBuilder(2)
         tab = TaggedTableau.from_product_state(
             ["+", "+"] if prep == "X" else ["0", "0"]

@@ -20,10 +20,19 @@ this tractable:
   The support evolves identically in every branch, so branches share one
   support array next to a (branches x support) coefficient block.
 * Branches are merged whenever their future-relevant record information
-  agrees.  The eager runner keys branches on the partial parities of
-  detectors still in flight (plus any caller-requested slots) instead of full
-  record histories, which keeps the branch count bounded by the detector
-  window of the circuit rather than growing with circuit depth.
+  agrees.  The eager runner gives every branch a key, one bit per parity of
+  a detector still in flight and per caller-requested slot, instead of its
+  full record history, which keeps the branch count bounded by the detector
+  window of the circuit rather than growing with circuit depth.  Keys are
+  rows of an integer table with a column per bit, so their width has no
+  limit.  Keys, supports and gather positions do not depend on the noise
+  numbers, so the eager runner first lowers a circuit into a plan (the
+  positions and depolarizing classes of every measurement, the split,
+  pinned and pruned branch rows, the merge groups, the probe positions) and
+  then runs the plan's numeric pass for the noise at hand.  At theta = 0 the
+  plan is cached per circuit, initial support, kept slots and probes, so a
+  noise scan lowers each circuit once; under coherent rotation the support
+  grows with theta != 0 and the runner lowers and applies one op at a time.
 
 Dense cross-checks of every kernel against the channel constructors in
 :mod:`tetronsim.channels` live in the test suite.
@@ -31,6 +40,7 @@ Dense cross-checks of every kernel against the channel constructors in
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -422,22 +432,153 @@ def _positions(sorted_support: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.where(found, idx, -1)
 
 
-def _dep1_factor(indices: np.ndarray, num_qubits: int, qubit: int, p: float) -> np.ndarray:
-    if p == 0.0:
-        return np.ones(indices.shape)
-    lam = 1.0 - 4.0 * p / 3.0
-    return np.where(_digit_column(indices, num_qubits, qubit) == 0, 1.0, lam)
+def _index32(pos: np.ndarray) -> np.ndarray:
+    """Gather positions with absent entries (-1) pointed at column 0; the
+    class arrays next to them zero whatever that column holds."""
+    return np.maximum(pos, 0).astype(np.int32)
 
 
-def _dep2_factor(
-    indices: np.ndarray, num_qubits: int, qubit_a: int, qubit_b: int, p: float
-) -> np.ndarray:
-    if p == 0.0:
-        return np.ones(indices.shape)
-    da = _digit_column(indices, num_qubits, qubit_a) != 0
-    db = _digit_column(indices, num_qubits, qubit_b) != 0
-    weight = da.astype(np.int64) + db.astype(np.int64)
-    return np.choose(weight, [1.0, 1.0 - 4.0 * p / 3.0, 1.0 - 8.0 * p / 9.0])
+def _dep_class(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> np.ndarray:
+    """Depolarizing class of each Pauli on the touched qubits: bit j is set
+    when the Pauli acts nontrivially on ``qubits[j]``."""
+    out = np.zeros(indices.shape, dtype=np.int64)
+    for j, q in enumerate(qubits):
+        out |= (_digit_column(indices, num_qubits, q) != 0).astype(np.int64) << j
+    return out
+
+
+# Measurements and rotations are split into noise-independent structure (a
+# lowering) and a numeric pass over the coefficient block.  The ensemble
+# methods, the sampler and the eager runner all use these pieces.
+
+_ABSENT_SELF = 4  # self_class of a measured element absent from the input
+_ABSENT_CROSS = 32  # partner_class of a measured element whose partner is absent
+
+
+@dataclass(frozen=True)
+class _Lowering:
+    """A measurement or rotation lowered against one support.
+
+    Output element j reads input positions ``pos_self[j]`` and
+    ``pos_partner[j]``, the partner being the element times the op's Pauli.
+    Its two terms are weighted by ``w_self[self_class[j]]`` and
+    ``w_partner[partner_class[j]]``, tables that the noise point or the
+    rotation angle supplies (see :func:`_terms`).
+    """
+
+    pos_self: np.ndarray
+    pos_partner: np.ndarray
+    self_class: np.ndarray
+    partner_class: np.ndarray
+
+
+def _terms(coeffs: np.ndarray, low: _Lowering, w_self, w_partner):
+    """The self and partner terms of every output element.  A measurement's
+    +1 record block is their sum and its -1 block their difference; a
+    rotation is their sum."""
+    own = coeffs[:, low.pos_self]
+    own *= w_self[low.self_class]
+    partner = coeffs[:, low.pos_partner]
+    partner *= w_partner[low.partner_class]
+    return own, partner
+
+
+def _lower_measurement(support: np.ndarray, op, num_qubits: int):
+    """(support after the measurement, its lowering); the weight tables are
+    :func:`_meas_tables`."""
+    n = num_qubits
+    p_index = op_pauli_index(op, n)
+    k = _phase_exponents(p_index, support, n)
+    kept = support[(k & 1) == 0]
+    new_support = np.unique(np.concatenate([kept, kept ^ p_index]))
+    partner = new_support ^ p_index
+    pos_self = _positions(support, new_support)
+    pos_partner = _positions(support, partner)
+    c_new = _dep_class(new_support, n, op.qubits)
+    flip = _phase_exponents(p_index, new_support, n) != 0
+    cross = 4 * c_new + _dep_class(partner, n, op.qubits) + 16 * flip
+    return new_support, _Lowering(
+        _index32(pos_self),
+        _index32(pos_partner),
+        np.where(pos_self < 0, _ABSENT_SELF, c_new).astype(np.int8),
+        np.where(pos_partner < 0, _ABSENT_CROSS, cross).astype(np.int8),
+    )
+
+
+def _meas_tables(arity: int, noise: NoiseParams) -> "tuple[np.ndarray, np.ndarray]":
+    """Noise tables (a, b) of a one- or two-qubit measurement.
+
+    Each sandwich half depolarizes by D1[p1/2] per touched qubit and, for
+    two qubits, D2[p2/2]; ``dep[c]`` is the resulting factor of a Pauli of
+    class ``c``.  The assignment error damps the cross term by 1 - 2 p_a.
+    """
+    lam1 = 1.0 - 4.0 * (noise.p1 / 2.0) / 3.0
+    if arity == 1:
+        dep = (1.0, lam1, 1.0, 1.0)
+    else:
+        lam2_1 = 1.0 - 4.0 * (noise.p2 / 2.0) / 3.0
+        lam2_2 = 1.0 - 8.0 * (noise.p2 / 2.0) / 9.0
+        dep = (1.0, lam1 * lam2_1, lam1 * lam2_1, lam1 * lam1 * lam2_2)
+    damp = 1.0 - 2.0 * noise.p_a
+    a = [0.5 * d * d for d in dep] + [0.0]
+    b = [
+        damp * (0.5 * dep[c_new] * dep[c_partner] * phi)
+        for phi in (1.0, -1.0)
+        for c_new in range(4)
+        for c_partner in range(4)
+    ] + [0.0]
+    return np.array(a), np.array(b)
+
+
+def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int):
+    """(support after the rotation exp(i phi P), its lowering); the weight
+    tables are diag = (1, cos 2phi, 0) and off = (0, sin 2phi, -sin 2phi)."""
+    n = num_qubits
+    k = _phase_exponents(p_index, support, n)
+    grown = support[(k & 1) == 1] ^ p_index
+    new_support = np.unique(np.concatenate([support, grown]))
+    pos_self = _positions(support, new_support)
+    pos_partner = _positions(support, new_support ^ p_index)
+    k_new = _phase_exponents(p_index, new_support, n)
+    anti = (k_new & 1) == 1
+    diag = np.where(anti, np.where(pos_self < 0, 2, 1), 0)
+    off = np.where(anti & (pos_partner >= 0), np.where(k_new == 1, 1, 2), 0)
+    return new_support, _Lowering(
+        _index32(pos_self), _index32(pos_partner), diag.astype(np.int8), off.astype(np.int8)
+    )
+
+
+def _rotate(coeffs: np.ndarray, low: _Lowering, phi: float) -> np.ndarray:
+    c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
+    own, partner = _terms(coeffs, low, np.array([1.0, c, 0.0]), np.array([0.0, s, -s]))
+    own += partner
+    return own
+
+
+def _sandwich_axes(op, theta: float, num_qubits: int) -> list:
+    """Z axes of the coherent rotation halves around a two-qubit measurement
+    (none for one-qubit measurements or theta = 0)."""
+    if theta == 0.0 or not isinstance(op, Meas2):
+        return []
+    return [3 << (2 * (num_qubits - 1 - q)) for q in op.qubits]
+
+
+def _idle_counts(support: np.ndarray, num_qubits: int, qubits: Iterable[int]) -> np.ndarray:
+    """Number of idle qubits each Pauli acts on nontrivially."""
+    out = np.zeros(support.shape, dtype=np.int8)
+    for q in qubits:
+        out += _digit_column(support, num_qubits, q) != 0
+    return out
+
+
+def _idle_table(p1: float, num_qubits: int) -> np.ndarray:
+    """Idle depolarizing factor of a Pauli touching k idle qubits, indexed
+    by k: (1 - 4 p1 / 3)^k."""
+    lam = 1.0 - 4.0 * p1 / 3.0
+    table = [1.0]
+    for _ in range(num_qubits):
+        table.append(table[-1] * lam)
+    return np.array(table)
 
 
 _STATE_LABELS = {
@@ -579,12 +720,11 @@ class TrajectoryEnsemble:
         a detector forces the record).  The branch count is unchanged; use
         :meth:`split_measurement` to realize both records.
         """
-        plus, minus = self._measurement_outputs(op, noise)
+        plus, minus, self.support = self._measurement_outputs(op, noise)
         svec = np.asarray(signs, dtype=np.int64)
         if svec.ndim == 0:
             svec = np.full(self.num_branches, int(svec))
         self.coeffs = np.where((svec == 1)[:, None], plus, minus)
-        self.support = self._pending_support
         if store_record:
             for tag, s in zip(self.tags, svec):
                 tag[("s", op.slot)] = int(s)
@@ -596,9 +736,8 @@ class TrajectoryEnsemble:
 
         Branch order: all +1 children first, then all -1 children.
         """
-        plus, minus = self._measurement_outputs(op, noise)
+        plus, minus, self.support = self._measurement_outputs(op, noise)
         self.coeffs = np.concatenate([plus, minus], axis=0)
-        self.support = self._pending_support
         new_tags = []
         for s in (1, -1):
             for tag in self.tags:
@@ -609,87 +748,33 @@ class TrajectoryEnsemble:
         self.tags = new_tags
 
     def _measurement_outputs(self, op, noise: NoiseParams):
-        """Coefficient blocks for the +1 and -1 records (shared support)."""
+        """(+1 block, -1 block, support after the measurement).
+
+        Under theta a two-qubit measurement sits between two halves of the
+        coherent Z rotation on each of its qubits; the inner halves act on
+        this ensemble, the outer halves on both record blocks.
+        """
         n = self.num_qubits
-        p_index = op_pauli_index(op, n)
-        if isinstance(op, Meas2) and noise.theta != 0.0:
-            self._rotate_by_index(
-                op_pauli_index(Rotate(op.qubit_a, "Z", 0.0), n), noise.theta / 2.0
-            )
-            self._rotate_by_index(
-                op_pauli_index(Rotate(op.qubit_b, "Z", 0.0), n), noise.theta / 2.0
-            )
-
-        # Diagonal depolarizing factor for one sandwich half, as a function
-        # of the Pauli index.
-        if isinstance(op, Meas1):
-            def dfac(idx):
-                return _dep1_factor(idx, n, op.qubit, noise.p1 / 2.0)
-        else:
-            def dfac(idx):
-                return (
-                    _dep1_factor(idx, n, op.qubit_a, noise.p1 / 2.0)
-                    * _dep1_factor(idx, n, op.qubit_b, noise.p1 / 2.0)
-                    * _dep2_factor(idx, n, op.qubit_a, op.qubit_b, noise.p2 / 2.0)
-                )
-
-        k = _phase_exponents(p_index, self.support, n)
-        commute = (k & 1) == 0
-        kept = self.support[commute]
-        new_support = np.unique(np.concatenate([kept, kept ^ p_index]))
-        pos_self = _positions(self.support, new_support)
-        pos_partner = _positions(self.support, new_support ^ p_index)
-        k_new = _phase_exponents(p_index, new_support, n)
-        phi = np.where(k_new == 0, 1.0, -1.0)
-        d_new = dfac(new_support)
-        d_partner = dfac(new_support ^ p_index)
-        a_col = 0.5 * d_new * d_new
-        b_col = 0.5 * d_new * d_partner * phi
-
-        pad = np.zeros((self.coeffs.shape[0], 1))
-        cpad = np.concatenate([self.coeffs, pad], axis=1)
-        c_self = cpad[:, pos_self]
-        c_partner = cpad[:, pos_partner]
-        base = a_col * c_self
-        cross = ((1.0 - 2.0 * noise.p_a) * b_col) * c_partner
-        plus = base + cross
-        minus = base - cross
-
-        if isinstance(op, Meas2) and noise.theta != 0.0:
-            # Outer halves of the rotation sandwich, applied to both records.
-            self.support = new_support
+        axes = _sandwich_axes(op, noise.theta, n)
+        for axis in axes:
+            self._rotate_by_index(axis, noise.theta / 2.0)
+        support, low = _lower_measurement(self.support, op, n)
+        base, cross = _terms(self.coeffs, low, *_meas_tables(len(op.qubits), noise))
+        plus, minus = base + cross, base - cross
+        if axes:
+            self.support = support
             self.coeffs = np.concatenate([plus, minus], axis=0)
-            self._rotate_by_index(
-                op_pauli_index(Rotate(op.qubit_a, "Z", 0.0), n), noise.theta / 2.0
-            )
-            self._rotate_by_index(
-                op_pauli_index(Rotate(op.qubit_b, "Z", 0.0), n), noise.theta / 2.0
-            )
-            half = self.coeffs.shape[0] // 2
-            plus, minus = self.coeffs[:half], self.coeffs[half:]
-            new_support = self.support
-
-        self._pending_support = new_support
-        return plus, minus
+            for axis in axes:
+                self._rotate_by_index(axis, noise.theta / 2.0)
+            support = self.support
+            plus, minus = np.split(self.coeffs, 2)
+        return plus, minus, support
 
     def _rotate_by_index(self, p_index: int, phi: float) -> None:
         if phi == 0.0:
             return
-        n = self.num_qubits
-        k = _phase_exponents(p_index, self.support, n)
-        anti = (k & 1) == 1
-        grown = self.support[anti] ^ p_index
-        new_support = np.unique(np.concatenate([self.support, grown]))
-        pos_self = _positions(self.support, new_support)
-        pos_partner = _positions(self.support, new_support ^ p_index)
-        k_new = _phase_exponents(p_index, new_support, n)
-        anti_new = (k_new & 1) == 1
-        diag = np.where(anti_new, math.cos(2.0 * phi), 1.0)
-        off = np.where(anti_new, np.where(k_new == 1, 1.0, -1.0) * math.sin(2.0 * phi), 0.0)
-        pad = np.zeros((self.coeffs.shape[0], 1))
-        cpad = np.concatenate([self.coeffs, pad], axis=1)
-        self.coeffs = diag * cpad[:, pos_self] + off * cpad[:, pos_partner]
-        self.support = new_support
+        self.support, low = _lower_rotation(self.support, p_index, self.num_qubits)
+        self.coeffs = _rotate(self.coeffs, low, phi)
 
     def apply_rotation(self, op: Rotate) -> None:
         self._rotate_by_index(op_pauli_index(op, self.num_qubits), op.angle)
@@ -701,14 +786,11 @@ class TrajectoryEnsemble:
         if not qubits:
             return
         n = self.num_qubits
-        if noise.theta != 0.0:
-            for q in qubits:
-                self._rotate_by_index(3 << (2 * (n - 1 - q)), noise.theta)
+        for q in qubits:
+            self._rotate_by_index(3 << (2 * (n - 1 - q)), noise.theta)
         if noise.p1 != 0.0:
-            factor = np.ones(self.support.shape)
-            for q in qubits:
-                factor = factor * _dep1_factor(self.support, n, q, noise.p1)
-            self.coeffs = self.coeffs * factor
+            table = _idle_table(noise.p1, len(qubits))
+            self.coeffs = self.coeffs * table[_idle_counts(self.support, n, qubits)]
 
     def apply_pauli(self, pauli: "PauliString | str", rows=None) -> None:
         """Conjugate by a Pauli (frame correction): flips the sign of every
@@ -792,17 +874,16 @@ class _CompiledDetector:
     last_slot: int
 
 
-def _compile_detectors(circuit: Circuit):
+def _detectors_by_slot(circuit: Circuit) -> dict:
+    """slot -> the normalized detectors that read it."""
     seq = {slot: i for i, slot in enumerate(circuit.slots)}
-    compiled = []
+    by_slot: dict[int, list[_CompiledDetector]] = {}
     for ident, det in enumerate(circuit.normalized_detectors()):
         last = max(det.slots, key=seq.__getitem__)
-        compiled.append(_CompiledDetector(ident, frozenset(det.slots), det.parity, last))
-    by_slot: dict[int, list[_CompiledDetector]] = {}
-    for det in compiled:
+        compiled = _CompiledDetector(ident, frozenset(det.slots), det.parity, last)
         for s in det.slots:
-            by_slot.setdefault(s, []).append(det)
-    return compiled, by_slot
+            by_slot.setdefault(s, []).append(compiled)
+    return by_slot
 
 
 @dataclass
@@ -831,6 +912,276 @@ def _normalize_probes(probes) -> dict:
     return out
 
 
+# -- the eager runner: a lowering and an executor ---------------------------
+#
+# The lowering walks the circuit once and records everything that does not
+# depend on the noise numbers: supports, gather positions and classes, and
+# the branch bookkeeping.  Branches are identified by keys, the rows of a
+# small integer table: column 0 is the initial branch group a row descends
+# from, every other column holds one bit, a pending detector parity or a
+# kept record.  The key table evolves the same way at every noise point, so
+# the lowering turns it into row maps (splits, pinned record signs, pruned
+# rows, merge groups) and the executor never looks at a key.
+
+
+@dataclass(frozen=True)
+class _RotateOp:
+    low: _Lowering
+    angle: float
+
+    def run(self, coeffs, tables, result):
+        return _rotate(coeffs, self.low, self.angle)
+
+
+@dataclass(frozen=True)
+class _MeasureOp:
+    """A measurement on every branch.  With ``split`` both records are
+    realized (+1 children first); otherwise a completing detector pins the
+    record, ``rows`` lists the branches that pass the other detectors
+    completing on the same slot (None: all) and ``signs`` the pinned record
+    of each (None: all +1)."""
+
+    low: _Lowering
+    arity: int
+    split: bool
+    rows: "np.ndarray | None"
+    signs: "np.ndarray | None"
+
+    def run(self, coeffs, tables, result):
+        if self.rows is not None:
+            coeffs = coeffs[self.rows]
+        base, cross = _terms(coeffs, self.low, *tables.meas[self.arity])
+        if self.split:
+            half = base.shape[0]
+            out = np.empty((2 * half, base.shape[1]))
+            np.add(base, cross, out=out[:half])
+            np.subtract(base, cross, out=out[half:])
+            return out
+        if self.signs is not None:
+            cross *= self.signs[:, None]
+        base += cross
+        return base
+
+
+@dataclass(frozen=True)
+class _IdleOp:
+    counts: np.ndarray  # idle qubits each support element acts on
+
+    def run(self, coeffs, tables, result):
+        if tables.idle is not None:
+            coeffs *= tables.idle[self.counts]
+        return coeffs
+
+
+@dataclass(frozen=True)
+class _MergeOp:
+    """Sum each group of rows: group g is rows ``order[starts[g]:starts[g+1]]``."""
+
+    order: np.ndarray
+    starts: np.ndarray
+
+    def run(self, coeffs, tables, result):
+        return np.add.reduceat(coeffs[self.order], self.starts, axis=0)
+
+
+@dataclass(frozen=True)
+class _ProbeOp:
+    step: int
+    pos0: int  # position of the identity, -1 if absent
+    entries: tuple  # (name, position or -1, sign) per probed Pauli
+
+    def run(self, coeffs, tables, result):
+        tr = float(np.sum(coeffs[:, self.pos0])) if self.pos0 >= 0 else 0.0
+        result.probe_acceptance[self.step] = tr
+        result.probes[self.step] = {
+            name: (
+                (0.0 if pos < 0 else float(np.sum(coeffs[:, pos])) * sign) / tr
+                if tr > 0.0
+                else math.nan
+            )
+            for name, pos, sign in self.entries
+        }
+        return coeffs
+
+
+class _NoiseTables:
+    """What one noise point feeds into the executor."""
+
+    def __init__(self, noise: NoiseParams, num_qubits: int):
+        self.meas = {arity: _meas_tables(arity, noise) for arity in (1, 2)}
+        self.idle = _idle_table(noise.p1, num_qubits) if noise.p1 != 0.0 else None
+
+
+@dataclass
+class _Plan:
+    """A lowered eager run.  :func:`_lower` fills in everything but ``ops``
+    once its walk ends."""
+
+    ops: tuple = ()
+    support: "np.ndarray | None" = None
+    records: tuple = ()  # per final branch: the kept ((("s", slot), sign), ...)
+    groups: tuple = ()  # per final branch: its initial branch group
+    peak: int = 0
+
+
+def _merge_keys(keys: np.ndarray):
+    """(merged key table, merge op or None when no two branches agree)."""
+    if len(keys) < 2:
+        return keys, None
+    merged, inverse = np.unique(keys, axis=0, return_inverse=True)
+    if len(merged) == len(keys):
+        return keys, None
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(len(merged)))
+    return merged, _MergeOp(order.astype(np.int32), starts)
+
+
+def _probe_op(step_i: int, support: np.ndarray, paulis, num_qubits: int) -> _ProbeOp:
+    def position(index: int) -> int:
+        return int(_positions(support, np.array([index]))[0])
+
+    entries = tuple(
+        (str(p), position(pauli_index(num_qubits, PauliString(p.letters))), p.sign)
+        for p in paulis
+    )
+    return _ProbeOp(step_i, position(0), entries)
+
+
+def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, plan: _Plan):
+    """Walk an eager run of ``circuit`` from ``support``, yielding plan ops.
+
+    ``groups`` gives the initial branch group of every input branch, ``keep``
+    the kept slots (or ``"all"``).  A nonzero ``theta`` adds the coherent
+    rotation ops, which is why only theta = 0 plans are noise-independent.
+    """
+    n = circuit.num_qubits
+    dets_by_slot = _detectors_by_slot(circuit)
+    keys = np.array(groups, dtype=np.int32)[:, None]
+    free: list = []  # key columns no detector holds
+    det_col: dict = {}
+    kept_cols: list = []
+    peak = len(keys)
+    # Once the support stops growing, a measurement repeats against the same
+    # support round after round.  A theta = 0 plan is kept, so those rounds
+    # share one lowering; under theta the walk keeps nothing.
+    lowered: "dict | None" = {} if theta == 0.0 else None
+
+    def column() -> int:
+        nonlocal keys
+        if free:
+            return free.pop()
+        keys = np.concatenate([keys, np.zeros((len(keys), 1), dtype=np.int32)], axis=1)
+        return keys.shape[1] - 1
+
+    def rotation(axis: int, angle: float) -> _RotateOp:
+        nonlocal support
+        support, low = _lower_rotation(support, axis, n)
+        return _RotateOp(low, angle)
+
+    for step_i, step in enumerate(circuit.steps):
+        measured: set = set()
+        for op in step.ops:
+            if isinstance(op, Idle):
+                continue
+            if isinstance(op, Rotate):
+                if op.angle != 0.0:
+                    yield rotation(op_pauli_index(op, n), op.angle)
+                continue
+            measured.update(op.qubits)
+            axes = _sandwich_axes(op, theta, n)
+            for axis in axes:
+                yield rotation(axis, theta / 2.0)
+            if lowered is None:
+                support, low = _lower_measurement(support, op, n)
+            else:
+                memo = (support.tobytes(), op_pauli_index(op, n), op.qubits)
+                if memo not in lowered:
+                    lowered[memo] = _lower_measurement(support, op, n)
+                support, low = lowered[memo]
+            here = dets_by_slot.get(op.slot, ())
+            for d in here:
+                if d.ident not in det_col:
+                    det_col[d.ident] = column()
+            completing = [d for d in here if d.last_slot == op.slot]
+            split = not completing
+            if split:
+                neg = np.repeat([False, True], len(keys))
+                keys = np.concatenate([keys, keys])
+            else:
+                # The first completing detector pins the record: its parity
+                # must come out equal to d0.parity.
+                d0 = completing[0]
+                neg = (keys[:, det_col[d0.ident]] != 0) ^ (d0.parity == -1)
+            for d in here:
+                keys[:, det_col[d.ident]] ^= neg
+            if keep == "all" or op.slot in keep:
+                col = column()
+                keys[:, col] = neg
+                kept_cols.append((op.slot, col))
+            ok = np.ones(len(keys), dtype=bool)
+            for d in completing:
+                col = det_col.pop(d.ident)
+                ok &= keys[:, col] == (d.parity == -1)
+                keys[:, col] = 0
+                free.append(col)
+            rows = signs = None
+            if not ok.all():
+                rows = np.flatnonzero(ok).astype(np.int32)
+                keys, neg = keys[ok], neg[ok]
+            if not split and neg.any():
+                signs = np.where(neg, -1, 1).astype(np.int8)
+            yield _MeasureOp(low, len(op.qubits), split, rows, signs)
+            for axis in axes:
+                yield rotation(axis, theta / 2.0)
+            peak = max(peak, len(keys))
+        idle = [q for q in range(n) if q not in measured]
+        if theta != 0.0:
+            for q in idle:
+                yield rotation(3 << (2 * (n - 1 - q)), theta)
+        counts = _idle_counts(support, n, idle)
+        if counts.any():
+            yield _IdleOp(counts)
+        keys, merge = _merge_keys(keys)
+        if merge is not None:
+            yield merge
+        if step_i in probe_map:
+            yield _probe_op(step_i, support, probe_map[step_i], n)
+
+    plan.support = support
+    plan.groups = tuple(int(g) for g in keys[:, 0])
+    plan.records = tuple(
+        tuple((("s", slot), -1 if row[col] else 1) for slot, col in kept_cols) for row in keys
+    )
+    plan.peak = max(peak, len(keys))
+
+
+@functools.lru_cache(maxsize=64)
+def _cached_plan(circuit: Circuit, support: bytes, groups: tuple, keep, probe_key: tuple):
+    """The theta = 0 plan of an eager run; arguments are hashable stand-ins
+    for those of :func:`_lower`."""
+    plan = _Plan()
+    probe_map = {step: [PauliString.from_text(p) for p in names] for step, names in probe_key}
+    start = np.frombuffer(support, dtype=np.int64)
+    plan.ops = tuple(_lower(circuit, start, groups, keep, probe_map, 0.0, plan))
+    plan.support.flags.writeable = False  # every run's ensemble shares it
+    return plan
+
+
+def _branch_groups(tags: list) -> "tuple[tuple, list]":
+    """Group index of every branch by its tags, and the tags of each group."""
+    index: dict = {}
+    first: list = []
+    groups = []
+    for tag in tags:
+        key = tuple(sorted(tag.items()))
+        if key not in index:
+            index[key] = len(first)
+            first.append(tag)
+        groups.append(index[key])
+    return tuple(groups), first
+
+
 def run_circuit(
     circuit: Circuit,
     noise: NoiseParams,
@@ -844,10 +1195,13 @@ def run_circuit(
 
     ``mode="eager"`` evaluates detectors as soon as their last slot is
     recorded, forces the records of detector-determined measurements, and
-    merges branches that agree on all future-relevant information.
+    merges branches that agree on all future-relevant information.  It runs
+    a plan lowered from the circuit; at theta = 0 the plan does not depend
+    on the noise and is cached, so repeated runs do only the numeric pass.
     ``mode="lazy"`` materializes every record combination and applies the
-    detectors only at the end; it is exponential in the number of
-    measurements and exists as an independent cross-check.
+    detectors only at the end, through :func:`apply_step` and
+    :func:`prune_detected`; it is exponential in the number of measurements
+    and exists as an independent cross-check.
 
     ``keep_slots`` lists record slots (or ``"all"``) that must remain
     distinguishable in the final ensemble, e.g. to drive outcome-dependent
@@ -855,103 +1209,47 @@ def run_circuit(
     """
     if mode not in ("eager", "lazy"):
         raise ValueError(f"mode must be 'eager' or 'lazy', got {mode!r}")
-    eager = mode == "eager"
-    keep_all = keep_slots == "all"
-    kept = set() if keep_all else set(keep_slots)
     probe_map = _normalize_probes(probes)
-    if probe_map and not eager:
+    if probe_map and mode == "lazy":
         raise ValueError("probes are not supported in lazy mode")
     for step_i in probe_map:
         if not (0 <= step_i < len(circuit.steps)):
             raise ValueError(f"probe step {step_i} out of range")
-
-    detectors, dets_by_slot = _compile_detectors(circuit)
-    ens = initial.copy()
-    if ens.num_qubits != circuit.num_qubits:
+    if initial.num_qubits != circuit.num_qubits:
         raise ValueError("initial state size does not match circuit")
-    result = RunResult(ens, 0.0)
-    peak = ens.num_branches
+    if mode == "lazy":
+        detectors = circuit.normalized_detectors()
+        ens = initial
+        for step in circuit.steps:
+            ens = apply_step(ens, step, noise)
+        peak = max(initial.num_branches, ens.num_branches)
+        ens = prune_detected(ens, detectors)
+        return RunResult(ens, ens.total_trace, peak_branches=peak)
 
-    for step_i, step in enumerate(circuit.steps):
-        measured: set[int] = set()
-        for op in step.ops:
-            if isinstance(op, Idle):
-                continue
-            if isinstance(op, Rotate):
-                ens.apply_rotation(op)
-                continue
-            measured.update(op.qubits)
-            slot = op.slot
-            store = keep_all or slot in kept or not eager
-            if not eager:
-                ens.split_measurement(op, noise, store_record=store)
-                peak = max(peak, ens.num_branches)
-                continue
-            here = dets_by_slot.get(slot, ())
-            completing = [d for d in here if d.last_slot == slot]
-            if completing:
-                # The record is pinned by the first completing detector:
-                # its final parity must come out equal to d0.parity.
-                d0 = completing[0]
-                svec = np.array(
-                    [d0.parity * tag.get(("p", d0.ident), 1) for tag in ens.tags],
-                    dtype=np.int64,
-                )
-                ens.apply_measurement(op, noise, svec, store_record=store)
-                rec = svec
-            else:
-                ens.split_measurement(op, noise, store_record=store)
-                rec = np.array(
-                    [1] * (ens.num_branches // 2) + [-1] * (ens.num_branches // 2),
-                    dtype=np.int64,
-                )
-            # Fold the record into every pending detector touching this slot,
-            # then settle the detectors that just completed.
-            for d in here:
-                key = ("p", d.ident)
-                for tag, s in zip(ens.tags, rec):
-                    tag[key] = tag.get(key, 1) * int(s)
-            for d in completing:
-                key = ("p", d.ident)
-                ok = np.array(
-                    [tag.get(key, 1) == d.parity for tag in ens.tags], dtype=bool
-                )
-                ens.drop_tags([key])
-                if not ok.all():
-                    ens.prune(ok)
-            peak = max(peak, ens.num_branches)
-        idle = [q for q in range(circuit.num_qubits) if q not in measured]
-        ens.apply_idle(idle, noise)
-        if eager:
-            ens.merge()
-        if step_i in probe_map:
-            tr = ens.total_trace
-            result.probe_acceptance[step_i] = tr
-            result.probes[step_i] = {
-                str(p): (ens.expectation(p) if tr > 0.0 else math.nan)
-                for p in probe_map[step_i]
-            }
-
-    if not eager:
-        _apply_detectors_lazily(ens, detectors)
-    result.acceptance = ens.total_trace
-    result.peak_branches = max(peak, ens.num_branches)
+    keep = "all" if keep_slots == "all" else frozenset(keep_slots)
+    groups, group_tags = _branch_groups(initial.tags)
+    if noise.theta == 0.0:
+        probe_key = tuple((s, tuple(str(p) for p in ps)) for s, ps in probe_map.items())
+        plan = _cached_plan(circuit, initial.support.tobytes(), groups, keep, probe_key)
+        ops = plan.ops
+    else:
+        plan = _Plan()
+        start = initial.support.copy()
+        ops = _lower(circuit, start, groups, keep, probe_map, noise.theta, plan)
+    result = RunResult(initial, 0.0)  # probe ops fill it; the ensemble comes last
+    tables = _NoiseTables(noise, circuit.num_qubits)
+    coeffs = initial.coeffs.copy()
+    for op in ops:
+        coeffs = op.run(coeffs, tables, result)
+    tags = []
+    for group, records in zip(plan.groups, plan.records):
+        tag = dict(group_tags[group])
+        tag.update(records)
+        tags.append(tag)
+    result.ensemble = TrajectoryEnsemble(circuit.num_qubits, plan.support, coeffs, tags)
+    result.acceptance = result.ensemble.total_trace
+    result.peak_branches = plan.peak
     return result
-
-
-def _apply_detectors_lazily(ens: TrajectoryEnsemble, detectors) -> None:
-    if not detectors:
-        return
-    keep = np.ones(ens.num_branches, dtype=bool)
-    for b, tag in enumerate(ens.tags):
-        for det in detectors:
-            prod = 1
-            for s in det.slots:
-                prod *= tag[("s", s)]
-            if prod != det.parity:
-                keep[b] = False
-                break
-    ens.prune(keep)
 
 
 @dataclass
@@ -994,13 +1292,16 @@ def sample_circuit(
     conditional expectation (not a sampled sign), which is unbiased with
     reduced variance.
     """
+    for name, value in (("shots", shots), ("batch_size", batch_size)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     if initial.num_branches != 1:
         raise ValueError("sampling starts from a single-branch state")
     probe_map = _normalize_probes(probes)
     finals = [
         PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables
     ]
-    detectors, dets_by_slot = _compile_detectors(circuit)
+    dets_by_slot = _detectors_by_slot(circuit)
     slot_column = {slot: i for i, slot in enumerate(circuit.slots)}
     rng = np.random.default_rng(seed)
 
@@ -1032,8 +1333,8 @@ def sample_circuit(
                     ens.apply_rotation(op)
                     continue
                 measured.update(op.qubits)
-                plus, minus = ens._measurement_outputs(op, noise)
-                pos0 = _positions(ens._pending_support, np.array([0]))[0]
+                plus, minus, support = ens._measurement_outputs(op, noise)
+                pos0 = _positions(support, np.array([0]))[0]
                 t_plus = plus[:, pos0]
                 t_minus = minus[:, pos0]
                 total = t_plus + t_minus
@@ -1043,7 +1344,7 @@ def sample_circuit(
                 svec = np.where(draw < p_plus, 1, -1).astype(np.int8)
                 sel = (svec == 1)
                 ens.coeffs = np.where(sel[:, None], plus, minus)
-                ens.support = ens._pending_support
+                ens.support = support
                 # Renormalize each shot to its conditional state.
                 tr = ens.coeffs[:, pos0]
                 safe = np.where(np.abs(tr) > 0, tr, 1.0)

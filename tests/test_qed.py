@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from tetronsim import qed, simulator
 from tetronsim.channels import (
     NoiseParams,
     meas1_record_superop,
@@ -413,6 +414,51 @@ def test_spec_validation():
         DecayExperimentSpec("physical", "XX", rounds_grid=(0, 1, 2))
     spec = DecayExperimentSpec("physical", "XX", rounds_grid=(6, 2, 4))
     assert spec.rounds_grid == (2, 4, 6)
+
+
+@pytest.mark.parametrize("shots", [0, -5, 2.5, True, "100"])
+def test_spec_rejects_bad_shot_counts(shots):
+    with pytest.raises(ValueError, match="shots"):
+        DecayExperimentSpec("physical", "XX", shots=shots)
+    assert DecayExperimentSpec("physical", "XX", shots=None).shots is None
+    assert DecayExperimentSpec("physical", "XX", shots=np.int64(3)).shots == 3
+
+
+def test_decay_circuit_cache_is_keyed_on_structure_only():
+    noisy = NoiseParams(p_a=0.02, p1=0.003, p2=0.001)
+    base = DecayExperimentSpec("logical", "XX")
+    assert qed._decay_circuit(base) is qed._decay_circuit(
+        DecayExperimentSpec("logical", "XX", noise=noisy, shots=10, seed=4)
+    )
+    others = [
+        DecayExperimentSpec("physical", "XX"),
+        DecayExperimentSpec("logical", "ZI"),
+        DecayExperimentSpec("logical", "XX", rounds_grid=(2, 4, 6)),
+    ]
+    derived = [qed._decay_circuit(s) for s in [base] + others]
+    assert len({id(d) for d in derived}) == len(derived)
+    assert len({d.circuit for d in derived}) == len(derived)
+
+
+def test_decay_fits_do_not_depend_on_cache_history():
+    noise = NoiseParams(p_a=0.01, p1=0.004, p2=0.0007)
+
+    def fits(rounds_grid):
+        return {
+            (level, obs): decay_experiment(
+                DecayExperimentSpec(level, obs, rounds_grid=rounds_grid, noise=noise)
+            )
+            for level in ("physical", "logical")
+            for obs in ("XX", "ZI")
+        }
+
+    fits((2, 4, 6, 8, 10))
+    warm = fits((2, 4, 6))
+    qed._derive_decay_circuit.cache_clear()
+    simulator._cached_plan.cache_clear()
+    cold = fits((2, 4, 6))
+    assert warm == cold
+    assert all(len(fit.expectations) == 3 for fit in cold.values())
 
 
 def test_zero_noise_rates_zero():

@@ -508,3 +508,15 @@ def test_sampling_is_deterministic_per_seed():
     a = sample_circuit(circuit, NOISE, init, 100, seed=4, final_observables=["X"])
     b = sample_circuit(circuit, NOISE, init, 100, seed=4, final_observables=["X"])
     assert a.final == b.final
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"shots": 0}, {"shots": -5}, {"shots": 10, "batch_size": 0}, {"shots": 10, "batch_size": -3}],
+)
+def test_sampling_rejects_bad_sizes(kwargs):
+    circuit = Circuit(1, (Step((Meas1(0, "X", 0),)),))
+    init = TrajectoryEnsemble.from_product_state(["0"])
+    shots = kwargs.pop("shots")
+    with pytest.raises(ValueError, match="positive integer"):
+        sample_circuit(circuit, NOISE, init, shots, seed=1, **kwargs)
