@@ -1019,8 +1019,9 @@ class _Plan:
 
     ops: tuple = ()
     support: "np.ndarray | None" = None
-    records: tuple = ()  # per final branch: the kept ((("s", slot), sign), ...)
     groups: tuple = ()  # per final branch: its initial branch group
+    kept: tuple = ()  # tag keys ("s", slot) of the kept records
+    records: "np.ndarray | None" = None  # per final branch: the kept signs
     peak: int = 0
 
 
@@ -1150,9 +1151,9 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
 
     plan.support = support
     plan.groups = tuple(int(g) for g in keys[:, 0])
-    plan.records = tuple(
-        tuple((("s", slot), -1 if row[col] else 1) for slot, col in kept_cols) for row in keys
-    )
+    plan.kept = tuple(("s", slot) for slot, _ in kept_cols)
+    cols = [col for _, col in kept_cols]
+    plan.records = np.where(keys[:, cols] != 0, -1, 1).astype(np.int8)
     plan.peak = max(peak, len(keys))
 
 
@@ -1242,9 +1243,9 @@ def run_circuit(
     for op in ops:
         coeffs = op.run(coeffs, tables, result)
     tags = []
-    for group, records in zip(plan.groups, plan.records):
+    for group, records in zip(plan.groups, plan.records.tolist()):
         tag = dict(group_tags[group])
-        tag.update(records)
+        tag.update(zip(plan.kept, records))
         tags.append(tag)
     result.ensemble = TrajectoryEnsemble(circuit.num_qubits, plan.support, coeffs, tags)
     result.acceptance = result.ensemble.total_trace
