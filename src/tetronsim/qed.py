@@ -40,6 +40,7 @@ from .simulator import (
     Rotate,
     Step,
     TrajectoryEnsemble,
+    _require_count,
     run_circuit,
     sample_circuit,
 )
@@ -385,12 +386,8 @@ class DecayExperimentSpec:
             raise ValueError("rounds_grid needs at least three distinct values")
         if any(r < 1 for r in self.rounds_grid):
             raise ValueError("round counts must be >= 1")
-        if self.shots is not None and (
-            isinstance(self.shots, bool)
-            or not isinstance(self.shots, (int, np.integer))
-            or self.shots < 1
-        ):
-            raise ValueError(f"shots must be None or a positive integer, got {self.shots!r}")
+        if self.shots is not None:
+            _require_count("shots", self.shots)
 
 
 @dataclass(frozen=True)

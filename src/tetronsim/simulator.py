@@ -1274,6 +1274,11 @@ class SampleResult:
         return self.accepted / self.shots if self.shots else math.nan
 
 
+def _require_count(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def sample_circuit(
     circuit: Circuit,
     noise: NoiseParams,
@@ -1293,9 +1298,8 @@ def sample_circuit(
     conditional expectation (not a sampled sign), which is unbiased with
     reduced variance.
     """
-    for name, value in (("shots", shots), ("batch_size", batch_size)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    _require_count("shots", shots)
+    _require_count("batch_size", batch_size)
     if initial.num_branches != 1:
         raise ValueError("sampling starts from a single-branch state")
     probe_map = _normalize_probes(probes)
