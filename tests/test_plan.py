@@ -217,9 +217,7 @@ def test_multi_branch_initial_keeps_its_tags():
     noise = NoiseParams(p_a=0.1, p1=0.05)
     first = Circuit.from_text("step\nM1 X q0 -> s0\n")
     second = Circuit.from_text("step\nM1 Z q0 -> s1\nstep\nM1 Z q0 -> s2\nDET s1 s2 = +1\n")
-    joint = Circuit(
-        1, first.steps + second.steps, (Detector((1, 2), 1),)
-    )
+    joint = Circuit(1, first.steps + second.steps, (Detector((1, 2), 1),))
     init = TrajectoryEnsemble.from_product_state(["+i"])
     mid = run_circuit(first, noise, init, keep_slots=[0]).ensemble
     assert mid.num_branches == 2
