@@ -31,8 +31,11 @@ this tractable:
   pinned and pruned branch rows, the merge groups, the probe positions) and
   then runs the plan's numeric pass for the noise at hand.  At theta = 0 the
   plan is cached per circuit, initial support, kept slots and probes, so a
-  noise scan lowers each circuit once; under coherent rotation the support
-  grows with theta != 0 and the runner lowers and applies one op at a time.
+  noise scan lowers each circuit once.  Under a coherent rotation theta != 0
+  the plan depends on theta, so the runner lowers and applies one op at a
+  time; each qubit's Z rotation is carried along as a pending angle and
+  applied only before the next op that does not commute with Z there, which
+  keeps the rotations few and lets repeated rounds share their lowerings.
 
 Dense cross-checks of every kernel against the channel constructors in
 :mod:`tetronsim.channels` live in the test suite.
@@ -172,6 +175,8 @@ class Circuit:
     def __post_init__(self):
         object.__setattr__(self, "steps", tuple(self.steps))
         object.__setattr__(self, "detectors", tuple(self.detectors))
+        # Eager runs look their cached plan up by circuit, so hash it once.
+        object.__setattr__(self, "_hash", hash((self.num_qubits, self.steps, self.detectors)))
         seen_slots: set[int] = set()
         for step in self.steps:
             if not isinstance(step, Step):
@@ -196,6 +201,13 @@ class Circuit:
             for s in det.slots:
                 if s not in seen_slots:
                     raise ValueError(f"detector references unrecorded slot s{s}")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: rebuild, do not copy _hash.
+        return (type(self), (self.num_qubits, self.steps, self.detectors))
 
     @property
     def slots(self) -> tuple:
@@ -902,10 +914,13 @@ class RunResult:
     peak_branches: int = 0
 
 
-def _normalize_probes(probes) -> dict:
+def _normalize_probes(probes, circuit: Circuit) -> dict:
+    """step index -> probed Paulis; every step must lie inside ``circuit``."""
     out: dict[int, list[PauliString]] = {}
     if probes:
         for step_i, paulis in probes.items():
+            if not (0 <= int(step_i) < len(circuit.steps)):
+                raise ValueError(f"probe step {step_i} out of range")
             out[int(step_i)] = [
                 PauliString.from_text(p) if isinstance(p, str) else p for p in paulis
             ]
@@ -927,6 +942,7 @@ def _normalize_probes(probes) -> dict:
 @dataclass(frozen=True)
 class _RotateOp:
     low: _Lowering
+    axis: int  # Pauli index of the rotation axis
     angle: float
 
     def run(self, coeffs, tables, result):
@@ -1049,12 +1065,25 @@ def _probe_op(step_i: int, support: np.ndarray, paulis, num_qubits: int) -> _Pro
     return _ProbeOp(step_i, position(0), entries)
 
 
+def _xy_qubits(p_index: int, num_qubits: int) -> list:
+    """Qubits on which a Pauli acts as X or Y, i.e. does not commute with Z."""
+    return [q for q in range(num_qubits) if _digit_column(p_index, num_qubits, q) in (1, 2)]
+
+
 def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, plan: _Plan):
     """Walk an eager run of ``circuit`` from ``support``, yielding plan ops.
 
     ``groups`` gives the initial branch group of every input branch, ``keep``
     the kept slots (or ``"all"``).  A nonzero ``theta`` adds the coherent
     rotation ops, which is why only theta = 0 plans are noise-independent.
+
+    The coherent Z rotations (measurement sandwich halves, idle steps) are
+    deferred: each qubit carries a pending Z angle, emitted as one rotation
+    only before something that does not commute with Z there (a measurement
+    or probed Pauli with X or Y on the qubit, or a ``Rotate`` on it) and at
+    the end of the walk.  This is exact: the depolarizing channels are
+    invariant under local unitaries, assignment flips act on records only,
+    and pins, prunes and merges act row by row.
     """
     n = circuit.num_qubits
     dets_by_slot = _detectors_by_slot(circuit)
@@ -1063,10 +1092,11 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
     det_col: dict = {}
     kept_cols: list = []
     peak = len(keys)
-    # Once the support stops growing, a measurement repeats against the same
-    # support round after round.  A theta = 0 plan is kept, so those rounds
-    # share one lowering; under theta the walk keeps nothing.
-    lowered: "dict | None" = {} if theta == 0.0 else None
+    pending = [0.0] * n  # deferred Z angle per qubit
+    # Once the support stops growing, a measurement or rotation repeats
+    # against the same support round after round; those rounds share one
+    # lowering.
+    lowered: dict = {}
 
     def column() -> int:
         nonlocal keys
@@ -1075,10 +1105,22 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
         keys = np.concatenate([keys, np.zeros((len(keys), 1), dtype=np.int32)], axis=1)
         return keys.shape[1] - 1
 
-    def rotation(axis: int, angle: float) -> _RotateOp:
+    def lower(key: tuple, lower_fn):
         nonlocal support
-        support, low = _lower_rotation(support, axis, n)
-        return _RotateOp(low, angle)
+        memo = (support.tobytes(),) + key
+        if memo not in lowered:
+            lowered[memo] = lower_fn(support)
+        support, low = lowered[memo]
+        return low
+
+    def rotation(axis: int, angle: float) -> _RotateOp:
+        return _RotateOp(lower((axis,), lambda sup: _lower_rotation(sup, axis, n)), axis, angle)
+
+    def flush(qubits):
+        for q in qubits:
+            if pending[q] != 0.0:
+                yield rotation(3 << (2 * (n - 1 - q)), pending[q])
+                pending[q] = 0.0
 
     for step_i, step in enumerate(circuit.steps):
         measured: set = set()
@@ -1087,19 +1129,16 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
                 continue
             if isinstance(op, Rotate):
                 if op.angle != 0.0:
+                    yield from flush(op.qubits)
                     yield rotation(op_pauli_index(op, n), op.angle)
                 continue
             measured.update(op.qubits)
-            axes = _sandwich_axes(op, theta, n)
-            for axis in axes:
-                yield rotation(axis, theta / 2.0)
-            if lowered is None:
-                support, low = _lower_measurement(support, op, n)
-            else:
-                memo = (support.tobytes(), op_pauli_index(op, n), op.qubits)
-                if memo not in lowered:
-                    lowered[memo] = _lower_measurement(support, op, n)
-                support, low = lowered[memo]
+            p_index = op_pauli_index(op, n)
+            half = theta / 2.0 if isinstance(op, Meas2) else 0.0
+            for q in op.qubits:
+                pending[q] += half
+            yield from flush(_xy_qubits(p_index, n))
+            low = lower((p_index, op.qubits), lambda sup: _lower_measurement(sup, op, n))
             here = dets_by_slot.get(op.slot, ())
             for d in here:
                 if d.ident not in det_col:
@@ -1133,13 +1172,12 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
             if not split and neg.any():
                 signs = np.where(neg, -1, 1).astype(np.int8)
             yield _MeasureOp(low, len(op.qubits), split, rows, signs)
-            for axis in axes:
-                yield rotation(axis, theta / 2.0)
+            for q in op.qubits:
+                pending[q] += half
             peak = max(peak, len(keys))
         idle = [q for q in range(n) if q not in measured]
-        if theta != 0.0:
-            for q in idle:
-                yield rotation(3 << (2 * (n - 1 - q)), theta)
+        for q in idle:
+            pending[q] += theta
         counts = _idle_counts(support, n, idle)
         if counts.any():
             yield _IdleOp(counts)
@@ -1147,7 +1185,12 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
         if merge is not None:
             yield merge
         if step_i in probe_map:
-            yield _probe_op(step_i, support, probe_map[step_i], n)
+            paulis = probe_map[step_i]
+            for p in paulis:
+                yield from flush(_xy_qubits(pauli_index(n, PauliString(p.letters)), n))
+            yield _probe_op(step_i, support, paulis, n)
+
+    yield from flush(range(n))
 
     plan.support = support
     plan.groups = tuple(int(g) for g in keys[:, 0])
@@ -1210,12 +1253,9 @@ def run_circuit(
     """
     if mode not in ("eager", "lazy"):
         raise ValueError(f"mode must be 'eager' or 'lazy', got {mode!r}")
-    probe_map = _normalize_probes(probes)
+    probe_map = _normalize_probes(probes, circuit)
     if probe_map and mode == "lazy":
         raise ValueError("probes are not supported in lazy mode")
-    for step_i in probe_map:
-        if not (0 <= step_i < len(circuit.steps)):
-            raise ValueError(f"probe step {step_i} out of range")
     if initial.num_qubits != circuit.num_qubits:
         raise ValueError("initial state size does not match circuit")
     if mode == "lazy":
@@ -1302,7 +1342,7 @@ def sample_circuit(
     _require_count("batch_size", batch_size)
     if initial.num_branches != 1:
         raise ValueError("sampling starts from a single-branch state")
-    probe_map = _normalize_probes(probes)
+    probe_map = _normalize_probes(probes, circuit)
     finals = [
         PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables
     ]

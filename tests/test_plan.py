@@ -15,17 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tetronsim import simulator
+from tetronsim import qed, simulator
 from tetronsim.channels import NoiseParams
 from tetronsim.simulator import (
     Circuit,
     CircuitBuilder,
     Detector,
+    Meas1,
+    Meas2,
     TrajectoryEnsemble,
     apply_step,
     marginalize_outcomes,
     prune_detected,
     run_circuit,
+    sample_circuit,
 )
 
 TOL = 1e-12
@@ -169,6 +172,30 @@ def test_plan_probes_match_truncated_lazy_runs(seed, theta):
                 assert math.isnan(got)
 
 
+SHOTS = 4000
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_sampler_matches_plan_within_three_sigma(seed, theta):
+    rng = np.random.default_rng(seed)
+    circuit = detector_circuit(rng)
+    noise = random_noise(rng, theta)
+    initial = random_initial(rng, circuit.num_qubits)
+    steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
+    probes = {s: OBSERVABLES for s in steps}
+    exact = run_circuit(circuit, noise, initial, probes=probes)
+    sampled = sample_circuit(circuit, noise, initial, SHOTS, seed=seed, probes=probes)
+    sigma = math.sqrt(exact.acceptance * (1.0 - exact.acceptance) / SHOTS)
+    assert abs(sampled.acceptance - exact.acceptance) <= 3.0 * sigma + 1e-12
+    for step_i in steps:
+        if exact.probe_acceptance[step_i] * SHOTS < 50:
+            continue  # too few accepted shots for a standard error
+        for obs in OBSERVABLES:
+            got, want = sampled.probes[step_i][obs], exact.probes[step_i][obs]
+            assert abs(got - want) <= 3.0 * sampled.probe_stderr[step_i][obs] + 1e-9
+
+
 def test_one_plan_serves_many_noise_points():
     rng = np.random.default_rng(2024)
     circuit = detector_circuit(rng, max_steps=6)
@@ -250,3 +277,106 @@ def test_keys_wider_than_a_machine_word():
     np.testing.assert_allclose(
         kept.ensemble.sum_pauli_vec(), plain.ensemble.sum_pauli_vec(), atol=TOL
     )
+
+
+# -- deferred coherent Z rotations -------------------------------------------
+#
+# Under theta the lowering keeps a pending Z angle per qubit and emits it only
+# before an op that does not commute with Z there.  Lazy mode rotates eagerly
+# through the ensemble methods, so it is an independent reference.
+
+
+def test_deferred_rotations_match_lazy_on_idle_ladder():
+    derived = qed.idle_ladder_circuit(2, prep_letter="X")
+    circuit = derived.circuit
+    noise = NoiseParams(p_a=0.03, p1=0.02, p2=0.04, theta=0.07)
+    initial = TrajectoryEnsemble.from_product_state(["+"] * circuit.num_qubits)
+    eager = run_circuit(circuit, noise, initial)
+    lazy = run_circuit(circuit, noise, initial, mode="lazy")
+    assert lazy.peak_branches == 4096
+    assert_same_run(eager, lazy.ensemble)
+    for obs in ("XXXX", "ZZII", "IYXI", "XIIY"):
+        assert eager.ensemble.expectation(obs) == pytest.approx(
+            lazy.ensemble.expectation(obs), abs=TOL
+        )
+
+
+DEFERRAL_CIRCUIT = """
+step
+M2 XX q0 q1 -> s0
+step
+M2 ZZ q0 q1 -> s1
+step
+M2 ZZ q0 q1 -> s2
+ROT X q2 0.3
+step
+M2 XX q0 q1 -> s3
+step
+M1 Z q2 -> s4
+DET s1 s2 = +1
+DET s0 s3 = +1
+"""
+
+
+def test_deferred_rotations_match_truncated_lazy_runs():
+    # q2 idles under a pending Z angle until the X rotation; the ZZ checks
+    # and the ZZ probe commute with the pending angles on q0 and q1, the XX
+    # checks and the XX probe do not.
+    circuit = Circuit.from_text(DEFERRAL_CIRCUIT)
+    noise = NoiseParams(p_a=0.05, p1=0.03, p2=0.04, theta=0.13)
+    initial = TrajectoryEnsemble.from_product_state(["+", "+i", "+"])
+    observables = ("ZZI", "XXI")
+    steps = range(len(circuit.steps))
+    eager = run_circuit(circuit, noise, initial, probes={s: observables for s in steps})
+    for step_i in steps:
+        recorded = set(Circuit(circuit.num_qubits, circuit.steps[: step_i + 1]).slots)
+        done = tuple(d for d in circuit.normalized_detectors() if set(d.slots) <= recorded)
+        truncated = Circuit(circuit.num_qubits, circuit.steps[: step_i + 1], done)
+        lazy = run_circuit(truncated, noise, initial, mode="lazy")
+        assert eager.probe_acceptance[step_i] == pytest.approx(lazy.acceptance, abs=TOL)
+        for obs in observables:
+            assert eager.probes[step_i][obs] == pytest.approx(
+                lazy.ensemble.expectation(obs), abs=TOL
+            )
+    lazy = run_circuit(circuit, noise, initial, mode="lazy")
+    assert_same_run(eager, lazy.ensemble)
+    for obs in ("IIY", "IIX", "YXZ"):
+        assert eager.ensemble.expectation(obs) == pytest.approx(
+            lazy.ensemble.expectation(obs), abs=TOL
+        )
+
+
+def test_no_two_z_rotations_on_a_qubit_without_a_blocker_between():
+    spec = qed.DecayExperimentSpec(
+        "logical", "XX", (2, 4, 6, 8, 10), NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3, theta=0.01)
+    )
+    derived = qed._decay_circuit(spec)
+    circuit, n = derived.circuit, derived.circuit.num_qubits
+    observable = qed.repcode_observables("logical")["XX"]
+    probe_map = {derived.round_end_steps[r - 1]: [observable] for r in spec.rounds_grid}
+    initial = qed._initial_state(spec)
+    ops = list(simulator._lower(
+        circuit, initial.support.copy(), (0,), frozenset(), probe_map, spec.noise.theta,
+        simulator._Plan(),
+    ))
+    measurements = iter(
+        op for step in circuit.steps for op in step.ops if isinstance(op, (Meas1, Meas2))
+    )
+    rotated = set()  # qubits Z-rotated since the last blocker on them
+    z_rotations = 0
+    for op in ops:
+        if isinstance(op, simulator._RotateOp):
+            (q,) = [q for q in range(n) if simulator._digit_column(op.axis, n, q)]
+            assert op.axis == 3 << (2 * (n - 1 - q)), "the circuit has only Z rotations"
+            assert q not in rotated, f"two Z rotations on q{q} with no blocker between"
+            rotated.add(q)
+            z_rotations += 1
+        elif isinstance(op, simulator._MeasureOp):
+            meas = next(measurements)
+            letters = meas.letter if isinstance(meas, Meas1) else meas.letters
+            rotated -= {q for q, c in zip(meas.qubits, letters) if c in "XY"}
+        elif isinstance(op, simulator._ProbeOp):
+            for p in probe_map[op.step]:
+                rotated -= {q for q, c in enumerate(p.letters) if c in "XY"}
+    assert next(measurements, None) is None
+    assert z_rotations > 0

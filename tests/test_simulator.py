@@ -2,10 +2,12 @@
 end-to-end against an exhaustive (lazy) reference evaluation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from tetronsim import simulator
 from tetronsim.channels import (
     NoiseParams,
     apply_superop_to_axes,
@@ -520,3 +522,38 @@ def test_sampling_rejects_bad_sizes(kwargs):
     shots = kwargs.pop("shots")
     with pytest.raises(ValueError, match="positive integer"):
         sample_circuit(circuit, NOISE, init, shots, seed=1, **kwargs)
+
+
+def test_sampling_rejects_probe_steps_out_of_range():
+    circuit = Circuit(1, (Step((Meas1(0, "X", 0),)),))
+    init = TrajectoryEnsemble.from_product_state(["0"])
+    for step in (5, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            sample_circuit(circuit, NOISE, init, 10, seed=1, probes={step: ["Z"]})
+        with pytest.raises(ValueError, match="out of range"):
+            run_circuit(circuit, NOISE, init, probes={step: ["Z"]})
+
+
+# ---------------------------------------------------------------------------
+# Circuit hashing
+# ---------------------------------------------------------------------------
+
+
+def test_equal_circuits_hash_equal_and_share_a_plan():
+    text = (
+        "step\nM2 ZZ q0 q1 -> s0\nstep\nM1 X q0 -> s1\n"
+        "step\nM2 ZZ q0 q1 -> s2\nDET s0 s2 = +1\n"
+    )
+    first, second = Circuit.from_text(text), Circuit.from_text(text)
+    assert first is not second and first == second and hash(first) == hash(second)
+    assert hash(pickle.loads(pickle.dumps(first))) == hash(first)
+    other = Circuit.from_text(text.replace("M1 X", "M1 Y"))
+    assert other != first
+    init = TrajectoryEnsemble.from_product_state(["0", "+"])
+    noise = NoiseParams(p_a=0.02, p1=0.01)
+    simulator._cached_plan.cache_clear()
+    run_circuit(first, noise, init)
+    run_circuit(second, noise, init)
+    run_circuit(other, noise, init)
+    info = simulator._cached_plan.cache_info()
+    assert (info.misses, info.hits) == (2, 1)
