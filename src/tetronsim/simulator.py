@@ -37,6 +37,10 @@ this tractable:
   applied only before the next op that does not commute with Z there, which
   keeps the rotations few and lets repeated rounds share their lowerings.
 
+The shot sampler walks the same plan with one state row and one record per
+shot.  The ensemble methods behind lazy mode and :func:`apply_step` stay as
+the independent reference that the tests compare the plan against.
+
 Dense cross-checks of every kernel against the channel constructors in
 :mod:`tetronsim.channels` live in the test suite.
 """
@@ -461,7 +465,8 @@ def _dep_class(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> n
 
 # Measurements and rotations are split into noise-independent structure (a
 # lowering) and a numeric pass over the coefficient block.  The ensemble
-# methods, the sampler and the eager runner all use these pieces.
+# methods and the plan, which the eager runner and the sampler both walk,
+# use these pieces.
 
 _ABSENT_SELF = 4  # self_class of a measured element absent from the input
 _ABSENT_CROSS = 32  # partner_class of a measured element whose partner is absent
@@ -927,6 +932,11 @@ def _normalize_probes(probes, circuit: Circuit) -> dict:
     return out
 
 
+def _check_size(circuit: Circuit, initial: TrajectoryEnsemble) -> None:
+    if initial.num_qubits != circuit.num_qubits:
+        raise ValueError("initial state size does not match circuit")
+
+
 # -- the eager runner: a lowering and an executor ---------------------------
 #
 # The lowering walks the circuit once and records everything that does not
@@ -951,14 +961,15 @@ class _RotateOp:
 
 @dataclass(frozen=True)
 class _MeasureOp:
-    """A measurement on every branch.  With ``split`` both records are
-    realized (+1 children first); otherwise a completing detector pins the
-    record, ``rows`` lists the branches that pass the other detectors
-    completing on the same slot (None: all) and ``signs`` the pinned record
-    of each (None: all +1)."""
+    """A measurement on every branch, recording into ``slot``.  With
+    ``split`` both records are realized (+1 children first); otherwise a
+    completing detector pins the record, ``rows`` lists the branches that
+    pass the other detectors completing on the same slot (None: all) and
+    ``signs`` the pinned record of each (None: all +1)."""
 
     low: _Lowering
     arity: int
+    slot: int
     split: bool
     rows: "np.ndarray | None"
     signs: "np.ndarray | None"
@@ -1171,7 +1182,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
                 keys, neg = keys[ok], neg[ok]
             if not split and neg.any():
                 signs = np.where(neg, -1, 1).astype(np.int8)
-            yield _MeasureOp(low, len(op.qubits), split, rows, signs)
+            yield _MeasureOp(low, len(op.qubits), op.slot, split, rows, signs)
             for q in op.qubits:
                 pending[q] += half
             peak = max(peak, len(keys))
@@ -1210,6 +1221,20 @@ def _cached_plan(circuit: Circuit, support: bytes, groups: tuple, keep, probe_ke
     plan.ops = tuple(_lower(circuit, start, groups, keep, probe_map, 0.0, plan))
     plan.support.flags.writeable = False  # every run's ensemble shares it
     return plan
+
+
+def _eager_plan(circuit: Circuit, theta: float, initial, groups, keep, probe_map):
+    """(plan, ops) of an eager run of ``circuit`` from ``initial``.
+
+    At theta = 0 this is the cached plan and its ops.  Otherwise ``ops`` is
+    a fresh :func:`_lower` walk, which fills in ``plan`` when it ends.
+    """
+    if theta == 0.0:
+        probe_key = tuple((s, tuple(str(p) for p in ps)) for s, ps in probe_map.items())
+        plan = _cached_plan(circuit, initial.support.tobytes(), groups, keep, probe_key)
+        return plan, plan.ops
+    plan = _Plan()
+    return plan, _lower(circuit, initial.support.copy(), groups, keep, probe_map, theta, plan)
 
 
 def _branch_groups(tags: list) -> "tuple[tuple, list]":
@@ -1256,8 +1281,7 @@ def run_circuit(
     probe_map = _normalize_probes(probes, circuit)
     if probe_map and mode == "lazy":
         raise ValueError("probes are not supported in lazy mode")
-    if initial.num_qubits != circuit.num_qubits:
-        raise ValueError("initial state size does not match circuit")
+    _check_size(circuit, initial)
     if mode == "lazy":
         detectors = circuit.normalized_detectors()
         ens = initial
@@ -1269,14 +1293,7 @@ def run_circuit(
 
     keep = "all" if keep_slots == "all" else frozenset(keep_slots)
     groups, group_tags = _branch_groups(initial.tags)
-    if noise.theta == 0.0:
-        probe_key = tuple((s, tuple(str(p) for p in ps)) for s, ps in probe_map.items())
-        plan = _cached_plan(circuit, initial.support.tobytes(), groups, keep, probe_key)
-        ops = plan.ops
-    else:
-        plan = _Plan()
-        start = initial.support.copy()
-        ops = _lower(circuit, start, groups, keep, probe_map, noise.theta, plan)
+    plan, ops = _eager_plan(circuit, noise.theta, initial, groups, keep, probe_map)
     result = RunResult(initial, 0.0)  # probe ops fill it; the ensemble comes last
     tables = _NoiseTables(noise, circuit.num_qubits)
     coeffs = initial.coeffs.copy()
@@ -1332,68 +1349,70 @@ def sample_circuit(
 ) -> SampleResult:
     """Sample records shot by shot instead of enumerating branches.
 
-    Shots are vectorized in batches; every batch carries one state row per
-    shot, records are drawn from the exact per-shot distribution, and shots
-    whose detectors fire are dropped.  Observable estimates use the per-shot
-    conditional expectation (not a sampled sign), which is unbiased with
-    reduced variance.
+    Walks the eager runner's plan (at theta = 0 the cached one, shared with
+    :func:`run_circuit`; otherwise a fresh walk whose coherent rotations are
+    deferred) with one state row and one record per shot, ignoring the
+    plan's branch bookkeeping.  Shots are vectorized in batches; records are
+    drawn from the exact per-shot distribution, and shots whose detectors
+    fire are dropped.  Observable estimates use the per-shot conditional
+    expectation (not a sampled sign), which is unbiased with reduced
+    variance.
     """
     _require_count("shots", shots)
     _require_count("batch_size", batch_size)
     if initial.num_branches != 1:
         raise ValueError("sampling starts from a single-branch state")
     probe_map = _normalize_probes(probes, circuit)
+    _check_size(circuit, initial)
+    if not initial.total_trace > 0.0:
+        # Also places the identity, whose coefficient is a shot's trace, at
+        # column 0 of every support the walk reaches.
+        raise ValueError("initial state has no positive trace")
+    n = circuit.num_qubits
+    plan, ops = _eager_plan(circuit, noise.theta, initial, (0,), frozenset(), probe_map)
+    ops = tuple(ops)  # every batch replays the walk
     finals = [
         PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables
     ]
+    final_probe = _probe_op(None, plan.support, finals, n)
+    tables = _NoiseTables(noise, n)
     dets_by_slot = _detectors_by_slot(circuit)
     slot_column = {slot: i for i, slot in enumerate(circuit.slots)}
     rng = np.random.default_rng(seed)
+    # (probe step, or None for the final observables, name) ->
+    # [sum, sum of squares, count] over accepted shots.
+    stats: dict = {}
 
-    sums: dict = {}
-    sq_sums: dict = {}
-    counts: dict = {}
-    final_sums = {str(p): 0.0 for p in finals}
-    final_sq = {str(p): 0.0 for p in finals}
+    def accumulate(probe: _ProbeOp, coeffs: np.ndarray, alive: np.ndarray) -> None:
+        tr = coeffs[:, probe.pos0]
+        for name, pos, sign in probe.entries:
+            vals = np.zeros(len(coeffs)) if pos < 0 else sign * coeffs[:, pos] / tr
+            stat = stats.setdefault((probe.step, name), [0.0, 0.0, 0])
+            stat[0] += float(vals[alive].sum())
+            stat[1] += float((vals[alive] ** 2).sum())
+            stat[2] += int(alive.sum())
+
     accepted = 0
-
     done = 0
     while done < shots:
         b = min(batch_size, shots - done)
         done += b
-        ens = TrajectoryEnsemble(
-            initial.num_qubits,
-            initial.support.copy(),
-            np.repeat(initial.coeffs, b, axis=0),
-            [{} for _ in range(b)],
-        )
+        coeffs = np.repeat(initial.coeffs, b, axis=0)
         recs = np.zeros((b, len(slot_column)), dtype=np.int8)
         alive = np.ones(b, dtype=bool)
-        for step_i, step in enumerate(circuit.steps):
-            measured: set[int] = set()
-            for op in step.ops:
-                if isinstance(op, Idle):
-                    continue
-                if isinstance(op, Rotate):
-                    ens.apply_rotation(op)
-                    continue
-                measured.update(op.qubits)
-                plus, minus, support = ens._measurement_outputs(op, noise)
-                pos0 = _positions(support, np.array([0]))[0]
-                t_plus = plus[:, pos0]
-                t_minus = minus[:, pos0]
-                total = t_plus + t_minus
+        for op in ops:
+            if isinstance(op, _MeasureOp):
+                base, cross = _terms(coeffs, op.low, *tables.meas[op.arity])
+                plus, minus = base + cross, base - cross
+                t_plus = plus[:, 0]
+                total = t_plus + minus[:, 0]
                 with np.errstate(invalid="ignore", divide="ignore"):
                     p_plus = np.where(total > 0, t_plus / np.where(total > 0, total, 1.0), 0.5)
-                draw = rng.random(b)
-                svec = np.where(draw < p_plus, 1, -1).astype(np.int8)
-                sel = (svec == 1)
-                ens.coeffs = np.where(sel[:, None], plus, minus)
-                ens.support = support
+                svec = np.where(rng.random(b) < p_plus, 1, -1).astype(np.int8)
+                coeffs = np.where((svec == 1)[:, None], plus, minus)
                 # Renormalize each shot to its conditional state.
-                tr = ens.coeffs[:, pos0]
-                safe = np.where(np.abs(tr) > 0, tr, 1.0)
-                ens.coeffs = ens.coeffs / safe[:, None]
+                tr = coeffs[:, 0]
+                coeffs = coeffs / np.where(np.abs(tr) > 0, tr, 1.0)[:, None]
                 recs[:, slot_column[op.slot]] = svec
                 for det in dets_by_slot.get(op.slot, ()):
                     if det.last_slot != op.slot:
@@ -1402,52 +1421,24 @@ def sample_circuit(
                     for s in det.slots:
                         par *= recs[:, slot_column[s]]
                     alive &= par == det.parity
-            idle = [q for q in range(circuit.num_qubits) if q not in measured]
-            ens.apply_idle(idle, noise)
-            if step_i in probe_map:
-                pos0 = _positions(ens.support, np.array([0]))[0]
-                tr = ens.coeffs[:, pos0]
-                for p in probe_map[step_i]:
-                    idx = pauli_index(ens.num_qubits, PauliString(p.letters))
-                    pos = _positions(ens.support, np.array([idx]))[0]
-                    if pos < 0:
-                        vals = np.zeros(b)
-                    else:
-                        vals = p.sign * ens.coeffs[:, pos] / tr
-                    key = (step_i, str(p))
-                    good = alive
-                    sums[key] = sums.get(key, 0.0) + float(vals[good].sum())
-                    sq_sums[key] = sq_sums.get(key, 0.0) + float((vals[good] ** 2).sum())
-                    counts[key] = counts.get(key, 0) + int(good.sum())
+            elif isinstance(op, _ProbeOp):
+                accumulate(op, coeffs, alive)
+            elif not isinstance(op, _MergeOp):  # shots never merge
+                coeffs = op.run(coeffs, tables, None)
         accepted += int(alive.sum())
-        if finals:
-            pos0 = _positions(ens.support, np.array([0]))[0]
-            tr = ens.coeffs[:, pos0]
-            for p in finals:
-                idx = pauli_index(ens.num_qubits, PauliString(p.letters))
-                pos = _positions(ens.support, np.array([idx]))[0]
-                vals = (
-                    np.zeros(b) if pos < 0 else p.sign * ens.coeffs[:, pos] / tr
-                )
-                final_sums[str(p)] += float(vals[alive].sum())
-                final_sq[str(p)] += float((vals[alive] ** 2).sum())
+        accumulate(final_probe, coeffs, alive)
 
     result = SampleResult(shots=shots, accepted=accepted)
-    for (step_i, name), total in sums.items():
-        m = counts[(step_i, name)]
+    for (step_i, name), (val_sum, sq_sum, m) in stats.items():
         if m == 0:
             continue
-        mean = total / m
-        var = max(sq_sums[(step_i, name)] / m - mean**2, 0.0)
-        result.probes.setdefault(step_i, {})[name] = mean
-        result.probe_stderr.setdefault(step_i, {})[name] = math.sqrt(var / m)
-    for name, total in final_sums.items():
-        if accepted == 0:
-            continue
-        mean = total / accepted
-        var = max(final_sq[name] / accepted - mean**2, 0.0)
-        result.final[name] = mean
-        result.final_stderr[name] = math.sqrt(var / accepted)
+        mean = val_sum / m
+        stderr = math.sqrt(max(sq_sum / m - mean**2, 0.0) / m)
+        if step_i is None:
+            result.final[name], result.final_stderr[name] = mean, stderr
+        else:
+            result.probes.setdefault(step_i, {})[name] = mean
+            result.probe_stderr.setdefault(step_i, {})[name] = stderr
     return result
 
 

@@ -185,7 +185,9 @@ def test_sampler_matches_plan_within_three_sigma(seed, theta):
     steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
     probes = {s: OBSERVABLES for s in steps}
     exact = run_circuit(circuit, noise, initial, probes=probes)
-    sampled = sample_circuit(circuit, noise, initial, SHOTS, seed=seed, probes=probes)
+    sampled = sample_circuit(
+        circuit, noise, initial, SHOTS, seed=seed, probes=probes, final_observables=OBSERVABLES
+    )
     sigma = math.sqrt(exact.acceptance * (1.0 - exact.acceptance) / SHOTS)
     assert abs(sampled.acceptance - exact.acceptance) <= 3.0 * sigma + 1e-12
     for step_i in steps:
@@ -194,6 +196,22 @@ def test_sampler_matches_plan_within_three_sigma(seed, theta):
         for obs in OBSERVABLES:
             got, want = sampled.probes[step_i][obs], exact.probes[step_i][obs]
             assert abs(got - want) <= 3.0 * sampled.probe_stderr[step_i][obs] + 1e-9
+    if exact.acceptance * SHOTS >= 50:
+        # At theta != 0 these read the rotations still pending at the end.
+        for obs in OBSERVABLES:
+            got, want = sampled.final[obs], exact.ensemble.expectation(obs)
+            assert abs(got - want) <= 3.0 * sampled.final_stderr[obs] + 1e-9
+
+
+def test_sampled_and_exact_decays_share_one_plan():
+    noise = NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3)
+    exact = qed.DecayExperimentSpec("physical", "ZI", noise=noise)
+    sampled = qed.DecayExperimentSpec("physical", "ZI", noise=noise, shots=50, seed=3)
+    simulator._cached_plan.cache_clear()
+    qed.decay_experiment(exact)
+    qed.decay_experiment(sampled)
+    info = simulator._cached_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_one_plan_serves_many_noise_points():

@@ -512,6 +512,13 @@ def test_sampling_is_deterministic_per_seed():
     assert a.final == b.final
 
 
+def test_sampling_averages_a_repeated_final_observable_once():
+    circuit = Circuit(1, (Step((Meas1(0, "Z", 0),)),))
+    init = TrajectoryEnsemble.from_product_state(["0"])
+    result = sample_circuit(circuit, NoiseParams(), init, 10, seed=1, final_observables=["Z", "Z"])
+    assert result.final == {"Z": 1.0}
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [{"shots": 0}, {"shots": -5}, {"shots": 10, "batch_size": 0}, {"shots": 10, "batch_size": -3}],
@@ -532,6 +539,27 @@ def test_sampling_rejects_probe_steps_out_of_range():
             sample_circuit(circuit, NOISE, init, 10, seed=1, probes={step: ["Z"]})
         with pytest.raises(ValueError, match="out of range"):
             run_circuit(circuit, NOISE, init, probes={step: ["Z"]})
+
+
+def test_runners_reject_initial_state_of_wrong_size():
+    circuit = Circuit(1, (Step((Meas1(0, "X", 0),)),))
+    init = TrajectoryEnsemble.from_product_state(["0", "+"])
+    with pytest.raises(ValueError, match="does not match circuit"):
+        sample_circuit(circuit, NOISE, init, 200, seed=1, final_observables=["IX"])
+    with pytest.raises(ValueError, match="does not match circuit"):
+        run_circuit(circuit, NOISE, init)
+
+
+@pytest.mark.parametrize(
+    "support, coeffs",
+    [([3], [1.0]), ([0, 3], [-1.0, 0.5])],
+    ids=["no-identity", "negative-identity"],
+)
+def test_sampling_rejects_initial_state_without_positive_trace(support, coeffs):
+    circuit = Circuit(1, (Step((Meas1(0, "X", 0),)),))
+    init = TrajectoryEnsemble(1, np.array(support, dtype=np.int64), np.array([coeffs]), [{}])
+    with pytest.raises(ValueError, match="no positive trace"):
+        sample_circuit(circuit, NOISE, init, 200, seed=1, final_observables=["Z"])
 
 
 # ---------------------------------------------------------------------------
