@@ -119,10 +119,6 @@ class ClassSequence:
                     f"two-qubit basis {m} not device-supported (only {sorted(_TWO_QUBIT_BASES)})"
                 )
 
-    @property
-    def num_outcomes(self) -> int:
-        return len(self.measurements)
-
     def correction(self, outcomes) -> PauliString:
         return pauli_correction(self.name, outcomes)
 

@@ -37,7 +37,7 @@ on each side:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,9 +82,6 @@ class NoiseParams:
             raise ValueError(
                 f"theta={self.theta!r} outside the allowed range [0, pi)"
             )
-
-    def with_updates(self, **kwargs) -> "NoiseParams":
-        return replace(self, **kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,17 @@ one section per subcommand) with command-line flags taking precedence.
 Exit codes: 0 success, 1 configuration error, 2 numerical invariant
 failure, 3 regression check failure.
 
-Sweeps parallelize over independent grid points with a fixed-size process
-pool; results are gathered in work-list order, so outputs are byte-identical
-for any worker count.
+Sweeps run the library scans one p1 row at a time, in parallel over a
+fixed-size process pool; rows are gathered in grid order, so outputs are
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
+import functools
 import json
 import math
 import multiprocessing
@@ -406,23 +408,16 @@ def _ordered_map(func, tasks: list, workers: int) -> list:
         return pool.map(func, tasks, chunksize=chunk)
 
 
-def _braid_point(task) -> float:
-    name, p1, pa, p2, theta = task
-    noise = NoiseParams(p_a=pa, p1=p1, p2=p2, theta=theta)
-    return braiding.average_class_fidelity(name, noise)
-
-
-def _qed_point(task) -> tuple:
-    pa, p1, p2, theta, rounds = task
-    noise = NoiseParams(p_a=pa, p1=p1, p2=p2, theta=theta)
-    metrics, fits = qed.improvement_point(noise, rounds)
-    return (
-        metrics.lambda_avg,
-        metrics.lambda_x,
-        metrics.lambda_z,
-        fits[("physical", "XX")].acceptance[-1],
-        fits[("logical", "XX")].acceptance[-1],
-    )
+def _scan_by_rows(scan, p1_grid: np.ndarray, workers: int):
+    """Run a library scan on one p1 row per task and stack the rows' 2-D
+    result grids into one scan over ``p1_grid``."""
+    rows = _ordered_map(scan, [[p1] for p1 in p1_grid], workers)
+    grids = {
+        f.name: np.vstack([getattr(row, f.name) for row in rows])
+        for f in dataclasses.fields(rows[0])
+        if np.ndim(getattr(rows[0], f.name)) == 2
+    }
+    return dataclasses.replace(rows[0], p1_grid=p1_grid, **grids)
 
 
 # ---------------------------------------------------------------------------
@@ -567,18 +562,12 @@ def cmd_braid(args: argparse.Namespace) -> int:
         _validate_noise_grid(p1=float(extreme), p_a=float(extreme), p2=p2, theta=theta)
 
     start = time.perf_counter()
-    tasks = [
-        (name, float(p1), float(pa), p2, theta) for p1 in p1_grid for pa in pa_grid
-    ]
-    values = _ordered_map(_braid_point, tasks, settings.workers)
-    fidelity = np.asarray(values, dtype=float).reshape(p1_grid.size, pa_grid.size)
+    row = functools.partial(braiding.fidelity_scan, name, pa_grid=pa_grid, p2=p2, theta=theta)
+    scan = _scan_by_rows(row, p1_grid, settings.workers)
+    fidelity = scan.fidelity
     _require_values("fidelity", fidelity, 0.0, 1.0)
     wall = time.perf_counter() - start
 
-    scan = braiding.FidelityScan(
-        name=name, p1_grid=p1_grid, pa_grid=pa_grid, p2=p2, theta=theta,
-        fidelity=fidelity,
-    )
     print(f"class = {name}")
     print(f"points = {fidelity.size}")
     print(f"fidelity(origin) = {fidelity[0, 0]:.9g}")
@@ -617,24 +606,10 @@ def cmd_qed(args: argparse.Namespace) -> int:
         raise ConfigError(f"option 'rounds': {exc}") from exc
 
     start = time.perf_counter()
-    tasks = [
-        (pa, float(p1), float(p2), theta, tuple(rounds))
-        for p1 in p1_grid
-        for p2 in p2_grid
-    ]
-    values = _ordered_map(_qed_point, tasks, settings.workers)
-    stacked = np.asarray(values, dtype=float).reshape(p1_grid.size, p2_grid.size, 5)
-    scan = qed.ImprovementScan(
-        p1_grid=p1_grid,
-        p2_grid=p2_grid,
-        p_a=pa,
-        theta=theta,
-        lambda_avg=stacked[:, :, 0].copy(),
-        lambda_x=stacked[:, :, 1].copy(),
-        lambda_z=stacked[:, :, 2].copy(),
-        accept_phys=stacked[:, :, 3].copy(),
-        accept_log=stacked[:, :, 4].copy(),
+    row = functools.partial(
+        qed.improvement_scan, p2_grid=p2_grid, p_a=pa, theta=theta, rounds_grid=rounds
     )
+    scan = _scan_by_rows(row, p1_grid, settings.workers)
     for label, arr in (
         ("lambda", scan.lambda_avg),
         ("lambda_x", scan.lambda_x),

@@ -305,13 +305,6 @@ def pauli_vec_to_dense(vec: np.ndarray) -> np.ndarray:
     return _unpaired_axes(t, n)
 
 
-def pauli_index_of(pauli: "PauliString | str") -> tuple[int, int]:
-    """(base-4 index, sign) of a Pauli given as text or PauliString."""
-    if isinstance(pauli, str):
-        pauli = PauliString.from_text(pauli)
-    return pauli.index, pauli.sign
-
-
 class Superoperator:
     """A channel stored as its real transfer matrix in the Pauli basis."""
 
@@ -335,9 +328,6 @@ class Superoperator:
         if other.num_qubits != self.num_qubits:
             raise ValueError("qubit count mismatch")
         return Superoperator(self.matrix @ other.matrix, copy=False)
-
-    def compose_after(self, inner: "Superoperator") -> "Superoperator":
-        return self @ inner
 
     def is_trace_preserving(self, tol: float = 1e-10) -> bool:
         row = self.matrix[0]

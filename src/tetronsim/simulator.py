@@ -29,13 +29,13 @@ this tractable:
   numbers, so the eager runner first lowers a circuit into a plan (the
   positions and depolarizing classes of every measurement, the split,
   pinned and pruned branch rows, the merge groups, the probe positions) and
-  then runs the plan's numeric pass for the noise at hand.  At theta = 0 the
-  plan is cached per circuit, initial support, kept slots and probes, so a
-  noise scan lowers each circuit once.  Under a coherent rotation theta != 0
-  the plan depends on theta, so the runner lowers and applies one op at a
-  time; each qubit's Z rotation is carried along as a pending angle and
-  applied only before the next op that does not commute with Z there, which
-  keeps the rotations few and lets repeated rounds share their lowerings.
+  then runs the plan's numeric pass for the noise at hand.  Under a coherent
+  rotation theta != 0 each qubit's Z rotation is carried along as a pending
+  number of theta/2 steps and applied only before the next op that does not
+  commute with Z there, which keeps the rotations few; the plan stores that
+  number and the run resolves it against theta.  A plan thus depends only on
+  whether theta is zero, and is cached per circuit, initial support, kept
+  slots, probes and that flag, so a noise scan lowers each circuit once.
 
 The shot sampler walks the same plan with one state row and one record per
 shot.  The ensemble methods behind lazy mode and :func:`apply_step` stay as
@@ -140,9 +140,6 @@ class Idle:
     @property
     def qubits(self) -> tuple[int, ...]:
         return (self.qubit,)
-
-
-Operation = "Meas1 | Meas2 | Rotate | Idle"
 
 
 @dataclass(frozen=True)
@@ -919,17 +916,28 @@ class RunResult:
     peak_branches: int = 0
 
 
-def _normalize_probes(probes, circuit: Circuit) -> dict:
-    """step index -> probed Paulis; every step must lie inside ``circuit``."""
-    out: dict[int, list[PauliString]] = {}
+def _normalize_probes(probes, circuit: Circuit) -> tuple:
+    """(step index, probed Paulis) pairs, hashable for the plan cache; every
+    step must lie inside ``circuit``."""
+    out: dict[int, tuple] = {}
     if probes:
         for step_i, paulis in probes.items():
             if not (0 <= int(step_i) < len(circuit.steps)):
                 raise ValueError(f"probe step {step_i} out of range")
-            out[int(step_i)] = [
+            out[int(step_i)] = tuple(
                 PauliString.from_text(p) if isinstance(p, str) else p for p in paulis
-            ]
-    return out
+            )
+    return tuple(out.items())
+
+
+def _normalize_keep(keep_slots, circuit: Circuit) -> "str | frozenset":
+    """``"all"`` or the kept slots, each of which ``circuit`` must record."""
+    if isinstance(keep_slots, str) and keep_slots == "all":
+        return "all"
+    keep = frozenset(keep_slots)
+    if isinstance(keep_slots, str) or (keep and not keep <= set(circuit.slots)):
+        raise ValueError(f"keep_slots must be 'all' or recorded slots, got {keep_slots!r}")
+    return keep
 
 
 def _check_size(circuit: Circuit, initial: TrajectoryEnsemble) -> None:
@@ -951,12 +959,16 @@ def _check_size(circuit: Circuit, initial: TrajectoryEnsemble) -> None:
 
 @dataclass(frozen=True)
 class _RotateOp:
+    """Rotation by ``angle`` (a ``Rotate``) plus ``half_turns`` theta/2 steps
+    (a deferred coherent Z rotation), resolved against each run's theta."""
+
     low: _Lowering
     axis: int  # Pauli index of the rotation axis
     angle: float
+    half_turns: int
 
     def run(self, coeffs, tables, result):
-        return _rotate(coeffs, self.low, self.angle)
+        return _rotate(coeffs, self.low, self.angle + self.half_turns * tables.half_theta)
 
 
 @dataclass(frozen=True)
@@ -1037,19 +1049,19 @@ class _NoiseTables:
     def __init__(self, noise: NoiseParams, num_qubits: int):
         self.meas = {arity: _meas_tables(arity, noise) for arity in (1, 2)}
         self.idle = _idle_table(noise.p1, num_qubits) if noise.p1 != 0.0 else None
+        self.half_theta = noise.theta / 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Plan:
-    """A lowered eager run.  :func:`_lower` fills in everything but ``ops``
-    once its walk ends."""
+    """A lowered eager run."""
 
-    ops: tuple = ()
-    support: "np.ndarray | None" = None
-    groups: tuple = ()  # per final branch: its initial branch group
-    kept: tuple = ()  # tag keys ("s", slot) of the kept records
-    records: "np.ndarray | None" = None  # per final branch: the kept signs
-    peak: int = 0
+    ops: tuple
+    support: np.ndarray  # final support, shared read-only by every run
+    groups: tuple  # per final branch: its initial branch group
+    kept: tuple  # tag keys ("s", slot) of the kept records
+    records: np.ndarray  # per final branch: the kept signs
+    peak: int
 
 
 def _merge_keys(keys: np.ndarray):
@@ -1081,20 +1093,22 @@ def _xy_qubits(p_index: int, num_qubits: int) -> list:
     return [q for q in range(num_qubits) if _digit_column(p_index, num_qubits, q) in (1, 2)]
 
 
-def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, plan: _Plan):
-    """Walk an eager run of ``circuit`` from ``support``, yielding plan ops.
+def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -> _Plan:
+    """Lower an eager run of ``circuit`` from ``support`` into a plan.
 
     ``groups`` gives the initial branch group of every input branch, ``keep``
-    the kept slots (or ``"all"``).  A nonzero ``theta`` adds the coherent
-    rotation ops, which is why only theta = 0 plans are noise-independent.
+    the kept slots (or ``"all"``).  With ``rotating`` (theta != 0) the plan
+    also holds the coherent rotation ops.  Their angles are whole numbers of
+    theta/2 steps and their supports and gathers do not depend on the angle,
+    so one plan serves every nonzero theta.
 
     The coherent Z rotations (measurement sandwich halves, idle steps) are
-    deferred: each qubit carries a pending Z angle, emitted as one rotation
-    only before something that does not commute with Z there (a measurement
-    or probed Pauli with X or Y on the qubit, or a ``Rotate`` on it) and at
-    the end of the walk.  This is exact: the depolarizing channels are
-    invariant under local unitaries, assignment flips act on records only,
-    and pins, prunes and merges act row by row.
+    deferred: each qubit carries a pending number of theta/2 steps, emitted
+    as one rotation only before something that does not commute with Z there
+    (a measurement or probed Pauli with X or Y on the qubit, or a ``Rotate``
+    on it) and at the end of the walk.  This is exact: the depolarizing
+    channels are invariant under local unitaries, assignment flips act on
+    records only, and pins, prunes and merges act row by row.
     """
     n = circuit.num_qubits
     dets_by_slot = _detectors_by_slot(circuit)
@@ -1103,7 +1117,8 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
     det_col: dict = {}
     kept_cols: list = []
     peak = len(keys)
-    pending = [0.0] * n  # deferred Z angle per qubit
+    ops: list = []
+    pending = [0] * n  # deferred theta/2 steps of Z rotation per qubit
     # Once the support stops growing, a measurement or rotation repeats
     # against the same support round after round; those rounds share one
     # lowering.
@@ -1124,14 +1139,15 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
         support, low = lowered[memo]
         return low
 
-    def rotation(axis: int, angle: float) -> _RotateOp:
-        return _RotateOp(lower((axis,), lambda sup: _lower_rotation(sup, axis, n)), axis, angle)
+    def rotate(axis: int, angle: float, half_turns: int) -> None:
+        low = lower((axis,), lambda sup: _lower_rotation(sup, axis, n))
+        ops.append(_RotateOp(low, axis, angle, half_turns))
 
-    def flush(qubits):
+    def flush(qubits) -> None:
         for q in qubits:
-            if pending[q] != 0.0:
-                yield rotation(3 << (2 * (n - 1 - q)), pending[q])
-                pending[q] = 0.0
+            if pending[q]:
+                rotate(3 << (2 * (n - 1 - q)), 0.0, pending[q])
+                pending[q] = 0
 
     for step_i, step in enumerate(circuit.steps):
         measured: set = set()
@@ -1140,15 +1156,15 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
                 continue
             if isinstance(op, Rotate):
                 if op.angle != 0.0:
-                    yield from flush(op.qubits)
-                    yield rotation(op_pauli_index(op, n), op.angle)
+                    flush(op.qubits)
+                    rotate(op_pauli_index(op, n), op.angle, 0)
                 continue
             measured.update(op.qubits)
             p_index = op_pauli_index(op, n)
-            half = theta / 2.0 if isinstance(op, Meas2) else 0.0
+            half = int(rotating and isinstance(op, Meas2))  # one theta/2 step
             for q in op.qubits:
                 pending[q] += half
-            yield from flush(_xy_qubits(p_index, n))
+            flush(_xy_qubits(p_index, n))
             low = lower((p_index, op.qubits), lambda sup: _lower_measurement(sup, op, n))
             here = dets_by_slot.get(op.slot, ())
             for d in here:
@@ -1182,59 +1198,41 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, theta: float, pla
                 keys, neg = keys[ok], neg[ok]
             if not split and neg.any():
                 signs = np.where(neg, -1, 1).astype(np.int8)
-            yield _MeasureOp(low, len(op.qubits), op.slot, split, rows, signs)
+            ops.append(_MeasureOp(low, len(op.qubits), op.slot, split, rows, signs))
             for q in op.qubits:
                 pending[q] += half
             peak = max(peak, len(keys))
         idle = [q for q in range(n) if q not in measured]
-        for q in idle:
-            pending[q] += theta
+        if rotating:
+            for q in idle:
+                pending[q] += 2  # a whole theta per idle step
         counts = _idle_counts(support, n, idle)
         if counts.any():
-            yield _IdleOp(counts)
+            ops.append(_IdleOp(counts))
         keys, merge = _merge_keys(keys)
         if merge is not None:
-            yield merge
+            ops.append(merge)
         if step_i in probe_map:
             paulis = probe_map[step_i]
             for p in paulis:
-                yield from flush(_xy_qubits(pauli_index(n, PauliString(p.letters)), n))
-            yield _probe_op(step_i, support, paulis, n)
+                flush(_xy_qubits(pauli_index(n, PauliString(p.letters)), n))
+            ops.append(_probe_op(step_i, support, paulis, n))
 
-    yield from flush(range(n))
+    flush(range(n))
 
-    plan.support = support
-    plan.groups = tuple(int(g) for g in keys[:, 0])
-    plan.kept = tuple(("s", slot) for slot, _ in kept_cols)
-    cols = [col for _, col in kept_cols]
-    plan.records = np.where(keys[:, cols] != 0, -1, 1).astype(np.int8)
-    plan.peak = max(peak, len(keys))
+    groups = tuple(int(g) for g in keys[:, 0])
+    kept = tuple(("s", slot) for slot, _ in kept_cols)
+    records = np.where(keys[:, [col for _, col in kept_cols]] != 0, -1, 1).astype(np.int8)
+    return _Plan(tuple(ops), support, groups, kept, records, max(peak, len(keys)))
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_plan(circuit: Circuit, support: bytes, groups: tuple, keep, probe_key: tuple):
-    """The theta = 0 plan of an eager run; arguments are hashable stand-ins
-    for those of :func:`_lower`."""
-    plan = _Plan()
-    probe_map = {step: [PauliString.from_text(p) for p in names] for step, names in probe_key}
-    start = np.frombuffer(support, dtype=np.int64)
-    plan.ops = tuple(_lower(circuit, start, groups, keep, probe_map, 0.0, plan))
+def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating) -> _Plan:
+    """The plan of an eager run; arguments are hashable stand-ins for those
+    of :func:`_lower`."""
+    plan = _lower(circuit, np.frombuffer(support, np.int64), groups, keep, dict(probes), rotating)
     plan.support.flags.writeable = False  # every run's ensemble shares it
     return plan
-
-
-def _eager_plan(circuit: Circuit, theta: float, initial, groups, keep, probe_map):
-    """(plan, ops) of an eager run of ``circuit`` from ``initial``.
-
-    At theta = 0 this is the cached plan and its ops.  Otherwise ``ops`` is
-    a fresh :func:`_lower` walk, which fills in ``plan`` when it ends.
-    """
-    if theta == 0.0:
-        probe_key = tuple((s, tuple(str(p) for p in ps)) for s, ps in probe_map.items())
-        plan = _cached_plan(circuit, initial.support.tobytes(), groups, keep, probe_key)
-        return plan, plan.ops
-    plan = _Plan()
-    return plan, _lower(circuit, initial.support.copy(), groups, keep, probe_map, theta, plan)
 
 
 def _branch_groups(tags: list) -> "tuple[tuple, list]":
@@ -1265,8 +1263,8 @@ def run_circuit(
     ``mode="eager"`` evaluates detectors as soon as their last slot is
     recorded, forces the records of detector-determined measurements, and
     merges branches that agree on all future-relevant information.  It runs
-    a plan lowered from the circuit; at theta = 0 the plan does not depend
-    on the noise and is cached, so repeated runs do only the numeric pass.
+    a plan lowered from the circuit; the plan does not depend on the noise
+    numbers and is cached, so repeated runs do only the numeric pass.
     ``mode="lazy"`` materializes every record combination and applies the
     detectors only at the end, through :func:`apply_step` and
     :func:`prune_detected`; it is exponential in the number of measurements
@@ -1274,12 +1272,14 @@ def run_circuit(
 
     ``keep_slots`` lists record slots (or ``"all"``) that must remain
     distinguishable in the final ensemble, e.g. to drive outcome-dependent
-    corrections afterwards.
+    corrections afterwards; every listed slot must be one of
+    ``circuit.slots``.
     """
     if mode not in ("eager", "lazy"):
         raise ValueError(f"mode must be 'eager' or 'lazy', got {mode!r}")
-    probe_map = _normalize_probes(probes, circuit)
-    if probe_map and mode == "lazy":
+    keep = _normalize_keep(keep_slots, circuit)
+    probes = _normalize_probes(probes, circuit)
+    if probes and mode == "lazy":
         raise ValueError("probes are not supported in lazy mode")
     _check_size(circuit, initial)
     if mode == "lazy":
@@ -1291,13 +1291,12 @@ def run_circuit(
         ens = prune_detected(ens, detectors)
         return RunResult(ens, ens.total_trace, peak_branches=peak)
 
-    keep = "all" if keep_slots == "all" else frozenset(keep_slots)
     groups, group_tags = _branch_groups(initial.tags)
-    plan, ops = _eager_plan(circuit, noise.theta, initial, groups, keep, probe_map)
+    plan = _cached_plan(circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0)
     result = RunResult(initial, 0.0)  # probe ops fill it; the ensemble comes last
     tables = _NoiseTables(noise, circuit.num_qubits)
     coeffs = initial.coeffs.copy()
-    for op in ops:
+    for op in plan.ops:
         coeffs = op.run(coeffs, tables, result)
     tags = []
     for group, records in zip(plan.groups, plan.records.tolist()):
@@ -1349,10 +1348,9 @@ def sample_circuit(
 ) -> SampleResult:
     """Sample records shot by shot instead of enumerating branches.
 
-    Walks the eager runner's plan (at theta = 0 the cached one, shared with
-    :func:`run_circuit`; otherwise a fresh walk whose coherent rotations are
-    deferred) with one state row and one record per shot, ignoring the
-    plan's branch bookkeeping.  Shots are vectorized in batches; records are
+    Walks the eager runner's cached plan, shared with :func:`run_circuit`,
+    with one state row and one record per shot, ignoring the plan's branch
+    bookkeeping.  Shots are vectorized in batches; records are
     drawn from the exact per-shot distribution, and shots whose detectors
     fire are dropped.  Observable estimates use the per-shot conditional
     expectation (not a sampled sign), which is unbiased with reduced
@@ -1362,15 +1360,15 @@ def sample_circuit(
     _require_count("batch_size", batch_size)
     if initial.num_branches != 1:
         raise ValueError("sampling starts from a single-branch state")
-    probe_map = _normalize_probes(probes, circuit)
+    probes = _normalize_probes(probes, circuit)
     _check_size(circuit, initial)
     if not initial.total_trace > 0.0:
         # Also places the identity, whose coefficient is a shot's trace, at
         # column 0 of every support the walk reaches.
         raise ValueError("initial state has no positive trace")
     n = circuit.num_qubits
-    plan, ops = _eager_plan(circuit, noise.theta, initial, (0,), frozenset(), probe_map)
-    ops = tuple(ops)  # every batch replays the walk
+    start = initial.support.tobytes()
+    plan = _cached_plan(circuit, start, (0,), frozenset(), probes, noise.theta != 0)
     finals = [
         PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables
     ]
@@ -1400,7 +1398,7 @@ def sample_circuit(
         coeffs = np.repeat(initial.coeffs, b, axis=0)
         recs = np.zeros((b, len(slot_column)), dtype=np.int8)
         alive = np.ones(b, dtype=bool)
-        for op in ops:
+        for op in plan.ops:
             if isinstance(op, _MeasureOp):
                 base, cross = _terms(coeffs, op.low, *tables.meas[op.arity])
                 plus, minus = base + cross, base - cross

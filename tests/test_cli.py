@@ -153,6 +153,14 @@ def test_qed_artifacts_match_library_scan(tmp_path):
     assert manifest["artifacts"] == ["qed_contour.csv", "qed_scan.csv"]
 
 
+def test_qed_theta_scan_byte_identical_across_worker_counts(tmp_path):
+    base = ["qed", "--scan", "0.003,0.01", "--theta", "0.01", "--rounds", "2,4,6"]
+    one, two = tmp_path / "w1", tmp_path / "w2"
+    assert main(base + ["--workers", "1", "--out", str(one)]) == 0
+    assert main(base + ["--workers", "2", "--out", str(two)]) == 0
+    assert (one / "qed_scan.csv").read_bytes() == (two / "qed_scan.csv").read_bytes()
+
+
 def test_qed_rejects_short_rounds_list(capsys):
     assert main(["qed", "--scan", "0.01", "--rounds", "2,4"]) == 1
     assert "rounds" in capsys.readouterr().err

@@ -1,6 +1,6 @@
 """The eager runner's lowered plan against the independent references.
 
-Eager mode runs a plan lowered from the circuit (cached at theta = 0).  Lazy
+Eager mode runs a plan lowered from the circuit (cached for every theta).  Lazy
 mode and the functional pipeline (``apply_step`` -> ``prune_detected`` ->
 ``marginalize_outcomes``) enumerate every record combination with the
 ensemble methods instead, so agreement to 1e-12 checks the lowering: the
@@ -204,27 +204,33 @@ def test_sampler_matches_plan_within_three_sigma(seed, theta):
 
 
 def test_sampled_and_exact_decays_share_one_plan():
-    noise = NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3)
-    exact = qed.DecayExperimentSpec("physical", "ZI", noise=noise)
-    sampled = qed.DecayExperimentSpec("physical", "ZI", noise=noise, shots=50, seed=3)
-    simulator._cached_plan.cache_clear()
-    qed.decay_experiment(exact)
-    qed.decay_experiment(sampled)
-    info = simulator._cached_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    for theta in (0.0, 0.01):
+        noise = NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3, theta=theta)
+        exact = qed.DecayExperimentSpec("physical", "ZI", noise=noise)
+        sampled = qed.DecayExperimentSpec("physical", "ZI", noise=noise, shots=50, seed=3)
+        simulator._cached_plan.cache_clear()
+        qed.decay_experiment(exact)
+        qed.decay_experiment(sampled)
+        info = simulator._cached_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 def test_one_plan_serves_many_noise_points():
+    # With theta, every noise point also has its own rotation angle.
     rng = np.random.default_rng(2024)
     circuit = detector_circuit(rng, max_steps=6)
     initial = TrajectoryEnsemble.from_product_state(["+", "0", "+i"])
-    simulator._cached_plan.cache_clear()
-    for _ in range(4):
-        noise = random_noise(rng, theta=False)
-        eager = run_circuit(circuit, noise, initial)
-        assert_same_run(eager, run_circuit(circuit, noise, initial, mode="lazy").ensemble)
-    info = simulator._cached_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    for theta in (False, True):
+        simulator._cached_plan.cache_clear()
+        thetas = set()
+        for _ in range(4):
+            noise = random_noise(rng, theta=theta)
+            thetas.add(noise.theta)
+            eager = run_circuit(circuit, noise, initial)
+            assert_same_run(eager, run_circuit(circuit, noise, initial, mode="lazy").ensemble)
+        info = simulator._cached_plan.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        assert len(thetas) == (4 if theta else 1)
 
 
 def test_cold_and_warm_cache_runs_are_bit_identical():
@@ -245,15 +251,24 @@ def test_cold_and_warm_cache_runs_are_bit_identical():
 
 
 def test_cached_plan_does_not_leak_into_results():
-    circuit = Circuit.from_text("step\nM1 Z q0 -> s0\nstep\nM1 X q0 -> s1\n")
-    initial = TrajectoryEnsemble.from_product_state(["0"])
-    first = run_circuit(circuit, NoiseParams(p1=0.1), initial)
-    first.ensemble.coeffs *= 0.0
-    with pytest.raises(ValueError):
-        first.ensemble.support[0] = 7  # shared with the cached plan
-    second = run_circuit(circuit, NoiseParams(p1=0.1), initial)
-    assert second.acceptance == pytest.approx(1.0, abs=TOL)
-    assert initial.coeffs[0, 0] == 1.0 and initial.tags == [{}]
+    # Under theta, q1 idles until its X measurement flushes the rotation.
+    circuit = Circuit.from_text(
+        "step\nM1 Z q0 -> s0\nstep\nM1 X q0 -> s1\nstep\nM1 X q1 -> s2\n"
+    )
+    initial = TrajectoryEnsemble.from_product_state(["0", "+"])
+    for theta in (0.0, 0.2):
+        noise = NoiseParams(p1=0.1, theta=theta)
+        simulator._cached_plan.cache_clear()
+        first = run_circuit(circuit, noise, initial)
+        expected = first.ensemble.coeffs.copy()
+        first.ensemble.coeffs *= 0.0
+        with pytest.raises(ValueError):
+            first.ensemble.support[0] = 7  # shared with the cached plan
+        second = run_circuit(circuit, noise, initial)
+        assert simulator._cached_plan.cache_info().hits == 1
+        assert second.acceptance == pytest.approx(1.0, abs=TOL)
+        assert np.array_equal(second.ensemble.coeffs, expected)
+        assert initial.coeffs[0, 0] == 1.0 and initial.tags == [{}]
 
 
 def test_multi_branch_initial_keeps_its_tags():
@@ -364,6 +379,16 @@ def test_deferred_rotations_match_truncated_lazy_runs():
         )
 
 
+def test_zero_and_nonzero_theta_plans_are_two_entries():
+    circuit = Circuit.from_text(DEFERRAL_CIRCUIT)
+    initial = TrajectoryEnsemble.from_product_state(["+", "+i", "+"])
+    simulator._cached_plan.cache_clear()
+    for theta in (0.0, 0.13, 0.2, 0.0):
+        run_circuit(circuit, NoiseParams(p_a=0.05, p1=0.03, theta=theta), initial)
+    info = simulator._cached_plan.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+
+
 def test_no_two_z_rotations_on_a_qubit_without_a_blocker_between():
     spec = qed.DecayExperimentSpec(
         "logical", "XX", (2, 4, 6, 8, 10), NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3, theta=0.01)
@@ -374,9 +399,8 @@ def test_no_two_z_rotations_on_a_qubit_without_a_blocker_between():
     probe_map = {derived.round_end_steps[r - 1]: [observable] for r in spec.rounds_grid}
     initial = qed._initial_state(spec)
     ops = list(simulator._lower(
-        circuit, initial.support.copy(), (0,), frozenset(), probe_map, spec.noise.theta,
-        simulator._Plan(),
-    ))
+        circuit, initial.support.copy(), (0,), frozenset(), probe_map, True
+    ).ops)
     measurements = iter(
         op for step in circuit.steps for op in step.ops if isinstance(op, (Meas1, Meas2))
     )

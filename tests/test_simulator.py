@@ -550,6 +550,19 @@ def test_runners_reject_initial_state_of_wrong_size():
         run_circuit(circuit, NOISE, init)
 
 
+@pytest.mark.parametrize("mode", ["eager", "lazy"])
+def test_run_rejects_unknown_keep_slots(mode):
+    # A string is not read as a set of characters, and a slot the circuit
+    # never records is not ignored.
+    circuit = Circuit(1, (Step((Meas1(0, "X", 0),)), Step((Meas1(0, "Z", 1),))))
+    init = TrajectoryEnsemble.from_product_state(["0"])
+    for bad in ("al", "s0", "", [7], [0, 7], ["0"]):
+        with pytest.raises(ValueError, match="'all' or recorded slots"):
+            run_circuit(circuit, NOISE, init, mode=mode, keep_slots=bad)
+    kept = run_circuit(circuit, NOISE, init, mode=mode, keep_slots=[1])
+    assert all(1 in records for records in kept.ensemble.records)
+
+
 @pytest.mark.parametrize(
     "support, coeffs",
     [([3], [1.0]), ([0, 3], [-1.0, 0.5])],
