@@ -19,6 +19,11 @@ product of ideal projectors equals, up to a branch-dependent constant,
 (|X_out><X_in| on the auxiliary) tensor (correction times class unitary).
 The constant is generally complex; its phase cancels in rho -> M rho M+,
 leaving a nonnegative density-level scalar |c|^2, which the report carries.
+
+The correction rule is data: each letter is switched on by the product of
+at most three outcomes.  The noisy runs therefore ask the simulator to track
+only those record parities (at most two per class) instead of every record,
+and apply one correction per surviving branch.
 """
 
 from __future__ import annotations
@@ -84,17 +89,49 @@ _SEQUENCES = {
     "HS": ("XI", "ZY", "ZZ", "YI", "XI"),
 }
 
-# Correction exponents: each entry is (letter, parity function of outcomes).
-# The correction operator is the left-to-right product letter^exponent, and
-# the achieved computational-qubit action is correction . class-unitary.
+# Correction exponents: each entry (letter, positions, sign) applies the
+# letter when the product of the outcomes at those sequence positions equals
+# sign (the empty product is +1, so ("X", (), 1) always applies).  The
+# correction operator is the left-to-right product of the applied letters,
+# and the achieved computational-qubit action is correction . class-unitary.
+# A run therefore needs only these parities of the records, never the
+# records themselves.
 _EXPONENTS = {
     "identity": (),
-    "H": (("Y", lambda s: s[0] * s[1] * s[2] > 0), ("X", lambda s: True)),
-    "S": (("Z", lambda s: s[0] * s[1] * s[2] > 0),),
-    "HSH": (("Y", lambda s: s[0] * s[3] < 0), ("X", lambda s: s[1] * s[2] > 0)),
-    "SH": (("Y", lambda s: s[0] * s[2] * s[3] < 0), ("Z", lambda s: s[1] * s[2] < 0)),
-    "HS": (("X", lambda s: s[1] * s[2] > 0), ("Z", lambda s: s[0] * s[1] * s[3] > 0)),
+    "H": (("Y", (0, 1, 2), 1), ("X", (), 1)),
+    "S": (("Z", (0, 1, 2), 1),),
+    "HSH": (("Y", (0, 3), -1), ("X", (1, 2), 1)),
+    "SH": (("Y", (0, 2, 3), -1), ("Z", (1, 2), -1)),
+    "HS": (("X", (1, 2), 1), ("Z", (0, 1, 3), 1)),
 }
+
+
+def _applied_letters(name: str, parity) -> list:
+    """The letters of the correction rule of ``name`` that apply, left to
+    right; ``parity(positions)`` is the product of the outcomes at those
+    sequence positions (+1 for none)."""
+    return [letter for letter, positions, sign in _EXPONENTS[name] if parity(positions) == sign]
+
+
+def _signless_product(letters) -> PauliString:
+    """Product of single-qubit Pauli letters, phase dropped."""
+    result = PauliString("I")
+    for letter in letters:
+        result, _phase = result.mul_with_phase(PauliString(letter))
+    return result
+
+
+def _parities(name: str, slots) -> tuple:
+    """The nonempty record products the correction rule of ``name`` reads,
+    as tuples of ``slots`` (the slots of the sequence's measurements)."""
+    return tuple(tuple(slots[i] for i in pos) for _, pos, _ in _EXPONENTS[name] if pos)
+
+
+def _branch_correction(name: str, records: dict, slots) -> PauliString:
+    """The correction of one branch that kept :func:`_parities`."""
+    return _signless_product(
+        _applied_letters(name, lambda pos: records[tuple(slots[i] for i in pos)] if pos else 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -119,9 +156,6 @@ class ClassSequence:
                     f"two-qubit basis {m} not device-supported (only {sorted(_TWO_QUBIT_BASES)})"
                 )
 
-    def correction(self, outcomes) -> PauliString:
-        return pauli_correction(self.name, outcomes)
-
 
 def sequence_for(name: str) -> ClassSequence:
     """The device-ready measurement sequence for a Clifford class."""
@@ -142,13 +176,9 @@ def pauli_correction(name: str, outcomes) -> PauliString:
         raise ValueError(f"{name} needs {expected} outcomes, got {len(outcomes)}")
     if any(s not in (1, -1) for s in outcomes):
         raise ValueError("outcomes must be +1 or -1")
-    letters = [
-        letter for letter, active in _EXPONENTS[name] if active(outcomes)
-    ]
-    result = PauliString("I")
-    for letter in letters:
-        result, _phase = result.mul_with_phase(PauliString(letter))
-    return PauliString(result.letters)
+    return _signless_product(
+        _applied_letters(name, lambda pos: math.prod(outcomes[i] for i in pos))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +211,8 @@ def _projector(token: str, outcome: int) -> np.ndarray:
 
 def _correction_matrix(name: str, outcomes) -> np.ndarray:
     m = np.eye(2, dtype=complex)
-    for letter, active in _EXPONENTS[name]:
-        if active(outcomes):
-            m = m @ pauli_matrix(letter)
+    for letter in _applied_letters(name, lambda pos: math.prod(outcomes[i] for i in pos)):
+        m = m @ pauli_matrix(letter)
     return m
 
 
@@ -281,19 +310,22 @@ def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperat
     """Exact transfer matrix of the noisy, outcome-corrected class map.
 
     Runs the instrument sequence on |+> (auxiliary) tensor each of four
-    informationally complete computational states, applies the Pauli frame
-    correction branch by branch, traces out the auxiliary, and assembles the
-    one-qubit transfer matrix.  No post-selection: every branch is kept, so
-    the result is trace preserving up to numerical error.
+    informationally complete computational states, keeping only the record
+    parities the correction rule reads (at most two, so at most four
+    branches), applies each branch's Pauli frame correction, traces out the
+    auxiliary, and assembles the one-qubit transfer matrix.  No
+    post-selection: every record is summed over, so the result is trace
+    preserving up to numerical error.
     """
     circuit = class_circuit(name)
     slots = circuit.slots
+    parities = _parities(name, slots)
     outputs = {}
     for label in _TOMO_INPUTS:
         init = TrajectoryEnsemble.from_product_state(["+", label])
-        ens = run_circuit(circuit, noise, init, keep_slots="all").ensemble
+        ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
         for row, records in enumerate(ens.records):
-            corr = pauli_correction(name, [records[s] for s in slots])
+            corr = _branch_correction(name, records, slots)
             if corr.letters != "I":
                 ens.apply_pauli(embed_letters(2, corr.letters, (COMP,)), rows=[row])
         reduced = ens.trace_out([AUX])
@@ -425,7 +457,7 @@ def _run_tomography_circuit(name: str, circuit: Circuit, noise, with_class: bool
     final_slot = slots[-1]
     class_slots = slots[3:-1] if with_class else ()
     meas_letter = circuit.steps[-1].ops[0].letter
-    keep = tuple(class_slots) + (final_slot,)
+    keep = (_parities(name, class_slots) if with_class else ()) + (final_slot,)
     ens = run_circuit(circuit, noise, TrajectoryEnsemble.from_product_state(["+", "+"]),
                       keep_slots=keep).ensemble
     total = 0.0
@@ -434,7 +466,7 @@ def _run_tomography_circuit(name: str, circuit: Circuit, noise, with_class: bool
     for row, records in enumerate(ens.records):
         s = records[final_slot]
         if with_class:
-            frame = pauli_correction(name, [records[c] for c in class_slots])
+            frame = _branch_correction(name, records, class_slots)
             if not frame.commutes(PauliString(meas_letter)):
                 s = -s
         weighted += s * traces[row]

@@ -21,21 +21,22 @@ this tractable:
   support array next to a (branches x support) coefficient block.
 * Branches are merged whenever their future-relevant record information
   agrees.  The eager runner gives every branch a key, one bit per parity of
-  a detector still in flight and per caller-requested slot, instead of its
-  full record history, which keeps the branch count bounded by the detector
-  window of the circuit rather than growing with circuit depth.  Keys are
-  rows of an integer table with a column per bit, so their width has no
-  limit.  Keys, supports and gather positions do not depend on the noise
-  numbers, so the eager runner first lowers a circuit into a plan (the
-  positions and depolarizing classes of every measurement, the split,
-  pinned and pruned branch rows, the merge groups, the probe positions) and
-  then runs the plan's numeric pass for the noise at hand.  Under a coherent
-  rotation theta != 0 each qubit's Z rotation is carried along as a pending
-  number of theta/2 steps and applied only before the next op that does not
-  commute with Z there, which keeps the rotations few; the plan stores that
-  number and the run resolves it against theta.  A plan thus depends only on
-  whether theta is zero, and is cached per circuit, initial support, kept
-  slots, probes and that flag, so a noise scan lowers each circuit once.
+  a detector still in flight and per tracked parity (a caller-requested
+  record or product of records), instead of its full record history, which
+  keeps the branch count bounded by the detector window of the circuit
+  rather than growing with circuit depth.  Keys are rows of an integer table
+  with a column per bit, so their width has no limit.  Keys, supports and
+  gather positions do not depend on the noise numbers, so the eager runner
+  first lowers a circuit into a plan (the positions and depolarizing classes
+  of every measurement, the split, pinned and pruned branch rows, the merge
+  groups, the probe positions) and then runs the plan's numeric pass for the
+  noise at hand.  Under a coherent rotation theta != 0 each qubit's Z
+  rotation is carried along as a pending number of theta/2 steps and applied
+  only before the next op that does not commute with Z there, which keeps
+  the rotations few; the plan stores that number and the run resolves it
+  against theta.  A plan thus depends only on whether theta is zero, and is
+  cached per circuit, initial support, kept entries, probes and that flag,
+  so a noise scan lowers each circuit once.
 
 The shot sampler walks the same plan with one state row and one record per
 shot.  The ensemble methods behind lazy mode and :func:`apply_step` stay as
@@ -882,21 +883,28 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class _CompiledDetector:
-    ident: int
+    """A normalized detector (ident: its index), or a tracked parity (ident:
+    its tag key, ``last_slot`` None): a product of records that never
+    completes and is read out at the end."""
+
+    ident: "int | tuple"
     slots: frozenset
     parity: int
-    last_slot: int
+    last_slot: "int | None"
 
 
-def _detectors_by_slot(circuit: Circuit) -> dict:
-    """slot -> the normalized detectors that read it."""
+def _detectors_by_slot(circuit: Circuit, tracked: Iterable = ()) -> dict:
+    """slot -> the normalized detectors and ``tracked`` parities (kept
+    entries, see :func:`_normalize_keep`) that read it."""
     seq = {slot: i for i, slot in enumerate(circuit.slots)}
+    compiled = [
+        _CompiledDetector(i, frozenset(d.slots), d.parity, max(d.slots, key=seq.__getitem__))
+        for i, d in enumerate(circuit.normalized_detectors())
+    ] + [_CompiledDetector(("s", e), frozenset(_entry_slots(e)), 1, None) for e in tracked]
     by_slot: dict[int, list[_CompiledDetector]] = {}
-    for ident, det in enumerate(circuit.normalized_detectors()):
-        last = max(det.slots, key=seq.__getitem__)
-        compiled = _CompiledDetector(ident, frozenset(det.slots), det.parity, last)
+    for det in compiled:
         for s in det.slots:
-            by_slot.setdefault(s, []).append(compiled)
+            by_slot.setdefault(s, []).append(det)
     return by_slot
 
 
@@ -930,14 +938,37 @@ def _normalize_probes(probes, circuit: Circuit) -> tuple:
     return tuple(out.items())
 
 
-def _normalize_keep(keep_slots, circuit: Circuit) -> "str | frozenset":
-    """``"all"`` or the kept slots, each of which ``circuit`` must record."""
-    if isinstance(keep_slots, str) and keep_slots == "all":
-        return "all"
-    keep = frozenset(keep_slots)
-    if isinstance(keep_slots, str) or (keep and not keep <= set(circuit.slots)):
+def _entry_slots(entry) -> tuple:
+    """The slots whose record product a kept entry stands for."""
+    return entry if isinstance(entry, tuple) else (entry,)
+
+
+def _normalize_keep(keep_slots, circuit: Circuit) -> tuple:
+    """The kept entries, hashable for the plan cache: each a recorded slot
+    or a tuple of distinct recorded slots (their record product), and one
+    entry per slot for ``"all"``."""
+    if isinstance(keep_slots, str):
+        if keep_slots == "all":
+            return circuit.slots
         raise ValueError(f"keep_slots must be 'all' or recorded slots, got {keep_slots!r}")
-    return keep
+    keep = list(keep_slots)
+    recorded = set(circuit.slots) if keep else set()
+    for entry in keep:
+        slots = _entry_slots(entry)
+        problem = (
+            "is neither a slot nor a tuple of slots"
+            if not all(isinstance(s, (int, np.integer)) for s in slots)
+            else "is an empty product" if not slots
+            else "repeats a slot" if len(set(slots)) < len(slots)
+            else "reads a slot the circuit never records" if not set(slots) <= recorded
+            else None
+        )
+        if problem:
+            raise ValueError(f"keep_slots must be 'all' or recorded slots (or tuples "
+                             f"of distinct ones); entry {entry!r} {problem}")
+    # Each entry is tracked once: a repeat would share, and XOR twice, its column.
+    keep = [tuple(map(int, e)) if isinstance(e, tuple) else int(e) for e in keep]
+    return tuple(dict.fromkeys(keep))
 
 
 def _check_size(circuit: Circuit, initial: TrajectoryEnsemble) -> None:
@@ -951,10 +982,13 @@ def _check_size(circuit: Circuit, initial: TrajectoryEnsemble) -> None:
 # depend on the noise numbers: supports, gather positions and classes, and
 # the branch bookkeeping.  Branches are identified by keys, the rows of a
 # small integer table: column 0 is the initial branch group a row descends
-# from, every other column holds one bit, a pending detector parity or a
-# kept record.  The key table evolves the same way at every noise point, so
-# the lowering turns it into row maps (splits, pinned record signs, pruned
-# rows, merge groups) and the executor never looks at a key.
+# from, every other column holds one bit, the parity so far of a detector in
+# flight or of a tracked parity.  A tracked parity (a kept entry) is a
+# detector that never completes, so its column lives to the end and is read
+# out as the branch's sign for that entry.  The key table evolves the same
+# way at every noise point, so the lowering turns it into row maps (splits,
+# pinned record signs, pruned rows, merge groups) and the executor never
+# looks at a key.
 
 
 @dataclass(frozen=True)
@@ -1059,8 +1093,8 @@ class _Plan:
     ops: tuple
     support: np.ndarray  # final support, shared read-only by every run
     groups: tuple  # per final branch: its initial branch group
-    kept: tuple  # tag keys ("s", slot) of the kept records
-    records: np.ndarray  # per final branch: the kept signs
+    kept: tuple  # tag keys ("s", entry) of the tracked parities
+    records: np.ndarray  # per final branch: the tracked parities, +1 or -1
     peak: int
 
 
@@ -1097,10 +1131,11 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     """Lower an eager run of ``circuit`` from ``support`` into a plan.
 
     ``groups`` gives the initial branch group of every input branch, ``keep``
-    the kept slots (or ``"all"``).  With ``rotating`` (theta != 0) the plan
-    also holds the coherent rotation ops.  Their angles are whole numbers of
-    theta/2 steps and their supports and gathers do not depend on the angle,
-    so one plan serves every nonzero theta.
+    the kept entries (see :func:`_normalize_keep`), each tracked as a
+    parity.  With ``rotating`` (theta != 0) the plan also holds the coherent
+    rotation ops.  Their angles are whole numbers of theta/2 steps and their
+    supports and gathers do not depend on the angle, so one plan serves every
+    nonzero theta.
 
     The coherent Z rotations (measurement sandwich halves, idle steps) are
     deferred: each qubit carries a pending number of theta/2 steps, emitted
@@ -1111,11 +1146,10 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     records only, and pins, prunes and merges act row by row.
     """
     n = circuit.num_qubits
-    dets_by_slot = _detectors_by_slot(circuit)
+    dets_by_slot = _detectors_by_slot(circuit, keep)
     keys = np.array(groups, dtype=np.int32)[:, None]
     free: list = []  # key columns no detector holds
     det_col: dict = {}
-    kept_cols: list = []
     peak = len(keys)
     ops: list = []
     pending = [0] * n  # deferred theta/2 steps of Z rotation per qubit
@@ -1182,10 +1216,6 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
                 neg = (keys[:, det_col[d0.ident]] != 0) ^ (d0.parity == -1)
             for d in here:
                 keys[:, det_col[d.ident]] ^= neg
-            if keep == "all" or op.slot in keep:
-                col = column()
-                keys[:, col] = neg
-                kept_cols.append((op.slot, col))
             ok = np.ones(len(keys), dtype=bool)
             for d in completing:
                 col = det_col.pop(d.ident)
@@ -1221,8 +1251,8 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     flush(range(n))
 
     groups = tuple(int(g) for g in keys[:, 0])
-    kept = tuple(("s", slot) for slot, _ in kept_cols)
-    records = np.where(keys[:, [col for _, col in kept_cols]] != 0, -1, 1).astype(np.int8)
+    kept = tuple(("s", entry) for entry in keep)
+    records = np.where(keys[:, [det_col[key] for key in kept]] != 0, -1, 1).astype(np.int8)
     return _Plan(tuple(ops), support, groups, kept, records, max(peak, len(keys)))
 
 
@@ -1241,7 +1271,7 @@ def _branch_groups(tags: list) -> "tuple[tuple, list]":
     first: list = []
     groups = []
     for tag in tags:
-        key = tuple(sorted(tag.items()))
+        key = frozenset(tag.items())
         if key not in index:
             index[key] = len(first)
             first.append(tag)
@@ -1270,10 +1300,15 @@ def run_circuit(
     :func:`prune_detected`; it is exponential in the number of measurements
     and exists as an independent cross-check.
 
-    ``keep_slots`` lists record slots (or ``"all"``) that must remain
-    distinguishable in the final ensemble, e.g. to drive outcome-dependent
-    corrections afterwards; every listed slot must be one of
-    ``circuit.slots``.
+    ``keep_slots`` lists what must remain distinguishable in the final
+    ensemble, e.g. to drive outcome-dependent corrections afterwards.  An
+    entry is a slot, or a tuple of distinct slots that stands for the
+    product of their records; every slot must be one of ``circuit.slots``,
+    and ``"all"`` keeps every slot.  Eager mode tracks each entry as a parity
+    and tags every final branch with its sign under ``("s", entry)``, so
+    ``ensemble.records[(0, 1, 2)]`` is +1 or -1; branches that agree on all
+    entries are merged.  Lazy mode keeps every record, from which any entry
+    can be read.
     """
     if mode not in ("eager", "lazy"):
         raise ValueError(f"mode must be 'eager' or 'lazy', got {mode!r}")
@@ -1368,7 +1403,7 @@ def sample_circuit(
         raise ValueError("initial state has no positive trace")
     n = circuit.num_qubits
     start = initial.support.tobytes()
-    plan = _cached_plan(circuit, start, (0,), frozenset(), probes, noise.theta != 0)
+    plan = _cached_plan(circuit, start, (0,), (), probes, noise.theta != 0)
     finals = [
         PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables
     ]

@@ -11,6 +11,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from tetronsim import braiding
 from tetronsim.braiding import (
     AUX,
     COMP,
@@ -33,8 +34,8 @@ from tetronsim.braiding import (
     verify_sequence_identity,
 )
 from tetronsim.channels import NoiseParams, meas1_record_superop, meas2_record_superop
-from tetronsim.pauli import PauliString, pauli_matrix, unitary_superop
-from tetronsim.simulator import Circuit, Meas1, Meas2
+from tetronsim.pauli import PauliString, embed_letters, pauli_matrix, unitary_superop
+from tetronsim.simulator import Circuit, Meas1, Meas2, TrajectoryEnsemble, run_circuit
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +243,86 @@ def test_measurement_channels_blind_to_loop_orientation():
     for record in (1, -1):
         chan = meas2_record_superop("ZY", record, quiet).matrix
         assert np.max(np.abs(czy @ chan @ czy - chan)) < 1e-12
+
+
+# The per-branch reference: keep every record of the class sequence, then
+# one pauli_correction (and, for the transfer matrix, one apply_pauli) per
+# branch.  The runs under test keep only the parities the correction rule
+# reads.
+
+
+def per_branch_simulate_class(name, noise):
+    circuit = class_circuit(name)
+    slots = circuit.slots
+    outputs = {}
+    for label in ("0", "1", "+", "+i"):
+        init = TrajectoryEnsemble.from_product_state(["+", label])
+        ens = run_circuit(circuit, noise, init, keep_slots="all").ensemble
+        for row, records in enumerate(ens.records):
+            corr = pauli_correction(name, [records[s] for s in slots])
+            ens.apply_pauli(embed_letters(2, corr.letters, (COMP,)), rows=[row])
+        outputs[label] = ens.trace_out([AUX]).sum_pauli_vec()
+    v_id = outputs["0"] + outputs["1"]
+    return 0.5 * np.column_stack(
+        [v_id, 2.0 * outputs["+"] - v_id, 2.0 * outputs["+i"] - v_id,
+         outputs["0"] - outputs["1"]]
+    )
+
+
+def per_branch_tomography(name, circuit, noise, with_class):
+    class_slots = circuit.slots[3:-1] if with_class else ()
+    final_slot = circuit.slots[-1]
+    measured = PauliString(circuit.steps[-1].ops[0].letter)
+    init = TrajectoryEnsemble.from_product_state(["+", "+"])
+    ens = run_circuit(circuit, noise, init, keep_slots=class_slots + (final_slot,)).ensemble
+    weighted = 0.0
+    for trace, records in zip(ens.branch_traces, ens.records):
+        sign = records[final_slot]
+        if with_class:
+            corr = pauli_correction(name, [records[s] for s in class_slots])
+            sign = sign if corr.commutes(measured) else -sign
+        weighted += sign * trace
+    return weighted / ens.total_trace
+
+
+def braid_noise_points():
+    rng = np.random.default_rng(11)
+    return [
+        NoiseParams(p_a=float(rng.uniform(0.0, 0.2)), p1=float(rng.uniform(0.0, 0.2)),
+                    p2=float(rng.uniform(0.0, 0.2)),
+                    theta=float(rng.uniform(0.01, 0.3)) if k % 2 else 0.0)
+        for k in range(6)
+    ]
+
+
+@pytest.mark.parametrize("name", CLIFFORD_CLASSES)
+def test_parity_runs_match_per_branch_reference(name, monkeypatch):
+    branches = []
+
+    def counting_run(*args, **kwargs):
+        result = run_circuit(*args, **kwargs)
+        branches.append(result.ensemble.num_branches)
+        return result
+
+    for noise in braid_noise_points():
+        want = per_branch_simulate_class(name, noise)
+        with monkeypatch.context() as patch:
+            patch.setattr(braiding, "run_circuit", counting_run)
+            got = simulate_class(name, noise).matrix
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert branches and max(branches) <= 4
+        branches.clear()
+        suite = run_gateset_suite(name, noise)
+        with monkeypatch.context() as patch:
+            patch.setattr(braiding, "_run_tomography_circuit", per_branch_tomography)
+            reference = run_gateset_suite(name, noise)
+        for field in ("with_class", "reference"):
+            np.testing.assert_allclose(
+                getattr(suite, field), getattr(reference, field), rtol=0, atol=1e-12
+            )
+        np.testing.assert_allclose(
+            suite.transfer.matrix, reference.transfer.matrix, rtol=0, atol=1e-12
+        )
 
 
 def test_simulation_is_deterministic():

@@ -86,11 +86,11 @@ def random_initial(rng, num_qubits: int) -> TrajectoryEnsemble:
     )
 
 
-def record_states(ensemble: TrajectoryEnsemble) -> dict:
-    """Record-summed Pauli vector per distinct record dict."""
+def record_states(ensemble: TrajectoryEnsemble, key_of=lambda r: tuple(sorted(r.items()))):
+    """Record-summed Pauli vector per distinct ``key_of(records)``."""
     out: dict = {}
     for row, records in zip(range(ensemble.num_branches), ensemble.records):
-        key = tuple(sorted(records.items()))
+        key = key_of(records)
         vec = np.zeros(4**ensemble.num_qubits)
         vec[ensemble.support] = ensemble.coeffs[row]
         out[key] = out.get(key, 0.0) + vec
@@ -139,11 +139,21 @@ def test_plan_kept_records_match_functional(seed, theta):
     noise = random_noise(rng, theta)
     initial = random_initial(rng, circuit.num_qubits)
     slots = circuit.slots
-    keep = tuple(int(s) for s in rng.choice(slots, size=int(rng.integers(1, len(slots))),
-                                            replace=False))
+    # Slots and tuples of slots; the reference keeps every slot they read
+    # and groups its branches by the product over each tuple.
+    keep = []
+    for _ in range(int(rng.integers(1, len(slots)))):
+        picked = tuple(int(s) for s in rng.choice(slots, size=int(rng.integers(1, 4)),
+                                                  replace=False))
+        keep.append(picked[0] if len(picked) == 1 and rng.random() < 0.5 else picked)
+    read = {s for entry in keep for s in (entry if isinstance(entry, tuple) else (entry,))}
     eager = run_circuit(circuit, noise, initial, keep_slots=keep)
-    reference = functional_run(circuit, noise, initial, keep)
-    got, want = record_states(eager.ensemble), record_states(reference)
+    reference = functional_run(circuit, noise, initial, read)
+    got = record_states(eager.ensemble, lambda r: tuple(r[entry] for entry in keep))
+    want = record_states(reference, lambda r: tuple(
+        math.prod(r[s] for s in entry) if isinstance(entry, tuple) else r[entry]
+        for entry in keep
+    ))
     assert set(got) <= set(want)
     for key, vec in want.items():
         np.testing.assert_allclose(got.get(key, 0.0 * vec), vec, rtol=0, atol=TOL)

@@ -548,6 +548,25 @@ def test_logical_beats_physical_at_reference_point():
     assert np.isclose(metrics.lambda_z, 822.886764894882, rtol=1e-9)
 
 
+def test_theta_point_pinned_to_stable_digits():
+    # At theta != 0 the logical ZI rate is tiny (about 5e-7 per round here),
+    # so reordering exact floating-point work moves lambda_z in its last
+    # digits: compare to rel 1e-6, not byte for byte.
+    noise = NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3, theta=0.01)
+    metrics, fits = improvement_point(noise)
+    pins = {
+        "lambda_avg": (metrics.lambda_avg, 2.0687040810724757),
+        "lambda_x": (metrics.lambda_x, 1.8233149301339853),
+        "lambda_z": (metrics.lambda_z, 1889.7076354332025),
+        "physical XX": (fits[("physical", "XX")].rate, 0.006612040639044403),
+        "physical ZI": (fits[("physical", "ZI")].rate, 0.0008908505982242167),
+        "logical XX": (fits[("logical", "XX")].rate, 0.003626384301344212),
+        "logical ZI": (fits[("logical", "ZI")].rate, 4.7142244732476583e-07),
+    }
+    for name, (got, want) in pins.items():
+        assert got == pytest.approx(want, rel=1e-6), name
+
+
 def test_sampled_mode_agrees_loosely():
     noise = NoiseParams(p_a=0.02, p1=0.01, p2=0.002)
     exact = decay_experiment(DecayExperimentSpec("physical", "ZI", noise=noise))

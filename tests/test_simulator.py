@@ -559,6 +559,18 @@ def test_run_rejects_unknown_keep_slots(mode):
     for bad in ("al", "s0", "", [7], [0, 7], ["0"]):
         with pytest.raises(ValueError, match="'all' or recorded slots"):
             run_circuit(circuit, NOISE, init, mode=mode, keep_slots=bad)
+    # A tuple is the product of its records: it must name distinct recorded
+    # slots ((1, 1) would be the empty product), and an entry is a slot or a
+    # tuple, nothing else.
+    for bad, problem in (
+        ([()], r"entry \(\) is an empty product"),
+        ([(1, 1)], r"entry \(1, 1\) repeats a slot"),
+        ([0, (0, 7)], r"entry \(0, 7\) reads a slot the circuit never records"),
+        ([[0, 1]], r"entry \[0, 1\] is neither a slot nor a tuple"),
+        ([1.0], r"entry 1.0 is neither a slot nor a tuple"),
+    ):
+        with pytest.raises(ValueError, match=problem):
+            run_circuit(circuit, NOISE, init, mode=mode, keep_slots=bad)
     kept = run_circuit(circuit, NOISE, init, mode=mode, keep_slots=[1])
     assert all(1 in records for records in kept.ensemble.records)
 
