@@ -22,12 +22,18 @@ leaving a nonnegative density-level scalar |c|^2, which the report carries.
 
 The correction rule is data: each letter is switched on by the product of
 at most three outcomes.  The noisy runs therefore ask the simulator to track
-only those record parities (at most two per class) instead of every record,
-and apply one correction per surviving branch.
+only those record parities (at most two per class) instead of every record.
+A class map is tomographed in one batched run: the four input states are
+initial branches of one ensemble, each correction letter is applied once to
+all the branches it corrects, and each input's branches are summed after
+the auxiliary is traced out.  Everything that does not depend on the noise
+(circuits, the batched input, corrections, ideal unitaries and their
+transfer matrices) is computed once.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -51,20 +57,20 @@ _TWO_QUBIT_BASES = frozenset({"ZZ", "YY", "YZ", "ZY"})
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0)
 _S = np.diag([1.0, 1.0j])
+_UNITARIES = {
+    "identity": np.eye(2, dtype=complex),
+    "H": _H,
+    "S": _S,
+    "HSH": _H @ _S @ _H,
+    "SH": _S @ _H,
+    "HS": _H @ _S,
+}
 
 
 def ideal_unitary(name: str) -> np.ndarray:
-    """The class representative unitary (2x2 matrix)."""
+    """The class representative unitary (a fresh 2x2 matrix)."""
     _check_class(name)
-    mats = {
-        "identity": np.eye(2, dtype=complex),
-        "H": _H,
-        "S": _S,
-        "HSH": _H @ _S @ _H,
-        "SH": _S @ _H,
-        "HS": _H @ _S,
-    }
-    return mats[name]
+    return _UNITARIES[name].copy()
 
 
 def ideal_superop(name: str) -> Superoperator:
@@ -127,11 +133,12 @@ def _parities(name: str, slots) -> tuple:
     return tuple(tuple(slots[i] for i in pos) for _, pos, _ in _EXPONENTS[name] if pos)
 
 
-def _branch_correction(name: str, records: dict, slots) -> PauliString:
-    """The correction of one branch that kept :func:`_parities`."""
-    return _signless_product(
-        _applied_letters(name, lambda pos: records[tuple(slots[i] for i in pos)] if pos else 1)
-    )
+@functools.lru_cache(maxsize=None)
+def _correction(name: str, signs: tuple) -> PauliString:
+    """The correction of a branch whose :func:`_parities` of ``name`` came
+    out as ``signs``, in order."""
+    values = dict(zip((pos for _, pos, _ in _EXPONENTS[name] if pos), signs))
+    return _signless_product(_applied_letters(name, lambda pos: values[pos] if pos else 1))
 
 
 @dataclass(frozen=True)
@@ -294,6 +301,7 @@ def _measurement_steps(builder: CircuitBuilder, tokens) -> list:
     return slots
 
 
+@functools.lru_cache(maxsize=None)
 def class_circuit(name: str) -> Circuit:
     """The bare two-qubit measurement circuit for a class sequence
     (auxiliary = qubit 0, computational = qubit 1), one measurement per
@@ -306,30 +314,52 @@ def class_circuit(name: str) -> Circuit:
 _TOMO_INPUTS = ("0", "1", "+", "+i")
 
 
+@functools.lru_cache(maxsize=None)
+def _tomography_input() -> "tuple[np.ndarray, np.ndarray]":
+    """Read-only support and coefficients of |+> (auxiliary) tensor each
+    tomography input, one row per input on their shared support."""
+    states = [TrajectoryEnsemble.from_product_state(["+", label]) for label in _TOMO_INPUTS]
+    support = functools.reduce(np.union1d, (state.support for state in states))
+    coeffs = np.zeros((len(states), support.size))
+    for row, state in enumerate(states):
+        coeffs[row, np.searchsorted(support, state.support)] = state.coeffs[0]
+    support.flags.writeable = False
+    coeffs.flags.writeable = False
+    return support, coeffs
+
+
 def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperator:
     """Exact transfer matrix of the noisy, outcome-corrected class map.
 
-    Runs the instrument sequence on |+> (auxiliary) tensor each of four
-    informationally complete computational states, keeping only the record
-    parities the correction rule reads (at most two, so at most four
-    branches), applies each branch's Pauli frame correction, traces out the
-    auxiliary, and assembles the one-qubit transfer matrix.  No
-    post-selection: every record is summed over, so the result is trace
-    preserving up to numerical error.
+    Runs the instrument sequence once on |+> (auxiliary) tensor the four
+    informationally complete computational states |0>, |1>, |+>, |+i>, each
+    an initial branch tagged ``("in", label)`` of one ensemble.  The run
+    keeps only the record parities the correction rule reads (at most two,
+    so at most four branches per input).  Each Pauli frame correction is
+    applied once to every branch it corrects; then the auxiliary is traced
+    out, each input's branches are summed, and the one-qubit transfer
+    matrix is assembled from the four outputs.  No post-selection: every
+    record is summed over, so the result is trace preserving up to
+    numerical error.
     """
     circuit = class_circuit(name)
-    slots = circuit.slots
-    parities = _parities(name, slots)
+    parities = _parities(name, circuit.slots)
+    support, coeffs = _tomography_input()
+    init = TrajectoryEnsemble(2, support, coeffs, [{("in", label): 1} for label in _TOMO_INPUTS])
+    ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
+    corrected: dict = {}
+    for row, records in enumerate(ens.records):
+        letters = _correction(name, tuple(records[p] for p in parities)).letters
+        corrected.setdefault(letters, []).append(row)
+    for letters, rows in corrected.items():
+        if letters != "I":
+            ens.apply_pauli(embed_letters(2, letters, (COMP,)), rows=rows)
+    reduced = ens.trace_out([AUX])
     outputs = {}
     for label in _TOMO_INPUTS:
-        init = TrajectoryEnsemble.from_product_state(["+", label])
-        ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
-        for row, records in enumerate(ens.records):
-            corr = _branch_correction(name, records, slots)
-            if corr.letters != "I":
-                ens.apply_pauli(embed_letters(2, corr.letters, (COMP,)), rows=[row])
-        reduced = ens.trace_out([AUX])
-        outputs[label] = reduced.sum_pauli_vec()
+        rows = [row for row, tag in enumerate(reduced.tags) if ("in", label) in tag]
+        outputs[label] = np.zeros(4)
+        outputs[label][reduced.support] = reduced.coeffs[rows].sum(axis=0)
 
     v_id = outputs["0"] + outputs["1"]
     columns = [
@@ -455,9 +485,9 @@ class GatesetResult:
 def _run_tomography_circuit(name: str, circuit: Circuit, noise, with_class: bool) -> float:
     slots = circuit.slots
     final_slot = slots[-1]
-    class_slots = slots[3:-1] if with_class else ()
+    parities = _parities(name, slots[3:-1]) if with_class else ()
     meas_letter = circuit.steps[-1].ops[0].letter
-    keep = (_parities(name, class_slots) if with_class else ()) + (final_slot,)
+    keep = parities + (final_slot,)
     ens = run_circuit(circuit, noise, TrajectoryEnsemble.from_product_state(["+", "+"]),
                       keep_slots=keep).ensemble
     total = 0.0
@@ -466,7 +496,7 @@ def _run_tomography_circuit(name: str, circuit: Circuit, noise, with_class: bool
     for row, records in enumerate(ens.records):
         s = records[final_slot]
         if with_class:
-            frame = _branch_correction(name, records, class_slots)
+            frame = _correction(name, tuple(records[p] for p in parities))
             if not frame.commutes(PauliString(meas_letter)):
                 s = -s
         weighted += s * traces[row]

@@ -22,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -432,10 +433,20 @@ def average_gate_fidelity(
         if r[0, 0] <= 0:
             raise ValueError("channel has nonpositive acceptance; cannot normalize")
         r = r / r[0, 0]
-    r_u = unitary_superop(target_unitary).matrix
+    u = np.asarray(target_unitary, dtype=complex)
+    r_u = _unitary_transfer(u.tobytes(), u.shape)
     d = 2.0
     f_pro = float(np.trace(r_u.T @ r)) / d**2
     return (d * f_pro + 1.0) / (d + 1.0)
+
+
+@functools.lru_cache(maxsize=64)
+def _unitary_transfer(data: bytes, shape: tuple) -> np.ndarray:
+    """Read-only transfer matrix of the unitary with these bytes and shape;
+    keyed by value, so editing an array in place cannot return a stale one."""
+    matrix = unitary_superop(np.frombuffer(data, dtype=complex).reshape(shape)).matrix
+    matrix.flags.writeable = False
+    return matrix
 
 
 def haar_average_fidelity(

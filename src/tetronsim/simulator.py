@@ -828,8 +828,16 @@ class TrajectoryEnsemble:
         self.tags = [t for t, k in zip(self.tags, keep) if k]
 
     def merge(self) -> None:
-        """Sum branches whose tags agree; canonical (sorted) branch order."""
-        keys = [tuple(sorted(t.items())) for t in self.tags]
+        """Sum branches whose tags agree; canonical (sorted) branch order.
+
+        A kept entry is a slot or a tuple of slots; within a tag kind, slot
+        entries sort before tuple entries, so mixed tags stay comparable.
+        """
+        keys = [
+            tuple(sorted(((kind, isinstance(entry, tuple), entry), value)
+                         for (kind, entry), value in t.items()))
+            for t in self.tags
+        ]
         order = sorted(range(len(keys)), key=lambda i: keys[i])
         if not order:
             return

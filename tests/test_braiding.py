@@ -248,7 +248,28 @@ def test_measurement_channels_blind_to_loop_orientation():
 # The per-branch reference: keep every record of the class sequence, then
 # one pauli_correction (and, for the transfer matrix, one apply_pauli) per
 # branch.  The runs under test keep only the parities the correction rule
-# reads.
+# reads.  The per-input reference runs each tomography input on its own, as
+# four runs; the batched run under test must reproduce it bit for bit.
+
+
+def per_input_simulate_class(name, noise):
+    circuit = class_circuit(name)
+    slots = circuit.slots
+    parities = braiding._parities(name, slots)
+    outputs = {}
+    for label in ("0", "1", "+", "+i"):
+        init = TrajectoryEnsemble.from_product_state(["+", label])
+        ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
+        for row, records in enumerate(ens.records):
+            corr = braiding._correction(name, tuple(records[p] for p in parities))
+            if corr.letters != "I":
+                ens.apply_pauli(embed_letters(2, corr.letters, (COMP,)), rows=[row])
+        outputs[label] = ens.trace_out([AUX]).sum_pauli_vec()
+    v_id = outputs["0"] + outputs["1"]
+    return 0.5 * np.column_stack(
+        [v_id, 2.0 * outputs["+"] - v_id, 2.0 * outputs["+i"] - v_id,
+         outputs["0"] - outputs["1"]]
+    )
 
 
 def per_branch_simulate_class(name, noise):
@@ -297,11 +318,11 @@ def braid_noise_points():
 
 @pytest.mark.parametrize("name", CLIFFORD_CLASSES)
 def test_parity_runs_match_per_branch_reference(name, monkeypatch):
-    branches = []
+    runs = []
 
     def counting_run(*args, **kwargs):
         result = run_circuit(*args, **kwargs)
-        branches.append(result.ensemble.num_branches)
+        runs.append(result.ensemble)
         return result
 
     for noise in braid_noise_points():
@@ -310,8 +331,12 @@ def test_parity_runs_match_per_branch_reference(name, monkeypatch):
             patch.setattr(braiding, "run_circuit", counting_run)
             got = simulate_class(name, noise).matrix
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert branches and max(branches) <= 4
-        branches.clear()
+        # One batched run, at most four parity branches per input.
+        assert len(runs) == 1
+        ens = runs.pop()
+        for label in ("0", "1", "+", "+i"):
+            assert 1 <= sum(("in", label) in tag for tag in ens.tags) <= 4
+        assert ens.num_branches <= 16
         suite = run_gateset_suite(name, noise)
         with monkeypatch.context() as patch:
             patch.setattr(braiding, "_run_tomography_circuit", per_branch_tomography)
@@ -323,6 +348,41 @@ def test_parity_runs_match_per_branch_reference(name, monkeypatch):
         np.testing.assert_allclose(
             suite.transfer.matrix, reference.transfer.matrix, rtol=0, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("name", CLIFFORD_CLASSES)
+def test_batched_run_matches_per_input_runs_exactly(name):
+    for noise in braid_noise_points():
+        assert np.array_equal(simulate_class(name, noise).matrix,
+                              per_input_simulate_class(name, noise))
+
+
+def test_mutating_results_does_not_leak_into_later_runs(monkeypatch):
+    noise = NoiseParams(p_a=0.03, p1=0.04, p2=0.05, theta=0.07)
+    want = per_input_simulate_class("HS", noise)
+    seen = []
+
+    def capturing_run(circuit, noise, initial, **kwargs):
+        result = run_circuit(circuit, noise, initial, **kwargs)
+        seen.append((circuit, initial, result.ensemble))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(braiding, "run_circuit", capturing_run)
+        first = simulate_class("HS", noise)
+    circuit, initial, ens = seen.pop()
+    first.matrix[:] = 0.0
+    ens.coeffs[:] = 7.0
+    for tag in ens.tags + initial.tags:
+        tag.clear()
+    with pytest.raises(ValueError, match="read-only"):
+        initial.coeffs[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        initial.support[0] = 1
+    ideal_unitary("HS")[:] = 0.0
+    assert np.array_equal(simulate_class("HS", noise).matrix, want)
+    assert np.array_equal(ideal_unitary("HS"), ideal_unitary("H") @ ideal_unitary("S"))
+    assert class_circuit("HS") is circuit
 
 
 def test_simulation_is_deterministic():

@@ -183,6 +183,18 @@ def test_average_gate_fidelity_subnormalized_requires_opt_in():
     assert average_gate_fidelity(proj, np.eye(2), normalize=True) == pytest.approx(2 / 3)
 
 
+def test_average_gate_fidelity_sees_a_unitary_edited_in_place():
+    # The target's transfer matrix is cached by value, never by array identity.
+    chan = unitary_superop(np.array([[1, 1], [1, -1]]) / np.sqrt(2))
+    u = np.eye(2, dtype=complex)
+    before = average_gate_fidelity(chan, u)
+    u[:] = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    after = average_gate_fidelity(chan, u)
+    r_u = unitary_superop(u).matrix
+    assert after == (2.0 * float(np.trace(r_u.T @ chan.matrix)) / 4.0 + 1.0) / 3.0
+    assert after == pytest.approx(1.0, abs=1e-12) and before == pytest.approx(1 / 3)
+
+
 def test_choi_positivity_detects_non_cp():
     p = 0.2
     dep = kraus_superop(

@@ -699,3 +699,16 @@ def test_marginalization_schedule_independence():
     assert abs(eager.acceptance - kept.ensemble.total_trace) < 1e-12
     for obs in (XBAR, "ZZIIIIII", embed_letters(8, "ZZZZ", (2, 3, 4, 5))):
         assert abs(eager.ensemble.expectation(obs) - merged.expectation(obs)) < 1e-12
+
+
+def test_marginalize_mixes_slot_and_parity_entries():
+    # Kept slots and kept parities (tuples of slots) sort side by side in
+    # the reference merge instead of failing to compare.
+    noise = NoiseParams(p_a=0.02, p1=0.01, p2=0.002)
+    d = idle_ladder_circuit(2, prep_letter="X")
+    init = TrajectoryEnsemble.from_product_state(["+"] * d.circuit.num_qubits)
+    ens = run_circuit(d.circuit, noise, init, keep_slots=[(0, 2), 1]).ensemble
+    assert {key for tag in ens.tags for key in tag} == {("s", (0, 2)), ("s", 1)}
+    for slots in ([5], [1]):
+        merged = marginalize_outcomes(ens, slots)
+        assert abs(merged.total_trace - ens.total_trace) < 1e-15
