@@ -347,13 +347,13 @@ def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperat
     support, coeffs = _tomography_input()
     init = TrajectoryEnsemble(2, support, coeffs, [{("in", label): 1} for label in _TOMO_INPUTS])
     ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
-    corrected: dict = {}
+    corrected: dict = {}  # correction letter -> the rows it corrects
     for row, records in enumerate(ens.records):
         letters = _correction(name, tuple(records[p] for p in parities)).letters
-        corrected.setdefault(letters, []).append(row)
-    for letters, rows in corrected.items():
         if letters != "I":
-            ens.apply_pauli(embed_letters(2, letters, (COMP,)), rows=rows)
+            corrected.setdefault(letters, []).append(row)
+    for letters, rows in corrected.items():
+        ens.apply_pauli(embed_letters(2, letters, (COMP,)), rows=rows)
     reduced = ens.trace_out([AUX])
     outputs = {}
     for label in _TOMO_INPUTS:
