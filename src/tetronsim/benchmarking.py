@@ -13,9 +13,12 @@ deviations from that ideal with two operational error metrics,
 estimated from the conditional outcome statistics of four-measurement
 subsequences (two-measurement unconditioned reset, a conditioning
 measurement, and a final measurement).  Statistics come either from exact
-channel composition or from sampling a long pseudorandom measurement chain;
+channel composition or from sampling long pseudorandom measurement chains;
 de Bruijn cycles guarantee every subsequence pattern is sampled equally
-often.  The same experiment bank supports reconstruction of each
+often.  The sampler keeps every chain's state as one column of a (4, chains)
+array, so each measurement step is one matrix product over all chains, and
+draws each chain's own random stream in fixed blocks of steps: chain c is
+still bit-exactly reproducible from (seed, c).  The same experiment bank supports reconstruction of each
 measurement outcome's action on the real slice of the Bloch sphere (a
 "rebit"), and a same-basis repetition experiment with inserted idle periods
 measures the qubit lifetime.
@@ -37,6 +40,7 @@ from .channels import (
 )
 from .pauli import Superoperator
 from .qed import fit_decay
+from .simulator import _require_count
 
 BASES = ("X", "Z")
 RESET_ORDERS = ("XZ", "ZX")
@@ -46,6 +50,7 @@ _MIXED = np.array([1.0, 0.0, 0.0, 0.0])
 _REBIT_AXES = (0, 1, 3)  # Pauli-vector components (trace, x, z)
 _REBIT_NAMES = ("trace", "x", "z")
 _WILSON_95 = 1.959963984540054
+_BLOCK = 512  # steps of uniforms drawn per chain at a time in sampled mode
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +327,15 @@ def subsequence_statistics(
     chains following a cyclic pseudorandom label sequence (default: a
     de Bruijn cycle of subsequence length 4) and counts every overlapping
     four-label window whose first two labels differ; at least ``shots``
-    windows are collected in total.
+    windows are collected in total.  ``shots`` and ``chains`` must be
+    positive integers in sampled mode.
+
+    The chains advance together: their states are the columns of one
+    (4, chains) array, and each step stacks the +1 and -1 outcome maps into
+    one matrix product.  Chain c draws its uniforms from its own generator,
+    seeded from ``SeedSequence(entropy=seed, spawn_key=(c,))``, in fixed
+    blocks of steps; the blocks concatenate to the same stream, so chain c
+    is bit-exactly reproducible from (seed, c) whatever the chain count.
     """
     instruments = _as_instruments(source)
     if mode == "exact":
@@ -372,10 +385,8 @@ def _sampled_statistics(
     sequence: MeasurementSequence,
     chains: int,
 ) -> ConditionalTable:
-    if shots < 1:
-        raise ValueError("sampled mode needs at least one window")
-    if chains < 1:
-        raise ValueError("need at least one chain")
+    _require_count("shots", shots)
+    _require_count("chains", chains)
     window = 4
     # round each chain up to whole sequence periods so every window pattern
     # is counted exactly equally often (the fair-sampling guarantee)
@@ -386,40 +397,54 @@ def _sampled_statistics(
     letters = sequence.cycled(steps)
 
     # one independent, splittable stream per chain: chain c is bit-exactly
-    # reproducible from (seed, c) no matter how chains are batched
-    uniforms = np.empty((chains, steps))
-    for c in range(chains):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        uniforms[c] = rng.random(steps)
-
-    mats = {
-        (letter, s): instruments[letter].outcome(s).T.copy()
+    # reproducible from (seed, c) no matter how chains are batched, and
+    # drawing it _BLOCK steps at a time yields the same numbers
+    streams = [
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
+        for c in range(chains)
+    ]
+    drawn = np.empty((chains, _BLOCK))
+    # rows 0-3: the +1 outcome map, rows 4-7: the -1 outcome map
+    stacked = {
+        letter: np.vstack([instruments[letter].plus, instruments[letter].minus])
         for letter in BASES
-        for s in OUTCOMES
     }
-    state = np.tile(_MIXED, (chains, 1))
-    outcomes = np.empty((chains, steps), dtype=np.int8)
-    for t, letter in enumerate(letters):
-        plus = state @ mats[(letter, 1)]
-        minus = state @ mats[(letter, -1)]
-        p_plus = np.clip(plus[:, 0], 0.0, 1.0)
-        hit = uniforms[:, t] < p_plus
-        outcomes[:, t] = np.where(hit, 1, -1)
-        state = np.where(hit[:, None], plus, minus)
-        state /= state[:, :1]
+    both = np.empty((8, chains))
+    state = np.tile(_MIXED[:, None], (1, chains))  # chain-major: column c is chain c
+    hits = np.empty((steps, chains), dtype=bool)  # outcome +1 at each step
+    for start in range(0, steps, _BLOCK):
+        size = min(_BLOCK, steps - start)
+        for rng, row in zip(streams, drawn):
+            rng.random(out=row[:size])
+        uniforms = np.ascontiguousarray(drawn[:, :size].T)  # row t - start: step t
+        for t in range(start, start + size):
+            np.matmul(stacked[letters[t]], state, out=both)
+            hit = np.less(uniforms[t - start], both[0], out=hits[t])
+            np.copyto(state, both[4:])
+            np.copyto(state, both[:4], where=hit)
+            np.divide(state, state[0], out=state)
 
-    counts = {key: np.zeros((2, 2)) for key in _table_keys()}
-    for t in range(window - 1, steps):
-        first, second, q, p = letters[t - 3 : t + 1]
-        if first == second:
-            continue
-        s_idx = (outcomes[:, t - 1] == -1).astype(np.int64)
-        r_idx = (outcomes[:, t] == -1).astype(np.int64)
-        cell = np.bincount(2 * s_idx + r_idx, minlength=4).reshape(2, 2)
-        counts[(first + second, q, p)] += cell
+    # Window t reads s = outcome t - 1 and r = outcome t.  From the counts of
+    # s = +1, r = +1 and both, the 2x2 cell is
+    # [[both, s - both], [r - both, chains - s - r + both]].
+    plus = np.count_nonzero(hits, axis=1)
+    both_plus = np.count_nonzero(hits[:-1] & hits[1:], axis=1)
+    s_plus, r_plus, sr_plus = plus[window - 2 : -1], plus[window - 1 :], both_plus[window - 2 :]
+    cells = np.stack(
+        [sr_plus, s_plus - sr_plus, r_plus - sr_plus, chains - s_plus - r_plus + sr_plus],
+        axis=1,
+    ).reshape(-1, 2, 2)
+    # Table key of each window: (reset order, q, p) as an index into
+    # _table_keys(); windows whose first two labels agree are not counted.
+    z = np.array(letters) == "Z"
+    first, second, q, p = (z[i : steps - window + 1 + i] for i in range(window))
+    counted = first != second
+    keys = _table_keys()
+    counts = np.zeros((len(keys), 2, 2), dtype=np.int64)
+    np.add.at(counts, (4 * first + 2 * q + p)[counted], cells[counted])
 
     probs, weights, flags = {}, {}, {}
-    for key, cell in counts.items():
+    for key, cell in zip(keys, counts.astype(float)):
         row_totals = cell.sum(axis=1)
         flag = row_totals == 0
         table = np.full((2, 2), math.nan)
@@ -557,8 +582,9 @@ def benchmark_metrics(
     chains: int = 256,
 ) -> MetricEstimates:
     """One-call benchmarking: build the conditional table and aggregate it."""
+    instruments = _as_instruments(source)
     table = subsequence_statistics(
-        source, mode=mode, shots=shots, seed=seed, sequence=sequence, chains=chains
+        instruments, mode=mode, shots=shots, seed=seed, sequence=sequence, chains=chains
     )
     err_a, half_a = estimate_err_a(table, with_interval=True)
     err_b, half_b = estimate_err_b(table, with_interval=True)
@@ -571,7 +597,7 @@ def benchmark_metrics(
         seed=table.seed,
         err_a_interval=half_a,
         err_b_interval=half_b,
-        reset_distance=reset_deviation(source),
+        reset_distance=reset_deviation(instruments),
         noise=source if isinstance(source, NoiseParams) else None,
     )
 
@@ -738,6 +764,8 @@ def rebit_gst(
     """
     if mode not in ("exact", "sampled"):
         raise ValueError(f"mode must be 'exact' or 'sampled', got {mode!r}")
+    if mode == "sampled":
+        _require_count("shots", shots)
     instruments = _as_instruments(source)
     operations = _normalize_operations(instruments, operations)
     preps = _prep_vectors(instruments)

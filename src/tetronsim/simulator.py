@@ -1394,10 +1394,13 @@ def sample_circuit(
     Walks the eager runner's cached plan, shared with :func:`run_circuit`,
     with one state row and one record per shot, ignoring the plan's branch
     bookkeeping.  Shots are vectorized in batches; records are
-    drawn from the exact per-shot distribution, and shots whose detectors
-    fire are dropped.  Observable estimates use the per-shot conditional
-    expectation (not a sampled sign), which is unbiased with reduced
-    variance.
+    drawn from the exact per-shot distribution, and a shot leaves its batch
+    as soon as a completing detector fires, so no later op works on it.
+    Each measurement still draws one uniform for every shot of the batch,
+    rejected or not, so the draws a shot sees, and the result for a seed,
+    do not depend on which other shots were rejected.  Observable estimates
+    use the per-shot conditional expectation (not a sampled sign), which is
+    unbiased with reduced variance.
     """
     _require_count("shots", shots)
     _require_count("batch_size", batch_size)
@@ -1424,50 +1427,59 @@ def sample_circuit(
     # [sum, sum of squares, count] over accepted shots.
     stats: dict = {}
 
-    def accumulate(probe: _ProbeOp, coeffs: np.ndarray, alive: np.ndarray) -> None:
+    def accumulate(probe: _ProbeOp, coeffs: np.ndarray) -> None:
         tr = coeffs[:, probe.pos0]
         for name, pos, sign in probe.entries:
             vals = np.zeros(len(coeffs)) if pos < 0 else sign * coeffs[:, pos] / tr
             stat = stats.setdefault((probe.step, name), [0.0, 0.0, 0])
-            stat[0] += float(vals[alive].sum())
-            stat[1] += float((vals[alive] ** 2).sum())
-            stat[2] += int(alive.sum())
+            stat[0] += float(vals.sum())
+            stat[1] += float((vals**2).sum())
+            stat[2] += len(vals)
 
     accepted = 0
     done = 0
     while done < shots:
         b = min(batch_size, shots - done)
         done += b
+        # Rows are the batch's shots that no detector has rejected yet, and
+        # live[i] is row i's position in the batch.
+        live = np.arange(b)
         coeffs = np.repeat(initial.coeffs, b, axis=0)
         recs = np.zeros((b, len(slot_column)), dtype=np.int8)
-        alive = np.ones(b, dtype=bool)
         for op in plan.ops:
             if isinstance(op, _MeasureOp):
                 base, cross = _terms(coeffs, op.low, *tables.meas[op.arity])
-                plus, minus = base + cross, base - cross
-                t_plus = plus[:, 0]
-                total = t_plus + minus[:, 0]
+                t_plus = base[:, 0] + cross[:, 0]
+                total = t_plus + (base[:, 0] - cross[:, 0])
                 with np.errstate(invalid="ignore", divide="ignore"):
                     p_plus = np.where(total > 0, t_plus / np.where(total > 0, total, 1.0), 0.5)
-                svec = np.where(rng.random(b) < p_plus, 1, -1).astype(np.int8)
-                coeffs = np.where((svec == 1)[:, None], plus, minus)
+                # Every shot of the batch draws, so a shot's draws do not
+                # depend on which earlier shots were rejected.
+                u = rng.random(b)[live]
+                svec = np.where(u < p_plus, 1, -1).astype(np.int8)
+                cross *= svec[:, None]
+                base += cross
                 # Renormalize each shot to its conditional state.
-                tr = coeffs[:, 0]
-                coeffs = coeffs / np.where(np.abs(tr) > 0, tr, 1.0)[:, None]
+                tr = base[:, 0]
+                base /= np.where(np.abs(tr) > 0, tr, 1.0)[:, None]
+                coeffs = base
                 recs[:, slot_column[op.slot]] = svec
+                passed = np.ones(len(live), dtype=bool)
                 for det in dets_by_slot.get(op.slot, ()):
                     if det.last_slot != op.slot:
                         continue
-                    par = np.ones(b, dtype=np.int64)
+                    par = np.ones(len(live), dtype=np.int64)
                     for s in det.slots:
                         par *= recs[:, slot_column[s]]
-                    alive &= par == det.parity
+                    passed &= par == det.parity
+                if not passed.all():
+                    coeffs, recs, live = coeffs[passed], recs[passed], live[passed]
             elif isinstance(op, _ProbeOp):
-                accumulate(op, coeffs, alive)
+                accumulate(op, coeffs)
             elif not isinstance(op, _MergeOp):  # shots never merge
                 coeffs = op.run(coeffs, tables, None)
-        accepted += int(alive.sum())
-        accumulate(final_probe, coeffs, alive)
+        accepted += len(live)
+        accumulate(final_probe, coeffs)
 
     result = SampleResult(shots=shots, accepted=accepted)
     for (step_i, name), (val_sum, sq_sum, m) in stats.items():

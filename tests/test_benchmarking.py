@@ -12,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
+from tetronsim import benchmarking
 from tetronsim.benchmarking import (
     BASES,
+    OUTCOMES,
     RESET_ORDERS,
     ConditionalTable,
     Instrument,
@@ -284,8 +286,120 @@ def test_sampled_metrics_carry_wilson_intervals():
 def test_sampled_mode_validation():
     with pytest.raises(ValueError, match="mode"):
         subsequence_statistics(NoiseParams(), mode="guess")
-    with pytest.raises(ValueError, match="at least one window"):
-        subsequence_statistics(NoiseParams(), mode="sampled", shots=0)
+    noise = NoiseParams(p_a=0.01)
+    # Counts must be positive integers: a float is not truncated and a bool
+    # is not read as 1.
+    for bad in (0, -3, 2.5, True, "10"):
+        with pytest.raises(ValueError, match="shots must be a positive integer"):
+            subsequence_statistics(noise, mode="sampled", shots=bad)
+        with pytest.raises(ValueError, match="chains must be a positive integer"):
+            subsequence_statistics(noise, mode="sampled", shots=100, chains=bad)
+        with pytest.raises(ValueError, match="shots must be a positive integer"):
+            benchmark_metrics(noise, mode="sampled", shots=bad)
+        with pytest.raises(ValueError, match="chains must be a positive integer"):
+            benchmark_metrics(noise, mode="sampled", shots=100, chains=bad)
+        with pytest.raises(ValueError, match="shots must be a positive integer"):
+            rebit_gst(noise, mode="sampled", shots=bad)
+        # Exact mode reads no counts.
+        assert benchmark_metrics(noise, shots=bad, chains=bad).shots is None
+
+
+def _reference_sampled_statistics(instruments, *, shots, seed, sequence, chains):
+    """The sampler the chain-major kernel replaced, kept as its reference:
+    a (chains, 4) state, every uniform of a chain drawn at once, and one
+    bincount per window.  Returns (probs, weights, flags)."""
+    window = 4
+    period = len(sequence)
+    per_chain = -(-shots // chains)
+    per_chain = -(-per_chain // period) * period
+    steps = window - 1 + per_chain
+    letters = sequence.cycled(steps)
+    uniforms = np.empty((chains, steps))
+    for c in range(chains):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
+        uniforms[c] = rng.random(steps)
+    mats = {
+        (letter, s): instruments[letter].outcome(s).T.copy()
+        for letter in BASES
+        for s in OUTCOMES
+    }
+    state = np.tile([1.0, 0.0, 0.0, 0.0], (chains, 1))
+    outcomes = np.empty((chains, steps), dtype=np.int8)
+    for t, letter in enumerate(letters):
+        plus = state @ mats[(letter, 1)]
+        minus = state @ mats[(letter, -1)]
+        p_plus = np.clip(plus[:, 0], 0.0, 1.0)
+        hit = uniforms[:, t] < p_plus
+        outcomes[:, t] = np.where(hit, 1, -1)
+        state = np.where(hit[:, None], plus, minus)
+        state /= state[:, :1]
+    counts = {
+        (order, q, p): np.zeros((2, 2)) for order in RESET_ORDERS for q in BASES for p in BASES
+    }
+    for t in range(window - 1, steps):
+        first, second, q, p = letters[t - 3 : t + 1]
+        if first == second:
+            continue
+        s_idx = (outcomes[:, t - 1] == -1).astype(np.int64)
+        r_idx = (outcomes[:, t] == -1).astype(np.int64)
+        cell = np.bincount(2 * s_idx + r_idx, minlength=4).reshape(2, 2)
+        counts[(first + second, q, p)] += cell
+    probs, weights, flags = {}, {}, {}
+    for key, cell in counts.items():
+        row_totals = cell.sum(axis=1)
+        table = np.full((2, 2), math.nan)
+        for si in range(2):
+            if row_totals[si] > 0:
+                table[si] = cell[si] / row_totals[si]
+        probs[key], weights[key], flags[key] = table, row_totals, row_totals == 0
+    return probs, weights, flags
+
+
+_KERNEL_SIZES = ((1_000_000, 256), (20_000, 7), (1, 1), (5_000, 300))  # (shots, chains)
+
+
+def _chain_steps(shots, chains, period):
+    per_chain = -(-shots // chains)
+    return 3 + -(-per_chain // period) * period
+
+
+@pytest.mark.parametrize(
+    "source, sequence",
+    [
+        (NoiseParams(p_a=0.03, p1=0.02, p2=0.01), None),
+        (NoiseParams(p_a=0.03, p1=0.02, p2=0.01, theta=0.1), None),
+        (ideal_instruments(), None),
+        (randomizing_instruments(), None),
+        (readout_flip_instruments(0.7), None),
+        (identical_instruments("Z"), None),
+        (NoiseParams(p_a=0.05, p1=0.01), MeasurementSequence.from_string("XZZXXXZ")),
+    ],
+    ids=["tetron", "tetron-theta", "ideal", "randomizing", "flip-0.7", "identical-Z", "non-de-Bruijn"],
+)
+def test_sampled_kernel_matches_reference_loop(source, sequence):
+    # The sizes give chains shorter than one block of uniforms and chains
+    # whose last block is partly filled.
+    steps = [_chain_steps(shots, chains, 16) for shots, chains in _KERNEL_SIZES]
+    assert any(n > benchmarking._BLOCK and n % benchmarking._BLOCK for n in steps)
+    assert any(n < benchmarking._BLOCK for n in steps)
+    instruments = tetron_instruments(source) if isinstance(source, NoiseParams) else source
+    for shots, chains in _KERNEL_SIZES:
+        for seed in (0, 7, 2**40 + 3):
+            table = subsequence_statistics(
+                source, mode="sampled", shots=shots, seed=seed, sequence=sequence, chains=chains
+            )
+            probs, weights, flags = _reference_sampled_statistics(
+                instruments,
+                shots=shots,
+                seed=seed,
+                sequence=sequence or generate_debruijn(4),
+                chains=chains,
+            )
+            for key in probs:
+                assert np.array_equal(table.probs[key], probs[key], equal_nan=True), key
+                assert np.array_equal(table.weights[key], weights[key]), key
+                assert table.weights[key].dtype == weights[key].dtype
+                assert np.array_equal(table.flags[key], flags[key]), key
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from tetronsim import simulator
+from tetronsim import qed, simulator
 from tetronsim.channels import (
     NoiseParams,
     apply_superop_to_axes,
@@ -517,6 +517,117 @@ def test_sampling_averages_a_repeated_final_observable_once():
     init = TrajectoryEnsemble.from_product_state(["0"])
     result = sample_circuit(circuit, NoiseParams(), init, 10, seed=1, final_observables=["Z", "Z"])
     assert result.final == {"Z": 1.0}
+
+
+def _reference_sample_circuit(
+    circuit, noise, initial, shots, seed, *, probes=None, final_observables=(), batch_size=4096
+):
+    """The sampler loop before rejected shots left the batch, kept as the
+    reference: every shot stays a row to the end of its batch, both record
+    blocks are formed, and an ``alive`` mask selects the accepted shots."""
+    probes = simulator._normalize_probes(probes, circuit)
+    n = circuit.num_qubits
+    plan = simulator._cached_plan(
+        circuit, initial.support.tobytes(), (0,), (), probes, noise.theta != 0
+    )
+    finals = [PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables]
+    final_probe = simulator._probe_op(None, plan.support, finals, n)
+    tables = simulator._NoiseTables(noise, n)
+    dets_by_slot = simulator._detectors_by_slot(circuit)
+    slot_column = {slot: i for i, slot in enumerate(circuit.slots)}
+    rng = np.random.default_rng(seed)
+    stats: dict = {}
+
+    def accumulate(probe, coeffs, alive):
+        tr = coeffs[:, probe.pos0]
+        for name, pos, sign in probe.entries:
+            vals = np.zeros(len(coeffs)) if pos < 0 else sign * coeffs[:, pos] / tr
+            stat = stats.setdefault((probe.step, name), [0.0, 0.0, 0])
+            stat[0] += float(vals[alive].sum())
+            stat[1] += float((vals[alive] ** 2).sum())
+            stat[2] += int(alive.sum())
+
+    accepted = 0
+    done = 0
+    while done < shots:
+        b = min(batch_size, shots - done)
+        done += b
+        coeffs = np.repeat(initial.coeffs, b, axis=0)
+        recs = np.zeros((b, len(slot_column)), dtype=np.int8)
+        alive = np.ones(b, dtype=bool)
+        for op in plan.ops:
+            if isinstance(op, simulator._MeasureOp):
+                base, cross = simulator._terms(coeffs, op.low, *tables.meas[op.arity])
+                plus, minus = base + cross, base - cross
+                t_plus = plus[:, 0]
+                total = t_plus + minus[:, 0]
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    p_plus = np.where(total > 0, t_plus / np.where(total > 0, total, 1.0), 0.5)
+                svec = np.where(rng.random(b) < p_plus, 1, -1).astype(np.int8)
+                coeffs = np.where((svec == 1)[:, None], plus, minus)
+                tr = coeffs[:, 0]
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    coeffs = coeffs / np.where(np.abs(tr) > 0, tr, 1.0)[:, None]
+                recs[:, slot_column[op.slot]] = svec
+                for det in dets_by_slot.get(op.slot, ()):
+                    if det.last_slot != op.slot:
+                        continue
+                    par = np.ones(b, dtype=np.int64)
+                    for s in det.slots:
+                        par *= recs[:, slot_column[s]]
+                    alive &= par == det.parity
+            elif isinstance(op, simulator._ProbeOp):
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    accumulate(op, coeffs, alive)
+            elif not isinstance(op, simulator._MergeOp):
+                coeffs = op.run(coeffs, tables, None)
+        accepted += int(alive.sum())
+        with np.errstate(invalid="ignore", divide="ignore"):
+            accumulate(final_probe, coeffs, alive)
+
+    result = simulator.SampleResult(shots=shots, accepted=accepted)
+    for (step_i, name), (val_sum, sq_sum, m) in stats.items():
+        if m == 0:
+            continue
+        mean = val_sum / m
+        stderr = math.sqrt(max(sq_sum / m - mean**2, 0.0) / m)
+        if step_i is None:
+            result.final[name], result.final_stderr[name] = mean, stderr
+        else:
+            result.probes.setdefault(step_i, {})[name] = mean
+            result.probe_stderr.setdefault(step_i, {})[name] = stderr
+    return result
+
+
+def _decay_sampling_inputs(level, observable, noise):
+    spec = qed.DecayExperimentSpec(level, observable, noise=noise)
+    derived = qed._decay_circuit(spec)
+    logicals = qed.repcode_observables(level)
+    probes = {step: [logicals[observable]] for step in derived.round_end_steps}
+    return derived.circuit, qed._initial_state(spec), probes, list(logicals.values())
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.01])
+@pytest.mark.parametrize(
+    "level, observable",
+    [("physical", "XX"), ("physical", "ZI"), ("logical", "XX"), ("logical", "ZI")],
+)
+def test_sampler_matches_reference_loop(level, observable, theta):
+    # (noise, shots, batch_size, seed): one batch; batches of 20 with a
+    # partial last one; and noise at which each batch of one shot is often
+    # rejected whole (every shot, on the logical circuits).
+    low = NoiseParams(p_a=0.004, p1=5e-4, p2=8e-4, theta=theta)
+    high = NoiseParams(p_a=0.05, p1=0.01, p2=0.02, theta=theta)
+    for noise, shots, batch_size, seed in ((low, 64, 4096, 3), (low, 45, 20, 5), (high, 12, 1, 8)):
+        circuit, initial, probes, finals = _decay_sampling_inputs(level, observable, noise)
+        kwargs = dict(probes=probes, final_observables=finals, batch_size=batch_size)
+        got = sample_circuit(circuit, noise, initial, shots, seed, **kwargs)
+        want = _reference_sample_circuit(circuit, noise, initial, shots, seed, **kwargs)
+        assert want.accepted < shots
+        assert got.accepted == want.accepted
+        assert got.probes == want.probes and got.probe_stderr == want.probe_stderr
+        assert got.final == want.final and got.final_stderr == want.final_stderr
+        assert got == want
 
 
 @pytest.mark.parametrize(
