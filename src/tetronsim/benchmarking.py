@@ -15,13 +15,13 @@ subsequences (two-measurement unconditioned reset, a conditioning
 measurement, and a final measurement).  Statistics come either from exact
 channel composition or from sampling long pseudorandom measurement chains;
 de Bruijn cycles guarantee every subsequence pattern is sampled equally
-often.  The sampler keeps every chain's state as one column of a (4, chains)
-array, so each measurement step is one matrix product over all chains, and
-draws each chain's own random stream in fixed blocks of steps: chain c is
-still bit-exactly reproducible from (seed, c).  The same experiment bank supports reconstruction of each
-measurement outcome's action on the real slice of the Bloch sphere (a
-"rebit"), and a same-basis repetition experiment with inserted idle periods
-measures the qubit lifetime.
+often.  The sampler keeps every chain's state as one column of a
+(4, chains) array, so each measurement step is one matrix product over all
+chains, and draws each chain's own random stream in fixed blocks of steps;
+chain c is bit-exactly reproducible from (seed, c).  The same experiment
+bank supports reconstruction of each measurement outcome's action on the
+real slice of the Bloch sphere (a "rebit"), and a same-basis repetition
+experiment with inserted idle periods measures the qubit lifetime.
 """
 
 from __future__ import annotations

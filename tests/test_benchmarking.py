@@ -374,7 +374,9 @@ def _chain_steps(shots, chains, period):
         (identical_instruments("Z"), None),
         (NoiseParams(p_a=0.05, p1=0.01), MeasurementSequence.from_string("XZZXXXZ")),
     ],
-    ids=["tetron", "tetron-theta", "ideal", "randomizing", "flip-0.7", "identical-Z", "non-de-Bruijn"],
+    ids=[
+        "tetron", "tetron-theta", "ideal", "randomizing", "flip-0.7", "identical-Z", "non-de-Bruijn"
+    ],
 )
 def test_sampled_kernel_matches_reference_loop(source, sequence):
     # The sizes give chains shorter than one block of uniforms and chains
