@@ -51,6 +51,7 @@ _REBIT_AXES = (0, 1, 3)  # Pauli-vector components (trace, x, z)
 _REBIT_NAMES = ("trace", "x", "z")
 _WILSON_95 = 1.959963984540054
 _BLOCK = 512  # steps of uniforms drawn per chain at a time in sampled mode
+_RESIDUAL_TOLERANCE = 1e-6  # log-fit residual above which a lifetime is non-exponential
 
 
 # ---------------------------------------------------------------------------
@@ -661,29 +662,17 @@ class RebitGateSet:
     seed: "int | None" = None
 
 
-def _normalize_operations(instruments: dict, operations) -> dict:
+def _accept_maps(instruments: dict, operations) -> dict:
+    """Each operation's accept map as a matrix; a pair's reject map is not read."""
     if operations is None:
-        operations = {
-            f"{basis}{s:+d}": (
-                instruments[basis].outcome(s),
-                instruments[basis].outcome(-s),
-            )
-            for basis in BASES
-            for s in OUTCOMES
+        return {
+            f"{basis}{s:+d}": instruments[basis].outcome(s) for basis in BASES for s in OUTCOMES
         }
-        return operations
     out = {}
     for name, op in operations.items():
-        if isinstance(op, Superoperator):
-            op = op.matrix
-        if isinstance(op, np.ndarray):
-            out[name] = (op, None)
-        else:
-            accept, reject = op
-            accept = accept.matrix if isinstance(accept, Superoperator) else np.asarray(accept)
-            if reject is not None:
-                reject = reject.matrix if isinstance(reject, Superoperator) else np.asarray(reject)
-            out[name] = (accept, reject)
+        if not isinstance(op, (Superoperator, np.ndarray)):
+            op, _reject = op
+        out[name] = op.matrix if isinstance(op, Superoperator) else np.asarray(op)
     return out
 
 
@@ -757,7 +746,9 @@ def rebit_gst(
     experiment bank calibrates both frames; each operation's 3x3 rebit map
     is then solved in the ideal-preparation gauge.  ``operations`` defaults
     to the four instrument outcome maps; entries may also be plain transfer
-    matrices (trace-preserving probes) or (accept, reject) pairs.
+    matrices (trace-preserving probes) or (accept, reject) pairs.  Only the
+    accept map is read: acceptance and the accepted state both follow from
+    it, so a pair's reject map is ignored.
 
     Raises if the preparations/observables fail to span the rebit — the
     error names the direction that cannot be resolved.
@@ -767,7 +758,7 @@ def rebit_gst(
     if mode == "sampled":
         _require_count("shots", shots)
     instruments = _as_instruments(source)
-    operations = _normalize_operations(instruments, operations)
+    accept_maps = _accept_maps(instruments, operations)
     preps = _prep_vectors(instruments)
     frame = _ideal_prep_frame()
 
@@ -796,7 +787,7 @@ def rebit_gst(
     a_pinv = np.linalg.pinv(a_hat)
 
     maps, residuals = {}, {}
-    for op_index, (name, (accept_map, _reject)) in enumerate(operations.items(), start=1):
+    for op_index, (name, accept_map) in enumerate(accept_maps.items(), start=1):
         if mode == "exact":
             m = _exact_data(instruments, accept_map, preps)
         else:
@@ -849,8 +840,6 @@ def lifetime_experiment(
     basis: str,
     idle_steps,
     noise: NoiseParams = NoiseParams(),
-    *,
-    residual_tolerance: float = 1e-6,
 ) -> LifetimeResult:
     """Exact agreement-vs-idle-count curve and its decay fit.
 
@@ -884,7 +873,7 @@ def lifetime_experiment(
 
     rate, intercept, residual, fit_flags = fit_decay(steps, contrast)
     flags = tuple(fit_flags)
-    if math.isfinite(residual) and residual > residual_tolerance:
+    if math.isfinite(residual) and residual > _RESIDUAL_TOLERANCE:
         flags = flags + ("non-exponential decay",)
     flip = (1.0 - math.exp(-rate)) / 2.0 if math.isfinite(rate) else math.nan
     return LifetimeResult(

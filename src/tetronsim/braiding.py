@@ -223,9 +223,10 @@ def _correction_matrix(name: str, outcomes) -> np.ndarray:
     return m
 
 
-def verify_sequence_identity(
-    name: str, *, correction_matrix=None, tol: float = 1e-12
-) -> SequenceReport:
+_IDENTITY_TOL = 1e-12  # deviation and weight threshold of the sequence oracle
+
+
+def verify_sequence_identity(name: str, *, correction_matrix=None) -> SequenceReport:
     """Check the sequence against its correction rule for every outcome.
 
     For each outcome vector s the product of ideal projectors (applied
@@ -260,7 +261,7 @@ def verify_sequence_identity(
             correction_matrix(name, s) @ unitary,
         )
         norm_m = float(np.linalg.norm(m))
-        if norm_m < tol:
+        if norm_m < _IDENTITY_TOL:
             zero_branches.append(s)
             continue
         constant = np.vdot(target, m) / np.vdot(target, target)
@@ -268,7 +269,7 @@ def verify_sequence_identity(
         weight = float(abs(constant)) ** 2
         worst = max(worst, deviation)
         min_weight = min(min_weight, weight)
-        if deviation > tol or weight <= tol:
+        if deviation > _IDENTITY_TOL or weight <= _IDENTITY_TOL:
             passed = False
     return SequenceReport(
         name=name,
@@ -437,6 +438,7 @@ def scan_to_csv(scan: FidelityScan) -> str:
 # ---------------------------------------------------------------------------
 
 _PREP_BASES = ("X", "Y", "Z")
+_RESET_ORDERS = ("XZ", "ZX")
 
 
 def gateset_experiment_suite(name: str, *, reset_order: str = "XZ") -> list:
@@ -449,7 +451,7 @@ def gateset_experiment_suite(name: str, *, reset_order: str = "XZ") -> list:
     readout.  Prep and measure bases each range over X, Y, Z.
     """
     _check_class(name)
-    if reset_order not in ("XZ", "ZX"):
+    if reset_order not in _RESET_ORDERS:
         raise ValueError(f"reset_order must be 'XZ' or 'ZX', got {reset_order!r}")
     circuits = []
     for with_class in (True, False):
@@ -506,29 +508,23 @@ def _run_tomography_circuit(name: str, circuit: Circuit, noise, with_class: bool
     return weighted / total
 
 
-def run_gateset_suite(
-    name: str,
-    noise: NoiseParams = NoiseParams(),
-    *,
-    average_reset_orders: bool = True,
-) -> GatesetResult:
+def run_gateset_suite(name: str, noise: NoiseParams = NoiseParams()) -> GatesetResult:
     """Run the 18-circuit suite exactly and solve for the class map.
 
     The randomized reset is realized by averaging the two measurement
-    orders (disable with ``average_reset_orders=False`` to run only XZ).
-    The solve is linear-inversion self-calibration: the raw 3x3 expectation
-    table of the class circuits times the inverse of the reference table.
+    orders.  The solve is linear-inversion self-calibration: the raw 3x3
+    expectation table of the class circuits times the inverse of the
+    reference table.
     """
-    orders = ("XZ", "ZX") if average_reset_orders else ("XZ",)
     tables = {True: np.zeros((3, 3)), False: np.zeros((3, 3))}
-    for order in orders:
+    for order in _RESET_ORDERS:
         circuits = gateset_experiment_suite(name, reset_order=order)
         for idx, circuit in enumerate(circuits):
             with_class = idx < 9
             i, j = divmod(idx % 9, 3)
             tables[with_class][i, j] += _run_tomography_circuit(
                 name, circuit, noise, with_class
-            ) / len(orders)
+            ) / len(_RESET_ORDERS)
     transfer = solve_gateset(tables[True], tables[False])
     return GatesetResult(name, tables[True], tables[False], transfer)
 

@@ -7,11 +7,13 @@ vertical pairs inside each 2x2 patch.  A two-patch joint ZZ measurement
 two middle verticals; the joint ZZ outcome is inferred from the Y-step
 records and the next X step.
 
-Everything record-related is *derived*, not hard-coded: each circuit is
-traced through the tagged stabilizer tableau, every forced measurement
-becomes a detector, and logical readouts come from the tableau's record
-expressions.  Known closed forms (like the joint-ZZ slot pattern) are then
-frozen as regression checks in the test suite.
+Everything record-related is *derived*, not hard-coded: each circuit,
+the post-selected preparations included, is traced through the tagged
+stabilizer tableau in one pass, every forced measurement becomes a detector,
+and logical readouts and post-selection pins come from the tableau's record
+expressions.  Known closed forms (like the joint-ZZ slot pattern) and the
+derived circuits themselves are then frozen as regression checks in the test
+suite.
 
 The error-detection benchmark compares a two-qubit repetition code (repeated
 ZZ, post-selected on constant outcomes) run directly on physical qubits
@@ -36,7 +38,6 @@ from .pauli import PauliString, embed_letters
 from .simulator import (
     Circuit,
     CircuitBuilder,
-    Detector,
     Rotate,
     Step,
     TrajectoryEnsemble,
@@ -160,59 +161,67 @@ class DerivedCircuit:
     zz_readouts: tuple = ()
 
 
-def _measure_step(builder: CircuitBuilder, tab: TaggedTableau, ops, detectors: list) -> None:
-    """One step of measurements ``(letters, qubits)`` on the builder, traced
-    on the tableau; every record the tableau finds forced adds a detector."""
-    n = builder.num_qubits
-    for letters, qubits in ops:
-        if len(qubits) == 1:
-            slot = builder.meas1(qubits[0], letters)
-        else:
-            slot = builder.meas2(qubits[0], qubits[1], letters)
-        out = tab.measure(embed_letters(n, letters, qubits), slot)
-        if out.detector is not None:
-            detectors.append(out.detector)
-    builder.end_step()
+_PREP_LABEL = {"X": "+", "Y": "+i", "Z": "0"}
 
 
-def _compile_schedule(
-    layout: LadderLayout,
-    rounds: int,
-    schedule_fn,
+def _derive(
+    num_qubits: int,
+    steps,
+    round_length: int,
     *,
     prep_letter: "str | None" = None,
     joint_zz: "PauliString | None" = None,
+    post_select: "PauliString | None" = None,
 ) -> DerivedCircuit:
-    if rounds < 1:
-        raise ValueError("need at least one round")
-    n = layout.num_qubits
-    builder = CircuitBuilder(n)
-    detectors: list[Detector] = []
+    """Compile steps of measurements ``(letters, qubits)`` into a circuit,
+    tracing each on a tagged tableau; every record the tableau finds forced
+    becomes a detector.
+
+    With ``prep_letter`` the tableau starts in that letter's +1 eigenstate on
+    every qubit and a first step measures it there; without it, nothing is
+    assumed about the input.  The steps form rounds of ``round_length``.
+    ``joint_zz`` is read out at the first step of every round after the
+    first, and the inferred value of ``post_select`` is pinned to +1 after
+    the last step.
+    """
+    builder = CircuitBuilder(num_qubits)
+
+    def measure(step) -> None:
+        for letters, qubits in step:
+            if len(qubits) == 1:
+                slot = builder.meas1(qubits[0], letters)
+            else:
+                slot = builder.meas2(qubits[0], qubits[1], letters)
+            out = tab.measure(embed_letters(num_qubits, letters, qubits), slot)
+            if out.detector is not None:
+                builder.detector(out.detector.slots, out.detector.parity)
+        builder.end_step()
+
+    def inferred(pauli: PauliString) -> tuple:
+        expr = tab.express(pauli)
+        if expr is None:  # pragma: no cover - the schedules guarantee it
+            raise AssertionError(f"{pauli} not inferable; schedule is wrong")
+        return expr[0], tuple(sorted(expr[1]))
 
     if prep_letter is None:
-        tab = TaggedTableau(n)
+        tab = TaggedTableau(num_qubits)
+        first = 0
     else:
-        labels = {"X": "+", "Y": "+i", "Z": "0"}[prep_letter]
-        tab = TaggedTableau.from_product_state([labels] * n)
-        _measure_step(builder, tab, [(prep_letter, (q,)) for q in range(n)], detectors)
-
-    schedule = schedule_fn(layout)
-    steps_per_round = len(schedule)
-    prep_steps = 0 if prep_letter is None else 1
+        tab = TaggedTableau.from_product_state([_PREP_LABEL[prep_letter]] * num_qubits)
+        measure([(prep_letter, (q,)) for q in range(num_qubits)])
+        first = 1
     round_ends = []
-    zz_readouts: list = []
-    for rnd in range(rounds):
-        for step_i, step in enumerate(schedule):
-            _measure_step(builder, tab, step, detectors)
-            if joint_zz is not None and step_i == 0 and rnd > 0:
-                expr = tab.express(joint_zz)
-                if expr is None:  # pragma: no cover - schedule guarantees it
-                    raise AssertionError("joint ZZ not inferable; schedule is wrong")
-                zz_readouts.append((rnd + 1, expr[0], tuple(sorted(expr[1]))))
-        round_ends.append(prep_steps + (rnd + 1) * steps_per_round - 1)
-
-    for det in detectors:
-        builder.detector(det.slots, det.parity)
+    zz_readouts = []
+    for i, step in enumerate(steps):
+        measure(step)
+        rnd, pos = divmod(i, round_length)
+        if joint_zz is not None and pos == 0 and rnd > 0:
+            zz_readouts.append((rnd + 1, *inferred(joint_zz)))
+        if pos == round_length - 1:
+            round_ends.append(first + i)
+    if post_select is not None:
+        sign, slots = inferred(post_select)
+        builder.detector(slots, sign)
     return DerivedCircuit(builder.build(), tuple(round_ends), tuple(zz_readouts))
 
 
@@ -223,8 +232,12 @@ def idle_ladder_circuit(rounds: int, *, prep_letter: "str | None" = None) -> Der
     post-selected single-qubit preparation step; without it, detectors assume
     nothing about the input state and only compare checks between rounds.
     """
-    return _compile_schedule(
-        LadderLayout.single_patch(), rounds, idle_schedule, prep_letter=prep_letter
+    if rounds < 1:
+        raise ValueError("need at least one round")
+    layout = LadderLayout.single_patch()
+    schedule = idle_schedule(layout)
+    return _derive(
+        layout.num_qubits, schedule * rounds, len(schedule), prep_letter=prep_letter
     )
 
 
@@ -236,10 +249,16 @@ def logical_zz_circuit(rounds: int, *, prep_letter: "str | None" = None) -> Deri
     seam YY records of the previous round times the two middle rung records
     of the current round's first step.
     """
+    if rounds < 1:
+        raise ValueError("need at least one round")
     layout = LadderLayout.two_patches()
-    joint = _joint_zz_operator(layout)
-    return _compile_schedule(
-        layout, rounds, surgery_schedule, prep_letter=prep_letter, joint_zz=joint
+    schedule = surgery_schedule(layout)
+    return _derive(
+        layout.num_qubits,
+        schedule * rounds,
+        len(schedule),
+        prep_letter=prep_letter,
+        joint_zz=_joint_zz_operator(layout),
     )
 
 
@@ -276,6 +295,8 @@ def repcode_observables(level: str) -> dict:
 
 
 _PREP_FOR_BASIS = {"XX": "X", "ZZ": "Z"}
+# XX decays from the XX eigenstate, ZI from the ZZ one.
+_PREP_FOR_OBSERVABLE = {"XX": "X", "ZI": "Z"}
 
 
 def prepare_repcode_state(
@@ -287,66 +308,33 @@ def prepare_repcode_state(
     state whose ZI expectation reveals X-type logical errors.  ``basis="XX"``
     prepares (|00>+|11>)/sqrt(2): both qubits measured in X, +1 kept, then
     one ZZ round post-selected into the +1 sector.  At the logical level the
-    same recipe acts on all eight qubits with one joint-ZZ cycle.
+    same recipe acts on all eight qubits with one joint-ZZ cycle, followed by
+    the next X step from which the joint ZZ is inferred.  The pins are
+    derived like every other circuit's.
     """
     if basis not in _PREP_FOR_BASIS:
         raise ValueError(f"basis must be 'XX' or 'ZZ', got {basis!r}")
     prep_letter = _PREP_FOR_BASIS[basis]
-
     if level == "physical":
-        builder = CircuitBuilder(2)
-        pins = [Detector((builder.meas1(q, prep_letter),), 1) for q in (0, 1)]
-        builder.end_step()
-        if basis == "XX":
-            pins.append(Detector((builder.meas2(0, 1, "ZZ"),), 1))
-            builder.end_step()
-        for det in pins:
-            builder.detector(det.slots, det.parity)
-        circuit = builder.build()
-        initial = TrajectoryEnsemble.from_product_state(
-            ["+", "+"] if basis == "XX" else ["0", "0"]
-        )
+        num_qubits, zz_steps, zz = 2, [[("ZZ", (0, 1))]], PauliString("ZZ")
     elif level == "logical":
         layout = LadderLayout.two_patches()
-        if basis == "ZZ":
-            builder = CircuitBuilder(8)
-            pins = [Detector((builder.meas1(q, "Z"),), 1) for q in range(8)]
-            builder.end_step()
-            for det in pins:
-                builder.detector(det.slots, det.parity)
-            circuit = builder.build()
-        else:
-            circuit = _prep_bell_logical(layout)
-        initial = TrajectoryEnsemble.from_product_state(
-            ["+"] * 8 if basis == "XX" else ["0"] * 8
-        )
+        surgery = surgery_schedule(layout)
+        num_qubits, zz_steps, zz = 8, surgery + surgery[:1], _joint_zz_operator(layout)
     else:
         raise ValueError(f"level must be 'physical' or 'logical', got {level!r}")
 
-    result = run_circuit(circuit, noise, initial)
+    if basis == "XX":
+        derived = _derive(
+            num_qubits, zz_steps, len(zz_steps), prep_letter=prep_letter, post_select=zz
+        )
+    else:
+        derived = _derive(num_qubits, [], 1, prep_letter=prep_letter)
+    initial = TrajectoryEnsemble.from_product_state([_PREP_LABEL[prep_letter]] * num_qubits)
+    result = run_circuit(derived.circuit, noise, initial)
     if result.acceptance <= 0.0:
         raise ValueError("preparation post-selection left no acceptance")
     return result.ensemble
-
-
-def _prep_bell_logical(layout: LadderLayout) -> Circuit:
-    """X-basis prep, one joint-ZZ round, one more X step, post-selected into
-    the inferred joint-ZZ = +1 sector."""
-    n = layout.num_qubits
-    builder = CircuitBuilder(n)
-    tab = TaggedTableau.from_product_state(["+"] * n)
-    detectors: list = []
-    schedule = surgery_schedule(layout)
-    for step in [[("X", (q,)) for q in range(n)], *schedule, schedule[0]]:
-        _measure_step(builder, tab, step, detectors)
-    expr = tab.express(_joint_zz_operator(layout))
-    if expr is None:  # pragma: no cover - schedule guarantees it
-        raise AssertionError("joint ZZ not inferable; schedule is wrong")
-    sign, slots = expr
-    detectors.append(Detector(tuple(sorted(slots)), sign))
-    for det in detectors:
-        builder.detector(det.slots, det.parity)
-    return builder.build()
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +382,10 @@ class DecayFit:
     flags: tuple = ()
 
 
-def fit_decay(rounds, values, *, rate_tolerance: float = 1e-9) -> "tuple":
+_RATE_TOLERANCE = 1e-9  # fitted rates below minus this are flagged negative
+
+
+def fit_decay(rounds, values) -> "tuple":
     """Log-linear least squares of |values| against rounds.
 
     Returns (rate, intercept, residual, flags).  Non-positive magnitudes are
@@ -415,7 +406,7 @@ def fit_decay(rounds, values, *, rate_tolerance: float = 1e-9) -> "tuple":
     slope, intercept = np.polyfit(x, y, 1)
     rate = -float(slope)
     residual = float(np.sqrt(np.mean((np.polyval([slope, intercept], x) - y) ** 2)))
-    if rate < -rate_tolerance:
+    if rate < -_RATE_TOLERANCE:
         flags.append("negative decay rate")
     return rate, float(intercept), residual, tuple(flags)
 
@@ -428,31 +419,15 @@ def _decay_circuit(spec: DecayExperimentSpec) -> DerivedCircuit:
 
 @functools.lru_cache(maxsize=64)
 def _derive_decay_circuit(level: str, observable: str, rounds: int) -> DerivedCircuit:
-    prep = _PREP_FOR_BASIS["XX" if observable == "XX" else "ZZ"]
+    prep_letter = _PREP_FOR_OBSERVABLE[observable]
     if level == "physical":
-        builder = CircuitBuilder(2)
-        tab = TaggedTableau.from_product_state(
-            ["+", "+"] if prep == "X" else ["0", "0"]
-        )
-        detectors: list = []
-        _measure_step(builder, tab, [(prep, (0,)), (prep, (1,))], detectors)
-        for _ in range(rounds):
-            _measure_step(builder, tab, [("ZZ", (0, 1))], detectors)
-        for det in detectors:
-            builder.detector(det.slots, det.parity)
-        return DerivedCircuit(builder.build(), tuple(range(1, rounds + 1)))
-    return _compile_schedule(
-        LadderLayout.two_patches(),
-        rounds,
-        surgery_schedule,
-        prep_letter=prep,
-        joint_zz=_joint_zz_operator(LadderLayout.two_patches()),
-    )
+        return _derive(2, [[("ZZ", (0, 1))]] * rounds, 1, prep_letter=prep_letter)
+    return logical_zz_circuit(rounds, prep_letter=prep_letter)
 
 
 def _initial_state(spec: DecayExperimentSpec) -> TrajectoryEnsemble:
     n = 2 if spec.level == "physical" else 8
-    label = "+" if spec.observable == "XX" else "0"
+    label = _PREP_LABEL[_PREP_FOR_OBSERVABLE[spec.observable]]
     return TrajectoryEnsemble.from_product_state([label] * n)
 
 
@@ -577,8 +552,8 @@ class ImprovementScan:
 
         The ratios decrease with p2 at fixed p1, so the boundary is single
         valued in p1: each column is scanned for the highest sign change and
-        interpolated log-linearly in p2.  Columns that never cross are
-        skipped.
+        interpolated log-linearly in p2, or linearly on an interval that
+        starts at p2 = 0.  Columns that never cross are skipped.
         """
         grid = {"avg": self.lambda_avg, "x": self.lambda_x, "z": self.lambda_z}[which]
         points = []
@@ -592,9 +567,12 @@ class ImprovementScan:
                 if a == 0.0:
                     crossing = self.p2_grid[j]
                 elif a * b < 0:
-                    la, lb = math.log(self.p2_grid[j]), math.log(self.p2_grid[j + 1])
                     t = a / (a - b)
-                    crossing = math.exp(la + t * (lb - la))
+                    if self.p2_grid[j] == 0.0:
+                        crossing = t * self.p2_grid[j + 1]
+                    else:
+                        la, lb = math.log(self.p2_grid[j]), math.log(self.p2_grid[j + 1])
+                        crossing = math.exp(la + t * (lb - la))
             if crossing is not None:
                 points.append((float(p1), float(crossing)))
         return points

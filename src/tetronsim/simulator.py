@@ -39,8 +39,10 @@ this tractable:
   so a noise scan lowers each circuit once.
 
 The shot sampler walks the same plan with one state row and one record per
-shot.  The ensemble methods behind lazy mode and :func:`apply_step` stay as
-the independent reference that the tests compare the plan against.
+shot.  The functional pipeline :func:`apply_step` -> :func:`prune_detected`,
+built on the ensemble methods, enumerates every record combination and
+applies the detectors at the end; it stays as the independent reference that
+the tests compare the plan against.
 
 Dense cross-checks of every kernel against the channel constructors in
 :mod:`tetronsim.channels` live in the test suite.
@@ -721,14 +723,7 @@ class TrajectoryEnsemble:
 
     # -- state evolution ------------------------------------------------
 
-    def apply_measurement(
-        self,
-        op: "Meas1 | Meas2",
-        noise: NoiseParams,
-        signs,
-        *,
-        store_record: bool = True,
-    ) -> None:
+    def apply_measurement(self, op: "Meas1 | Meas2", noise: NoiseParams, signs) -> None:
         """Apply one measurement with the given recorded sign(s).
 
         ``signs`` is +1, -1, or an array with one sign per branch (used when
@@ -740,13 +735,10 @@ class TrajectoryEnsemble:
         if svec.ndim == 0:
             svec = np.full(self.num_branches, int(svec))
         self.coeffs = np.where((svec == 1)[:, None], plus, minus)
-        if store_record:
-            for tag, s in zip(self.tags, svec):
-                tag[("s", op.slot)] = int(s)
+        for tag, s in zip(self.tags, svec):
+            tag[("s", op.slot)] = int(s)
 
-    def split_measurement(
-        self, op: "Meas1 | Meas2", noise: NoiseParams, *, store_record: bool = True
-    ) -> None:
+    def split_measurement(self, op: "Meas1 | Meas2", noise: NoiseParams) -> None:
         """Realize both records of a measurement, doubling the branches.
 
         Branch order: all +1 children first, then all -1 children.
@@ -756,10 +748,7 @@ class TrajectoryEnsemble:
         new_tags = []
         for s in (1, -1):
             for tag in self.tags:
-                t = dict(tag)
-                if store_record:
-                    t[("s", op.slot)] = s
-                new_tags.append(t)
+                new_tags.append({**tag, ("s", op.slot): s})
         self.tags = new_tags
 
     def _measurement_outputs(self, op, noise: NoiseParams):
@@ -1292,48 +1281,33 @@ def run_circuit(
     noise: NoiseParams,
     initial: TrajectoryEnsemble,
     *,
-    mode: str = "eager",
     keep_slots: "Iterable[int] | str" = (),
     probes: "Mapping[int, Iterable] | None" = None,
 ) -> RunResult:
     """Exact run: propagate every record branch, discard detected branches.
 
-    ``mode="eager"`` evaluates detectors as soon as their last slot is
-    recorded, forces the records of detector-determined measurements, and
-    merges branches that agree on all future-relevant information.  It runs
-    a plan lowered from the circuit; the plan does not depend on the noise
-    numbers and is cached, so repeated runs do only the numeric pass.
-    ``mode="lazy"`` materializes every record combination and applies the
-    detectors only at the end, through :func:`apply_step` and
-    :func:`prune_detected`; it is exponential in the number of measurements
-    and exists as an independent cross-check.
+    Detectors are evaluated as soon as their last slot is recorded, the
+    records of detector-determined measurements are forced, and branches that
+    agree on all future-relevant information are merged.  The run follows a
+    plan lowered from the circuit; the plan does not depend on the noise
+    numbers and is cached, so repeated runs do only the numeric pass.  The
+    functional pipeline :func:`apply_step` -> :func:`prune_detected`
+    materializes every record combination and applies the detectors only at
+    the end; it is exponential in the number of measurements and is the
+    independent cross-check.
 
     ``keep_slots`` lists what must remain distinguishable in the final
     ensemble, e.g. to drive outcome-dependent corrections afterwards.  An
     entry is a slot, or a tuple of distinct slots that stands for the
     product of their records; every slot must be one of ``circuit.slots``,
-    and ``"all"`` keeps every slot.  Eager mode tracks each entry as a parity
-    and tags every final branch with its sign under ``("s", entry)``, so
+    and ``"all"`` keeps every slot.  Each entry is tracked as a parity and
+    every final branch is tagged with its sign under ``("s", entry)``, so
     ``ensemble.records[(0, 1, 2)]`` is +1 or -1; branches that agree on all
-    entries are merged.  Lazy mode keeps every record, from which any entry
-    can be read.
+    entries are merged.
     """
-    if mode not in ("eager", "lazy"):
-        raise ValueError(f"mode must be 'eager' or 'lazy', got {mode!r}")
     keep = _normalize_keep(keep_slots, circuit)
     probes = _normalize_probes(probes, circuit)
-    if probes and mode == "lazy":
-        raise ValueError("probes are not supported in lazy mode")
     _check_size(circuit, initial)
-    if mode == "lazy":
-        detectors = circuit.normalized_detectors()
-        ens = initial
-        for step in circuit.steps:
-            ens = apply_step(ens, step, noise)
-        peak = max(initial.num_branches, ens.num_branches)
-        ens = prune_detected(ens, detectors)
-        return RunResult(ens, ens.total_trace, peak_branches=peak)
-
     groups, group_tags = _branch_groups(initial.tags)
     plan = _cached_plan(circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0)
     result = RunResult(initial, 0.0)  # probe ops fill it; the ensemble comes last

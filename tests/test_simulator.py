@@ -1,5 +1,6 @@
 """Branching simulator, checked op-by-op against dense channel oracles and
-end-to-end against an exhaustive (lazy) reference evaluation."""
+end-to-end against an exhaustive lazy reference evaluation (:func:`lazy_run`,
+the functional pipeline ``apply_step`` -> ``prune_detected``)."""
 
 import math
 import pickle
@@ -50,6 +51,18 @@ def full_vec(ens, branch):
     vec = np.zeros(4**ens.num_qubits)
     vec[ens.support] = ens.coeffs[branch]
     return vec
+
+
+def lazy_run(circuit, noise, initial):
+    """The independent reference run: every record combination through
+    ``apply_step``, then the detectors through ``prune_detected``.  Returns
+    the pruned ensemble and the peak branch count, the larger of the initial
+    and the final count before pruning."""
+    ens = initial
+    for step in circuit.steps:
+        ens = apply_step(ens, step, noise)
+    peak = max(initial.num_branches, ens.num_branches)
+    return prune_detected(ens, circuit.normalized_detectors()), peak
 
 
 # ---------------------------------------------------------------------------
@@ -210,12 +223,12 @@ def test_eager_matches_lazy_with_detectors(seed):
     rng = np.random.default_rng(seed)
     circuit = random_circuit(rng, 2, 4, with_detectors=True)
     init = TrajectoryEnsemble.from_product_state(["0", "0"])
-    eager = run_circuit(circuit, NOISE, init, mode="eager")
-    lazy = run_circuit(circuit, NOISE, init, mode="lazy")
-    assert eager.acceptance == pytest.approx(lazy.acceptance, abs=1e-12)
+    eager = run_circuit(circuit, NOISE, init)
+    lazy, _ = lazy_run(circuit, NOISE, init)
+    assert eager.acceptance == pytest.approx(lazy.total_trace, abs=1e-12)
     assert eager.acceptance > 0
     for obs in ("ZZ", "XI", "IZ", "YY"):
-        a, b = eager.ensemble.expectation(obs), lazy.ensemble.expectation(obs)
+        a, b = eager.ensemble.expectation(obs), lazy.expectation(obs)
         assert a == pytest.approx(b, abs=1e-12)
 
 
@@ -247,14 +260,14 @@ def test_keep_slots_matches_lazy_branches():
     circuit = random_circuit(rng, 2, 3)
     init = TrajectoryEnsemble.from_product_state(["+", "0"])
     eager = run_circuit(circuit, NOISE, init, keep_slots="all")
-    lazy = run_circuit(circuit, NOISE, init, mode="lazy")
-    lazy.ensemble.merge()
+    lazy, _ = lazy_run(circuit, NOISE, init)
+    lazy.merge()
     eager.ensemble.merge()
     recs_e = {tuple(sorted(r.items())) for r in eager.ensemble.records}
-    recs_l = {tuple(sorted(r.items())) for r in lazy.ensemble.records}
+    recs_l = {tuple(sorted(r.items())) for r in lazy.records}
     assert recs_e == recs_l
     lazy_map = {
-        tuple(sorted(rec.items())): op.matrix for rec, op in lazy.ensemble.branch_states()
+        tuple(sorted(rec.items())): op.matrix for rec, op in lazy.branch_states()
     }
     for rec, op in eager.ensemble.branch_states():
         np.testing.assert_allclose(
@@ -661,15 +674,14 @@ def test_runners_reject_initial_state_of_wrong_size():
         run_circuit(circuit, NOISE, init)
 
 
-@pytest.mark.parametrize("mode", ["eager", "lazy"])
-def test_run_rejects_unknown_keep_slots(mode):
+def test_run_rejects_unknown_keep_slots():
     # A string is not read as a set of characters, and a slot the circuit
     # never records is not ignored.
     circuit = Circuit(1, (Step((Meas1(0, "X", 0),)), Step((Meas1(0, "Z", 1),))))
     init = TrajectoryEnsemble.from_product_state(["0"])
     for bad in ("al", "s0", "", [7], [0, 7], ["0"]):
         with pytest.raises(ValueError, match="'all' or recorded slots"):
-            run_circuit(circuit, NOISE, init, mode=mode, keep_slots=bad)
+            run_circuit(circuit, NOISE, init, keep_slots=bad)
     # A tuple is the product of its records: it must name distinct recorded
     # slots ((1, 1) would be the empty product), and an entry is a slot or a
     # tuple, nothing else.
@@ -681,8 +693,8 @@ def test_run_rejects_unknown_keep_slots(mode):
         ([1.0], r"entry 1.0 is neither a slot nor a tuple"),
     ):
         with pytest.raises(ValueError, match=problem):
-            run_circuit(circuit, NOISE, init, mode=mode, keep_slots=bad)
-    kept = run_circuit(circuit, NOISE, init, mode=mode, keep_slots=[1])
+            run_circuit(circuit, NOISE, init, keep_slots=bad)
+    kept = run_circuit(circuit, NOISE, init, keep_slots=[1])
     assert all(1 in records for records in kept.ensemble.records)
 
 

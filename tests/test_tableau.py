@@ -5,14 +5,11 @@ every derived detector and expression must hold on every surviving branch."""
 import numpy as np
 import pytest
 
+from test_simulator import lazy_run
+
 from tetronsim.channels import NoiseParams
 from tetronsim.pauli import PauliString, embed_letters
-from tetronsim.simulator import (
-    CircuitBuilder,
-    TrajectoryEnsemble,
-    pauli_index,
-    run_circuit,
-)
+from tetronsim.simulator import CircuitBuilder, TrajectoryEnsemble, pauli_index
 from tetronsim.tableau import TaggedGenerator, TaggedTableau
 
 NO_NOISE = NoiseParams()
@@ -173,7 +170,7 @@ def test_random_schedules_against_exact_simulator(seed):
                 builder.meas2(qs[0], qs[1], ls)
             builder.end_step()
         init = TrajectoryEnsemble.from_product_state(labels)
-        ens = run_circuit(builder.build(), NO_NOISE, init, mode="lazy").ensemble
+        ens, _ = lazy_run(builder.build(), NO_NOISE, init)
 
         traces = ens.branch_traces
         alive = np.flatnonzero(traces > 1e-12)
