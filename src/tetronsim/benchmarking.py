@@ -193,15 +193,9 @@ def reset_deviation(source=NoiseParams()) -> float:
 
 @dataclass(frozen=True)
 class MeasurementSequence:
-    """An ordered program of X/Z measurement labels.
-
-    ``variants`` optionally tags each position with a physical-loop
-    identifier; tags ride along for bookkeeping and are treated identically
-    by the reference analysis.
-    """
+    """An ordered program of X/Z measurement labels."""
 
     labels: tuple
-    variants: "tuple | None" = None
 
     def __post_init__(self):
         labels = tuple(self.labels)
@@ -211,11 +205,6 @@ class MeasurementSequence:
             if lab not in BASES:
                 raise ValueError(f"sequence labels must be X or Z, got {lab!r}")
         object.__setattr__(self, "labels", labels)
-        if self.variants is not None:
-            variants = tuple(self.variants)
-            if len(variants) != len(labels):
-                raise ValueError("variant tags must match the sequence length")
-            object.__setattr__(self, "variants", variants)
 
     @classmethod
     def from_string(cls, text: str) -> "MeasurementSequence":

@@ -355,16 +355,17 @@ def timed_coupling_rotation(axis: "PauliString | str", phi: float) -> Superopera
     return rotation_superop(p, phi)
 
 
-def t_state_fidelity(phase_error: float = 0.0) -> float:
+def t_state_fidelity(phase_error: float = 0.0, *, phi: float = math.pi / 8.0) -> float:
     """Fidelity of a timed-coupling magic-state preparation.
 
-    The preparation rotates |+> about Z by pi/8 + ``phase_error``; the target
-    is the ``phase_error = 0`` output (the T state).  A pure miscalibration
-    by ``phase_error`` costs fidelity sin(phase_error)^2.
+    The preparation rotates |+> about Z by ``phi`` + ``phase_error``; the
+    target is the ``phase_error = 0`` output (the T state for the default
+    ``phi`` = pi/8).  A pure miscalibration by ``phase_error`` costs fidelity
+    sin(phase_error)^2.
     """
     plus = np.full((2, 2), 0.5, dtype=complex)
-    target = timed_coupling_rotation("Z", math.pi / 8.0).apply_dense(plus)
-    actual = timed_coupling_rotation("Z", math.pi / 8.0 + phase_error).apply_dense(plus)
+    target = timed_coupling_rotation("Z", phi).apply_dense(plus)
+    actual = timed_coupling_rotation("Z", phi + phase_error).apply_dense(plus)
     return float(np.real(np.trace(target @ actual)))
 
 

@@ -28,6 +28,12 @@ failure, 3 regression check failure.
 Sweeps run the library scans one p1 row at a time, in parallel over a
 fixed-size process pool; rows are gathered in grid order, so outputs are
 byte-identical for any worker count.
+
+A subcommand is one ``_EXPERIMENTS`` entry (help, options, check group,
+sampled mode) plus its ``cmd_<name>``, which computes and prints the
+results and returns the artifact texts and manifest summary.  One runner
+resolves the settings, times the run, runs the checks and writes the
+outputs for every subcommand.
 """
 
 from __future__ import annotations
@@ -142,72 +148,11 @@ def _conv_float(text: str) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Experiment option tables
+# Settings resolution
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Opt:
-    convert: "object"
-    default: "object"
-    help: str
-    choices: "tuple | None" = None
-
-
-_GRID_HELP = "'default', a comma list, or lin:a:b:n / log:a:b:n"
-
-_OPTIONS: dict = {
-    "mbqb": {
-        "chains": _Opt(_conv_posint, 256, "independent chains in sampled mode"),
-        "debruijn": _Opt(
-            _conv_posint, 4, "de Bruijn order k; the basis sequence has period 2^k"
-        ),
-    },
-    "braid": {
-        "class": _Opt(
-            _conv_choice(*braiding.CLIFFORD_CLASSES),
-            "S",
-            "Clifford class to braid",
-            choices=braiding.CLIFFORD_CLASSES,
-        ),
-        "p2": _Opt(
-            _conv_float, None, "two-qubit error rate held fixed (else [noise] p2, else 0.1)"
-        ),
-        "theta": _Opt(
-            _conv_float, None, "coherent idle rotation angle (else [noise] theta)"
-        ),
-        "grid": _Opt(parse_grid, None, f"p1 and p_a axis: {_GRID_HELP}"),
-    },
-    "qed": {
-        "pa": _Opt(
-            _conv_float, None,
-            "assignment error rate held fixed (else [noise] p_a, else 0.01)",
-        ),
-        "theta": _Opt(
-            _conv_float, None, "coherent idle rotation angle (else [noise] theta)"
-        ),
-        "scan": _Opt(parse_grid, None, f"p1 and p2 axis: {_GRID_HELP}"),
-        "rounds": _Opt(
-            _parse_int_list, (2, 4, 6, 8, 10), "decay-experiment round counts"
-        ),
-    },
-    "lifetime": {
-        "basis": _Opt(_conv_choice("X", "Z"), "Z", "measurement basis", ("X", "Z")),
-        "idle_steps": _Opt(
-            _parse_int_list, tuple(range(0, 31, 3)), "idle counts between measurements"
-        ),
-    },
-    "tgate": {
-        "phi": _Opt(_conv_float, math.pi / 8.0, "nominal rotation angle"),
-        "delta": _Opt(
-            _parse_float_list, (0.0, 0.05, 0.1), "injected phase errors to evaluate"
-        ),
-    },
-    "derive-noise": {},
-}
-
 _RUN_KEYS = ("seed", "workers", "out", "mode", "shots")
-_EXACT_ONLY = ("braid", "qed", "lifetime", "tgate", "derive-noise")
 
 
 @dataclass
@@ -243,7 +188,7 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
 def _resolve(args: argparse.Namespace, experiment: str) -> Settings:
     ini = _read_ini(Path(args.config)) if args.config else None
     if ini is not None:
-        allowed = {"noise", "run"} | set(_OPTIONS)
+        allowed = {"noise", "run"} | set(_EXPERIMENTS)
         unknown = set(ini.sections()) - allowed
         if unknown:
             raise ConfigError(
@@ -303,13 +248,13 @@ def _resolve(args: argparse.Namespace, experiment: str) -> Settings:
         raise ConfigError(f"workers must be at least 1, got {workers}")
     if shots < 1:
         raise ConfigError(f"shots must be at least 1, got {shots}")
-    if mode == "sampled" and experiment in _EXACT_ONLY:
+    if mode == "sampled" and not _EXPERIMENTS[experiment].sampled:
         raise ConfigError(
             f"{experiment} runs exactly; it has no sampled mode (drop --shots)"
         )
 
     # -- experiment options ----------------------------------------------
-    spec = _OPTIONS[experiment]
+    spec = _EXPERIMENTS[experiment].options
     section = (
         dict(ini.items(experiment))
         if ini is not None and ini.has_section(experiment)
@@ -355,12 +300,7 @@ def _validate_noise_grid(**extremes: float) -> None:
     """Reject grid endpoints outside the noise-parameter domain up front,
     so worker processes never see an invalid point."""
     try:
-        NoiseParams(
-            p_a=extremes.get("p_a", 0.0),
-            p1=extremes.get("p1", 0.0),
-            p2=extremes.get("p2", 0.0),
-            theta=extremes.get("theta", 0.0),
-        )
+        NoiseParams(**extremes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -375,7 +315,6 @@ def _require_values(
     values,
     low: "float | None" = None,
     high: "float | None" = None,
-    allow_inf: bool = False,
     tol: float = 1e-9,
 ) -> None:
     arr = np.atleast_1d(np.asarray(values, dtype=float))
@@ -384,7 +323,7 @@ def _require_values(
         where = f" at flat index {pos}" if flat.size > 1 else ""
         if math.isnan(value):
             raise NumericalError(f"{label} is NaN{where}")
-        if math.isinf(value) and not allow_inf:
+        if math.isinf(value):
             raise NumericalError(f"{label} is infinite{where}")
         if low is not None and value < low - tol:
             raise NumericalError(f"{label} = {value!r}{where} is below {low}")
@@ -441,78 +380,43 @@ def _jsonable(value):
     return value
 
 
-def _write_outputs(
-    settings: Settings,
-    files: dict,
-    summary: dict,
-    wall_s: float,
-    checks: "list | None",
-) -> None:
-    if settings.out is None:
-        return
+def _noise_json(noise: NoiseParams) -> dict:
+    return {"p_a": noise.p_a, "p1": noise.p1, "p2": noise.p2, "theta": noise.theta}
+
+
+def _json_text(value) -> str:
+    return json.dumps(_jsonable(value), indent=2) + "\n"
+
+
+def _write_files(out: Path, files: dict) -> None:
     try:
-        settings.out.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
-            (settings.out / name).write_text(text, encoding="utf-8")
-        manifest = {
-            "experiment": settings.experiment,
-            "version": __version__,
-            "seed": settings.seed,
-            "workers": settings.workers,
-            "mode": settings.mode,
-            "shots": settings.shots if settings.mode == "sampled" else None,
-            "noise": {
-                "p_a": settings.noise.p_a,
-                "p1": settings.noise.p1,
-                "p2": settings.noise.p2,
-                "theta": settings.noise.theta,
-            },
-            "noise_inputs": _jsonable(settings.noise_inputs),
-            "noise_audit": _jsonable(settings.noise_audit),
-            "options": _jsonable(settings.options),
-            "summary": _jsonable(summary),
-            "artifacts": sorted(files),
-            "wall_time_s": round(wall_s, 3),
-            "checks": checks,
-        }
-        (settings.out / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+            (out / name).write_text(text, encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"cannot write outputs to {settings.out}: {exc}") from exc
-
-
-def _maybe_check(settings: Settings) -> "list | None":
-    if not settings.check:
-        return None
-    return run_checks(_CHECK_GROUPS[settings.experiment])
-
-
-def _verdict(checks: "list | None") -> int:
-    if checks is not None and any(not c["passed"] for c in checks):
-        return 3
-    return 0
+        raise ConfigError(f"cannot write outputs to {out}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Subcommand implementations: each computes and prints its results and
+# returns (artifact name -> text, manifest summary)
 # ---------------------------------------------------------------------------
 
 
-def cmd_mbqb(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "mbqb")
-    start = time.perf_counter()
-    metrics = benchmarking.benchmark_metrics(
-        settings.noise,
-        mode=settings.mode,
-        shots=settings.shots,
-        seed=settings.seed,
-        sequence=benchmarking.generate_debruijn(settings.options["debruijn"]),
-        chains=settings.options["chains"],
-    )
+def cmd_mbqb(settings: Settings) -> tuple:
+    try:
+        metrics = benchmarking.benchmark_metrics(
+            settings.noise,
+            mode=settings.mode,
+            shots=settings.shots,
+            seed=settings.seed,
+            sequence=benchmarking.generate_debruijn(settings.options["debruijn"]),
+            chains=settings.options["chains"],
+        )
+    except ValueError as exc:  # a sampled table left an entry unobserved
+        raise NumericalError(str(exc)) from exc
     _require_values("err_a", metrics.err_a, 0.0, 1.0)
     _require_values("err_b", metrics.err_b, 0.0, 1.0)
-    wall = time.perf_counter() - start
 
     if metrics.err_a_interval is None:
         print(f"err_a = {metrics.err_a:.9g}")
@@ -522,7 +426,6 @@ def cmd_mbqb(args: argparse.Namespace) -> int:
         print(f"err_b = {metrics.err_b:.9g} +- {metrics.err_b_interval:.3g} (95%)")
     print(f"reset_distance = {metrics.reset_distance:.3g}")
 
-    checks = _maybe_check(settings)
     summary = {
         "err_a": metrics.err_a,
         "err_b": metrics.err_b,
@@ -530,10 +433,7 @@ def cmd_mbqb(args: argparse.Namespace) -> int:
         "err_b_interval": metrics.err_b_interval,
         "reset_distance": metrics.reset_distance,
     }
-    _write_outputs(
-        settings, {"mbqb_metrics.json": metrics.to_json() + "\n"}, summary, wall, checks
-    )
-    return _verdict(checks)
+    return {"mbqb_metrics.json": metrics.to_json() + "\n"}, summary
 
 
 def _noise_fallback(
@@ -548,32 +448,26 @@ def _noise_fallback(
     return default
 
 
-def cmd_braid(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "braid")
+def cmd_braid(settings: Settings) -> tuple:
     name = settings.options["class"]
     p2 = _noise_fallback(settings, settings.options["p2"], "p2", 0.1)
     theta = _noise_fallback(settings, settings.options["theta"], "theta", 0.0)
     grid = settings.options["grid"]
     p1_grid = np.linspace(0.0, 0.2, 21) if grid is None else np.asarray(grid, float)
     pa_grid = p1_grid.copy()
-    if p1_grid.size == 0:
-        raise ConfigError("braid grid must be nonempty")
     for extreme in (p1_grid.min(), p1_grid.max()):
         _validate_noise_grid(p1=float(extreme), p_a=float(extreme), p2=p2, theta=theta)
 
-    start = time.perf_counter()
     row = functools.partial(braiding.fidelity_scan, name, pa_grid=pa_grid, p2=p2, theta=theta)
     scan = _scan_by_rows(row, p1_grid, settings.workers)
     fidelity = scan.fidelity
     _require_values("fidelity", fidelity, 0.0, 1.0)
-    wall = time.perf_counter() - start
 
     print(f"class = {name}")
     print(f"points = {fidelity.size}")
     print(f"fidelity(origin) = {fidelity[0, 0]:.9g}")
     print(f"fidelity(min) = {fidelity.min():.9g}")
 
-    checks = _maybe_check(settings)
     summary = {
         "class": name,
         "p2": p2,
@@ -581,23 +475,16 @@ def cmd_braid(args: argparse.Namespace) -> int:
         "fidelity_origin": fidelity[0, 0],
         "fidelity_min": fidelity.min(),
     }
-    _write_outputs(
-        settings, {f"braid_{name}.csv": braiding.scan_to_csv(scan)}, summary, wall,
-        checks,
-    )
-    return _verdict(checks)
+    return {f"braid_{name}.csv": braiding.scan_to_csv(scan)}, summary
 
 
-def cmd_qed(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "qed")
+def cmd_qed(settings: Settings) -> tuple:
     pa = _noise_fallback(settings, settings.options["pa"], "p_a", 0.01)
     theta = _noise_fallback(settings, settings.options["theta"], "theta", 0.0)
     rounds = settings.options["rounds"]
     grid = settings.options["scan"]
     p1_grid = np.logspace(-4, -1, 25) if grid is None else np.asarray(grid, float)
     p2_grid = p1_grid.copy()
-    if p1_grid.size == 0:
-        raise ConfigError("qed scan grid must be nonempty")
     for extreme in (p1_grid.min(), p1_grid.max()):
         _validate_noise_grid(p1=float(extreme), p2=float(extreme), p_a=pa, theta=theta)
     try:
@@ -605,7 +492,6 @@ def cmd_qed(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"option 'rounds': {exc}") from exc
 
-    start = time.perf_counter()
     row = functools.partial(
         qed.improvement_scan, p2_grid=p2_grid, p_a=pa, theta=theta, rounds_grid=rounds
     )
@@ -622,7 +508,6 @@ def cmd_qed(args: argparse.Namespace) -> int:
             )
     _require_values("accept_phys", scan.accept_phys, 0.0, 1.0)
     _require_values("accept_log", scan.accept_log, 0.0, 1.0)
-    wall = time.perf_counter() - start
 
     contour = scan.contour("avg", 1.0)
     improving = int(np.sum(scan.lambda_avg > 1.0))
@@ -633,7 +518,6 @@ def cmd_qed(args: argparse.Namespace) -> int:
     if best is not None:
         print(f"best_p1 = {best[0]:.9g} (max admissible p2 = {best[1]:.9g})")
 
-    checks = _maybe_check(settings)
     summary = {
         "p_a": pa,
         "theta": theta,
@@ -642,24 +526,16 @@ def cmd_qed(args: argparse.Namespace) -> int:
         "improving_points": improving,
         "best_p1": list(best) if best is not None else None,
     }
-    _write_outputs(
-        settings,
-        {
-            "qed_scan.csv": qed.scan_to_csv(scan),
-            "qed_contour.csv": qed.contour_to_csv(contour),
-        },
-        summary,
-        wall,
-        checks,
-    )
-    return _verdict(checks)
+    files = {
+        "qed_scan.csv": qed.scan_to_csv(scan),
+        "qed_contour.csv": qed.contour_to_csv(contour),
+    }
+    return files, summary
 
 
-def cmd_lifetime(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "lifetime")
+def cmd_lifetime(settings: Settings) -> tuple:
     basis = settings.options["basis"]
     steps = settings.options["idle_steps"]
-    start = time.perf_counter()
     try:
         result = benchmarking.lifetime_experiment(basis, steps, settings.noise)
     except ValueError as exc:
@@ -668,7 +544,6 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
         detail = "; ".join(result.flags) or "decay fit returned NaN"
         raise NumericalError(f"decay rate is NaN ({detail})")
     _require_values("agreement", result.agreement, 0.0, 1.0)
-    wall = time.perf_counter() - start
 
     print(f"basis = {basis}")
     print(f"decay_rate = {result.decay_rate:.9g}")
@@ -680,7 +555,6 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
     rows = ["idle_steps,agreement,contrast"]
     for n, agree, contrast in zip(result.idle_steps, result.agreement, result.contrast):
         rows.append(f"{n},{agree:.12g},{contrast:.12g}")
-    csv_text = "\n".join(rows) + "\n"
     report = {
         "basis": basis,
         "idle_steps": list(result.idle_steps),
@@ -690,39 +564,24 @@ def cmd_lifetime(args: argparse.Namespace) -> int:
         "residual": result.residual,
         "flags": list(result.flags),
     }
-    checks = _maybe_check(settings)
     summary = {
         "basis": basis,
         "decay_rate": result.decay_rate,
         "flip_rate": result.flip_rate,
         "flags": list(result.flags),
     }
-    _write_outputs(
-        settings,
-        {
-            "lifetime.csv": csv_text,
-            "lifetime.json": json.dumps(_jsonable(report), indent=2) + "\n",
-        },
-        summary,
-        wall,
-        checks,
-    )
-    return _verdict(checks)
+    files = {
+        "lifetime.csv": "\n".join(rows) + "\n",
+        "lifetime.json": _json_text(report),
+    }
+    return files, summary
 
 
-def cmd_tgate(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "tgate")
+def cmd_tgate(settings: Settings) -> tuple:
     phi = settings.options["phi"]
     deltas = settings.options["delta"]
-    start = time.perf_counter()
-    plus = np.full((2, 2), 0.5, dtype=complex)
-    target = timed_coupling_rotation("Z", phi).apply_dense(plus)
-    fidelities = []
-    for delta in deltas:
-        actual = timed_coupling_rotation("Z", phi + delta).apply_dense(plus)
-        fidelities.append(float(np.real(np.trace(target @ actual))))
+    fidelities = [t_state_fidelity(delta, phi=phi) for delta in deltas]
     _require_values("fidelity", fidelities, 0.0, 1.0, tol=1e-12)
-    wall = time.perf_counter() - start
 
     print(f"phi = {phi:.9g}")
     for delta, fid in zip(deltas, fidelities):
@@ -735,70 +594,193 @@ def cmd_tgate(args: argparse.Namespace) -> int:
             {"delta": d, "fidelity": f} for d, f in zip(deltas, fidelities)
         ],
     }
-    checks = _maybe_check(settings)
     summary = {"phi": phi, "fidelity_min": min(fidelities)}
-    _write_outputs(
-        settings,
-        {"tgate.json": json.dumps(_jsonable(report), indent=2) + "\n"},
-        summary,
-        wall,
-        checks,
-    )
-    return _verdict(checks)
+    return {"tgate.json": _json_text(report)}, summary
 
 
-def cmd_derive_noise(args: argparse.Namespace) -> int:
-    settings = _resolve(args, "derive-noise")
-    start = time.perf_counter()
-    noise = settings.noise
+def cmd_derive_noise(settings: Settings) -> tuple:
+    derived = _noise_json(settings.noise)
     routes = settings.noise_audit.get("route", {})
-    for param in ("p_a", "p1", "p2", "theta"):
+    for param in derived:
         if routes.get(param) == "default":
             print(
                 f"note: {param} not derivable from the given inputs; "
                 "defaulted to 0",
                 file=sys.stderr,
             )
-    print(f"p_a = {noise.p_a:.12g} (route: {routes.get('p_a', '?')})")
-    print(f"p1 = {noise.p1:.12g} (route: {routes.get('p1', '?')})")
-    print(f"p2 = {noise.p2:.12g} (route: {routes.get('p2', '?')})")
-    print(f"theta = {noise.theta:.12g} (route: {routes.get('theta', '?')})")
-    wall = time.perf_counter() - start
+    for param, value in derived.items():
+        print(f"{param} = {value:.12g} (route: {routes.get(param, '?')})")
 
     report = {
-        "noise": {
-            "p_a": noise.p_a,
-            "p1": noise.p1,
-            "p2": noise.p2,
-            "theta": noise.theta,
-        },
+        "noise": derived,
         "inputs": settings.noise_inputs,
         "audit": settings.noise_audit,
     }
-    checks = _maybe_check(settings)
-    _write_outputs(
-        settings,
-        {"derived_noise.json": json.dumps(_jsonable(report), indent=2) + "\n"},
-        report["noise"],
-        wall,
-        checks,
-    )
-    return _verdict(checks)
+    return {"derived_noise.json": _json_text(report)}, derived
+
+
+# ---------------------------------------------------------------------------
+# The experiment table and its runner
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Opt:
+    convert: "object"
+    default: "object"
+    help: str
+    choices: "tuple | None" = None
+
+
+@dataclass(frozen=True)
+class _Experiment:
+    """One subcommand: ``run`` is its ``cmd_<name>``, ``options`` its
+    ``--flag`` / config-key table, ``checks`` its ``--check`` group, and
+    ``sampled`` whether it accepts ``--shots``."""
+
+    run: "object"
+    help: str
+    options: dict
+    checks: tuple
+    sampled: bool = False
+
+
+_GRID_HELP = "'default', a comma list, or lin:a:b:n / log:a:b:n"
+
+_EXPERIMENTS: dict = {
+    "mbqb": _Experiment(
+        cmd_mbqb,
+        "measurement benchmarking metrics (err_a, err_b)",
+        {
+            "chains": _Opt(_conv_posint, 256, "independent chains in sampled mode"),
+            "debruijn": _Opt(
+                _conv_posint, 4, "de Bruijn order k; the basis sequence has period 2^k"
+            ),
+        },
+        (
+            "mbqb-randomizing-metrics",
+            "mbqb-readout-flip-0.1",
+            "mbqb-identical-instruments",
+            "mbqb-device-pa-0.05",
+        ),
+        sampled=True,
+    ),
+    "braid": _Experiment(
+        cmd_braid,
+        "average-fidelity scan for a braided Clifford class",
+        {
+            "class": _Opt(
+                _conv_choice(*braiding.CLIFFORD_CLASSES),
+                "S",
+                "Clifford class to braid",
+                choices=braiding.CLIFFORD_CLASSES,
+            ),
+            "p2": _Opt(
+                _conv_float, None,
+                "two-qubit error rate held fixed (else [noise] p2, else 0.1)",
+            ),
+            "theta": _Opt(
+                _conv_float, None, "coherent idle rotation angle (else [noise] theta)"
+            ),
+            "grid": _Opt(parse_grid, None, f"p1 and p_a axis: {_GRID_HELP}"),
+        },
+        (
+            "braid-sequence-identities",
+            "braid-identity-noiseless",
+            "braid-fidelity-pin",
+        ),
+    ),
+    "qed": _Experiment(
+        cmd_qed,
+        "ladder-code logical-improvement scan",
+        {
+            "pa": _Opt(
+                _conv_float, None,
+                "assignment error rate held fixed (else [noise] p_a, else 0.01)",
+            ),
+            "theta": _Opt(
+                _conv_float, None, "coherent idle rotation angle (else [noise] theta)"
+            ),
+            "scan": _Opt(parse_grid, None, f"p1 and p2 axis: {_GRID_HELP}"),
+            "rounds": _Opt(
+                _parse_int_list, (2, 4, 6, 8, 10), "decay-experiment round counts"
+            ),
+        },
+        ("qed-lambda-pin", "repcode-error-table", "simulator-trace-conservation"),
+    ),
+    "lifetime": _Experiment(
+        cmd_lifetime,
+        "idle-lifetime decay experiment",
+        {
+            "basis": _Opt(
+                _conv_choice("X", "Z"), "Z", "measurement basis", ("X", "Z")
+            ),
+            "idle_steps": _Opt(
+                _parse_int_list,
+                tuple(range(0, 31, 3)),
+                "idle counts between measurements",
+            ),
+        },
+        ("lifetime-flip-rate",),
+    ),
+    "tgate": _Experiment(
+        cmd_tgate,
+        "timed-coupling magic-state fidelity under phase error",
+        {
+            "phi": _Opt(_conv_float, math.pi / 8.0, "nominal rotation angle"),
+            "delta": _Opt(
+                _parse_float_list, (0.0, 0.05, 0.1), "injected phase errors to evaluate"
+            ),
+        },
+        ("tgate-t-state",),
+    ),
+    "derive-noise": _Experiment(
+        cmd_derive_noise,
+        "resolve physical parameters into noise parameters",
+        {},
+        ("noise-derivation-anchors",),
+    ),
+}
+
+
+def _run_experiment(args: argparse.Namespace) -> int:
+    """Resolve the settings, time the experiment, run its check group under
+    ``--check``, and write its artifacts and ``manifest.json``.  Returns the
+    exit code: 0, or 3 if a check failed."""
+    settings = _resolve(args, args.command)
+    experiment = _EXPERIMENTS[args.command]
+    start = time.perf_counter()
+    files, summary = experiment.run(settings)
+    wall = time.perf_counter() - start
+    checks = run_checks(experiment.checks) if settings.check else None
+    if settings.out is not None:
+        manifest = {
+            "experiment": settings.experiment,
+            "version": __version__,
+            "seed": settings.seed,
+            "workers": settings.workers,
+            "mode": settings.mode,
+            "shots": settings.shots if settings.mode == "sampled" else None,
+            "noise": _noise_json(settings.noise),
+            "noise_inputs": _jsonable(settings.noise_inputs),
+            "noise_audit": _jsonable(settings.noise_audit),
+            "options": _jsonable(settings.options),
+            "summary": _jsonable(summary),
+            "artifacts": sorted(files),
+            "wall_time_s": round(wall, 3),
+            "checks": checks,
+        }
+        files["manifest.json"] = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        _write_files(settings.out, files)
+    return 3 if checks and any(not c["passed"] for c in checks) else 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     results = run_checks(None)
     if args.out is not None:
-        out = Path(args.out)
-        try:
-            out.mkdir(parents=True, exist_ok=True)
-            (out / "check_report.json").write_text(
-                json.dumps({"version": __version__, "checks": results}, indent=2)
-                + "\n",
-                encoding="utf-8",
-            )
-        except OSError as exc:
-            raise ConfigError(f"cannot write outputs to {out}: {exc}") from exc
+        report = {"version": __version__, "checks": results}
+        text = json.dumps(report, indent=2) + "\n"
+        _write_files(Path(args.out), {"check_report.json": text})
     failed = sum(not r["passed"] for r in results)
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 3 if failed else 0
@@ -958,29 +940,6 @@ _CHECKS: tuple = (
     ("simulator-trace-conservation", _check_trace_conservation),
 )
 
-_CHECK_GROUPS: dict = {
-    "mbqb": (
-        "mbqb-randomizing-metrics",
-        "mbqb-readout-flip-0.1",
-        "mbqb-identical-instruments",
-        "mbqb-device-pa-0.05",
-    ),
-    "braid": (
-        "braid-sequence-identities",
-        "braid-identity-noiseless",
-        "braid-fidelity-pin",
-    ),
-    "qed": (
-        "qed-lambda-pin",
-        "repcode-error-table",
-        "simulator-trace-conservation",
-    ),
-    "lifetime": ("lifetime-flip-rate",),
-    "tgate": ("tgate-t-state",),
-    "derive-noise": ("noise-derivation-anchors",),
-}
-
-
 def run_checks(names: "tuple | None") -> list:
     """Run the embedded regression battery (all checks when ``names`` is
     None) and print one PASS/FAIL line per check."""
@@ -1013,25 +972,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise ConfigError(message)
-
-
-_COMMANDS = {
-    "mbqb": cmd_mbqb,
-    "braid": cmd_braid,
-    "qed": cmd_qed,
-    "lifetime": cmd_lifetime,
-    "tgate": cmd_tgate,
-    "derive-noise": cmd_derive_noise,
-}
-
-_SUBCOMMAND_HELP = {
-    "mbqb": "measurement benchmarking metrics (err_a, err_b)",
-    "braid": "average-fidelity scan for a braided Clifford class",
-    "qed": "ladder-code logical-improvement scan",
-    "lifetime": "idle-lifetime decay experiment",
-    "tgate": "timed-coupling magic-state fidelity under phase error",
-    "derive-noise": "resolve physical parameters into noise parameters",
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -1069,11 +1009,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--shots", metavar="N", help="sampled statistics with N shots"
     )
 
-    for name, func in _COMMANDS.items():
-        sub = subparsers.add_parser(
-            name, parents=[common], help=_SUBCOMMAND_HELP[name]
-        )
-        for key, opt in _OPTIONS[name].items():
+    for name, experiment in _EXPERIMENTS.items():
+        sub = subparsers.add_parser(name, parents=[common], help=experiment.help)
+        for key, opt in experiment.options.items():
             sub.add_argument(
                 "--" + key.replace("_", "-"),
                 dest="opt_" + key.replace("-", "_"),
@@ -1081,7 +1019,7 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=opt.choices,
                 help=opt.help,
             )
-        sub.set_defaults(func=func)
+        sub.set_defaults(func=_run_experiment)
 
     check = subparsers.add_parser(
         "check", help="run the full embedded regression battery"

@@ -114,15 +114,12 @@ def test_debruijn_rejects_nonpositive_length():
         generate_debruijn(0)
 
 
-def test_sequence_validation_and_variants():
+def test_sequence_validation():
     with pytest.raises(ValueError, match="nonempty"):
         MeasurementSequence(())
     with pytest.raises(ValueError, match="X or Z"):
         MeasurementSequence(("X", "Y"))
-    with pytest.raises(ValueError, match="variant tags"):
-        MeasurementSequence(("X", "Z"), variants=("loop-a",))
-    tagged = MeasurementSequence(("X", "Z"), variants=("loop-a", "loop-b"))
-    assert tagged.cycled(5) == ("X", "Z", "X", "Z", "X")
+    assert MeasurementSequence(("X", "Z")).cycled(5) == ("X", "Z", "X", "Z", "X")
     assert MeasurementSequence.from_string("XZZ").labels == ("X", "Z", "Z")
 
 

@@ -63,6 +63,16 @@ def test_mbqb_artifacts_and_manifest(tmp_path):
     assert manifest["wall_time_s"] >= 0.0
 
 
+def test_mbqb_too_few_shots_is_numerical_failure(capsys):
+    """A sampled table with an unobserved conditioning outcome exits 2 and
+    names the entry instead of raising a traceback."""
+    assert main(["mbqb", "--shots", "5", "--chains", "3", "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "numerical invariant failure" in err
+    assert "conditioning outcome never observed" in err
+    assert "('XZ', 'Z', 'X')" in err
+
+
 def test_mbqb_sampled_rerun_is_identical(tmp_path):
     args = ["mbqb", "--shots", "20000", "--seed", "11"]
     first, second = tmp_path / "a", tmp_path / "b"
@@ -271,14 +281,34 @@ def test_check_failure_exits_three(monkeypatch, capsys):
     assert "FAIL always-fails" in capsys.readouterr().out
 
 
-def test_check_flag_records_results_in_manifest(tmp_path):
+_TINY_RUNS = {
+    "mbqb": ["--exact", "--debruijn", "2"],
+    "braid": ["--grid", "0.05"],
+    "qed": ["--scan", "0.01", "--rounds", "2,4,6"],
+    "lifetime": ["--noise", "p1=0.03", "--idle-steps", "0,2,4"],
+    "tgate": ["--delta", "0"],
+    "derive-noise": ["--noise", "snr=3.7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(cli._EXPERIMENTS))
+def test_check_flag_records_results_in_manifest(tmp_path, name):
     out = tmp_path / "run"
-    rc = main(["tgate", "--delta", "0", "--check", "--out", str(out)])
+    rc = main([name, *_TINY_RUNS[name], "--check", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["experiment"] == name
     names = [entry["name"] for entry in manifest["checks"]]
-    assert names == ["tgate-t-state"]
+    assert names == list(cli._EXPERIMENTS[name].checks)
     assert all(entry["passed"] for entry in manifest["checks"])
+
+
+@pytest.mark.parametrize("name", sorted(cli._EXPERIMENTS))
+def test_subcommand_help_lists_its_options(name, capsys):
+    assert main([name, "--help"]) == 0
+    out = capsys.readouterr().out
+    for key in cli._EXPERIMENTS[name].options:
+        assert "--" + key.replace("_", "-") in out
 
 
 # ---------------------------------------------------------------------------
