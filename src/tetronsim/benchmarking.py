@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -550,12 +550,7 @@ class MetricEstimates:
             "table": self.table.to_jsonable(),
         }
         if self.noise is not None:
-            out["noise"] = {
-                "p_a": self.noise.p_a,
-                "p1": self.noise.p1,
-                "p2": self.noise.p2,
-                "theta": self.noise.theta,
-            }
+            out["noise"] = asdict(self.noise)
         return out
 
     def to_json(self, indent: int = 2) -> str:

@@ -380,10 +380,6 @@ def _jsonable(value):
     return value
 
 
-def _noise_json(noise: NoiseParams) -> dict:
-    return {"p_a": noise.p_a, "p1": noise.p1, "p2": noise.p2, "theta": noise.theta}
-
-
 def _json_text(value) -> str:
     return json.dumps(_jsonable(value), indent=2) + "\n"
 
@@ -404,13 +400,20 @@ def _write_files(out: Path, files: dict) -> None:
 
 
 def cmd_mbqb(settings: Settings) -> tuple:
+    order = settings.options["debruijn"]
+    if settings.mode == "sampled" and order < 4:
+        raise ConfigError(
+            f"option 'debruijn': sampled mode needs order 4 or more, got {order}; "
+            "a shorter de Bruijn cycle misses some of the four-measurement "
+            "windows the conditional table needs"
+        )
     try:
         metrics = benchmarking.benchmark_metrics(
             settings.noise,
             mode=settings.mode,
             shots=settings.shots,
             seed=settings.seed,
-            sequence=benchmarking.generate_debruijn(settings.options["debruijn"]),
+            sequence=benchmarking.generate_debruijn(order),
             chains=settings.options["chains"],
         )
     except ValueError as exc:  # a sampled table left an entry unobserved
@@ -599,7 +602,7 @@ def cmd_tgate(settings: Settings) -> tuple:
 
 
 def cmd_derive_noise(settings: Settings) -> tuple:
-    derived = _noise_json(settings.noise)
+    derived = dataclasses.asdict(settings.noise)
     routes = settings.noise_audit.get("route", {})
     for param in derived:
         if routes.get(param) == "default":
@@ -761,7 +764,7 @@ def _run_experiment(args: argparse.Namespace) -> int:
             "workers": settings.workers,
             "mode": settings.mode,
             "shots": settings.shots if settings.mode == "sampled" else None,
-            "noise": _noise_json(settings.noise),
+            "noise": dataclasses.asdict(settings.noise),
             "noise_inputs": _jsonable(settings.noise_inputs),
             "noise_audit": _jsonable(settings.noise_audit),
             "options": _jsonable(settings.options),

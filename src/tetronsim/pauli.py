@@ -403,40 +403,27 @@ def choi_matrix(superop: Superoperator) -> np.ndarray:
     return j
 
 
-def average_gate_fidelity(
-    channel: Superoperator,
-    target_unitary: np.ndarray,
-    *,
-    normalize: bool = False,
-    tol: float = 1e-9,
-) -> float:
+_TRACE_PRESERVING_TOL = 1e-9
+
+
+def average_gate_fidelity(channel: Superoperator, target_unitary: np.ndarray) -> float:
     """Average fidelity of a single-qubit channel against a target unitary.
 
     Uses the entanglement-fidelity identity
     F = (d * F_pro + 1) / (d + 1) with d = 2 and
     F_pro = tr(R_U^T R) / d^2 in the Pauli transfer representation.
-
-    Post-selected channels are subnormalized (the transfer matrix's (0, 0)
-    entry is the acceptance probability); callers must opt in to rescaling
-    with ``normalize=True``, otherwise a non-trace-preserving channel is an
+    The channel must be trace preserving to within
+    ``_TRACE_PRESERVING_TOL``; a post-selected (subnormalized) one is an
     error.
     """
     if channel.num_qubits != 1:
         raise ValueError("average_gate_fidelity is defined here for one qubit")
-    r = channel.matrix
-    if not channel.is_trace_preserving(tol):
-        if not normalize:
-            raise ValueError(
-                "channel is not trace preserving; pass normalize=True to rescale "
-                "a post-selected (subnormalized) channel"
-            )
-        if r[0, 0] <= 0:
-            raise ValueError("channel has nonpositive acceptance; cannot normalize")
-        r = r / r[0, 0]
+    if not channel.is_trace_preserving(_TRACE_PRESERVING_TOL):
+        raise ValueError("average gate fidelity needs a trace-preserving channel")
     u = np.asarray(target_unitary, dtype=complex)
     r_u = _unitary_transfer(u.tobytes(), u.shape)
     d = 2.0
-    f_pro = float(np.trace(r_u.T @ r)) / d**2
+    f_pro = float(np.trace(r_u.T @ channel.matrix)) / d**2
     return (d * f_pro + 1.0) / (d + 1.0)
 
 

@@ -4,9 +4,9 @@ simulator.
 A circuit is a sequence of steps; each step holds measurements and rotations
 acting on disjoint qubits, and every qubit not touched by an operation idles
 for that step (accruing the idle channel).  Measurements record a sign into a
-numbered slot.  Detectors declare that the product of a set of recorded signs
-has a known value; runs in which a detector fires are discarded
-(post-selection), which is how error detection enters.
+numbered slot.  A detector declares that the product of the records in a set
+of distinct slots equals +1 or -1; runs in which a detector fires are
+discarded (post-selection), which is how error detection enters.
 
 The simulator is exact: it propagates the conditional (subnormalized) density
 matrix of every surviving record branch.  Two representation choices keep
@@ -133,19 +133,6 @@ class Rotate:
 
 
 @dataclass(frozen=True)
-class Idle:
-    """Explicit idle marker.  Qubits not measured in a step accrue the idle
-    channel whether or not they are marked, so this op only documents intent
-    and reserves the qubit against other operations in the same step."""
-
-    qubit: int
-
-    @property
-    def qubits(self) -> tuple[int, ...]:
-        return (self.qubit,)
-
-
-@dataclass(frozen=True)
 class Step:
     ops: tuple
 
@@ -155,19 +142,20 @@ class Step:
 
 @dataclass(frozen=True)
 class Detector:
-    """Constraint: the product of the recorded signs in ``slots`` equals
-    ``parity`` (+1 or -1), or equals the observed parity of the previous
-    detector when ``parity`` is the string ``"prev"``."""
+    """Constraint: the product of the records in ``slots``, distinct slots,
+    equals ``parity`` (+1 or -1)."""
 
     slots: tuple
-    parity: "int | str" = 1
+    parity: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
         if not self.slots:
             raise ValueError("detector needs at least one slot")
-        if self.parity not in (1, -1, "prev"):
-            raise ValueError(f"detector parity must be +1, -1 or 'prev', got {self.parity!r}")
+        if len(set(self.slots)) < len(self.slots):
+            raise ValueError(f"detector {self.slots} repeats a slot")
+        if self.parity not in (1, -1):
+            raise ValueError(f"detector parity must be +1 or -1, got {self.parity!r}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +175,7 @@ class Circuit:
                 raise TypeError(f"circuit steps must be Step instances, got {step!r}")
             used: set[int] = set()
             for op in step.ops:
-                if not isinstance(op, (Meas1, Meas2, Rotate, Idle)):
+                if not isinstance(op, (Meas1, Meas2, Rotate)):
                     raise TypeError(f"unknown operation {op!r}")
                 for q in op.qubits:
                     if not (0 <= q < self.num_qubits):
@@ -199,8 +187,6 @@ class Circuit:
                     if op.slot in seen_slots:
                         raise ValueError(f"slot s{op.slot} recorded twice")
                     seen_slots.add(op.slot)
-        if self.detectors and self.detectors[0].parity == "prev":
-            raise ValueError("first detector cannot reference a previous one")
         for det in self.detectors:
             for s in det.slots:
                 if s not in seen_slots:
@@ -223,33 +209,6 @@ class Circuit:
                     out.append(op.slot)
         return tuple(out)
 
-    def normalized_detectors(self) -> list[Detector]:
-        """Resolve ``prev`` chaining into plain product-equals-parity form.
-
-        Requiring detector k to repeat detector k-1's observed parity is the
-        same as requiring the product over the symmetric difference of their
-        slot sets to be +1 (shared slots square away).
-        """
-        out: list[Detector] = []
-        prev_raw: tuple = ()
-        for det in self.detectors:
-            if det.parity == "prev":
-                sym = set(det.slots) ^ set(prev_raw)
-                if not sym:
-                    prev_raw = det.slots
-                    continue
-                out.append(Detector(tuple(sorted(sym)), 1))
-            else:
-                eff = _xor_slots(det.slots)
-                if not eff:
-                    if det.parity == -1:
-                        raise ValueError(f"detector {det} is unsatisfiable")
-                    prev_raw = det.slots
-                    continue
-                out.append(Detector(tuple(sorted(eff)), det.parity))
-            prev_raw = det.slots
-        return out
-
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
@@ -265,14 +224,11 @@ class Circuit:
                     )
                 elif isinstance(op, Rotate):
                     lines.append(f"ROT {op.axis} q{op.qubit} {op.angle!r}")
-                elif isinstance(op, Idle):
-                    lines.append(f"IDLE q{op.qubit}")
                 else:  # pragma: no cover - constructor forbids this
                     raise TypeError(f"unknown op {op!r}")
         for det in self.detectors:
-            parity = det.parity if det.parity == "prev" else f"{det.parity:+d}"
             slots = " ".join(f"s{s}" for s in det.slots)
-            lines.append(f"DET {slots} = {parity}")
+            lines.append(f"DET {slots} = {det.parity:+d}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -316,26 +272,13 @@ class Circuit:
                 q = _parse_ref(parts[2], "q")
                 max_q = max(max_q, q)
                 ops.append(Rotate(q, parts[1], float(parts[3])))
-            elif head == "IDLE":
-                if len(parts) != 2:
-                    raise ValueError(f"malformed IDLE line: {raw!r}")
-                q = _parse_ref(parts[1], "q")
-                max_q = max(max_q, q)
-                ops.append(Idle(q))
             elif head == "DET":
                 if len(parts) < 4 or parts[-2] != "=":
                     raise ValueError(f"malformed DET line: {raw!r}")
                 slots = tuple(_parse_ref(p, "s") for p in parts[1:-2])
-                tok = parts[-1]
-                parity: "int | str"
-                if tok == "prev":
-                    parity = "prev"
-                elif tok in ("+1", "1"):
-                    parity = 1
-                elif tok == "-1":
-                    parity = -1
-                else:
-                    raise ValueError(f"bad detector parity {tok!r}")
+                parity = {"+1": 1, "1": 1, "-1": -1}.get(parts[-1])
+                if parity is None:
+                    raise ValueError(f"bad detector parity {parts[-1]!r}")
                 detectors.append(Detector(slots, parity))
             else:
                 raise ValueError(f"unrecognized line: {raw!r}")
@@ -343,13 +286,6 @@ class Circuit:
         if max_q < 0:
             raise ValueError("circuit has no operations")
         return cls(max_q + 1, tuple(steps), tuple(detectors))
-
-
-def _xor_slots(slots: Iterable[int]) -> set[int]:
-    out: set[int] = set()
-    for s in slots:
-        out ^= {s}
-    return out
 
 
 def _parse_ref(token: str, prefix: str) -> int:
@@ -387,7 +323,7 @@ class CircuitBuilder:
         self._steps.append(Step(tuple(self._ops)))
         self._ops = []
 
-    def detector(self, slots: Iterable[int], parity: "int | str" = 1) -> None:
+    def detector(self, slots: Iterable[int], parity: int = 1) -> None:
         self._detectors.append(Detector(tuple(slots), parity))
 
     def build(self) -> Circuit:
@@ -880,9 +816,9 @@ class TrajectoryEnsemble:
 
 @dataclass(frozen=True)
 class _CompiledDetector:
-    """A normalized detector (ident: its index), or a tracked parity (ident:
-    its tag key, ``last_slot`` None): a product of records that never
-    completes and is read out at the end."""
+    """A detector (ident: its index), or a tracked parity (ident: its tag
+    key, ``last_slot`` None): a product of records that never completes and
+    is read out at the end."""
 
     ident: "int | tuple"
     slots: frozenset
@@ -891,12 +827,13 @@ class _CompiledDetector:
 
 
 def _detectors_by_slot(circuit: Circuit, tracked: Iterable = ()) -> dict:
-    """slot -> the normalized detectors and ``tracked`` parities (kept
-    entries, see :func:`_normalize_keep`) that read it."""
+    """slot -> the detectors (products of distinct records equal to +1 or
+    -1) and ``tracked`` parities (kept entries, see :func:`_normalize_keep`)
+    that read it."""
     seq = {slot: i for i, slot in enumerate(circuit.slots)}
     compiled = [
         _CompiledDetector(i, frozenset(d.slots), d.parity, max(d.slots, key=seq.__getitem__))
-        for i, d in enumerate(circuit.normalized_detectors())
+        for i, d in enumerate(circuit.detectors)
     ] + [_CompiledDetector(("s", e), frozenset(_entry_slots(e)), 1, None) for e in tracked]
     by_slot: dict[int, list[_CompiledDetector]] = {}
     for det in compiled:
@@ -1183,8 +1120,6 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     for step_i, step in enumerate(circuit.steps):
         measured: set = set()
         for op in step.ops:
-            if isinstance(op, Idle):
-                continue
             if isinstance(op, Rotate):
                 if op.angle != 0.0:
                     flush(op.qubits)
@@ -1511,8 +1446,6 @@ def apply_step(
     out = ensemble.copy()
     measured: set[int] = set()
     for op in step.ops:
-        if isinstance(op, Idle):
-            continue
         if isinstance(op, Rotate):
             out.apply_rotation(op)
             continue
@@ -1525,17 +1458,13 @@ def apply_step(
 
 
 def prune_detected(ensemble: TrajectoryEnsemble, detectors) -> TrajectoryEnsemble:
-    """Drop branches whose records violate any detector parity.
-
-    Detector parities must be explicit (+1/-1); resolve ``"prev"`` chains
-    first via :meth:`Circuit.normalized_detectors`.  Surviving branches keep
-    their traces unchanged.
+    """Drop branches whose records violate any detector: a product of
+    distinct records that must equal +1 or -1, e.g. ``circuit.detectors``.
+    Surviving branches keep their traces unchanged.
     """
     out = ensemble.copy()
     keep = np.ones(out.num_branches, dtype=bool)
     for det in detectors:
-        if det.parity == "prev":
-            raise ValueError("resolve 'prev' detectors via Circuit.normalized_detectors")
         for b, tag in enumerate(out.tags):
             prod = 1
             for s in det.slots:

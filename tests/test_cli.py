@@ -73,6 +73,19 @@ def test_mbqb_too_few_shots_is_numerical_failure(capsys):
     assert "('XZ', 'Z', 'X')" in err
 
 
+@pytest.mark.parametrize(
+    "mode,order,code",
+    [(["--shots", "20000"], 3, 1), (["--exact"], 3, 0), (["--shots", "20000"], 4, 0)],
+)
+def test_mbqb_sampled_mode_needs_debruijn_order_four(mode, order, code, capsys):
+    """A de Bruijn cycle of order below 4 misses some four-measurement
+    windows, so sampled mode rejects it before sampling; exact mode does not
+    read the sequence."""
+    assert main(["mbqb", *mode, "--debruijn", str(order), "--seed", "1"]) == code
+    if code == 1:
+        assert "needs order 4 or more" in capsys.readouterr().err
+
+
 def test_mbqb_sampled_rerun_is_identical(tmp_path):
     args = ["mbqb", "--shots", "20000", "--seed", "11"]
     first, second = tmp_path / "a", tmp_path / "b"

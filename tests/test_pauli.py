@@ -177,10 +177,8 @@ def test_average_gate_fidelity_monte_carlo_cross_check():
 
 def test_average_gate_fidelity_subnormalized_requires_opt_in():
     proj = channel_to_superop(lambda r: projector("X", 1) @ r @ projector("X", 1), 1)
-    with pytest.raises(ValueError, match="normalize"):
+    with pytest.raises(ValueError, match="trace-preserving"):
         average_gate_fidelity(proj, np.eye(2))
-    # Normalized projection onto |+> compared with identity: F = 2/3.
-    assert average_gate_fidelity(proj, np.eye(2), normalize=True) == pytest.approx(2 / 3)
 
 
 def test_average_gate_fidelity_sees_a_unitary_edited_in_place():

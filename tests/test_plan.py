@@ -47,8 +47,10 @@ def random_noise(rng, theta: bool) -> NoiseParams:
 
 def detector_circuit(rng, num_qubits: int = 3, max_steps: int = 5) -> Circuit:
     """Random steps of one- and two-qubit measurements and rotations, with
-    up to four detectors: explicit parities, ``prev`` chains, and a pair
-    that completes on one slot (which makes the eager runner prune)."""
+    up to five detectors: random parities, repeats of the previous
+    detector's observed parity (the product over the symmetric difference
+    of the two slot sets equals +1), and a pair that completes on one slot
+    (which makes the eager runner prune)."""
     builder = CircuitBuilder(num_qubits)
     slots = []
     for _ in range(int(rng.integers(2, max_steps + 1))):
@@ -67,11 +69,17 @@ def detector_circuit(rng, num_qubits: int = 3, max_steps: int = 5) -> Circuit:
         slots.append(builder.meas1(0, "Z"))
         builder.end_step()
     detectors = []
+    previous = None
     for _ in range(int(rng.integers(1, 4))):
         size = int(rng.integers(1, min(3, len(slots)) + 1))
         picked = tuple(int(s) for s in rng.choice(slots, size=size, replace=False))
-        parity = "prev" if detectors and rng.random() < 0.3 else int(rng.choice([1, -1]))
-        detectors.append(Detector(picked, parity))
+        if previous is not None and rng.random() < 0.3:
+            repeat = tuple(sorted(set(picked) ^ set(previous)))
+            if repeat:
+                detectors.append(Detector(repeat, 1))
+        else:
+            detectors.append(Detector(picked, int(rng.choice([1, -1]))))
+        previous = picked
     if rng.random() < 0.5:
         last = slots[-1]
         others = [s for s in slots if s != last]
@@ -168,7 +176,7 @@ def test_plan_probes_match_truncated_lazy_runs(seed, theta):
     eager = run_circuit(circuit, noise, initial, probes={s: OBSERVABLES for s in steps})
     for step_i in steps:
         recorded = set(Circuit(circuit.num_qubits, circuit.steps[: step_i + 1]).slots)
-        done = tuple(d for d in circuit.normalized_detectors() if set(d.slots) <= recorded)
+        done = tuple(d for d in circuit.detectors if set(d.slots) <= recorded)
         truncated = Circuit(circuit.num_qubits, circuit.steps[: step_i + 1], done)
         lazy, _ = lazy_run(truncated, noise, initial)
         assert eager.probe_acceptance[step_i] == pytest.approx(lazy.total_trace, abs=TOL)
@@ -371,7 +379,7 @@ def test_deferred_rotations_match_truncated_lazy_runs():
     eager = run_circuit(circuit, noise, initial, probes={s: observables for s in steps})
     for step_i in steps:
         recorded = set(Circuit(circuit.num_qubits, circuit.steps[: step_i + 1]).slots)
-        done = tuple(d for d in circuit.normalized_detectors() if set(d.slots) <= recorded)
+        done = tuple(d for d in circuit.detectors if set(d.slots) <= recorded)
         truncated = Circuit(circuit.num_qubits, circuit.steps[: step_i + 1], done)
         lazy, _ = lazy_run(truncated, noise, initial)
         assert eager.probe_acceptance[step_i] == pytest.approx(lazy.total_trace, abs=TOL)

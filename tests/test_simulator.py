@@ -8,7 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
-from tetronsim import qed, simulator
+from tetronsim import braiding, qed, simulator
 from tetronsim.channels import (
     NoiseParams,
     apply_superop_to_axes,
@@ -22,7 +22,6 @@ from tetronsim.simulator import (
     Circuit,
     CircuitBuilder,
     Detector,
-    Idle,
     Meas1,
     Meas2,
     Rotate,
@@ -62,7 +61,7 @@ def lazy_run(circuit, noise, initial):
     for step in circuit.steps:
         ens = apply_step(ens, step, noise)
     peak = max(initial.num_branches, ens.num_branches)
-    return prune_detected(ens, circuit.normalized_detectors()), peak
+    return prune_detected(ens, circuit.detectors), peak
 
 
 # ---------------------------------------------------------------------------
@@ -314,40 +313,15 @@ def test_detector_post_selection_probability():
 
 
 def test_unsatisfiable_detector_rejected():
-    with pytest.raises(ValueError, match="unsatisfiable"):
+    with pytest.raises(ValueError, match="repeats a slot"):
         builder = CircuitBuilder(1)
         s0 = builder.meas1(0, "Z")
         builder.detector([s0, s0], -1)
         run_circuit(builder.build(), NOISE, TrajectoryEnsemble.from_product_state(["0"]))
-
-
-def test_prev_detector_chains_to_parity_match():
-    # Second detector requires equality with the first detector's observed
-    # parity: the two ZZ measurement pairs must agree.
-    noise = NoiseParams(p_a=0.2)
-    builder = CircuitBuilder(2)
-    slots = []
-    for _ in range(4):
-        slots.append(builder.meas2(0, 1, "ZZ"))
-        builder.end_step()
-    steps = builder.build().steps
-    circuit = Circuit(
-        2,
-        steps,
-        (Detector((slots[0], slots[1]), 1), Detector((slots[2], slots[3]), "prev")),
-    )
-    init = TrajectoryEnsemble.from_product_state(["0", "0"])
-    got = run_circuit(circuit, noise, init).acceptance
-    explicit = Circuit(
-        2,
-        circuit.steps,
-        (
-            Detector((slots[0], slots[1]), 1),
-            Detector((slots[0], slots[1], slots[2], slots[3]), 1),
-        ),
-    )
-    want = run_circuit(explicit, noise, init).acceptance
-    assert got == pytest.approx(want, abs=1e-12)
+    # A detector's slots are distinct, whatever its parity.
+    for slots, parity in (((0, 0), 1), ((0, 1, 0), -1)):
+        with pytest.raises(ValueError, match="repeats a slot"):
+            Detector(slots, parity)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +349,7 @@ def test_functional_pipeline_matches_run_circuit():
     ens = init
     for step in circuit.steps:
         ens = apply_step(ens, step, NOISE)
-    ens = prune_detected(ens, circuit.normalized_detectors())
+    ens = prune_detected(ens, circuit.detectors)
     ref = run_circuit(circuit, NOISE, init)
     assert acceptance_rate(ens) == pytest.approx(ref.acceptance, abs=1e-12)
     np.testing.assert_allclose(
@@ -406,25 +380,11 @@ def test_marginalize_merges_and_preserves_trace():
 def test_prune_detected_errors():
     init = TrajectoryEnsemble.from_product_state(["0"])
     ens = apply_step(init, Step((Meas1(0, "Z", 0),)), NOISE)
-    with pytest.raises(ValueError, match="prev"):
-        prune_detected(ens, [Detector((0,), "prev")])
     with pytest.raises(ValueError, match="unrecorded"):
         prune_detected(ens, [Detector((5,), 1)])
     kept = prune_detected(ens, [Detector((0,), 1)])
     assert kept.num_branches == 1
     assert kept.tags[0][("s", 0)] == 1
-
-
-def test_idle_op_is_equivalent_to_leaving_qubit_alone():
-    base = Circuit(2, (Step((Meas1(0, "Z", 0),)),))
-    marked = Circuit(2, (Step((Meas1(0, "Z", 0), Idle(1))),))
-    init = TrajectoryEnsemble.from_product_state(["+", "+"])
-    a = run_circuit(base, NOISE, init)
-    b = run_circuit(marked, NOISE, init)
-    np.testing.assert_allclose(
-        a.ensemble.sum_pauli_vec(), b.ensemble.sum_pauli_vec(), atol=1e-15
-    )
-    assert Circuit.from_text(marked.to_text()) == marked
 
 
 def test_rotate_target_still_accrues_idle_noise():
@@ -444,8 +404,28 @@ def test_rotate_target_still_accrues_idle_noise():
 
 def test_text_round_trip():
     rng = np.random.default_rng(67)
-    circuit = random_circuit(rng, 3, 4, with_detectors=True)
-    assert Circuit.from_text(circuit.to_text()) == circuit
+    circuits = [random_circuit(rng, 3, 4, with_detectors=True)]
+    # Every circuit the library builds: the text format's real traffic.
+    for level in ("physical", "logical"):
+        for observable in ("XX", "ZI"):
+            for rounds in (1, 10):
+                circuits.append(qed._derive_decay_circuit(level, observable, rounds).circuit)
+    for build in (qed.idle_ladder_circuit, qed.logical_zz_circuit):
+        for prep_letter in (None, "X", "Y", "Z"):
+            circuits.append(build(3, prep_letter=prep_letter).circuit)
+    for name in braiding.CLIFFORD_CLASSES:
+        if name != "identity":  # no steps, see below
+            circuits.append(braiding.class_circuit(name))
+        for reset_order in ("XZ", "ZX"):
+            circuits += braiding.gateset_experiment_suite(name, reset_order=reset_order)
+    for circuit in circuits:
+        assert Circuit.from_text(circuit.to_text()) == circuit
+    # The text form reads the register size off the highest qubit touched,
+    # so the identity class's empty circuit has none.
+    empty = braiding.class_circuit("identity")
+    assert empty.steps == () and empty.to_text() == "\n"
+    with pytest.raises(ValueError, match="no operations"):
+        Circuit.from_text(empty.to_text())
 
 
 def test_text_parsing_details():
@@ -478,6 +458,7 @@ def test_text_parsing_details():
         "step\nM1 X q0 -> s0\nstep\nM1 Z q0 -> s0",
         "step\nM1 X q0 -> s0\nDET s1 = +1",
         "step\nM1 X q0 -> s0\nDET s0 = prev",
+        "step\nM1 X q0 -> s0\nIDLE q0",
         "bogus line",
     ],
 )
