@@ -367,6 +367,14 @@ def _exact_statistics(instruments: dict) -> ConditionalTable:
     return ConditionalTable(probs, weights, flags, mode="exact")
 
 
+def _missing_windows(sequence: MeasurementSequence, window: int) -> list:
+    """The table's windows (reset order, conditioning and final label) that
+    the cyclic ``sequence`` never contains."""
+    labels = sequence.cycled(len(sequence) + window - 1)
+    seen = {"".join(labels[i : i + window]) for i in range(len(sequence))}
+    return ["".join(key) for key in _table_keys() if "".join(key) not in seen]
+
+
 def _sampled_statistics(
     instruments: dict,
     *,
@@ -378,6 +386,13 @@ def _sampled_statistics(
     _require_count("shots", shots)
     _require_count("chains", chains)
     window = 4
+    missing = _missing_windows(sequence, window)
+    if missing:
+        raise ValueError(
+            f"sequence lacks the four-label windows {', '.join(missing)}: sampled mode "
+            "counts each table entry from the windows that start with its reset order, "
+            "so these entries would never be observed"
+        )
     # round each chain up to whole sequence periods so every window pattern
     # is counted exactly equally often (the fair-sampling guarantee)
     period = len(sequence)

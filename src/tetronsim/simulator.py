@@ -9,7 +9,7 @@ of distinct slots equals +1 or -1; runs in which a detector fires are
 discarded (post-selection), which is how error detection enters.
 
 The simulator is exact: it propagates the conditional (subnormalized) density
-matrix of every surviving record branch.  Two representation choices keep
+matrix of every surviving record branch.  Three representation choices keep
 this tractable:
 
 * States live in the Pauli-coefficient picture (rho = sum_P v_P P / 2^n) and
@@ -37,12 +37,18 @@ this tractable:
   against theta.  A plan thus depends only on whether theta is zero, and is
   cached per circuit, initial support, kept entries, probes and that flag,
   so a noise scan lowers each circuit once.
+* Many support columns are zero in every branch once the branches are
+  summed: a term of one record branch cancels against the same term of
+  another.  Which ones does not depend on the noise either, so the eager
+  runner's plan is pruned once, after a witness run at a generic noise point,
+  to the columns that can be nonzero.  Lowering fails loudly when a run
+  would outgrow the branch or support budget.
 
-The shot sampler walks the same plan with one state row and one record per
-shot.  The functional pipeline :func:`apply_step` -> :func:`prune_detected`,
-built on the ensemble methods, enumerates every record combination and
-applies the detectors at the end; it stays as the independent reference that
-the tests compare the plan against.
+The shot sampler walks the unpruned plan with one state row and one record
+per shot.  The functional pipeline :func:`apply_step` ->
+:func:`prune_detected`, built on the ensemble methods, enumerates every
+record combination and applies the detectors at the end; it stays as the
+independent reference that the tests compare the plan against.
 
 Dense cross-checks of every kernel against the channel constructors in
 :mod:`tetronsim.channels` live in the test suite.
@@ -50,8 +56,10 @@ Dense cross-checks of every kernel against the channel constructors in
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -406,6 +414,8 @@ def _dep_class(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> n
 
 _ABSENT_SELF = 4  # self_class of a measured element absent from the input
 _ABSENT_CROSS = 32  # partner_class of a measured element whose partner is absent
+_ROT_ABSENT_SELF = 2  # self_class of a rotated element absent from the input
+_ROT_ABSENT_PARTNER = 0  # partner_class of a rotated element whose partner is absent
 
 
 @dataclass(frozen=True)
@@ -494,8 +504,8 @@ def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int):
     pos_partner = _positions(support, new_support ^ p_index)
     k_new = _phase_exponents(p_index, new_support, n)
     anti = (k_new & 1) == 1
-    diag = np.where(anti, np.where(pos_self < 0, 2, 1), 0)
-    off = np.where(anti & (pos_partner >= 0), np.where(k_new == 1, 1, 2), 0)
+    diag = np.where(anti, np.where(pos_self < 0, _ROT_ABSENT_SELF, 1), 0)
+    off = np.where(anti & (pos_partner >= 0), np.where(k_new == 1, 1, 2), _ROT_ABSENT_PARTNER)
     return new_support, _Lowering(
         _index32(pos_self), _index32(pos_partner), diag.astype(np.int8), off.astype(np.int8)
     )
@@ -924,6 +934,17 @@ def _check_size(circuit: Circuit, initial: TrajectoryEnsemble) -> None:
 # pinned record signs, pruned rows, merge groups) and the executor never
 # looks at a key.
 
+# Loud limits: lowering stops with a ValueError before a run's branch count
+# or support grows past these.
+_BRANCH_BUDGET = 1 << 16
+_SUPPORT_BUDGET = 1 << 15
+
+# The generic noise point of the witness pass (see :func:`_witness_masks`):
+# no channel is off (p = 0) or saturated (p_a = 1/2, p1 = 3/4), and no
+# rotation by a whole number of theta/2 steps is a quarter turn.
+_WITNESS_NOISE = NoiseParams(p_a=0.0731, p1=0.0617, p2=0.0893, theta=0.2113)
+_WITNESS_SEED = 1331
+
 
 @dataclass(frozen=True)
 class _RotateOp:
@@ -1087,9 +1108,10 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     peak = len(keys)
     ops: list = []
     pending = [0] * n  # deferred theta/2 steps of Z rotation per qubit
-    # Once the support stops growing, a measurement or rotation repeats
-    # against the same support round after round; those rounds share one
-    # lowering.
+    step_i = 0  # the step being lowered; the closing rotations belong to the last
+    # Once the support stops growing, a measurement, rotation or idle step
+    # repeats against the same support round after round; those rounds share
+    # one lowering.
     lowered: dict = {}
 
     def column() -> int:
@@ -1099,12 +1121,24 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
         keys = np.concatenate([keys, np.zeros((len(keys), 1), dtype=np.int32)], axis=1)
         return keys.shape[1] - 1
 
-    def lower(key: tuple, lower_fn):
-        nonlocal support
+    def memoized(key: tuple, lower_fn):
         memo = (support.tobytes(),) + key
         if memo not in lowered:
             lowered[memo] = lower_fn(support)
-        support, low = lowered[memo]
+        return lowered[memo]
+
+    def check_budget(branches: int) -> None:
+        if branches > _BRANCH_BUDGET or support.size > _SUPPORT_BUDGET:
+            raise ValueError(
+                f"step {step_i}: the run would hold {branches} branches on {support.size} "
+                f"support terms, over the budget of {_BRANCH_BUDGET} branches and "
+                f"{_SUPPORT_BUDGET} terms"
+            )
+
+    def lower(key: tuple, lower_fn):
+        nonlocal support
+        support, low = memoized(key, lower_fn)
+        check_budget(len(keys))
         return low
 
     def rotate(axis: int, angle: float, half_turns: int) -> None:
@@ -1117,6 +1151,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
                 rotate(3 << (2 * (n - 1 - q)), 0.0, pending[q])
                 pending[q] = 0
 
+    check_budget(len(keys))
     for step_i, step in enumerate(circuit.steps):
         measured: set = set()
         for op in step.ops:
@@ -1139,6 +1174,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
             completing = [d for d in here if d.last_slot == op.slot]
             split = not completing
             if split:
+                check_budget(2 * len(keys))
                 neg = np.repeat([False, True], len(keys))
                 keys = np.concatenate([keys, keys])
             else:
@@ -1168,7 +1204,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
         if rotating:
             for q in idle:
                 pending[q] += 2  # a whole theta per idle step
-        counts = _idle_counts(support, n, idle)
+        counts = memoized(("idle",) + tuple(idle), lambda sup: _idle_counts(sup, n, idle))
         if counts.any():
             ops.append(_IdleOp(counts))
         keys, merge = _merge_keys(keys)
@@ -1188,11 +1224,100 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     return _Plan(tuple(ops), support, groups, kept, records, max(peak, len(keys)))
 
 
+def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> list:
+    """Which columns of each support can be nonzero.
+
+    Runs ``plan`` once at :data:`_WITNESS_NOISE` from random coefficients
+    on ``rows`` x ``columns``.  Entry k marks the columns of the support the
+    k-th measurement or rotation produces that are nonzero in some row where
+    they are next read: just before the next measurement or rotation, or at
+    the end.  Entry 0, the initial support, keeps every column.  Every
+    coefficient is a polynomial in the noise tables and the initial
+    coefficients, so one that is exactly 0.0 at this generic point is zero
+    at every point; one that is merely small is kept.
+    """
+    tables = _NoiseTables(_WITNESS_NOISE, num_qubits)
+    # Uniform in [-1, 1) from the standard library's generator, which numpy
+    # imports anyway; importing numpy.random would add megabytes to a run.
+    bits = np.frombuffer(random.Random(_WITNESS_SEED).randbytes(8 * rows * columns), np.uint64)
+    coeffs = ((bits >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(rows, columns)
+    masks = []
+    for op in plan.ops:
+        if isinstance(op, (_MeasureOp, _RotateOp)):
+            masks.append(coeffs.any(axis=0))
+        if not isinstance(op, _ProbeOp):
+            coeffs = op.run(coeffs, tables, None)
+    masks.append(coeffs.any(axis=0))
+    masks[0] = np.ones(columns, dtype=bool)
+    return masks
+
+
+def _restrict(low: _Lowering, index: np.ndarray, out: np.ndarray, absent: tuple) -> _Lowering:
+    """``low`` producing only the ``out`` columns, reading an input whose
+    column i moved to ``index[i]`` (-1: dropped, read as the absent class)."""
+    pos_self = index[low.pos_self[out]]
+    pos_partner = index[low.pos_partner[out]]
+    return _Lowering(
+        _index32(pos_self),
+        _index32(pos_partner),
+        np.where(pos_self < 0, absent[0], low.self_class[out]).astype(np.int8),
+        np.where(pos_partner < 0, absent[1], low.partner_class[out]).astype(np.int8),
+    )
+
+
+_ABSENT_CLASSES = {_MeasureOp: (_ABSENT_SELF, _ABSENT_CROSS),
+                   _RotateOp: (_ROT_ABSENT_SELF, _ROT_ABSENT_PARTNER)}
+
+
+def _prune(plan: _Plan, num_qubits: int, rows: int, columns: int) -> _Plan:
+    """``plan`` computing only the columns that can be nonzero (see
+    :func:`_witness_masks`).  Each measurement and rotation produces only
+    those of its output columns; the gathers, probe positions and idle
+    counts that read a dropped column read the absent class instead, whose
+    weight is 0.  Ops that repeat with the same masks share one pruned
+    lowering, as they shared the unpruned one.
+    """
+    masks = iter(_witness_masks(plan, num_qubits, rows, columns))
+    live = next(masks)
+    index = np.arange(columns)  # new position of each current column, -1: dropped
+    pruned: dict = {}
+    ops = []
+
+    def moved(pos: int) -> int:
+        return int(index[pos]) if pos >= 0 else -1
+
+    for op in plan.ops:
+        if isinstance(op, (_MeasureOp, _RotateOp)):
+            out = next(masks)
+            memo = (id(op.low), np.packbits(live).tobytes(), np.packbits(out).tobytes())
+            if memo not in pruned:
+                pruned[memo] = _restrict(op.low, index, out, _ABSENT_CLASSES[type(op)])
+            op = dataclasses.replace(op, low=pruned[memo])
+            live = out
+            index = np.where(live, np.cumsum(live) - 1, -1)
+        elif isinstance(op, _IdleOp):
+            memo = (id(op.counts), np.packbits(live).tobytes())
+            if memo not in pruned:
+                pruned[memo] = op.counts[live]
+            op = _IdleOp(pruned[memo])
+        elif isinstance(op, _ProbeOp):
+            op = _ProbeOp(op.step, moved(op.pos0),
+                          tuple((name, moved(pos), sign) for name, pos, sign in op.entries))
+        ops.append(op)
+    return dataclasses.replace(plan, ops=tuple(ops), support=plan.support[live])
+
+
 @functools.lru_cache(maxsize=64)
-def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating) -> _Plan:
+def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating,
+                 pruned: bool) -> _Plan:
     """The plan of an eager run; arguments are hashable stand-ins for those
-    of :func:`_lower`."""
-    plan = _lower(circuit, np.frombuffer(support, np.int64), groups, keep, dict(probes), rotating)
+    of :func:`_lower`.  With ``pruned`` it computes only the columns that can
+    be nonzero after the branches are summed (:func:`_prune`), which only the
+    exact runner may ask for."""
+    initial = np.frombuffer(support, np.int64)
+    plan = _lower(circuit, initial, groups, keep, dict(probes), rotating)
+    if pruned:
+        plan = _prune(plan, circuit.num_qubits, len(groups), initial.size)
     plan.support.flags.writeable = False  # every run's ensemble shares it
     return plan
 
@@ -1225,8 +1350,23 @@ def run_circuit(
     records of detector-determined measurements are forced, and branches that
     agree on all future-relevant information are merged.  The run follows a
     plan lowered from the circuit; the plan does not depend on the noise
-    numbers and is cached, so repeated runs do only the numeric pass.  The
-    functional pipeline :func:`apply_step` -> :func:`prune_detected`
+    numbers and is cached, so repeated runs do only the numeric pass.
+
+    The plan computes only the Pauli columns that can be nonzero.  A column
+    is dropped where a witness run of the plan, at a generic noise point and
+    from random initial coefficients, finds it exactly 0.0 in every branch
+    just before the next measurement or rotation reads it (or at the end).
+    Each coefficient is a polynomial in the noise tables and the initial
+    coefficients, and one that is not identically zero is exactly zero at a
+    generic point only by accident (Schwartz-Zippel), so a dropped column is
+    zero at every noise point; small values are never dropped.  The final
+    ensemble's support therefore omits Paulis whose coefficient is zero in
+    every branch, and its entries may differ from an unpruned run by the
+    rounding residue the cancellations leave (about one ulp).  A run that
+    would hold more than the branch or support budget raises ``ValueError``
+    while the plan is lowered.
+
+    The functional pipeline :func:`apply_step` -> :func:`prune_detected`
     materializes every record combination and applies the detectors only at
     the end; it is exponential in the number of measurements and is the
     independent cross-check.
@@ -1244,7 +1384,9 @@ def run_circuit(
     probes = _normalize_probes(probes, circuit)
     _check_size(circuit, initial)
     groups, group_tags = _branch_groups(initial.tags)
-    plan = _cached_plan(circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0)
+    plan = _cached_plan(
+        circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0, True
+    )
     result = RunResult(initial, 0.0)  # probe ops fill it; the ensemble comes last
     tables = _NoiseTables(noise, circuit.num_qubits)
     coeffs = initial.coeffs.copy()
@@ -1300,14 +1442,16 @@ def sample_circuit(
 ) -> SampleResult:
     """Sample records shot by shot instead of enumerating branches.
 
-    Walks the eager runner's cached plan, shared with :func:`run_circuit`,
-    with one state row and one record per shot, ignoring the plan's branch
-    bookkeeping.  Shots are vectorized in batches; records are
-    drawn from the exact per-shot distribution, and a shot leaves its batch
-    as soon as a completing detector fires, so no later op works on it.
-    Each measurement still draws one uniform for every shot of the batch,
-    rejected or not, so the draws a shot sees, and the result for a seed,
-    do not depend on which other shots were rejected.  Observable estimates
+    Walks the eager runner's cached plan, before the pruning that
+    :func:`run_circuit` applies, with one state row and one record per shot,
+    ignoring the plan's branch bookkeeping.  A shot's conditional state
+    keeps the terms that cancel only when branches are summed, so it needs
+    every column the pruned plan drops.  Shots are vectorized in batches;
+    records are drawn from the exact per-shot distribution, and a shot
+    leaves its batch as soon as a completing detector fires, so no later op
+    works on it.  Each measurement still draws one uniform for every shot of
+    the batch, rejected or not, so the draws a shot sees, and the result for
+    a seed, do not depend on which other shots were rejected.  Observable estimates
     use the per-shot conditional expectation (not a sampled sign), which is
     unbiased with reduced variance.
     """
@@ -1323,7 +1467,7 @@ def sample_circuit(
         raise ValueError("initial state has no positive trace")
     n = circuit.num_qubits
     start = initial.support.tobytes()
-    plan = _cached_plan(circuit, start, (0,), (), probes, noise.theta != 0)
+    plan = _cached_plan(circuit, start, (0,), (), probes, noise.theta != 0, False)
     finals = [
         PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables
     ]

@@ -1,11 +1,13 @@
 """End-to-end acceptance battery for the tetron simulation toolkit.
 
 Ten numbered tests, one per acceptance criterion, so that a verbose run
-prints exactly one pass/fail line for each.  Every tolerance and runtime
+prints exactly one pass/fail line for each, and one unnumbered pin of the
+default improvement map's CSV, which reuses test 4's scan.  Every tolerance and runtime
 budget is asserted inline.  Sampled-mode checks use fixed seeds and are
 fully deterministic.
 """
 
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -167,6 +169,16 @@ def test_04_improvement_region_structure(improvement_map):
     assert scan.p1_grid[0] < best_p1 < scan.p1_grid[-1]
     assert best_p2 > 0.0
     assert elapsed < 1800.0
+
+
+# sha256 of qed.scan_to_csv of the default map, on x86-64 with numpy 2.x.
+DEFAULT_MAP_CSV_SHA256 = "a94876896d7e60e115294c3a2f7aed5d14f476d0b63771c80d744cbe73ef0f11"
+
+
+def test_default_improvement_map_csv_is_pinned(improvement_map):
+    scan, _ = improvement_map
+    digest = hashlib.sha256(qed.scan_to_csv(scan).encode()).hexdigest()
+    assert digest == DEFAULT_MAP_CSV_SHA256
 
 
 def _leading_order_rates(level: str, observable: str):

@@ -369,7 +369,8 @@ def _chain_steps(shots, chains, period):
         (randomizing_instruments(), None),
         (readout_flip_instruments(0.7), None),
         (identical_instruments("Z"), None),
-        (NoiseParams(p_a=0.05, p1=0.01), MeasurementSequence.from_string("XZZXXXZ")),
+        # Not a de Bruijn cycle, but it holds every window the table counts.
+        (NoiseParams(p_a=0.05, p1=0.01), MeasurementSequence.from_string("XZZXXXZXXZZZXZ")),
     ],
     ids=[
         "tetron", "tetron-theta", "ideal", "randomizing", "flip-0.7", "identical-Z", "non-de-Bruijn"
@@ -399,6 +400,21 @@ def test_sampled_kernel_matches_reference_loop(source, sequence):
                 assert np.array_equal(table.weights[key], weights[key]), key
                 assert table.weights[key].dtype == weights[key].dtype
                 assert np.array_equal(table.flags[key], flags[key]), key
+
+
+def test_sampled_mode_rejects_a_sequence_missing_windows_before_any_draw(monkeypatch):
+    # A de Bruijn cycle of order 3 lacks four of the eight windows that start
+    # with a reset order; no generator is made before the rejection.
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking the sequence")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    for call in (benchmark_metrics, subsequence_statistics):
+        with pytest.raises(ValueError, match="lacks the four-label windows "
+                                             "XZXX, XZZX, ZXXZ, ZXZX: sampled mode"):
+            call(mode="sampled", shots=200000, seed=1, sequence=generate_debruijn(3))
+    # Exact mode reads no sequence.
+    benchmark_metrics(sequence=generate_debruijn(3))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ correction rule is checked exhaustively against it, and the noisy-channel
 regression values were produced by the exact simulator itself and frozen.
 """
 
+import hashlib
 import math
 from itertools import product
 
@@ -434,6 +435,15 @@ def test_scan_csv_format():
     assert float(fields[4]) == pytest.approx(scan.fidelity[0, 0], rel=1e-11)
     last = lines[-1].split(",")
     assert last[0] == "0.1" and last[1] == "0.2"
+
+
+def test_theta_fidelity_scan_csv_is_pinned():
+    # sha256 on x86-64 with numpy 2.x.
+    grid = np.linspace(0.0, 0.2, 5)
+    text = scan_to_csv(fidelity_scan("HSH", p1_grid=grid, pa_grid=grid, p2=0.1, theta=0.02))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "11af0ada348f3bd27aceb7ca958257b9c5d2533a2ce34aa60d673a76daa83fe3"
+    )
 
 
 def test_scan_values_match_pointwise_evaluation():

@@ -7,8 +7,13 @@ records are forgotten, enumerates every record combination with the
 ensemble methods instead, so agreement to 1e-12 checks the lowering: the
 support evolution, the gather positions, the pinned records, the pruning
 and the branch merging.
+
+The exact runner's plan is also pruned to the columns that can be nonzero;
+the pruning tests run the pruned and the unpruned plan of one circuit side
+by side and require the same numbers from both.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +23,7 @@ from hypothesis import strategies as st
 
 from test_simulator import lazy_run
 
-from tetronsim import qed, simulator
+from tetronsim import braiding, qed, simulator
 from tetronsim.channels import NoiseParams
 from tetronsim.simulator import (
     Circuit,
@@ -219,16 +224,19 @@ def test_sampler_matches_plan_within_three_sigma(seed, theta):
             assert abs(got - want) <= 3.0 * sampled.final_stderr[obs] + 1e-9
 
 
-def test_sampled_and_exact_decays_share_one_plan():
+def test_sampled_and_exact_decays_each_reuse_their_plan():
+    # The exact runner asks for the pruned plan, the sampler for the unpruned
+    # one; both come from the one cache and are lowered once.
     for theta in (0.0, 0.01):
         noise = NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3, theta=theta)
         exact = qed.DecayExperimentSpec("physical", "ZI", noise=noise)
         sampled = qed.DecayExperimentSpec("physical", "ZI", noise=noise, shots=50, seed=3)
         simulator._cached_plan.cache_clear()
-        qed.decay_experiment(exact)
-        qed.decay_experiment(sampled)
+        for _ in range(2):
+            qed.decay_experiment(exact)
+            qed.decay_experiment(sampled)
         info = simulator._cached_plan.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert (info.misses, info.hits) == (2, 2)
 
 
 def test_one_plan_serves_many_noise_points():
@@ -438,3 +446,183 @@ def test_no_two_z_rotations_on_a_qubit_without_a_blocker_between():
                 rotated -= {q for q, c in enumerate(p.letters) if c in "XY"}
     assert next(measurements, None) is None
     assert z_rotations > 0
+
+
+# -- pruned plans -------------------------------------------------------------
+#
+# run_circuit computes only the columns a witness run at a generic noise point
+# finds nonzero where they are next read.  Side by side with the unpruned plan
+# (which the sampler walks), every kept column must come out the same and
+# every dropped one must read 0.0, at noise points with channels off too.  A
+# dropped column is zero as a polynomial; the unpruned run may still leave
+# rounding residue in it where branches cancel, at most about one ulp of the
+# largest coefficient, and the kept columns then differ by as little.
+
+RESIDUE = 1e-15  # relative to the largest coefficient of the block
+
+
+def plan_pair(circuit, initial, theta, keep=(), probes=None):
+    """(unpruned plan, pruned plan) of a run_circuit call."""
+    keep = simulator._normalize_keep(keep, circuit)
+    probes = simulator._normalize_probes(probes, circuit)
+    groups, _ = simulator._branch_groups(initial.tags)
+    args = (circuit, initial.support.tobytes(), groups, keep, probes, theta != 0)
+    return simulator._cached_plan(*args, False), simulator._cached_plan(*args, True)
+
+
+def assert_pruned_plan_agrees(circuit, initial, noise, keep=(), probes=None):
+    full, pruned = plan_pair(circuit, initial, noise.theta, keep, probes)
+    assert len(full.ops) == len(pruned.ops)
+    masks = simulator._witness_masks(
+        full, circuit.num_qubits, initial.num_branches, initial.support.size
+    )
+    tables = simulator._NoiseTables(noise, circuit.num_qubits)
+    results = [simulator.RunResult(initial, 0.0) for _ in range(2)]
+    coeffs = [initial.coeffs.copy(), initial.coeffs.copy()]
+    masks = iter(masks)
+    live = next(masks)
+
+    def compare(live):
+        atol = RESIDUE * np.abs(coeffs[0]).max(initial=0.0)
+        np.testing.assert_allclose(coeffs[1], coeffs[0][:, live], rtol=0, atol=atol)
+        assert np.abs(coeffs[0][:, ~live]).max(initial=0.0) <= atol
+
+    for full_op, pruned_op in zip(full.ops, pruned.ops):
+        assert type(full_op) is type(pruned_op)
+        if isinstance(full_op, (simulator._MeasureOp, simulator._RotateOp)):
+            compare(live)
+            live = next(masks)
+        coeffs = [op.run(c, tables, r) for op, c, r in
+                  zip((full_op, pruned_op), coeffs, results)]
+    compare(live)
+    assert next(masks, None) is None
+    assert np.array_equal(full.support[live], pruned.support)
+    assert results[0].probes.keys() == results[1].probes.keys()
+    for step_i, values in results[0].probes.items():
+        np.testing.assert_allclose(list(results[1].probes[step_i].values()),
+                                   list(values.values()), rtol=0, atol=TOL)
+        assert results[1].probe_acceptance[step_i] == pytest.approx(
+            results[0].probe_acceptance[step_i], abs=TOL)
+    # The public runner: the final ensemble, zero-padded to the unpruned
+    # support, and the acceptance.
+    eager = run_circuit(circuit, noise, initial, keep_slots=keep, probes=probes)
+    padded = np.zeros_like(coeffs[0])
+    padded[:, np.searchsorted(full.support, eager.ensemble.support)] = eager.ensemble.coeffs
+    np.testing.assert_allclose(padded, coeffs[0], rtol=0,
+                               atol=RESIDUE * np.abs(coeffs[0]).max(initial=0.0))
+    trace = coeffs[0][:, full.support == 0].sum()
+    assert eager.acceptance == pytest.approx(trace, abs=TOL)
+    return full, pruned
+
+
+def pruning_noise_points(rng, theta: bool) -> list:
+    """Three random points: all channels on, p1 = 0 and p_a = 0."""
+    on = random_noise(rng, theta)
+    return [on, dataclasses.replace(random_noise(rng, theta), p1=0.0),
+            dataclasses.replace(random_noise(rng, theta), p_a=0.0)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_pruned_plan_matches_unpruned_on_random_corpus(seed, theta):
+    rng = np.random.default_rng(seed)
+    circuit = detector_circuit(rng)
+    initial = random_initial(rng, circuit.num_qubits)
+    steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
+    keep = [int(s) for s in circuit.slots if rng.random() < 0.3]
+    for noise in pruning_noise_points(rng, theta):
+        assert_pruned_plan_agrees(circuit, initial, noise, keep,
+                                  {s: OBSERVABLES for s in steps})
+
+
+@pytest.mark.parametrize("theta", [False, True])
+def test_pruned_plan_matches_unpruned_on_decay_circuits(theta):
+    rng = np.random.default_rng(13)
+    dropped = 0
+    for level in ("physical", "logical"):
+        for obs in ("XX", "ZI"):
+            spec = qed.DecayExperimentSpec(level, obs)
+            derived = qed._decay_circuit(spec)
+            observable = qed.repcode_observables(level)[obs]
+            probes = {derived.round_end_steps[r - 1]: [observable] for r in spec.rounds_grid}
+            for noise in pruning_noise_points(rng, theta):
+                full, pruned = assert_pruned_plan_agrees(
+                    derived.circuit, qed._initial_state(spec), noise, probes=probes
+                )
+            dropped += full.support.size - pruned.support.size
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("theta", [False, True])
+def test_pruned_plan_matches_unpruned_on_braid_class_circuits(theta):
+    rng = np.random.default_rng(17)
+    support, coeffs = braiding._tomography_input()
+    initial = TrajectoryEnsemble(
+        2, support, coeffs, [{("in", label): 1} for label in braiding._TOMO_INPUTS]
+    )
+    for name in braiding.CLIFFORD_CLASSES:
+        circuit = braiding.class_circuit(name)
+        if not circuit.steps:
+            continue  # the identity class has no operation to prune
+        keep = braiding._parities(name, circuit.slots)
+        for noise in pruning_noise_points(rng, theta):
+            assert_pruned_plan_agrees(circuit, initial, noise, keep)
+
+
+def plan_nbytes(plan) -> int:
+    """Bytes of the distinct arrays a plan holds."""
+    arrays = {}
+    for op in plan.ops:
+        for value in vars(op).values():
+            for a in vars(value).values() if isinstance(value, simulator._Lowering) else [value]:
+                if isinstance(a, np.ndarray):
+                    arrays[id(a)] = a.nbytes
+    return sum(arrays.values()) + plan.support.nbytes
+
+
+def test_pruned_plan_shares_repeated_lowerings():
+    # Rounds that repeat with the same masks keep sharing one lowering and
+    # one idle count array, so the pruned plan is the smaller one.
+    spec = qed.DecayExperimentSpec("logical", "XX")
+    derived = qed._decay_circuit(spec)
+    for theta in (0.0, 0.01):
+        full, pruned = plan_pair(derived.circuit, qed._initial_state(spec), theta)
+        for kind, field in ((simulator._MeasureOp, "low"), (simulator._IdleOp, "counts")):
+            ops = [op for op in pruned.ops if isinstance(op, kind)]
+            assert len({id(getattr(op, field)) for op in ops}) < len(ops) / 2
+        assert plan_nbytes(pruned) < plan_nbytes(full)
+
+
+# -- loud limits --------------------------------------------------------------
+
+
+def test_branch_budget_stops_a_split_chain_before_it_grows():
+    # Every kept record splits every branch; the split past the budget is
+    # refused while the key table still holds the budget's branches.
+    budget = simulator._BRANCH_BUDGET
+    splits = budget.bit_length()  # one more split than the budget allows
+    builder = CircuitBuilder(1)
+    for i in range(splits):
+        builder.meas1(0, "XZ"[i % 2])
+        builder.end_step()
+    circuit = builder.build()
+    init = TrajectoryEnsemble.from_product_state(["0"])
+    message = (f"step {splits - 1}: the run would hold {2 * budget} branches on 2 support "
+               f"terms, over the budget of {budget} branches")
+    # The message names the last split, so the ones before it, up to the
+    # budget itself, were accepted.
+    with pytest.raises(ValueError, match=message):
+        run_circuit(circuit, NoiseParams(), init, keep_slots="all")
+
+
+def test_support_budget_stops_an_oversized_state():
+    # A generic product state on eight qubits spans all 4^8 Paulis.
+    circuit = Circuit.from_text("step\nM1 Z q0 -> s0\n")
+    circuit = Circuit(8, circuit.steps)
+    init = TrajectoryEnsemble.from_product_state([(0.5, 0.5, 0.5)] * 8)
+    assert init.support.size > simulator._SUPPORT_BUDGET
+    message = f"step 0: the run would hold 1 branches on {4**8} support terms"
+    with pytest.raises(ValueError, match=message):
+        run_circuit(circuit, NoiseParams(), init)
+    with pytest.raises(ValueError, match=message):
+        sample_circuit(circuit, NoiseParams(), init, 10, seed=1)

@@ -779,6 +779,16 @@ def test_scan_csv_round_trip(small_scan):
     assert len(clines) == 1 + len(small_scan.contour())
 
 
+def test_theta_scan_csv_is_pinned():
+    # A 3 x 3 map at theta = 0.01 (sha256 on x86-64 with numpy 2.x); the
+    # exact runner's pruned plans must reproduce it byte for byte.
+    grid = np.logspace(-3, -1, 3)
+    text = scan_to_csv(improvement_scan(grid, grid, 0.01, theta=0.01))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "09cc362132fefc4c9a87ab68d9841d40c7286a76b5e286c2552f96918224495e"
+    )
+
+
 def test_scan_rejects_empty_grid():
     with pytest.raises(ValueError):
         improvement_scan(np.array([]), np.array([0.01]), 0.01)

@@ -522,7 +522,7 @@ def _reference_sample_circuit(
     probes = simulator._normalize_probes(probes, circuit)
     n = circuit.num_qubits
     plan = simulator._cached_plan(
-        circuit, initial.support.tobytes(), (0,), (), probes, noise.theta != 0
+        circuit, initial.support.tobytes(), (0,), (), probes, noise.theta != 0, False
     )
     finals = [PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables]
     final_probe = simulator._probe_op(None, plan.support, finals, n)
