@@ -473,14 +473,13 @@ def plan_pair(circuit, initial, theta, keep=(), probes=None):
 def assert_pruned_plan_agrees(circuit, initial, noise, keep=(), probes=None):
     full, pruned = plan_pair(circuit, initial, noise.theta, keep, probes)
     assert len(full.ops) == len(pruned.ops)
-    masks = simulator._witness_masks(
+    masks = iter(simulator._witness_masks(
         full, circuit.num_qubits, initial.num_branches, initial.support.size
-    )
+    ))
+    live = next(masks)
     tables = simulator._NoiseTables(noise, circuit.num_qubits)
     results = [simulator.RunResult(initial, 0.0) for _ in range(2)]
     coeffs = [initial.coeffs.copy(), initial.coeffs.copy()]
-    masks = iter(masks)
-    live = next(masks)
 
     def compare(live):
         atol = RESIDUE * np.abs(coeffs[0]).max(initial=0.0)
