@@ -47,6 +47,7 @@ from .pauli import (
     average_gate_fidelity,
     embed_letters,
     pauli_matrix,
+    projector,
     unitary_superop,
 )
 from .simulator import CircuitBuilder, Circuit, TrajectoryEnsemble, run_circuit
@@ -211,11 +212,6 @@ class SequenceReport:
     passed: bool
 
 
-def _projector(token: str, outcome: int) -> np.ndarray:
-    op = np.kron(pauli_matrix(token[0]), pauli_matrix(token[1]))
-    return (np.eye(4, dtype=complex) + outcome * op) / 2.0
-
-
 def _correction_matrix(name: str, outcomes) -> np.ndarray:
     m = np.eye(2, dtype=complex)
     for letter in _applied_letters(name, lambda pos: math.prod(outcomes[i] for i in pos)):
@@ -255,7 +251,7 @@ def verify_sequence_identity(name: str, *, correction_matrix=None) -> SequenceRe
         count += 1
         m = np.eye(4, dtype=complex)
         for token, outcome in zip(seq, s):
-            m = _projector(token, outcome) @ m
+            m = projector(token, outcome) @ m
         target = np.kron(
             np.outer(x_ket[s[-1]], x_ket[s[0]].conj()),
             correction_matrix(name, s) @ unitary,
@@ -396,6 +392,11 @@ class FidelityScan:
     fidelity: np.ndarray
 
 
+# The default map's p1 and p_a axes: 21 points in [0, 0.2].
+FIDELITY_GRID = np.linspace(0.0, 0.2, 21)
+FIDELITY_GRID.flags.writeable = False
+
+
 def fidelity_scan(
     name: str,
     p1_grid=None,
@@ -408,8 +409,8 @@ def fidelity_scan(
     """Fidelity map of a class sequence; defaults to a 21 x 21 linear grid
     with p1, p_a in [0, 0.2] at p2 = 0.1."""
     _check_class(name)
-    p1_grid = np.linspace(0.0, 0.2, 21) if p1_grid is None else np.asarray(p1_grid, float)
-    pa_grid = np.linspace(0.0, 0.2, 21) if pa_grid is None else np.asarray(pa_grid, float)
+    p1_grid = FIDELITY_GRID.copy() if p1_grid is None else np.asarray(p1_grid, float)
+    pa_grid = FIDELITY_GRID.copy() if pa_grid is None else np.asarray(pa_grid, float)
     if p1_grid.size == 0 or pa_grid.size == 0:
         raise ValueError("scan grids must be nonempty")
     out = np.full((p1_grid.size, pa_grid.size), math.nan)

@@ -59,7 +59,6 @@ from .channels import (
     t_state_fidelity,
     timed_coupling_rotation,
 )
-from .pauli import PauliString
 from .simulator import CircuitBuilder, TrajectoryEnsemble, run_circuit
 
 
@@ -456,7 +455,7 @@ def cmd_braid(settings: Settings) -> tuple:
     p2 = _noise_fallback(settings, settings.options["p2"], "p2", 0.1)
     theta = _noise_fallback(settings, settings.options["theta"], "theta", 0.0)
     grid = settings.options["grid"]
-    p1_grid = np.linspace(0.0, 0.2, 21) if grid is None else np.asarray(grid, float)
+    p1_grid = np.asarray(braiding.FIDELITY_GRID if grid is None else grid, float)
     pa_grid = p1_grid.copy()
     for extreme in (p1_grid.min(), p1_grid.max()):
         _validate_noise_grid(p1=float(extreme), p_a=float(extreme), p2=p2, theta=theta)
@@ -486,7 +485,7 @@ def cmd_qed(settings: Settings) -> tuple:
     theta = _noise_fallback(settings, settings.options["theta"], "theta", 0.0)
     rounds = settings.options["rounds"]
     grid = settings.options["scan"]
-    p1_grid = np.logspace(-4, -1, 25) if grid is None else np.asarray(grid, float)
+    p1_grid = np.asarray(qed.IMPROVEMENT_GRID if grid is None else grid, float)
     p2_grid = p1_grid.copy()
     for extreme in (p1_grid.min(), p1_grid.max()):
         _validate_noise_grid(p1=float(extreme), p2=float(extreme), p_a=pa, theta=theta)
@@ -863,21 +862,17 @@ def _check_qed_pin() -> None:
 
 
 def _check_repcode_table() -> None:
-    def expectation(ensemble, letters: str) -> float:
-        vec = ensemble.sum_pauli_vec()
-        return float(vec[PauliString(letters).index] / vec[0])
-
     bell = qed.prepare_repcode_state("XX", "physical")
     bell.apply_pauli("ZI")
-    _expect("bell <ZZ>", expectation(bell, "ZZ"), 1.0, 1e-10)
-    _expect("bell <ZI>", expectation(bell, "ZI"), 0.0, 1e-10)
-    _expect("bell <XX>", expectation(bell, "XX"), -1.0, 1e-10)
+    _expect("bell <ZZ>", bell.expectation("ZZ"), 1.0, 1e-10)
+    _expect("bell <ZI>", bell.expectation("ZI"), 0.0, 1e-10)
+    _expect("bell <XX>", bell.expectation("XX"), -1.0, 1e-10)
 
     zeros = qed.prepare_repcode_state("ZZ", "physical")
     zeros.apply_pauli("XX")
-    _expect("zeros <ZZ>", expectation(zeros, "ZZ"), 1.0, 1e-10)
-    _expect("zeros <ZI>", expectation(zeros, "ZI"), -1.0, 1e-10)
-    _expect("zeros <XX>", expectation(zeros, "XX"), 0.0, 1e-10)
+    _expect("zeros <ZZ>", zeros.expectation("ZZ"), 1.0, 1e-10)
+    _expect("zeros <ZI>", zeros.expectation("ZI"), -1.0, 1e-10)
+    _expect("zeros <XX>", zeros.expectation("XX"), 0.0, 1e-10)
 
 
 def _check_noise_anchors() -> None:

@@ -586,6 +586,11 @@ class ImprovementScan:
         return max(boundary, key=lambda pt: pt[1])
 
 
+# The flagship map's p1 and p2 axes: 25 log-spaced points in [1e-4, 1e-1].
+IMPROVEMENT_GRID = np.logspace(-4, -1, 25)
+IMPROVEMENT_GRID.flags.writeable = False
+
+
 def improvement_scan(
     p1_grid=None,
     p2_grid=None,
@@ -600,8 +605,8 @@ def improvement_scan(
     Defaults reproduce the flagship map: 25 x 25 log-spaced points with
     p1, p2 in [1e-4, 1e-1] at p_a = 0.01 and no coherent rotation.
     """
-    p1_grid = np.logspace(-4, -1, 25) if p1_grid is None else np.asarray(p1_grid, float)
-    p2_grid = np.logspace(-4, -1, 25) if p2_grid is None else np.asarray(p2_grid, float)
+    p1_grid = IMPROVEMENT_GRID.copy() if p1_grid is None else np.asarray(p1_grid, float)
+    p2_grid = IMPROVEMENT_GRID.copy() if p2_grid is None else np.asarray(p2_grid, float)
     if p1_grid.size == 0 or p2_grid.size == 0:
         raise ValueError("scan grids must be nonempty")
     shape = (p1_grid.size, p2_grid.size)

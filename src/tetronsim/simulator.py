@@ -39,10 +39,10 @@ this tractable:
   so a noise scan lowers each circuit once.
 * Many support columns are zero in every branch once the branches are
   summed: a term of one record branch cancels against the same term of
-  another.  Which ones does not depend on the noise either, so the eager
-  runner's plan is pruned once, after a witness run at a generic noise point,
-  to the columns that can be nonzero.  Lowering fails loudly when a run
-  would outgrow the branch or support budget.
+  another.  Which ones does not depend on the noise either, so after a
+  witness run at a generic noise point the exact runner lowers the circuit
+  again, producing only the columns that can be nonzero.  Lowering fails
+  loudly when a run would outgrow the branch or support budget.
 
 The shot sampler walks the unpruned plan with one state row and one record
 per shot.  The functional pipeline :func:`apply_step` ->
@@ -56,7 +56,6 @@ Dense cross-checks of every kernel against the channel constructors in
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import random
@@ -446,14 +445,16 @@ def _terms(coeffs: np.ndarray, low: _Lowering, w_self, w_partner):
     return own, partner
 
 
-def _lower_measurement(support: np.ndarray, op, num_qubits: int):
+def _lower_measurement(support: np.ndarray, op, num_qubits: int, new_support=None):
     """(support after the measurement, its lowering); the weight tables are
-    :func:`_meas_tables`."""
+    :func:`_meas_tables`.  A given ``new_support``, a subset of that
+    support, restricts the output to those columns."""
     n = num_qubits
     p_index = op_pauli_index(op, n)
-    k = _phase_exponents(p_index, support, n)
-    kept = support[(k & 1) == 0]
-    new_support = np.unique(np.concatenate([kept, kept ^ p_index]))
+    if new_support is None:
+        k = _phase_exponents(p_index, support, n)
+        kept = support[(k & 1) == 0]
+        new_support = np.unique(np.concatenate([kept, kept ^ p_index]))
     partner = new_support ^ p_index
     pos_self = _positions(support, new_support)
     pos_partner = _positions(support, partner)
@@ -493,18 +494,20 @@ def _meas_tables(arity: int, noise: NoiseParams) -> "tuple[np.ndarray, np.ndarra
     return np.array(a), np.array(b)
 
 
-def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int):
+def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int, new_support=None):
     """(support after the rotation exp(i phi P), its lowering); the weight
-    tables are diag = (1, cos 2phi, 0) and off = (0, sin 2phi, -sin 2phi)."""
+    tables are diag = (1, cos 2phi, 0) and off = (0, sin 2phi, -sin 2phi).
+    A given ``new_support``, a subset of that support, restricts the output."""
     n = num_qubits
-    k = _phase_exponents(p_index, support, n)
-    grown = support[(k & 1) == 1] ^ p_index
-    new_support = np.unique(np.concatenate([support, grown]))
+    if new_support is None:
+        k = _phase_exponents(p_index, support, n)
+        grown = support[(k & 1) == 1] ^ p_index
+        new_support = np.unique(np.concatenate([support, grown]))
     pos_self = _positions(support, new_support)
     pos_partner = _positions(support, new_support ^ p_index)
     k_new = _phase_exponents(p_index, new_support, n)
     anti = (k_new & 1) == 1
-    diag = np.where(anti, np.where(pos_self < 0, _ROT_ABSENT_SELF, 1), 0)
+    diag = np.where(pos_self < 0, _ROT_ABSENT_SELF, np.where(anti, 1, 0))
     off = np.where(anti & (pos_partner >= 0), np.where(k_new == 1, 1, 2), _ROT_ABSENT_PARTNER)
     return new_support, _Lowering(
         _index32(pos_self), _index32(pos_partner), diag.astype(np.int8), off.astype(np.int8)
@@ -562,8 +565,9 @@ class TrajectoryEnsemble:
     ``support`` is a sorted int64 array of base-4 Pauli indices; ``coeffs``
     has one row per branch with v_P = tr(P rho_branch).  Each branch's rho is
     subnormalized: its trace is the probability of that branch's records.
-    ``tags`` carries per-branch bookkeeping (recorded slots as ("s", slot)
-    keys; the runner adds pending-detector parities under ("p", id) keys).
+    ``tags`` carries per-branch bookkeeping: recorded slots as ("s", slot)
+    keys, tracked parities as ("s", entry) keys (see :func:`run_circuit`),
+    and whatever tags the initial branches bring, such as ("in", label).
     """
 
     def __init__(self, num_qubits: int, support: np.ndarray, coeffs: np.ndarray, tags: list):
@@ -672,9 +676,9 @@ class TrajectoryEnsemble:
     def apply_measurement(self, op: "Meas1 | Meas2", noise: NoiseParams, signs) -> None:
         """Apply one measurement with the given recorded sign(s).
 
-        ``signs`` is +1, -1, or an array with one sign per branch (used when
-        a detector forces the record).  The branch count is unchanged; use
-        :meth:`split_measurement` to realize both records.
+        ``signs`` is +1, -1, or an array with one sign per branch.  The
+        branch count is unchanged; use :meth:`split_measurement` to realize
+        both records.
         """
         plus, minus, self.support = self._measurement_outputs(op, noise)
         svec = np.asarray(signs, dtype=np.int64)
@@ -1057,13 +1061,12 @@ def _merge_keys(keys: np.ndarray):
     """(merged key table, merge op or None when no two branches agree)."""
     if len(keys) < 2:
         return keys, None
-    merged, inverse = np.unique(keys, axis=0, return_inverse=True)
-    if len(merged) == len(keys):
+    order = np.lexsort(keys.T[::-1])  # sorted rows; equal rows keep their order
+    ordered = keys[order]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    if len(starts) == len(keys):
         return keys, None
-    inverse = inverse.reshape(-1)
-    order = np.argsort(inverse, kind="stable")
-    starts = np.searchsorted(inverse[order], np.arange(len(merged)))
-    return merged, _MergeOp(order.astype(np.int32), starts)
+    return ordered[starts], _MergeOp(order.astype(np.int32), starts)
 
 
 def _probe_op(step_i: int, support: np.ndarray, paulis, num_qubits: int) -> _ProbeOp:
@@ -1082,8 +1085,10 @@ def _xy_qubits(p_index: int, num_qubits: int) -> list:
     return [q for q in range(num_qubits) if _digit_column(p_index, num_qubits, q) in (1, 2)]
 
 
-def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -> _Plan:
-    """Lower an eager run of ``circuit`` from ``support`` into a plan.
+def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
+           outputs=None) -> "tuple[_Plan, list]":
+    """Lower an eager run of ``circuit`` from ``support`` into a plan, and
+    list the support each measurement and rotation produces, in walk order.
 
     ``groups`` gives the initial branch group of every input branch, ``keep``
     the kept entries (see :func:`_normalize_keep`), each tracked as a
@@ -1091,6 +1096,9 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     rotation ops.  Their angles are whole numbers of theta/2 steps and their
     supports and gathers do not depend on the angle, so one plan serves every
     nonzero theta.
+
+    ``outputs``, if given, restricts each measurement and rotation, in walk
+    order, to a subset of the support it produces (see :func:`_cached_plan`).
 
     The coherent Z rotations (measurement sandwich halves, idle steps) are
     deferred: each qubit carries a pending number of theta/2 steps, emitted
@@ -1107,11 +1115,13 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     det_col: dict = {}
     peak = len(keys)
     ops: list = []
+    produced: list = []  # the support each measurement and rotation produces
+    outputs = iter(() if outputs is None else outputs)
     pending = [0] * n  # deferred theta/2 steps of Z rotation per qubit
     step_i = 0  # the step being lowered; the closing rotations belong to the last
     # Once the support stops growing, a measurement, rotation or idle step
-    # repeats against the same support round after round; those rounds share
-    # one lowering.
+    # repeats against the same support (and output) round after round; those
+    # rounds share one lowering.
     lowered: dict = {}
 
     def column() -> int:
@@ -1135,14 +1145,17 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
                 f"{_SUPPORT_BUDGET} terms"
             )
 
-    def lower(key: tuple, lower_fn):
+    def lower(key: tuple, lower_fn, target):
         nonlocal support
-        support, low = memoized(key, lower_fn)
+        out = next(outputs, None)
+        key += (None if out is None else out.tobytes(),)
+        support, low = memoized(key, lambda sup: lower_fn(sup, target, n, out))
+        produced.append(support)
         check_budget(len(keys))
         return low
 
     def rotate(axis: int, angle: float, half_turns: int) -> None:
-        low = lower((axis,), lambda sup: _lower_rotation(sup, axis, n))
+        low = lower((axis,), _lower_rotation, axis)
         ops.append(_RotateOp(low, axis, angle, half_turns))
 
     def flush(qubits) -> None:
@@ -1166,7 +1179,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
             for q in op.qubits:
                 pending[q] += half
             flush(_xy_qubits(p_index, n))
-            low = lower((p_index, op.qubits), lambda sup: _lower_measurement(sup, op, n))
+            low = lower((p_index, op.qubits), _lower_measurement, op)
             here = dets_by_slot.get(op.slot, ())
             for d in here:
                 if d.ident not in det_col:
@@ -1221,7 +1234,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool) -
     groups = tuple(int(g) for g in keys[:, 0])
     kept = tuple(("s", entry) for entry in keep)
     records = np.where(keys[:, [det_col[key] for key in kept]] != 0, -1, 1).astype(np.int8)
-    return _Plan(tuple(ops), support, groups, kept, records, max(peak, len(keys)))
+    return _Plan(tuple(ops), support, groups, kept, records, max(peak, len(keys))), produced
 
 
 def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> list:
@@ -1252,72 +1265,21 @@ def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> lis
     return masks
 
 
-def _restrict(low: _Lowering, index: np.ndarray, out: np.ndarray, absent: tuple) -> _Lowering:
-    """``low`` producing only the ``out`` columns, reading an input whose
-    column i moved to ``index[i]`` (-1: dropped, read as the absent class)."""
-    pos_self = index[low.pos_self[out]]
-    pos_partner = index[low.pos_partner[out]]
-    return _Lowering(
-        _index32(pos_self),
-        _index32(pos_partner),
-        np.where(pos_self < 0, absent[0], low.self_class[out]).astype(np.int8),
-        np.where(pos_partner < 0, absent[1], low.partner_class[out]).astype(np.int8),
-    )
-
-
-_ABSENT_CLASSES = {_MeasureOp: (_ABSENT_SELF, _ABSENT_CROSS),
-                   _RotateOp: (_ROT_ABSENT_SELF, _ROT_ABSENT_PARTNER)}
-
-
-def _prune(plan: _Plan, num_qubits: int, rows: int, columns: int) -> _Plan:
-    """``plan`` computing only the columns that can be nonzero (see
-    :func:`_witness_masks`).  Each measurement and rotation produces only
-    those of its output columns; the gathers, probe positions and idle
-    counts that read a dropped column read the absent class instead, whose
-    weight is 0.  Ops that repeat with the same masks share one pruned
-    lowering, as they shared the unpruned one.
-    """
-    masks = iter(_witness_masks(plan, num_qubits, rows, columns))
-    live = next(masks)
-    index = np.arange(columns)  # new position of each current column, -1: dropped
-    pruned: dict = {}
-    ops = []
-
-    def moved(pos: int) -> int:
-        return int(index[pos]) if pos >= 0 else -1
-
-    for op in plan.ops:
-        if isinstance(op, (_MeasureOp, _RotateOp)):
-            out = next(masks)
-            memo = (id(op.low), np.packbits(live).tobytes(), np.packbits(out).tobytes())
-            if memo not in pruned:
-                pruned[memo] = _restrict(op.low, index, out, _ABSENT_CLASSES[type(op)])
-            op = dataclasses.replace(op, low=pruned[memo])
-            live = out
-            index = np.where(live, np.cumsum(live) - 1, -1)
-        elif isinstance(op, _IdleOp):
-            memo = (id(op.counts), np.packbits(live).tobytes())
-            if memo not in pruned:
-                pruned[memo] = op.counts[live]
-            op = _IdleOp(pruned[memo])
-        elif isinstance(op, _ProbeOp):
-            op = _ProbeOp(op.step, moved(op.pos0),
-                          tuple((name, moved(pos), sign) for name, pos, sign in op.entries))
-        ops.append(op)
-    return dataclasses.replace(plan, ops=tuple(ops), support=plan.support[live])
-
-
 @functools.lru_cache(maxsize=64)
 def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating,
                  pruned: bool) -> _Plan:
     """The plan of an eager run; arguments are hashable stand-ins for those
-    of :func:`_lower`.  With ``pruned`` it computes only the columns that can
-    be nonzero after the branches are summed (:func:`_prune`), which only the
-    exact runner may ask for."""
+    of :func:`_lower`.  With ``pruned``, which only the exact runner may ask
+    for, the circuit is lowered again, each measurement and rotation producing
+    only the columns a witness run of the first plan finds nonzero where they
+    are next read (:func:`_witness_masks`)."""
     initial = np.frombuffer(support, np.int64)
-    plan = _lower(circuit, initial, groups, keep, dict(probes), rotating)
+    args = (circuit, initial, groups, keep, dict(probes), rotating)
+    plan, produced = _lower(*args)
     if pruned:
-        plan = _prune(plan, circuit.num_qubits, len(groups), initial.size)
+        masks = _witness_masks(plan, circuit.num_qubits, len(groups), initial.size)
+        del plan  # hold one plan at a time
+        plan, _ = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
     plan.support.flags.writeable = False  # every run's ensemble shares it
     return plan
 
@@ -1352,10 +1314,11 @@ def run_circuit(
     plan lowered from the circuit; the plan does not depend on the noise
     numbers and is cached, so repeated runs do only the numeric pass.
 
-    The plan computes only the Pauli columns that can be nonzero.  A column
-    is dropped where a witness run of the plan, at a generic noise point and
-    from random initial coefficients, finds it exactly 0.0 in every branch
-    just before the next measurement or rotation reads it (or at the end).
+    The plan computes only the Pauli columns that can be nonzero.  It is a
+    second lowering that leaves out every column a witness run of the first
+    plan, at a generic noise point and from random initial coefficients,
+    finds exactly 0.0 in every branch just before the next measurement or
+    rotation reads it (or at the end).
     Each coefficient is a polynomial in the noise tables and the initial
     coefficients, and one that is not identically zero is exactly zero at a
     generic point only by accident (Schwartz-Zippel), so a dropped column is
@@ -1442,11 +1405,11 @@ def sample_circuit(
 ) -> SampleResult:
     """Sample records shot by shot instead of enumerating branches.
 
-    Walks the eager runner's cached plan, before the pruning that
-    :func:`run_circuit` applies, with one state row and one record per shot,
-    ignoring the plan's branch bookkeeping.  A shot's conditional state
-    keeps the terms that cancel only when branches are summed, so it needs
-    every column the pruned plan drops.  Shots are vectorized in batches;
+    Walks the eager runner's cached plan, the first lowering and not the
+    pruned second one of :func:`run_circuit`, with one state row and one
+    record per shot, ignoring the plan's branch bookkeeping.  A shot's
+    conditional state keeps the terms that cancel only when branches are
+    summed, so it needs every column the pruned plan drops.  Shots are vectorized in batches;
     records are drawn from the exact per-shot distribution, and a shot
     leaves its batch as soon as a completing detector fires, so no later op
     works on it.  Each measurement still draws one uniform for every shot of

@@ -422,9 +422,10 @@ def test_no_two_z_rotations_on_a_qubit_without_a_blocker_between():
     observable = qed.repcode_observables("logical")["XX"]
     probe_map = {derived.round_end_steps[r - 1]: [observable] for r in spec.rounds_grid}
     initial = qed._initial_state(spec)
-    ops = list(simulator._lower(
+    plan, _ = simulator._lower(
         circuit, initial.support.copy(), (0,), frozenset(), probe_map, True
-    ).ops)
+    )
+    ops = list(plan.ops)
     measurements = iter(
         op for step in circuit.steps for op in step.ops if isinstance(op, (Meas1, Meas2))
     )
@@ -470,31 +471,32 @@ def plan_pair(circuit, initial, theta, keep=(), probes=None):
     return simulator._cached_plan(*args, False), simulator._cached_plan(*args, True)
 
 
+def blocks(plan, initial, tables, result):
+    """The coefficient block just before each measurement or rotation of
+    ``plan``, then the final block."""
+    coeffs = initial.coeffs.copy()
+    for op in plan.ops:
+        if isinstance(op, (simulator._MeasureOp, simulator._RotateOp)):
+            yield coeffs
+        coeffs = op.run(coeffs, tables, result)
+    yield coeffs
+
+
 def assert_pruned_plan_agrees(circuit, initial, noise, keep=(), probes=None):
+    # The pruned plan may omit idle ops whose counts are all zero on its
+    # supports, so the plans are compared where their supports are read,
+    # not op by op.
     full, pruned = plan_pair(circuit, initial, noise.theta, keep, probes)
-    assert len(full.ops) == len(pruned.ops)
-    masks = iter(simulator._witness_masks(
+    masks = simulator._witness_masks(
         full, circuit.num_qubits, initial.num_branches, initial.support.size
-    ))
-    live = next(masks)
+    )
     tables = simulator._NoiseTables(noise, circuit.num_qubits)
     results = [simulator.RunResult(initial, 0.0) for _ in range(2)]
-    coeffs = [initial.coeffs.copy(), initial.coeffs.copy()]
-
-    def compare(live):
-        atol = RESIDUE * np.abs(coeffs[0]).max(initial=0.0)
-        np.testing.assert_allclose(coeffs[1], coeffs[0][:, live], rtol=0, atol=atol)
-        assert np.abs(coeffs[0][:, ~live]).max(initial=0.0) <= atol
-
-    for full_op, pruned_op in zip(full.ops, pruned.ops):
-        assert type(full_op) is type(pruned_op)
-        if isinstance(full_op, (simulator._MeasureOp, simulator._RotateOp)):
-            compare(live)
-            live = next(masks)
-        coeffs = [op.run(c, tables, r) for op, c, r in
-                  zip((full_op, pruned_op), coeffs, results)]
-    compare(live)
-    assert next(masks, None) is None
+    walks = [blocks(plan, initial, tables, r) for plan, r in zip((full, pruned), results)]
+    for live, coeffs, kept in zip(masks, *walks, strict=True):
+        atol = RESIDUE * np.abs(coeffs).max(initial=0.0)
+        np.testing.assert_allclose(kept, coeffs[:, live], rtol=0, atol=atol)
+        assert np.abs(coeffs[:, ~live]).max(initial=0.0) <= atol
     assert np.array_equal(full.support[live], pruned.support)
     assert results[0].probes.keys() == results[1].probes.keys()
     for step_i, values in results[0].probes.items():
@@ -505,11 +507,11 @@ def assert_pruned_plan_agrees(circuit, initial, noise, keep=(), probes=None):
     # The public runner: the final ensemble, zero-padded to the unpruned
     # support, and the acceptance.
     eager = run_circuit(circuit, noise, initial, keep_slots=keep, probes=probes)
-    padded = np.zeros_like(coeffs[0])
+    padded = np.zeros_like(coeffs)
     padded[:, np.searchsorted(full.support, eager.ensemble.support)] = eager.ensemble.coeffs
-    np.testing.assert_allclose(padded, coeffs[0], rtol=0,
-                               atol=RESIDUE * np.abs(coeffs[0]).max(initial=0.0))
-    trace = coeffs[0][:, full.support == 0].sum()
+    np.testing.assert_allclose(padded, coeffs, rtol=0,
+                               atol=RESIDUE * np.abs(coeffs).max(initial=0.0))
+    trace = coeffs[:, full.support == 0].sum()
     assert eager.acceptance == pytest.approx(trace, abs=TOL)
     return full, pruned
 
@@ -590,6 +592,86 @@ def test_pruned_plan_shares_repeated_lowerings():
             ops = [op for op in pruned.ops if isinstance(op, kind)]
             assert len({id(getattr(op, field)) for op in ops}) < len(ops) / 2
         assert plan_nbytes(pruned) < plan_nbytes(full)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_restricted_lowering_reads_the_full_lowering_at_kept_columns(seed, rotation):
+    # The pruned plan lowers each op against a subset of its input and for a
+    # subset of its output.  Each kept output column must read the full
+    # lowering's classes wherever its input has the Pauli, and the absent
+    # class (weight 0) wherever the input lacks it.
+    rng = np.random.default_rng(seed)
+    n = 3
+    support = np.unique(np.concatenate([[0], rng.integers(1, 4**n, rng.integers(1, 40))]))
+    qubits = [int(q) for q in rng.permutation(n)[:2]]
+    letters = "".join(rng.choice(list("XYZ"), 2))
+    if rotation:
+        p_index = int(rng.integers(1, 4**n))
+        lower = lambda sup, out=None: simulator._lower_rotation(sup, p_index, n, out)
+        absent = (simulator._ROT_ABSENT_SELF, simulator._ROT_ABSENT_PARTNER)
+    else:
+        op = Meas2(*qubits, letters, 0) if rng.random() < 0.5 else Meas1(qubits[0], letters[0], 0)
+        p_index = simulator.op_pauli_index(op, n)
+        lower = lambda sup, out=None: simulator._lower_measurement(sup, op, n, out)
+        absent = (simulator._ABSENT_SELF, simulator._ABSENT_CROSS)
+    reached, full = lower(support)
+    out = reached[rng.random(reached.size) < 0.6]
+    inputs = support[rng.random(support.size) < 0.6]
+    restricted_support, low = lower(inputs, out)
+    assert restricted_support is out
+    at = np.searchsorted(reached, out)
+    for pos, cls, full_cls, paulis, absent_cls in (
+        (low.pos_self, low.self_class, full.self_class, out, absent[0]),
+        (low.pos_partner, low.partner_class, full.partner_class, out ^ p_index, absent[1]),
+    ):
+        found = simulator._positions(inputs, paulis)
+        present = found >= 0
+        np.testing.assert_array_equal(pos[present], found[present])
+        np.testing.assert_array_equal(cls[present], full_cls[at][present])
+        assert (cls[~present] == absent_cls).all()
+    # Numerically: the restricted terms are the full terms of an input whose
+    # dropped columns are zero, at the kept output columns.
+    coeffs = rng.uniform(-1, 1, (3, support.size))
+    coeffs[:, ~np.isin(support, inputs)] = 0.0
+    restricted = coeffs[:, np.isin(support, inputs)]
+    if rotation:
+        np.testing.assert_array_equal(simulator._rotate(restricted, low, 0.37),
+                                      simulator._rotate(coeffs, full, 0.37)[:, at])
+    else:
+        tables = simulator._meas_tables(len(op.qubits), random_noise(rng, False))
+        for a, b in zip(simulator._terms(coeffs, full, *tables),
+                        simulator._terms(restricted, low, *tables)):
+            np.testing.assert_array_equal(b, a[:, at])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(1, 128), st.integers(1, 100),
+       st.sampled_from(["equal", "few", "distinct"]), st.integers(0, 2**32 - 1))
+def test_merge_keys_matches_unique_rows(rows, columns, kind, seed):
+    rng = np.random.default_rng(seed)
+    keys = rng.integers(0, 2, (rows, columns)).astype(np.int32)
+    keys[:, 0] = rng.integers(0, 4, rows)  # the initial branch group
+    if kind == "equal":
+        keys[:] = keys[0]
+    elif kind == "distinct":
+        keys[:, rng.integers(columns)] = rng.permutation(rows)
+    merged, merge = simulator._merge_keys(keys)
+    unique, inverse = np.unique(keys, axis=0, return_inverse=True)
+    if len(unique) == rows:
+        assert merged is keys and merge is None
+        return
+    inverse = inverse.reshape(-1)
+    order = np.argsort(inverse, kind="stable")
+    starts = np.searchsorted(inverse[order], np.arange(len(unique)))
+    np.testing.assert_array_equal(merged, unique)
+    assert merged.dtype == keys.dtype
+    np.testing.assert_array_equal(merge.order, order)
+    np.testing.assert_array_equal(merge.starts, starts)
+    merged_row = np.empty(rows, dtype=inverse.dtype)
+    merged_row[merge.order] = np.repeat(np.arange(len(merge.starts)),
+                                        np.diff(merge.starts, append=rows))
+    np.testing.assert_array_equal(merged_row, inverse)
 
 
 # -- loud limits --------------------------------------------------------------
