@@ -367,6 +367,7 @@ class DecayExperimentSpec:
             raise ValueError("round counts must be >= 1")
         if self.shots is not None:
             _require_count("shots", self.shots)
+        _require_count("seed", self.seed, least=0)
 
 
 @dataclass(frozen=True)

@@ -40,13 +40,14 @@ this tractable:
 * Many support columns are zero in every branch once the branches are
   summed: a term of one record branch cancels against the same term of
   another.  Which ones does not depend on the noise either, so after a
-  witness run at a generic noise point the exact runner lowers the circuit
-  again, producing only the columns that can be nonzero.  Lowering fails
-  loudly when a run would outgrow the branch or support budget.
+  witness run at a generic noise point the circuit is lowered again,
+  producing only the columns that can be nonzero.  Lowering fails loudly
+  when a run would outgrow the branch or support budget.
 
-The shot sampler walks the unpruned plan with one state row and one record
-per shot.  The functional pipeline :func:`apply_step` ->
-:func:`prune_detected`, built on the ensemble methods, enumerates every
+Both runners execute that one plan.  The exact runner sums the branches;
+the sampler draws its shots from them, at each probe step and at the end,
+in proportion to their traces.  The functional pipeline :func:`apply_step`
+-> :func:`prune_detected`, built on the ensemble methods, enumerates every
 record combination and applies the detectors at the end; it stays as the
 independent reference that the tests compare the plan against.
 
@@ -408,8 +409,7 @@ def _dep_class(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> n
 
 # Measurements and rotations are split into noise-independent structure (a
 # lowering) and a numeric pass over the coefficient block.  The ensemble
-# methods and the plan, which the eager runner and the sampler both walk,
-# use these pieces.
+# methods and the plan, which both runners execute, use these pieces.
 
 _ABSENT_SELF = 4  # self_class of a measured element absent from the input
 _ABSENT_CROSS = 32  # partner_class of a measured element whose partner is absent
@@ -960,7 +960,7 @@ class _RotateOp:
     angle: float
     half_turns: int
 
-    def run(self, coeffs, tables, result):
+    def run(self, coeffs, tables, reads):
         return _rotate(coeffs, self.low, self.angle + self.half_turns * tables.half_theta)
 
 
@@ -979,7 +979,7 @@ class _MeasureOp:
     rows: "np.ndarray | None"
     signs: "np.ndarray | None"
 
-    def run(self, coeffs, tables, result):
+    def run(self, coeffs, tables, reads):
         if self.rows is not None:
             coeffs = coeffs[self.rows]
         base, cross = _terms(coeffs, self.low, *tables.meas[self.arity])
@@ -999,7 +999,7 @@ class _MeasureOp:
 class _IdleOp:
     counts: np.ndarray  # idle qubits each support element acts on
 
-    def run(self, coeffs, tables, result):
+    def run(self, coeffs, tables, reads):
         if tables.idle is not None:
             coeffs *= tables.idle[self.counts]
         return coeffs
@@ -1012,27 +1012,25 @@ class _MergeOp:
     order: np.ndarray
     starts: np.ndarray
 
-    def run(self, coeffs, tables, result):
+    def run(self, coeffs, tables, reads):
         return np.add.reduceat(coeffs[self.order], self.starts, axis=0)
 
 
 @dataclass(frozen=True)
 class _ProbeOp:
-    step: int
+    """Appends to ``reads`` the branch traces and, per probed Pauli, its
+    name, its column (None when absent from the support) and its sign."""
+
+    step: "int | None"  # None: the final observables of a sampled run
     pos0: int  # position of the identity, -1 if absent
     entries: tuple  # (name, position or -1, sign) per probed Pauli
 
-    def run(self, coeffs, tables, result):
-        tr = float(np.sum(coeffs[:, self.pos0])) if self.pos0 >= 0 else 0.0
-        result.probe_acceptance[self.step] = tr
-        result.probes[self.step] = {
-            name: (
-                (0.0 if pos < 0 else float(np.sum(coeffs[:, pos])) * sign) / tr
-                if tr > 0.0
-                else math.nan
-            )
-            for name, pos, sign in self.entries
-        }
+    def run(self, coeffs, tables, reads):
+        # Copies, not views: a view would keep the whole block alive.
+        trace = coeffs[:, self.pos0].copy() if self.pos0 >= 0 else np.zeros(len(coeffs))
+        columns = [(name, coeffs[:, pos].copy() if pos >= 0 else None, sign)
+                   for name, pos, sign in self.entries]
+        reads.append((self.step, trace, columns))
         return coeffs
 
 
@@ -1258,28 +1256,25 @@ def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> lis
     for op in plan.ops:
         if isinstance(op, (_MeasureOp, _RotateOp)):
             masks.append(coeffs.any(axis=0))
-        if not isinstance(op, _ProbeOp):
-            coeffs = op.run(coeffs, tables, None)
+        coeffs = op.run(coeffs, tables, [])
     masks.append(coeffs.any(axis=0))
     masks[0] = np.ones(columns, dtype=bool)
     return masks
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating,
-                 pruned: bool) -> _Plan:
-    """The plan of an eager run; arguments are hashable stand-ins for those
-    of :func:`_lower`.  With ``pruned``, which only the exact runner may ask
-    for, the circuit is lowered again, each measurement and rotation producing
-    only the columns a witness run of the first plan finds nonzero where they
-    are next read (:func:`_witness_masks`)."""
+def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating) -> _Plan:
+    """The plan both runners execute; arguments are hashable stand-ins for
+    those of :func:`_lower`.  The circuit is lowered twice: the second time,
+    each measurement and rotation produces only the columns a witness run of
+    the first plan finds nonzero where they are next read
+    (:func:`_witness_masks`)."""
     initial = np.frombuffer(support, np.int64)
     args = (circuit, initial, groups, keep, dict(probes), rotating)
     plan, produced = _lower(*args)
-    if pruned:
-        masks = _witness_masks(plan, circuit.num_qubits, len(groups), initial.size)
-        del plan  # hold one plan at a time
-        plan, _ = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
+    masks = _witness_masks(plan, circuit.num_qubits, len(groups), initial.size)
+    del plan  # hold one plan at a time
+    plan, _ = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
     plan.support.flags.writeable = False  # every run's ensemble shares it
     return plan
 
@@ -1296,6 +1291,44 @@ def _branch_groups(tags: list) -> "tuple[tuple, list]":
             first.append(tag)
         groups.append(index[key])
     return tuple(groups), first
+
+
+def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
+             keep: tuple, probes) -> tuple:
+    """Run ``circuit`` from ``initial`` through its cached plan, keeping the
+    normalized entries ``keep``.  Returns the plan, the final coefficient
+    block (one row per final branch), the probe reads in walk order (see
+    :class:`_ProbeOp`) and the tags of each initial branch group."""
+    probes = _normalize_probes(probes, circuit)
+    _check_size(circuit, initial)
+    groups, group_tags = _branch_groups(initial.tags)
+    plan = _cached_plan(
+        circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0
+    )
+    tables = _NoiseTables(noise, circuit.num_qubits)
+    coeffs = initial.coeffs.copy()
+    reads: list = []
+    for op in plan.ops:
+        coeffs = op.run(coeffs, tables, reads)
+    return plan, coeffs, reads, group_tags
+
+
+def _summed_probes(reads: list) -> "tuple[dict, dict]":
+    """The ``probes`` and ``probe_acceptance`` of a :class:`RunResult`:
+    each probed value summed over the branches, over the summed trace."""
+    probes, acceptance = {}, {}
+    for step_i, trace, columns in reads:
+        tr = float(np.sum(trace))
+        acceptance[step_i] = tr
+        probes[step_i] = {
+            name: (
+                (0.0 if column is None else float(np.sum(column)) * sign) / tr
+                if tr > 0.0
+                else math.nan
+            )
+            for name, column, sign in columns
+        }
+    return probes, acceptance
 
 
 def run_circuit(
@@ -1344,35 +1377,25 @@ def run_circuit(
     entries are merged.
     """
     keep = _normalize_keep(keep_slots, circuit)
-    probes = _normalize_probes(probes, circuit)
-    _check_size(circuit, initial)
-    groups, group_tags = _branch_groups(initial.tags)
-    plan = _cached_plan(
-        circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0, True
-    )
-    result = RunResult(initial, 0.0)  # probe ops fill it; the ensemble comes last
-    tables = _NoiseTables(noise, circuit.num_qubits)
-    coeffs = initial.coeffs.copy()
-    for op in plan.ops:
-        coeffs = op.run(coeffs, tables, result)
+    plan, coeffs, reads, group_tags = _execute(circuit, noise, initial, keep, probes)
     tags = []
     for group, records in zip(plan.groups, plan.records.tolist()):
         tag = dict(group_tags[group])
         tag.update(zip(plan.kept, records))
         tags.append(tag)
-    result.ensemble = TrajectoryEnsemble(circuit.num_qubits, plan.support, coeffs, tags)
-    result.acceptance = result.ensemble.total_trace
-    result.peak_branches = plan.peak
-    return result
+    ensemble = TrajectoryEnsemble(circuit.num_qubits, plan.support, coeffs, tags)
+    probe_values, probe_acceptance = _summed_probes(reads)
+    return RunResult(ensemble, ensemble.total_trace, probe_values, probe_acceptance, plan.peak)
 
 
 @dataclass
 class SampleResult:
-    """Monte-Carlo estimate from sampled runs.
+    """Monte-Carlo estimate from sampled shots (see :func:`sample_circuit`).
 
-    Detector-rejected shots count toward ``shots`` but not ``accepted``.
-    Expectations are averages of the per-shot conditional expectation values
-    over accepted shots, with standard errors.
+    Each probe step and the end of the run draw their own ``shots`` shots;
+    ``accepted`` counts the shots of the final draw that no detector
+    rejected.  Expectations are averages over accepted shots of each shot's
+    branch-conditional expectation, with standard errors.
     """
 
     shots: int
@@ -1387,9 +1410,11 @@ class SampleResult:
         return self.accepted / self.shots if self.shots else math.nan
 
 
-def _require_count(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+def _require_count(name: str, value, least: int = 1) -> None:
+    """Reject anything but an integer >= ``least`` (1 or 0), bools too."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def sample_circuit(
@@ -1401,113 +1426,59 @@ def sample_circuit(
     *,
     probes: "Mapping[int, Iterable] | None" = None,
     final_observables: Iterable = (),
-    batch_size: int = 4096,
 ) -> SampleResult:
-    """Sample records shot by shot instead of enumerating branches.
+    """Draw ``shots`` shots from the branches of an exact run.
 
-    Walks the eager runner's cached plan, the first lowering and not the
-    pruned second one of :func:`run_circuit`, with one state row and one
-    record per shot, ignoring the plan's branch bookkeeping.  A shot's
-    conditional state keeps the terms that cancel only when branches are
-    summed, so it needs every column the pruned plan drops.  Shots are vectorized in batches;
-    records are drawn from the exact per-shot distribution, and a shot
-    leaves its batch as soon as a completing detector fires, so no later op
-    works on it.  Each measurement still draws one uniform for every shot of
-    the batch, rejected or not, so the draws a shot sees, and the result for
-    a seed, do not depend on which other shots were rejected.  Observable estimates
-    use the per-shot conditional expectation (not a sampled sign), which is
-    unbiased with reduced variance.
+    The circuit runs exactly, through the plan of :func:`run_circuit`.  At
+    each probe step, in order, and at the end, ``shots`` shots are drawn
+    from one ``np.random.default_rng(seed)``: a multinomial over the
+    branches, each weighted by its trace over the initial trace, plus one
+    category for the shots a detector rejected.  A shot's value is the
+    conditional expectation of its branch, so the estimates are unbiased
+    and spread only as much as the branches differ.  A branch stands for
+    the parities of the detectors still in flight, not for the full record
+    history; conditioning on either is unbiased.  Draws at different probe
+    steps are independent, as if each probe step ended its own truncated
+    circuit.
     """
     _require_count("shots", shots)
-    _require_count("batch_size", batch_size)
+    _require_count("seed", seed, least=0)
     if initial.num_branches != 1:
         raise ValueError("sampling starts from a single-branch state")
-    probes = _normalize_probes(probes, circuit)
-    _check_size(circuit, initial)
-    if not initial.total_trace > 0.0:
-        # Also places the identity, whose coefficient is a shot's trace, at
-        # column 0 of every support the walk reaches.
+    start_trace = initial.total_trace
+    if not start_trace > 0.0:
         raise ValueError("initial state has no positive trace")
-    n = circuit.num_qubits
-    start = initial.support.tobytes()
-    plan = _cached_plan(circuit, start, (0,), (), probes, noise.theta != 0, False)
+    plan, coeffs, reads, _ = _execute(circuit, noise, initial, (), probes)
     finals = [
         PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables
     ]
-    final_probe = _probe_op(None, plan.support, finals, n)
-    tables = _NoiseTables(noise, n)
-    dets_by_slot = _detectors_by_slot(circuit)
-    slot_column = {slot: i for i, slot in enumerate(circuit.slots)}
+    _probe_op(None, plan.support, finals, circuit.num_qubits).run(coeffs, None, reads)
     rng = np.random.default_rng(seed)
-    # (probe step, or None for the final observables, name) ->
-    # [sum, sum of squares, count] over accepted shots.
-    stats: dict = {}
-
-    def accumulate(probe: _ProbeOp, coeffs: np.ndarray) -> None:
-        tr = coeffs[:, probe.pos0]
-        for name, pos, sign in probe.entries:
-            vals = np.zeros(len(coeffs)) if pos < 0 else sign * coeffs[:, pos] / tr
-            stat = stats.setdefault((probe.step, name), [0.0, 0.0, 0])
-            stat[0] += float(vals.sum())
-            stat[1] += float((vals**2).sum())
-            stat[2] += len(vals)
-
-    accepted = 0
-    done = 0
-    while done < shots:
-        b = min(batch_size, shots - done)
-        done += b
-        # Rows are the batch's shots that no detector has rejected yet, and
-        # live[i] is row i's position in the batch.
-        live = np.arange(b)
-        coeffs = np.repeat(initial.coeffs, b, axis=0)
-        recs = np.zeros((b, len(slot_column)), dtype=np.int8)
-        for op in plan.ops:
-            if isinstance(op, _MeasureOp):
-                base, cross = _terms(coeffs, op.low, *tables.meas[op.arity])
-                t_plus = base[:, 0] + cross[:, 0]
-                total = t_plus + (base[:, 0] - cross[:, 0])
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    p_plus = np.where(total > 0, t_plus / np.where(total > 0, total, 1.0), 0.5)
-                # Every shot of the batch draws, so a shot's draws do not
-                # depend on which earlier shots were rejected.
-                u = rng.random(b)[live]
-                svec = np.where(u < p_plus, 1, -1).astype(np.int8)
-                cross *= svec[:, None]
-                base += cross
-                # Renormalize each shot to its conditional state.
-                tr = base[:, 0]
-                base /= np.where(np.abs(tr) > 0, tr, 1.0)[:, None]
-                coeffs = base
-                recs[:, slot_column[op.slot]] = svec
-                passed = np.ones(len(live), dtype=bool)
-                for det in dets_by_slot.get(op.slot, ()):
-                    if det.last_slot != op.slot:
-                        continue
-                    par = np.ones(len(live), dtype=np.int64)
-                    for s in det.slots:
-                        par *= recs[:, slot_column[s]]
-                    passed &= par == det.parity
-                if not passed.all():
-                    coeffs, recs, live = coeffs[passed], recs[passed], live[passed]
-            elif isinstance(op, _ProbeOp):
-                accumulate(op, coeffs)
-            elif not isinstance(op, _MergeOp):  # shots never merge
-                coeffs = op.run(coeffs, tables, None)
-        accepted += len(live)
-        accumulate(final_probe, coeffs)
-
-    result = SampleResult(shots=shots, accepted=accepted)
-    for (step_i, name), (val_sum, sq_sum, m) in stats.items():
-        if m == 0:
-            continue
-        mean = val_sum / m
-        stderr = math.sqrt(max(sq_sum / m - mean**2, 0.0) / m)
+    result = SampleResult(shots=shots, accepted=0)
+    for step_i, trace, columns in reads:
+        # Rounding can leave a trace below zero, never drawn, or the traces
+        # summing past the initial trace, which would make the draw raise.
+        weights = np.maximum(trace, 0.0) / start_trace
+        weights /= max(weights.sum(), 1.0)
+        counts = rng.multinomial(shots, np.append(weights, max(1.0 - weights.sum(), 0.0)))
+        drawn = np.flatnonzero(counts[:-1])
+        counts = counts[drawn]
+        accepted = int(counts.sum())
         if step_i is None:
-            result.final[name], result.final_stderr[name] = mean, stderr
-        else:
-            result.probes.setdefault(step_i, {})[name] = mean
-            result.probe_stderr.setdefault(step_i, {})[name] = stderr
+            result.accepted = accepted
+        if not accepted:
+            continue
+        for name, column, sign in columns:
+            values = (np.zeros(len(drawn)) if column is None
+                      else sign * column[drawn] / trace[drawn])
+            mean = float(counts @ values) / accepted
+            stderr = math.sqrt(max(float(counts @ values**2) / accepted - mean**2, 0.0)
+                               / accepted)
+            if step_i is None:
+                result.final[name], result.final_stderr[name] = mean, stderr
+            else:
+                result.probes.setdefault(step_i, {})[name] = mean
+                result.probe_stderr.setdefault(step_i, {})[name] = stderr
     return result
 
 

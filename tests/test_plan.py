@@ -8,8 +8,8 @@ ensemble methods instead, so agreement to 1e-12 checks the lowering: the
 support evolution, the gather positions, the pinned records, the pruning
 and the branch merging.
 
-The exact runner's plan is also pruned to the columns that can be nonzero;
-the pruning tests run the pruned and the unpruned plan of one circuit side
+The plan is also pruned to the columns that can be nonzero; the
+pruning tests run the pruned and the unpruned plan of one circuit side
 by side and require the same numbers from both.
 """
 
@@ -225,8 +225,8 @@ def test_sampler_matches_plan_within_three_sigma(seed, theta):
 
 
 def test_sampled_and_exact_decays_each_reuse_their_plan():
-    # The exact runner asks for the pruned plan, the sampler for the unpruned
-    # one; both come from the one cache and are lowered once.
+    # Both runners execute the one cached plan of the circuit: it is lowered
+    # once for the first run and found in the cache by the other three.
     for theta in (0.0, 0.01):
         noise = NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3, theta=theta)
         exact = qed.DecayExperimentSpec("physical", "ZI", noise=noise)
@@ -236,7 +236,7 @@ def test_sampled_and_exact_decays_each_reuse_their_plan():
             qed.decay_experiment(exact)
             qed.decay_experiment(sampled)
         info = simulator._cached_plan.cache_info()
-        assert (info.misses, info.hits) == (2, 2)
+        assert (info.misses, info.hits) == (1, 3)
 
 
 def test_one_plan_serves_many_noise_points():
@@ -453,8 +453,8 @@ def test_no_two_z_rotations_on_a_qubit_without_a_blocker_between():
 #
 # run_circuit computes only the columns a witness run at a generic noise point
 # finds nonzero where they are next read.  Side by side with the unpruned plan
-# (which the sampler walks), every kept column must come out the same and
-# every dropped one must read 0.0, at noise points with channels off too.  A
+# (the first lowering), every kept column must come out the same and every
+# dropped one must read 0.0, at noise points with channels off too.  A
 # dropped column is zero as a polynomial; the unpruned run may still leave
 # rounding residue in it where branches cancel, at most about one ulp of the
 # largest coefficient, and the kept columns then differ by as little.
@@ -467,18 +467,19 @@ def plan_pair(circuit, initial, theta, keep=(), probes=None):
     keep = simulator._normalize_keep(keep, circuit)
     probes = simulator._normalize_probes(probes, circuit)
     groups, _ = simulator._branch_groups(initial.tags)
+    full, _ = simulator._lower(circuit, initial.support, groups, keep, dict(probes), theta != 0)
     args = (circuit, initial.support.tobytes(), groups, keep, probes, theta != 0)
-    return simulator._cached_plan(*args, False), simulator._cached_plan(*args, True)
+    return full, simulator._cached_plan(*args)
 
 
-def blocks(plan, initial, tables, result):
+def blocks(plan, initial, tables, reads):
     """The coefficient block just before each measurement or rotation of
-    ``plan``, then the final block."""
+    ``plan``, then the final block; the probe ops append to ``reads``."""
     coeffs = initial.coeffs.copy()
     for op in plan.ops:
         if isinstance(op, (simulator._MeasureOp, simulator._RotateOp)):
             yield coeffs
-        coeffs = op.run(coeffs, tables, result)
+        coeffs = op.run(coeffs, tables, reads)
     yield coeffs
 
 
@@ -491,19 +492,19 @@ def assert_pruned_plan_agrees(circuit, initial, noise, keep=(), probes=None):
         full, circuit.num_qubits, initial.num_branches, initial.support.size
     )
     tables = simulator._NoiseTables(noise, circuit.num_qubits)
-    results = [simulator.RunResult(initial, 0.0) for _ in range(2)]
-    walks = [blocks(plan, initial, tables, r) for plan, r in zip((full, pruned), results)]
+    reads = [[], []]
+    walks = [blocks(plan, initial, tables, r) for plan, r in zip((full, pruned), reads)]
     for live, coeffs, kept in zip(masks, *walks, strict=True):
         atol = RESIDUE * np.abs(coeffs).max(initial=0.0)
         np.testing.assert_allclose(kept, coeffs[:, live], rtol=0, atol=atol)
         assert np.abs(coeffs[:, ~live]).max(initial=0.0) <= atol
     assert np.array_equal(full.support[live], pruned.support)
-    assert results[0].probes.keys() == results[1].probes.keys()
-    for step_i, values in results[0].probes.items():
-        np.testing.assert_allclose(list(results[1].probes[step_i].values()),
+    (full_probes, full_acc), (pruned_probes, pruned_acc) = map(simulator._summed_probes, reads)
+    assert full_probes.keys() == pruned_probes.keys()
+    for step_i, values in full_probes.items():
+        np.testing.assert_allclose(list(pruned_probes[step_i].values()),
                                    list(values.values()), rtol=0, atol=TOL)
-        assert results[1].probe_acceptance[step_i] == pytest.approx(
-            results[0].probe_acceptance[step_i], abs=TOL)
+        assert pruned_acc[step_i] == pytest.approx(full_acc[step_i], abs=TOL)
     # The public runner: the final ensemble, zero-padded to the unpruned
     # support, and the acceptance.
     eager = run_circuit(circuit, noise, initial, keep_slots=keep, probes=probes)

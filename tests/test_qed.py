@@ -495,6 +495,17 @@ def test_spec_rejects_bad_shot_counts(shots):
     assert DecayExperimentSpec("physical", "XX", shots=np.int64(3)).shots == 3
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3", True])
+def test_spec_and_sampler_reject_bad_seeds(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        DecayExperimentSpec("physical", "XX", shots=10, seed=seed)
+    circuit = Circuit.from_text("step\nM1 X q0 -> s0\n")
+    init = TrajectoryEnsemble.from_product_state(["0"])
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        simulator.sample_circuit(circuit, NoiseParams(), init, 10, seed=seed)
+    assert DecayExperimentSpec("physical", "XX", shots=10, seed=np.int64(0)).seed == 0
+
+
 def test_decay_circuit_cache_is_keyed_on_structure_only():
     noisy = NoiseParams(p_a=0.02, p1=0.003, p2=0.001)
     base = DecayExperimentSpec("logical", "XX")

@@ -4,6 +4,7 @@ the functional pipeline ``apply_step`` -> ``prune_detected``)."""
 
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -513,92 +514,12 @@ def test_sampling_averages_a_repeated_final_observable_once():
     assert result.final == {"Z": 1.0}
 
 
-def _reference_sample_circuit(
-    circuit, noise, initial, shots, seed, *, probes=None, final_observables=(), batch_size=4096
-):
-    """The sampler loop before rejected shots left the batch, kept as the
-    reference: every shot stays a row to the end of its batch, both record
-    blocks are formed, and an ``alive`` mask selects the accepted shots."""
-    probes = simulator._normalize_probes(probes, circuit)
-    n = circuit.num_qubits
-    plan = simulator._cached_plan(
-        circuit, initial.support.tobytes(), (0,), (), probes, noise.theta != 0, False
-    )
-    finals = [PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables]
-    final_probe = simulator._probe_op(None, plan.support, finals, n)
-    tables = simulator._NoiseTables(noise, n)
-    dets_by_slot = simulator._detectors_by_slot(circuit)
-    slot_column = {slot: i for i, slot in enumerate(circuit.slots)}
-    rng = np.random.default_rng(seed)
-    stats: dict = {}
-
-    def accumulate(probe, coeffs, alive):
-        tr = coeffs[:, probe.pos0]
-        for name, pos, sign in probe.entries:
-            vals = np.zeros(len(coeffs)) if pos < 0 else sign * coeffs[:, pos] / tr
-            stat = stats.setdefault((probe.step, name), [0.0, 0.0, 0])
-            stat[0] += float(vals[alive].sum())
-            stat[1] += float((vals[alive] ** 2).sum())
-            stat[2] += int(alive.sum())
-
-    accepted = 0
-    done = 0
-    while done < shots:
-        b = min(batch_size, shots - done)
-        done += b
-        coeffs = np.repeat(initial.coeffs, b, axis=0)
-        recs = np.zeros((b, len(slot_column)), dtype=np.int8)
-        alive = np.ones(b, dtype=bool)
-        for op in plan.ops:
-            if isinstance(op, simulator._MeasureOp):
-                base, cross = simulator._terms(coeffs, op.low, *tables.meas[op.arity])
-                plus, minus = base + cross, base - cross
-                t_plus = plus[:, 0]
-                total = t_plus + minus[:, 0]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    p_plus = np.where(total > 0, t_plus / np.where(total > 0, total, 1.0), 0.5)
-                svec = np.where(rng.random(b) < p_plus, 1, -1).astype(np.int8)
-                coeffs = np.where((svec == 1)[:, None], plus, minus)
-                tr = coeffs[:, 0]
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    coeffs = coeffs / np.where(np.abs(tr) > 0, tr, 1.0)[:, None]
-                recs[:, slot_column[op.slot]] = svec
-                for det in dets_by_slot.get(op.slot, ()):
-                    if det.last_slot != op.slot:
-                        continue
-                    par = np.ones(b, dtype=np.int64)
-                    for s in det.slots:
-                        par *= recs[:, slot_column[s]]
-                    alive &= par == det.parity
-            elif isinstance(op, simulator._ProbeOp):
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    accumulate(op, coeffs, alive)
-            elif not isinstance(op, simulator._MergeOp):
-                coeffs = op.run(coeffs, tables, None)
-        accepted += int(alive.sum())
-        with np.errstate(invalid="ignore", divide="ignore"):
-            accumulate(final_probe, coeffs, alive)
-
-    result = simulator.SampleResult(shots=shots, accepted=accepted)
-    for (step_i, name), (val_sum, sq_sum, m) in stats.items():
-        if m == 0:
-            continue
-        mean = val_sum / m
-        stderr = math.sqrt(max(sq_sum / m - mean**2, 0.0) / m)
-        if step_i is None:
-            result.final[name], result.final_stderr[name] = mean, stderr
-        else:
-            result.probes.setdefault(step_i, {})[name] = mean
-            result.probe_stderr.setdefault(step_i, {})[name] = stderr
-    return result
-
-
 def _decay_sampling_inputs(level, observable, noise):
     spec = qed.DecayExperimentSpec(level, observable, noise=noise)
     derived = qed._decay_circuit(spec)
     logicals = qed.repcode_observables(level)
     probes = {step: [logicals[observable]] for step in derived.round_end_steps}
-    return derived.circuit, qed._initial_state(spec), probes, list(logicals.values())
+    return derived.circuit, qed._initial_state(spec), probes
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.01])
@@ -606,34 +527,72 @@ def _decay_sampling_inputs(level, observable, noise):
     "level, observable",
     [("physical", "XX"), ("physical", "ZI"), ("logical", "XX"), ("logical", "ZI")],
 )
-def test_sampler_matches_reference_loop(level, observable, theta):
-    # (noise, shots, batch_size, seed): one batch; batches of 20 with a
-    # partial last one; and noise at which each batch of one shot is often
-    # rejected whole (every shot, on the logical circuits).
-    low = NoiseParams(p_a=0.004, p1=5e-4, p2=8e-4, theta=theta)
-    high = NoiseParams(p_a=0.05, p1=0.01, p2=0.02, theta=theta)
-    for noise, shots, batch_size, seed in ((low, 64, 4096, 3), (low, 45, 20, 5), (high, 12, 1, 8)):
-        circuit, initial, probes, finals = _decay_sampling_inputs(level, observable, noise)
-        kwargs = dict(probes=probes, final_observables=finals, batch_size=batch_size)
-        got = sample_circuit(circuit, noise, initial, shots, seed, **kwargs)
-        want = _reference_sample_circuit(circuit, noise, initial, shots, seed, **kwargs)
-        assert want.accepted < shots
-        assert got.accepted == want.accepted
-        assert got.probes == want.probes and got.probe_stderr == want.probe_stderr
-        assert got.final == want.final and got.final_stderr == want.final_stderr
-        assert got == want
+def test_sampled_decay_probes_match_exact(level, observable, theta):
+    # At theta = 0 the branches at the end of a round agree on the probed
+    # logical, so any draw averages to the exact value; under theta they
+    # differ and the draw spreads.
+    noise = NoiseParams(p_a=0.004, p1=5e-4, p2=8e-4, theta=theta)
+    circuit, initial, probes = _decay_sampling_inputs(level, observable, noise)
+    exact = run_circuit(circuit, noise, initial, probes=probes)
+    sampled = sample_circuit(circuit, noise, initial, 300, seed=5, probes=probes)
+    assert sampled.probes.keys() == exact.probes.keys()
+    for step_i, values in exact.probes.items():
+        for name, want in values.items():
+            got, stderr = sampled.probes[step_i][name], sampled.probe_stderr[step_i][name]
+            assert abs(got - want) <= (1e-6 if theta == 0.0 else 3.0 * stderr + 1e-9)
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"shots": 0}, {"shots": -5}, {"shots": 10, "batch_size": 0}, {"shots": 10, "batch_size": -3}],
-)
+def test_sampled_probe_inside_a_detector_window_draws_per_branch():
+    # At step 0 the detector on s0 and s1 is in flight, so the two records of
+    # s0 stay two branches, and their X values have opposite signs.
+    circuit = Circuit.from_text("step\nM1 X q0 -> s0\nstep\nM1 X q0 -> s1\nDET s0 s1 = +1\n")
+    noise = NoiseParams(p_a=0.05, p1=0.02)
+    init = TrajectoryEnsemble.from_product_state([(0.6, 0.0, 0.8)])
+    probes = {0: ["X"]}
+    exact = run_circuit(circuit, noise, init, probes=probes)
+    assert exact.peak_branches == 2
+    sampled = sample_circuit(circuit, noise, init, 2000, seed=7, probes=probes)
+    stderr = sampled.probe_stderr[0]["X"]
+    assert stderr > 0.0
+    assert abs(sampled.probes[0]["X"] - exact.probes[0]["X"]) <= 3.0 * stderr
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.05])
+@pytest.mark.parametrize("noisy", [False, True])
+def test_sampling_accepts_every_shot_when_the_trace_is_kept(noisy, theta):
+    # The circuit of the CLI's simulator-trace-conservation check: no
+    # detector, so the branch traces sum to the initial trace up to rounding,
+    # and rounding must neither reject a shot nor make the draw raise.
+    circuit = Circuit.from_text(
+        "step\nM1 X q0 -> s0\nstep\nM2 ZZ q1 q2 -> s1\nstep\nM1 Z q2 -> s2\n"
+    )
+    noise = NoiseParams(p_a=0.02, p1=0.01, p2=0.03, theta=theta) if noisy else (
+        NoiseParams(theta=theta))
+    init = TrajectoryEnsemble.from_product_state(["0", "+", "1"])
+    probes = {step: ["ZZZ", "XII"] for step in range(3)}
+    result = sample_circuit(circuit, noise, init, 1000, seed=2, probes=probes,
+                            final_observables=["ZZZ"])
+    assert result.accepted == result.shots
+    assert result.probes.keys() == set(range(3)) and result.final.keys() == {"ZZZ"}
+
+
+def test_sampling_with_zero_acceptance_reports_no_expectations():
+    circuit = Circuit.from_text("step\nM1 Z q0 -> s0\nDET s0 = -1\n")
+    init = TrajectoryEnsemble.from_product_state(["0"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = sample_circuit(circuit, NoiseParams(), init, 100, seed=1,
+                                probes={0: ["Z"]}, final_observables=["Z"])
+    assert result.accepted == 0
+    assert result.probes == result.probe_stderr == result.final == result.final_stderr == {}
+
+
+@pytest.mark.parametrize("kwargs", [{"shots": 0}, {"shots": -5}])
 def test_sampling_rejects_bad_sizes(kwargs):
     circuit = Circuit(1, (Step((Meas1(0, "X", 0),)),))
     init = TrajectoryEnsemble.from_product_state(["0"])
-    shots = kwargs.pop("shots")
     with pytest.raises(ValueError, match="positive integer"):
-        sample_circuit(circuit, NOISE, init, shots, seed=1, **kwargs)
+        sample_circuit(circuit, NOISE, init, kwargs["shots"], seed=1)
 
 
 def test_sampling_rejects_probe_steps_out_of_range():
