@@ -24,11 +24,16 @@ The correction rule is data: each letter is switched on by the product of
 at most three outcomes.  The noisy runs therefore ask the simulator to track
 only those record parities (at most two per class) instead of every record.
 A class map is tomographed in one batched run: the four input states are
-initial branches of one ensemble, each correction letter is applied once to
-all the branches it corrects, and each input's branches are summed after
-the auxiliary is traced out.  Everything that does not depend on the noise
-(circuits, the batched input, corrections, ideal unitaries and their
-transfer matrices) is computed once.
+initial branches of one ensemble, each branch gets its Pauli frame
+correction, the auxiliary is traced out and each input's branches are
+summed.  The run's final support and the records of its branches depend on
+the class and on whether theta is zero, not on the noise numbers, so that
+post-processing is compiled once per class and plan kind into a readout (a
+sign per branch and column, the columns that survive the trace, the rows of
+each input), built from the first run; every later noise point runs the
+plan and applies the readout.  Everything else that does not depend on the
+noise (circuits, the batched input, ideal unitaries and their transfer
+matrices) is computed once as well.
 """
 
 from __future__ import annotations
@@ -42,15 +47,21 @@ import numpy as np
 
 from .channels import NoiseParams
 from .pauli import (
+    LETTERS,
     PauliString,
     Superoperator,
     average_gate_fidelity,
-    embed_letters,
     pauli_matrix,
     projector,
     unitary_superop,
 )
-from .simulator import CircuitBuilder, Circuit, TrajectoryEnsemble, run_circuit
+from .simulator import (
+    CircuitBuilder,
+    Circuit,
+    TrajectoryEnsemble,
+    _digit_column,
+    run_circuit,
+)
 
 CLIFFORD_CLASSES = ("identity", "H", "S", "HSH", "SH", "HS")
 
@@ -325,6 +336,72 @@ def _tomography_input() -> "tuple[np.ndarray, np.ndarray]":
     return support, coeffs
 
 
+@dataclass(frozen=True)
+class _Readout:
+    """What :func:`simulate_class` does with the final coefficient block of
+    its run, as data: the Pauli frame corrections, the trace over the
+    auxiliary and the sum over each input's branches.
+
+    ``columns`` are the final support columns without an auxiliary
+    component, ordered by their computational Pauli index ``targets``.  The
+    rows of tomography input ``i`` are ``rows[starts[i]:starts[i + 1]]``
+    (ascending), and ``signs[k]`` is the correction of row ``rows[k]`` on
+    ``columns``: -1 where it anticommutes.  All arrays are read-only.
+    """
+
+    columns: np.ndarray
+    targets: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+    signs: np.ndarray
+
+    def outputs(self, coeffs: np.ndarray) -> np.ndarray:
+        """The corrected, record-summed one-qubit Pauli vector of each
+        tomography input (one row each).  Every coefficient goes through the
+        floating-point operations of correcting, tracing and summing the
+        ensemble, in the same order, so the result is the same to the bit."""
+        kept = coeffs[self.rows][:, self.columns]
+        kept *= self.signs
+        out = np.zeros((len(_TOMO_INPUTS), 4))
+        out[:, self.targets] = np.add.reduceat(kept, self.starts, axis=0)
+        return out
+
+
+def _build_readout(name: str, ens: TrajectoryEnsemble) -> _Readout:
+    """The readout of a final ensemble of :func:`simulate_class`'s run."""
+    parities = _parities(name, class_circuit(name).slots)
+    aux = _digit_column(ens.support, 2, AUX)
+    comp = _digit_column(ens.support, 2, COMP)
+    columns = np.flatnonzero(aux == 0)
+    columns = columns[np.argsort(comp[columns])]
+    targets = comp[columns]
+    by_input = [[row for row, tag in enumerate(ens.tags) if ("in", label) in tag]
+                for label in _TOMO_INPUTS]
+    if not all(by_input):
+        raise ValueError(f"the {name} run lost every branch of a tomography input")
+    rows = [row for group in by_input for row in group]
+    records = ens.records
+    signs = []
+    for row in rows:
+        frame = _correction(name, tuple(records[row][p] for p in parities))
+        signs.append([1.0 if frame.commutes(PauliString(LETTERS[t])) else -1.0
+                      for t in targets])
+    readout = _Readout(
+        columns,
+        targets,
+        np.array(rows),
+        np.cumsum([0] + [len(group) for group in by_input[:-1]]),
+        np.array(signs),
+    )
+    for array in vars(readout).values():
+        array.flags.writeable = False
+    return readout
+
+
+# (class, theta != 0) -> its readout; see simulate_class.
+_READOUTS: dict = {}
+
+
 def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperator:
     """Exact transfer matrix of the noisy, outcome-corrected class map.
 
@@ -332,38 +409,35 @@ def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperat
     informationally complete computational states |0>, |1>, |+>, |+i>, each
     an initial branch tagged ``("in", label)`` of one ensemble.  The run
     keeps only the record parities the correction rule reads (at most two,
-    so at most four branches per input).  Each Pauli frame correction is
-    applied once to every branch it corrects; then the auxiliary is traced
-    out, each input's branches are summed, and the one-qubit transfer
-    matrix is assembled from the four outputs.  No post-selection: every
-    record is summed over, so the result is trace preserving up to
-    numerical error.
+    so at most four branches per input).  Each branch gets its Pauli frame
+    correction, the auxiliary is traced out, each input's branches are
+    summed, and the one-qubit transfer matrix is assembled from the four
+    outputs.  No post-selection: every record is summed over, so the result
+    is trace preserving up to numerical error.
+
+    The run's plan, and with it the final support and the records of every
+    branch, depends on the class and on whether theta is zero, not on the
+    noise numbers.  So does everything after the run: it is compiled into a
+    :class:`_Readout` from the first run of each (class, theta != 0), and
+    every later call only runs the plan and applies the readout.
     """
     circuit = class_circuit(name)
     parities = _parities(name, circuit.slots)
     support, coeffs = _tomography_input()
     init = TrajectoryEnsemble(2, support, coeffs, [{("in", label): 1} for label in _TOMO_INPUTS])
     ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
-    corrected: dict = {}  # correction letter -> the rows it corrects
-    for row, records in enumerate(ens.records):
-        letters = _correction(name, tuple(records[p] for p in parities)).letters
-        if letters != "I":
-            corrected.setdefault(letters, []).append(row)
-    for letters, rows in corrected.items():
-        ens.apply_pauli(embed_letters(2, letters, (COMP,)), rows=rows)
-    reduced = ens.trace_out([AUX])
-    outputs = {}
-    for label in _TOMO_INPUTS:
-        rows = [row for row, tag in enumerate(reduced.tags) if ("in", label) in tag]
-        outputs[label] = np.zeros(4)
-        outputs[label][reduced.support] = reduced.coeffs[rows].sum(axis=0)
+    key = (name, noise.theta != 0)
+    readout = _READOUTS.get(key)
+    if readout is None:
+        readout = _READOUTS[key] = _build_readout(name, ens)
+    outputs = readout.outputs(ens.coeffs)
 
-    v_id = outputs["0"] + outputs["1"]
+    v_id = outputs[0] + outputs[1]
     columns = [
         v_id,
-        2.0 * outputs["+"] - v_id,
-        2.0 * outputs["+i"] - v_id,
-        outputs["0"] - outputs["1"],
+        2.0 * outputs[2] - v_id,
+        2.0 * outputs[3] - v_id,
+        outputs[0] - outputs[1],
     ]
     return Superoperator(0.5 * np.column_stack(columns))
 

@@ -177,6 +177,7 @@ class Circuit:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         # Eager runs look their cached plan up by circuit, so hash it once.
         object.__setattr__(self, "_hash", hash((self.num_qubits, self.steps, self.detectors)))
+        slots: list[int] = []
         seen_slots: set[int] = set()
         for step in self.steps:
             if not isinstance(step, Step):
@@ -195,10 +196,13 @@ class Circuit:
                     if op.slot in seen_slots:
                         raise ValueError(f"slot s{op.slot} recorded twice")
                     seen_slots.add(op.slot)
+                    slots.append(op.slot)
         for det in self.detectors:
             for s in det.slots:
                 if s not in seen_slots:
                     raise ValueError(f"detector references unrecorded slot s{s}")
+        # Every run reads the slots, so they too are computed once.
+        object.__setattr__(self, "_slots", tuple(slots))
 
     def __hash__(self) -> int:
         return self._hash
@@ -210,17 +214,16 @@ class Circuit:
     @property
     def slots(self) -> tuple:
         """Slots in recording order."""
-        out = []
-        for step in self.steps:
-            for op in step.ops:
-                if isinstance(op, (Meas1, Meas2)):
-                    out.append(op.slot)
-        return tuple(out)
+        return self._slots
 
     # -- text form ---------------------------------------------------------
 
     def to_text(self) -> str:
-        lines: list[str] = []
+        """The text form.  It states the register size on a ``qubits N``
+        line only when the operations leave it open: when no operation
+        touches the highest qubit."""
+        top = max((q for step in self.steps for op in step.ops for q in op.qubits), default=-1)
+        lines: list[str] = [] if top + 1 == self.num_qubits else [f"qubits {self.num_qubits}"]
         for step in self.steps:
             lines.append("step")
             for op in step.ops:
@@ -246,6 +249,7 @@ class Circuit:
         ops: list = []
         in_circuit = False
         max_q = -1
+        num_qubits = None
 
         def close_step():
             if in_circuit:
@@ -258,7 +262,11 @@ class Circuit:
                 continue
             parts = line.split()
             head = parts[0]
-            if head == "step":
+            if head == "qubits":
+                if len(parts) != 2 or not parts[1].isdigit() or num_qubits is not None:
+                    raise ValueError(f"malformed or repeated qubits line: {raw!r}")
+                num_qubits = int(parts[1])
+            elif head == "step":
                 close_step()
                 in_circuit = True
             elif head == "M1":
@@ -291,9 +299,11 @@ class Circuit:
             else:
                 raise ValueError(f"unrecognized line: {raw!r}")
         close_step()
-        if max_q < 0:
-            raise ValueError("circuit has no operations")
-        return cls(max_q + 1, tuple(steps), tuple(detectors))
+        if num_qubits is None:
+            if max_q < 0:
+                raise ValueError("circuit has no operations and no qubits line")
+            num_qubits = max_q + 1
+        return cls(num_qubits, tuple(steps), tuple(detectors))
 
 
 def _parse_ref(token: str, prefix: str) -> int:
@@ -1035,12 +1045,26 @@ class _ProbeOp:
 
 
 class _NoiseTables:
-    """What one noise point feeds into the executor."""
+    """What one noise point feeds into the executor: the measurement tables
+    per arity, the idle factors (None without idle noise) and theta / 2.
+    The arrays are read-only, so runs can share one instance (see
+    :func:`_noise_tables`)."""
 
     def __init__(self, noise: NoiseParams, num_qubits: int):
         self.meas = {arity: _meas_tables(arity, noise) for arity in (1, 2)}
         self.idle = _idle_table(noise.p1, num_qubits) if noise.p1 != 0.0 else None
         self.half_theta = noise.theta / 2.0
+        for table in [*self.meas[1], *self.meas[2], self.idle]:
+            if table is not None:
+                table.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=16)
+def _noise_tables(noise: NoiseParams, num_qubits: int) -> _NoiseTables:
+    """The tables of a noise point, built once for all the runs at that
+    point: the four decay circuits of an improvement point, the six class
+    maps of a braiding grid point."""
+    return _NoiseTables(noise, num_qubits)
 
 
 @dataclass(frozen=True)
@@ -1305,7 +1329,7 @@ def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
     plan = _cached_plan(
         circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0
     )
-    tables = _NoiseTables(noise, circuit.num_qubits)
+    tables = _noise_tables(noise, circuit.num_qubits)
     coeffs = initial.coeffs.copy()
     reads: list = []
     for op in plan.ops:
@@ -1345,7 +1369,9 @@ def run_circuit(
     records of detector-determined measurements are forced, and branches that
     agree on all future-relevant information are merged.  The run follows a
     plan lowered from the circuit; the plan does not depend on the noise
-    numbers and is cached, so repeated runs do only the numeric pass.
+    numbers and is cached, so repeated runs do only the numeric pass.  The
+    noise tables that pass reads are cached too, per noise point and
+    register size, so runs of several circuits at one point build them once.
 
     The plan computes only the Pauli columns that can be nonzero.  It is a
     second lowering that leaves out every column a witness run of the first

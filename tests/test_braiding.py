@@ -273,6 +273,36 @@ def per_input_simulate_class(name, noise):
     )
 
 
+def per_row_simulate_class(name, noise):
+    """The batched run read out row by row: one tag scan per row for its
+    correction, one ``apply_pauli`` per correction, ``trace_out``, and one
+    tag scan per input for its rows."""
+    circuit = class_circuit(name)
+    parities = braiding._parities(name, circuit.slots)
+    support, coeffs = braiding._tomography_input()
+    init = TrajectoryEnsemble(2, support, coeffs,
+                              [{("in", label): 1} for label in braiding._TOMO_INPUTS])
+    ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
+    corrected = {}
+    for row, records in enumerate(ens.records):
+        letters = braiding._correction(name, tuple(records[p] for p in parities)).letters
+        if letters != "I":
+            corrected.setdefault(letters, []).append(row)
+    for letters, rows in corrected.items():
+        ens.apply_pauli(embed_letters(2, letters, (COMP,)), rows=rows)
+    reduced = ens.trace_out([AUX])
+    outputs = {}
+    for label in braiding._TOMO_INPUTS:
+        rows = [row for row, tag in enumerate(reduced.tags) if ("in", label) in tag]
+        outputs[label] = np.zeros(4)
+        outputs[label][reduced.support] = reduced.coeffs[rows].sum(axis=0)
+    v_id = outputs["0"] + outputs["1"]
+    return 0.5 * np.column_stack(
+        [v_id, 2.0 * outputs["+"] - v_id, 2.0 * outputs["+i"] - v_id,
+         outputs["0"] - outputs["1"]]
+    )
+
+
 def per_branch_simulate_class(name, noise):
     circuit = class_circuit(name)
     slots = circuit.slots
@@ -356,6 +386,53 @@ def test_batched_run_matches_per_input_runs_exactly(name):
     for noise in braid_noise_points():
         assert np.array_equal(simulate_class(name, noise).matrix,
                               per_input_simulate_class(name, noise))
+
+
+@pytest.mark.parametrize("name", CLIFFORD_CLASSES)
+def test_readout_matches_per_row_readout_exactly(name):
+    # braid_noise_points alternates theta = 0 and theta != 0 plans.
+    for noise in braid_noise_points():
+        assert np.array_equal(simulate_class(name, noise).matrix,
+                              per_row_simulate_class(name, noise))
+
+
+def test_readout_is_built_once_per_class_and_plan_kind(monkeypatch):
+    built = []
+
+    def counting_build(name, ens):
+        built.append(name)
+        return build(name, ens)
+
+    build = braiding._build_readout
+    monkeypatch.setattr(braiding, "_READOUTS", {})
+    monkeypatch.setattr(braiding, "_build_readout", counting_build)
+    for noise in braid_noise_points() * 2:
+        for name in CLIFFORD_CLASSES:
+            simulate_class(name, noise)
+    assert sorted(built) == sorted(CLIFFORD_CLASSES * 2)
+    assert set(braiding._READOUTS) == {
+        (name, rotating) for name in CLIFFORD_CLASSES for rotating in (False, True)
+    }
+
+
+def test_readout_refuses_writes():
+    simulate_class("SH", NoiseParams(p1=0.01))
+    readout = braiding._READOUTS[("SH", False)]
+    for array in (readout.columns, readout.targets, readout.rows, readout.starts,
+                  readout.signs):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    with pytest.raises(AttributeError):
+        readout.signs = -readout.signs
+
+
+@pytest.mark.parametrize("name", CLIFFORD_CLASSES)
+def test_mutating_a_returned_map_leaves_the_next_identical(name):
+    for noise in braid_noise_points()[:2]:
+        want = per_row_simulate_class(name, noise)
+        first = simulate_class(name, noise)
+        first.matrix[:] = 7.0
+        assert np.array_equal(simulate_class(name, noise).matrix, want)
 
 
 def test_mutating_results_does_not_leak_into_later_runs(monkeypatch):

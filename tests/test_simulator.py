@@ -415,18 +415,23 @@ def test_text_round_trip():
         for prep_letter in (None, "X", "Y", "Z"):
             circuits.append(build(3, prep_letter=prep_letter).circuit)
     for name in braiding.CLIFFORD_CLASSES:
-        if name != "identity":  # no steps, see below
-            circuits.append(braiding.class_circuit(name))
+        circuits.append(braiding.class_circuit(name))
         for reset_order in ("XZ", "ZX"):
             circuits += braiding.gateset_experiment_suite(name, reset_order=reset_order)
+    # Registers whose highest qubit no operation touches.
+    builder = CircuitBuilder(3)
+    builder.meas1(0, "X")
+    builder.end_step()
+    circuits += [builder.build(), Circuit(2, (Step(()),))]
     for circuit in circuits:
         assert Circuit.from_text(circuit.to_text()) == circuit
-    # The text form reads the register size off the highest qubit touched,
-    # so the identity class's empty circuit has none.
+    # The register size is written only when the operations leave it open,
+    # so every other circuit's text (and its pinned digest) is unchanged.
     empty = braiding.class_circuit("identity")
-    assert empty.steps == () and empty.to_text() == "\n"
+    assert empty.steps == () and empty.to_text() == "qubits 2\n"
+    assert not braiding.class_circuit("H").to_text().startswith("qubits")
     with pytest.raises(ValueError, match="no operations"):
-        Circuit.from_text(empty.to_text())
+        Circuit.from_text("# nothing\n")
 
 
 def test_text_parsing_details():
@@ -460,6 +465,9 @@ def test_text_parsing_details():
         "step\nM1 X q0 -> s0\nDET s1 = +1",
         "step\nM1 X q0 -> s0\nDET s0 = prev",
         "step\nM1 X q0 -> s0\nIDLE q0",
+        "qubits 1\nstep\nM2 XX q0 q1 -> s0",
+        "qubits 2\nqubits 2\nstep\nM1 X q0 -> s0",
+        "qubits two",
         "bogus line",
     ],
 )
@@ -673,3 +681,31 @@ def test_equal_circuits_hash_equal_and_share_a_plan():
     run_circuit(other, noise, init)
     info = simulator._cached_plan.cache_info()
     assert (info.misses, info.hits) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Noise tables
+# ---------------------------------------------------------------------------
+
+
+def test_cold_and_warm_noise_tables_give_identical_runs():
+    rng = np.random.default_rng(71)
+    circuit = random_circuit(rng, 3, 5, with_detectors=True)
+    init = TrajectoryEnsemble.from_density_matrix(pauli_vec_to_dense(random_density_vec(rng, 3)))
+    for noise in (NOISE, NoiseParams(p_a=0.02, p2=0.05)):
+        simulator._noise_tables.cache_clear()
+        cold = run_circuit(circuit, noise, init, keep_slots="all", probes={2: ["XIZ"]})
+        assert simulator._noise_tables.cache_info().misses == 1
+        warm = run_circuit(circuit, noise, init, keep_slots="all", probes={2: ["XIZ"]})
+        assert simulator._noise_tables.cache_info().hits == 1
+        assert np.array_equal(cold.ensemble.coeffs, warm.ensemble.coeffs)
+        assert cold.probes == warm.probes and cold.acceptance == warm.acceptance
+
+
+def test_cached_noise_tables_refuse_writes():
+    tables = simulator._noise_tables(NOISE, 3)
+    assert simulator._noise_tables(NoiseParams(**vars(NOISE)), 3) is tables
+    for array in [*tables.meas[1], *tables.meas[2], tables.idle]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 2.0
+    assert simulator._noise_tables(NoiseParams(p_a=0.1), 3).idle is None
