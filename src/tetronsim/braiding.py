@@ -55,13 +55,7 @@ from .pauli import (
     projector,
     unitary_superop,
 )
-from .simulator import (
-    CircuitBuilder,
-    Circuit,
-    TrajectoryEnsemble,
-    _digit_column,
-    run_circuit,
-)
+from .simulator import CircuitBuilder, Circuit, TrajectoryEnsemble, run_circuit
 
 CLIFFORD_CLASSES = ("identity", "H", "S", "HSH", "SH", "HS")
 
@@ -370,15 +364,9 @@ class _Readout:
 def _build_readout(name: str, ens: TrajectoryEnsemble) -> _Readout:
     """The readout of a final ensemble of :func:`simulate_class`'s run."""
     parities = _parities(name, class_circuit(name).slots)
-    aux = _digit_column(ens.support, 2, AUX)
-    comp = _digit_column(ens.support, 2, COMP)
-    columns = np.flatnonzero(aux == 0)
-    columns = columns[np.argsort(comp[columns])]
-    targets = comp[columns]
+    columns, targets = ens.trace_columns([AUX])
     by_input = [[row for row, tag in enumerate(ens.tags) if ("in", label) in tag]
                 for label in _TOMO_INPUTS]
-    if not all(by_input):
-        raise ValueError(f"the {name} run lost every branch of a tomography input")
     rows = [row for group in by_input for row in group]
     records = ens.records
     signs = []

@@ -177,7 +177,6 @@ class Circuit:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         # Eager runs look their cached plan up by circuit, so hash it once.
         object.__setattr__(self, "_hash", hash((self.num_qubits, self.steps, self.detectors)))
-        slots: list[int] = []
         seen_slots: set[int] = set()
         for step in self.steps:
             if not isinstance(step, Step):
@@ -196,13 +195,10 @@ class Circuit:
                     if op.slot in seen_slots:
                         raise ValueError(f"slot s{op.slot} recorded twice")
                     seen_slots.add(op.slot)
-                    slots.append(op.slot)
         for det in self.detectors:
             for s in det.slots:
                 if s not in seen_slots:
                     raise ValueError(f"detector references unrecorded slot s{s}")
-        # Every run reads the slots, so they too are computed once.
-        object.__setattr__(self, "_slots", tuple(slots))
 
     def __hash__(self) -> int:
         return self._hash
@@ -214,7 +210,12 @@ class Circuit:
     @property
     def slots(self) -> tuple:
         """Slots in recording order."""
-        return self._slots
+        out = []
+        for step in self.steps:
+            for op in step.ops:
+                if isinstance(op, (Meas1, Meas2)):
+                    out.append(op.slot)
+        return tuple(out)
 
     # -- text form ---------------------------------------------------------
 
@@ -811,24 +812,33 @@ class TrajectoryEnsemble:
             for key in keys:
                 tag.pop(key, None)
 
-    def trace_out(self, qubits: Iterable[int]) -> "TrajectoryEnsemble":
-        """Partial trace over the listed qubits."""
+    def trace_columns(self, qubits: Iterable[int]) -> "tuple[np.ndarray, np.ndarray]":
+        """The support columns a partial trace over the listed qubits keeps
+        (those with no component on them), in the order of their Pauli
+        indices on the remaining qubits, and those indices."""
         drop = sorted(set(qubits))
         n = self.num_qubits
         keep_qubits = [q for q in range(n) if q not in drop]
         mask = np.ones(self.support.shape, dtype=bool)
         for q in drop:
             mask &= _digit_column(self.support, n, q) == 0
-        sel = self.support[mask]
+        columns = np.flatnonzero(mask)
+        sel = self.support[columns]
         new_idx = np.zeros(sel.shape, dtype=np.int64)
         m = len(keep_qubits)
         for j, q in enumerate(keep_qubits):
             new_idx |= _digit_column(sel, n, q) << (2 * (m - 1 - j))
         order = np.argsort(new_idx)
+        return columns[order], new_idx[order]
+
+    def trace_out(self, qubits: Iterable[int]) -> "TrajectoryEnsemble":
+        """Partial trace over the listed qubits."""
+        drop = set(qubits)
+        columns, support = self.trace_columns(drop)
         return TrajectoryEnsemble(
-            m,
-            new_idx[order],
-            np.ascontiguousarray(self.coeffs[:, mask][:, order]),
+            self.num_qubits - len(drop),
+            support,
+            np.ascontiguousarray(self.coeffs[:, columns]),
             [dict(t) for t in self.tags],
         )
 
@@ -1045,26 +1055,12 @@ class _ProbeOp:
 
 
 class _NoiseTables:
-    """What one noise point feeds into the executor: the measurement tables
-    per arity, the idle factors (None without idle noise) and theta / 2.
-    The arrays are read-only, so runs can share one instance (see
-    :func:`_noise_tables`)."""
+    """What one noise point feeds into the executor."""
 
     def __init__(self, noise: NoiseParams, num_qubits: int):
         self.meas = {arity: _meas_tables(arity, noise) for arity in (1, 2)}
         self.idle = _idle_table(noise.p1, num_qubits) if noise.p1 != 0.0 else None
         self.half_theta = noise.theta / 2.0
-        for table in [*self.meas[1], *self.meas[2], self.idle]:
-            if table is not None:
-                table.flags.writeable = False
-
-
-@functools.lru_cache(maxsize=16)
-def _noise_tables(noise: NoiseParams, num_qubits: int) -> _NoiseTables:
-    """The tables of a noise point, built once for all the runs at that
-    point: the four decay circuits of an improvement point, the six class
-    maps of a braiding grid point."""
-    return _NoiseTables(noise, num_qubits)
 
 
 @dataclass(frozen=True)
@@ -1329,7 +1325,7 @@ def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
     plan = _cached_plan(
         circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0
     )
-    tables = _noise_tables(noise, circuit.num_qubits)
+    tables = _NoiseTables(noise, circuit.num_qubits)
     coeffs = initial.coeffs.copy()
     reads: list = []
     for op in plan.ops:
@@ -1369,9 +1365,7 @@ def run_circuit(
     records of detector-determined measurements are forced, and branches that
     agree on all future-relevant information are merged.  The run follows a
     plan lowered from the circuit; the plan does not depend on the noise
-    numbers and is cached, so repeated runs do only the numeric pass.  The
-    noise tables that pass reads are cached too, per noise point and
-    register size, so runs of several circuits at one point build them once.
+    numbers and is cached, so repeated runs do only the numeric pass.
 
     The plan computes only the Pauli columns that can be nonzero.  It is a
     second lowering that leaves out every column a witness run of the first

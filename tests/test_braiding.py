@@ -273,36 +273,6 @@ def per_input_simulate_class(name, noise):
     )
 
 
-def per_row_simulate_class(name, noise):
-    """The batched run read out row by row: one tag scan per row for its
-    correction, one ``apply_pauli`` per correction, ``trace_out``, and one
-    tag scan per input for its rows."""
-    circuit = class_circuit(name)
-    parities = braiding._parities(name, circuit.slots)
-    support, coeffs = braiding._tomography_input()
-    init = TrajectoryEnsemble(2, support, coeffs,
-                              [{("in", label): 1} for label in braiding._TOMO_INPUTS])
-    ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
-    corrected = {}
-    for row, records in enumerate(ens.records):
-        letters = braiding._correction(name, tuple(records[p] for p in parities)).letters
-        if letters != "I":
-            corrected.setdefault(letters, []).append(row)
-    for letters, rows in corrected.items():
-        ens.apply_pauli(embed_letters(2, letters, (COMP,)), rows=rows)
-    reduced = ens.trace_out([AUX])
-    outputs = {}
-    for label in braiding._TOMO_INPUTS:
-        rows = [row for row, tag in enumerate(reduced.tags) if ("in", label) in tag]
-        outputs[label] = np.zeros(4)
-        outputs[label][reduced.support] = reduced.coeffs[rows].sum(axis=0)
-    v_id = outputs["0"] + outputs["1"]
-    return 0.5 * np.column_stack(
-        [v_id, 2.0 * outputs["+"] - v_id, 2.0 * outputs["+i"] - v_id,
-         outputs["0"] - outputs["1"]]
-    )
-
-
 def per_branch_simulate_class(name, noise):
     circuit = class_circuit(name)
     slots = circuit.slots
@@ -388,14 +358,6 @@ def test_batched_run_matches_per_input_runs_exactly(name):
                               per_input_simulate_class(name, noise))
 
 
-@pytest.mark.parametrize("name", CLIFFORD_CLASSES)
-def test_readout_matches_per_row_readout_exactly(name):
-    # braid_noise_points alternates theta = 0 and theta != 0 plans.
-    for noise in braid_noise_points():
-        assert np.array_equal(simulate_class(name, noise).matrix,
-                              per_row_simulate_class(name, noise))
-
-
 def test_readout_is_built_once_per_class_and_plan_kind(monkeypatch):
     built = []
 
@@ -426,41 +388,36 @@ def test_readout_refuses_writes():
         readout.signs = -readout.signs
 
 
-@pytest.mark.parametrize("name", CLIFFORD_CLASSES)
-def test_mutating_a_returned_map_leaves_the_next_identical(name):
-    for noise in braid_noise_points()[:2]:
-        want = per_row_simulate_class(name, noise)
-        first = simulate_class(name, noise)
-        first.matrix[:] = 7.0
-        assert np.array_equal(simulate_class(name, noise).matrix, want)
-
-
 def test_mutating_results_does_not_leak_into_later_runs(monkeypatch):
-    noise = NoiseParams(p_a=0.03, p1=0.04, p2=0.05, theta=0.07)
-    want = per_input_simulate_class("HS", noise)
-    seen = []
+    # Every class, on both plan kinds, so every cached readout is covered.
+    for name in CLIFFORD_CLASSES:
+        for theta in (0.0, 0.07):
+            noise = NoiseParams(p_a=0.03, p1=0.04, p2=0.05, theta=theta)
+            want = per_input_simulate_class(name, noise)
+            seen = []
 
-    def capturing_run(circuit, noise, initial, **kwargs):
-        result = run_circuit(circuit, noise, initial, **kwargs)
-        seen.append((circuit, initial, result.ensemble))
-        return result
+            def capturing_run(circuit, noise, initial, **kwargs):
+                result = run_circuit(circuit, noise, initial, **kwargs)
+                seen.append((circuit, initial, result.ensemble))
+                return result
 
-    with monkeypatch.context() as patch:
-        patch.setattr(braiding, "run_circuit", capturing_run)
-        first = simulate_class("HS", noise)
-    circuit, initial, ens = seen.pop()
-    first.matrix[:] = 0.0
-    ens.coeffs[:] = 7.0
-    for tag in ens.tags + initial.tags:
-        tag.clear()
-    with pytest.raises(ValueError, match="read-only"):
-        initial.coeffs[0, 0] = 2.0
-    with pytest.raises(ValueError, match="read-only"):
-        initial.support[0] = 1
-    ideal_unitary("HS")[:] = 0.0
-    assert np.array_equal(simulate_class("HS", noise).matrix, want)
+            with monkeypatch.context() as patch:
+                patch.setattr(braiding, "run_circuit", capturing_run)
+                first = simulate_class(name, noise)
+            circuit, initial, ens = seen.pop()
+            first.matrix[:] = 0.0
+            ens.coeffs[:] = 7.0
+            for tag in ens.tags + initial.tags:
+                tag.clear()
+            with pytest.raises(ValueError, match="read-only"):
+                initial.coeffs[0, 0] = 2.0
+            with pytest.raises(ValueError, match="read-only"):
+                initial.support[0] = 1
+            ideal_unitary(name)[:] = 0.0
+            assert np.array_equal(simulate_class(name, noise).matrix, want)
+            assert class_circuit(name) is circuit
     assert np.array_equal(ideal_unitary("HS"), ideal_unitary("H") @ ideal_unitary("S"))
-    assert class_circuit("HS") is circuit
+    assert np.array_equal(ideal_unitary("identity"), np.eye(2))
 
 
 def test_simulation_is_deterministic():

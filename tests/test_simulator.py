@@ -682,30 +682,3 @@ def test_equal_circuits_hash_equal_and_share_a_plan():
     info = simulator._cached_plan.cache_info()
     assert (info.misses, info.hits) == (2, 1)
 
-
-# ---------------------------------------------------------------------------
-# Noise tables
-# ---------------------------------------------------------------------------
-
-
-def test_cold_and_warm_noise_tables_give_identical_runs():
-    rng = np.random.default_rng(71)
-    circuit = random_circuit(rng, 3, 5, with_detectors=True)
-    init = TrajectoryEnsemble.from_density_matrix(pauli_vec_to_dense(random_density_vec(rng, 3)))
-    for noise in (NOISE, NoiseParams(p_a=0.02, p2=0.05)):
-        simulator._noise_tables.cache_clear()
-        cold = run_circuit(circuit, noise, init, keep_slots="all", probes={2: ["XIZ"]})
-        assert simulator._noise_tables.cache_info().misses == 1
-        warm = run_circuit(circuit, noise, init, keep_slots="all", probes={2: ["XIZ"]})
-        assert simulator._noise_tables.cache_info().hits == 1
-        assert np.array_equal(cold.ensemble.coeffs, warm.ensemble.coeffs)
-        assert cold.probes == warm.probes and cold.acceptance == warm.acceptance
-
-
-def test_cached_noise_tables_refuse_writes():
-    tables = simulator._noise_tables(NOISE, 3)
-    assert simulator._noise_tables(NoiseParams(**vars(NOISE)), 3) is tables
-    for array in [*tables.meas[1], *tables.meas[2], tables.idle]:
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 2.0
-    assert simulator._noise_tables(NoiseParams(p_a=0.1), 3).idle is None
