@@ -681,4 +681,3 @@ def test_equal_circuits_hash_equal_and_share_a_plan():
     run_circuit(other, noise, init)
     info = simulator._cached_plan.cache_info()
     assert (info.misses, info.hits) == (2, 1)
-
