@@ -43,7 +43,7 @@ from .pauli import PauliString, Superoperator
 from .simulator import (
     Circuit,
     CircuitBuilder,
-    Detector,
+    Parity,
     RunResult,
     TrajectoryEnsemble,
     acceptance_rate,
@@ -59,8 +59,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Circuit",
     "CircuitBuilder",
-    "Detector",
     "NoiseParams",
+    "Parity",
     "PauliString",
     "RunResult",
     "Superoperator",

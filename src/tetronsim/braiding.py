@@ -20,9 +20,9 @@ product of ideal projectors equals, up to a branch-dependent constant,
 The constant is generally complex; its phase cancels in rho -> M rho M+,
 leaving a nonnegative density-level scalar |c|^2, which the report carries.
 
-The correction rule is data: each letter is switched on by the product of
-at most three outcomes.  The noisy runs therefore ask the simulator to track
-only those record parities (at most two per class) instead of every record.
+The correction rule is data: each letter is switched on by a signed product
+of at most three outcomes, a :class:`~tetronsim.simulator.Parity` equal to
++1.  The noisy runs keep only those parities (at most two per class).
 A class map is tomographed in one batched run: the four input states are
 initial branches of one ensemble, each branch gets its Pauli frame
 correction, the auxiliary is traced out and each input's branches are
@@ -55,7 +55,7 @@ from .pauli import (
     projector,
     unitary_superop,
 )
-from .simulator import CircuitBuilder, Circuit, TrajectoryEnsemble, run_circuit
+from .simulator import CircuitBuilder, Circuit, Parity, TrajectoryEnsemble, run_circuit
 
 CLIFFORD_CLASSES = ("identity", "H", "S", "HSH", "SH", "HS")
 
@@ -106,8 +106,6 @@ _SEQUENCES = {
 # sign (the empty product is +1, so ("X", (), 1) always applies).  The
 # correction operator is the left-to-right product of the applied letters,
 # and the achieved computational-qubit action is correction . class-unitary.
-# A run therefore needs only these parities of the records, never the
-# records themselves.
 _EXPONENTS = {
     "identity": (),
     "H": (("Y", (0, 1, 2), 1), ("X", (), 1)),
@@ -133,18 +131,20 @@ def _signless_product(letters) -> PauliString:
     return result
 
 
-def _parities(name: str, slots) -> tuple:
-    """The nonempty record products the correction rule of ``name`` reads,
-    as tuples of ``slots`` (the slots of the sequence's measurements)."""
-    return tuple(tuple(slots[i] for i in pos) for _, pos, _ in _EXPONENTS[name] if pos)
+@functools.lru_cache(maxsize=None)
+def _parities(name: str, slots: tuple) -> tuple:
+    """The parities of ``slots`` (the sequence's measurements) that switch on
+    the letters of the correction rule of ``name`` reading an outcome."""
+    return tuple(Parity([slots[i] for i in pos], sign) for _, pos, sign in _EXPONENTS[name] if pos)
 
 
 @functools.lru_cache(maxsize=None)
-def _correction(name: str, signs: tuple) -> PauliString:
+def _correction(name: str, values: tuple) -> PauliString:
     """The correction of a branch whose :func:`_parities` of ``name`` came
-    out as ``signs``, in order."""
-    values = dict(zip((pos for _, pos, _ in _EXPONENTS[name] if pos), signs))
-    return _signless_product(_applied_letters(name, lambda pos: values[pos] if pos else 1))
+    out as ``values``, in order; a letter reading no outcome needs sign +1."""
+    values = iter(values)
+    return _signless_product([letter for letter, pos, sign in _EXPONENTS[name]
+                              if (next(values) if pos else sign) == 1])
 
 
 @dataclass(frozen=True)
@@ -530,7 +530,7 @@ def gateset_experiment_suite(name: str, *, reset_order: str = "XZ") -> list:
                     _measurement_steps(builder, sequence_for(name).measurements)
                 builder.meas1(COMP, meas_basis)
                 builder.end_step()
-                builder.detector((prep_slot,), 1)
+                builder.detector(Parity((prep_slot,)))
                 circuits.append(builder.build())
     return circuits
 

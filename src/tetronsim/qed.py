@@ -38,6 +38,7 @@ from .pauli import PauliString, embed_letters
 from .simulator import (
     Circuit,
     CircuitBuilder,
+    Parity,
     Rotate,
     Step,
     TrajectoryEnsemble,
@@ -152,9 +153,10 @@ def surgery_schedule(layout: LadderLayout) -> list:
 class DerivedCircuit:
     """A schedule compiled to a circuit plus everything the tableau derived:
     post-selection detectors are embedded in the circuit; ``zz_readouts``
-    maps round -> (sign, slots) for the inferred joint-ZZ value (available
-    from round 2 on); ``round_end_steps`` maps round -> index of its last
-    step."""
+    holds a (round, :class:`~tetronsim.simulator.Parity`) pair per round
+    from round 2 on, the parity's value being the inferred joint-ZZ outcome,
+    so it can be kept by ``run_circuit`` directly; ``round_end_steps`` maps
+    round -> index of its last step."""
 
     circuit: Circuit
     round_end_steps: tuple
@@ -194,14 +196,14 @@ def _derive(
                 slot = builder.meas2(qubits[0], qubits[1], letters)
             out = tab.measure(embed_letters(num_qubits, letters, qubits), slot)
             if out.detector is not None:
-                builder.detector(out.detector.slots, out.detector.parity)
+                builder.detector(out.detector)
         builder.end_step()
 
-    def inferred(pauli: PauliString) -> tuple:
+    def inferred(pauli: PauliString) -> Parity:
         expr = tab.express(pauli)
         if expr is None:  # pragma: no cover - the schedules guarantee it
             raise AssertionError(f"{pauli} not inferable; schedule is wrong")
-        return expr[0], tuple(sorted(expr[1]))
+        return expr
 
     if prep_letter is None:
         tab = TaggedTableau(num_qubits)
@@ -216,12 +218,11 @@ def _derive(
         measure(step)
         rnd, pos = divmod(i, round_length)
         if joint_zz is not None and pos == 0 and rnd > 0:
-            zz_readouts.append((rnd + 1, *inferred(joint_zz)))
+            zz_readouts.append((rnd + 1, inferred(joint_zz)))
         if pos == round_length - 1:
             round_ends.append(first + i)
     if post_select is not None:
-        sign, slots = inferred(post_select)
-        builder.detector(slots, sign)
+        builder.detector(inferred(post_select))
     return DerivedCircuit(builder.build(), tuple(round_ends), tuple(zz_readouts))
 
 
@@ -244,10 +245,10 @@ def idle_ladder_circuit(rounds: int, *, prep_letter: "str | None" = None) -> Der
 def logical_zz_circuit(rounds: int, *, prep_letter: "str | None" = None) -> DerivedCircuit:
     """Joint-ZZ (lattice surgery) cycle on the 4 x 2 two-patch array.
 
-    The returned ``zz_readouts`` hold, for every round from 2 on, the sign
-    and record slots whose product is the inferred joint-ZZ outcome: the two
-    seam YY records of the previous round times the two middle rung records
-    of the current round's first step.
+    The returned ``zz_readouts`` hold, for every round from 2 on, the
+    :class:`~tetronsim.simulator.Parity` whose value is the inferred
+    joint-ZZ outcome: the two seam YY records of the previous round times
+    the two middle rung records of the current round's first step.
     """
     if rounds < 1:
         raise ValueError("need at least one round")

@@ -4,9 +4,10 @@ simulator.
 A circuit is a sequence of steps; each step holds measurements and rotations
 acting on disjoint qubits, and every qubit not touched by an operation idles
 for that step (accruing the idle channel).  Measurements record a sign into a
-numbered slot.  A detector declares that the product of the records in a set
-of distinct slots equals +1 or -1; runs in which a detector fires are
-discarded (post-selection), which is how error detection enters.
+numbered slot.  A :class:`Parity` is ``sign`` times the product of the records
+of distinct slots; a detector is a parity whose value must be +1, and runs in
+which a detector fires are discarded (post-selection), which is how error
+detection enters.  A run can keep parities too, and read their values.
 
 The simulator is exact: it propagates the conditional (subnormalized) density
 matrix of every surviving record branch.  Three representation choices keep
@@ -21,8 +22,8 @@ this tractable:
   support array next to a (branches x support) coefficient block.
 * Branches are merged whenever their future-relevant record information
   agrees.  The eager runner gives every branch a key, one bit per parity of
-  a detector still in flight and per tracked parity (a caller-requested
-  record or product of records), instead of its full record history, which
+  a detector still in flight and per kept entry (a caller-requested record
+  or :class:`Parity`), instead of its full record history, which
   keeps the branch count bounded by the detector window of the circuit
   rather than growing with circuit depth.  Keys are rows of an integer table
   with a column per bit, so their width has no limit.  Keys, supports and
@@ -148,22 +149,24 @@ class Step:
         object.__setattr__(self, "ops", tuple(self.ops))
 
 
-@dataclass(frozen=True)
-class Detector:
-    """Constraint: the product of the records in ``slots``, distinct slots,
-    equals ``parity`` (+1 or -1)."""
+@dataclass(frozen=True, order=True)
+class Parity:
+    """A signed product of measurement records: its value is ``sign`` (+1 or
+    -1) times the records in ``slots``, distinct slots stored sorted.  With
+    no slots the value is the constant ``sign``."""
 
     slots: tuple
-    parity: int = 1
+    sign: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
-        if not self.slots:
-            raise ValueError("detector needs at least one slot")
-        if len(set(self.slots)) < len(self.slots):
-            raise ValueError(f"detector {self.slots} repeats a slot")
-        if self.parity not in (1, -1):
-            raise ValueError(f"detector parity must be +1 or -1, got {self.parity!r}")
+        slots = tuple(sorted(self.slots))
+        if not all(isinstance(s, (int, np.integer)) for s in slots):
+            raise TypeError(f"parity slots must be integers, got {slots!r}")
+        if len(set(slots)) < len(slots):
+            raise ValueError(f"parity {slots} repeats a slot")
+        if self.sign not in (1, -1):
+            raise ValueError(f"parity sign must be +1 or -1, got {self.sign!r}")
+        object.__setattr__(self, "slots", slots)
 
 
 @dataclass(frozen=True)
@@ -196,6 +199,8 @@ class Circuit:
                         raise ValueError(f"slot s{op.slot} recorded twice")
                     seen_slots.add(op.slot)
         for det in self.detectors:
+            if not det.slots:
+                raise ValueError("detector needs at least one slot")
             for s in det.slots:
                 if s not in seen_slots:
                     raise ValueError(f"detector references unrecorded slot s{s}")
@@ -240,13 +245,13 @@ class Circuit:
                     raise TypeError(f"unknown op {op!r}")
         for det in self.detectors:
             slots = " ".join(f"s{s}" for s in det.slots)
-            lines.append(f"DET {slots} = {det.parity:+d}")
+            lines.append(f"DET {slots} = {det.sign:+d}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "Circuit":
         steps: list[Step] = []
-        detectors: list[Detector] = []
+        detectors: list[Parity] = []
         ops: list = []
         in_circuit = False
         max_q = -1
@@ -293,10 +298,10 @@ class Circuit:
                 if len(parts) < 4 or parts[-2] != "=":
                     raise ValueError(f"malformed DET line: {raw!r}")
                 slots = tuple(_parse_ref(p, "s") for p in parts[1:-2])
-                parity = {"+1": 1, "1": 1, "-1": -1}.get(parts[-1])
-                if parity is None:
-                    raise ValueError(f"bad detector parity {parts[-1]!r}")
-                detectors.append(Detector(slots, parity))
+                sign = {"+1": 1, "1": 1, "-1": -1}.get(parts[-1])
+                if sign is None:
+                    raise ValueError(f"bad detector sign {parts[-1]!r}")
+                detectors.append(Parity(slots, sign))
             else:
                 raise ValueError(f"unrecognized line: {raw!r}")
         close_step()
@@ -320,7 +325,7 @@ class CircuitBuilder:
         self.num_qubits = num_qubits
         self._steps: list[Step] = []
         self._ops: list = []
-        self._detectors: list[Detector] = []
+        self._detectors: list[Parity] = []
         self._next_slot = 0
 
     def meas1(self, qubit: int, letter: str) -> int:
@@ -342,8 +347,8 @@ class CircuitBuilder:
         self._steps.append(Step(tuple(self._ops)))
         self._ops = []
 
-    def detector(self, slots: Iterable[int], parity: int = 1) -> None:
-        self._detectors.append(Detector(tuple(slots), parity))
+    def detector(self, parity: Parity) -> None:
+        self._detectors.append(parity)
 
     def build(self) -> Circuit:
         if self._ops:
@@ -577,7 +582,7 @@ class TrajectoryEnsemble:
     has one row per branch with v_P = tr(P rho_branch).  Each branch's rho is
     subnormalized: its trace is the probability of that branch's records.
     ``tags`` carries per-branch bookkeeping: recorded slots as ("s", slot)
-    keys, tracked parities as ("s", entry) keys (see :func:`run_circuit`),
+    keys, kept parities as ("s", parity) keys (see :func:`run_circuit`),
     and whatever tags the initial branches bring, such as ("in", label).
     """
 
@@ -639,10 +644,10 @@ class TrajectoryEnsemble:
 
     @property
     def branch_traces(self) -> np.ndarray:
-        pos = _positions(self.support, np.array([0]))[0]
-        if pos < 0:
+        # The support is sorted and non-negative: the identity can only lead it.
+        if not self.support.size or self.support[0] != 0:
             return np.zeros(self.num_branches)
-        return self.coeffs[:, pos].copy()
+        return self.coeffs[:, 0].copy()
 
     @property
     def total_trace(self) -> float:
@@ -780,11 +785,11 @@ class TrajectoryEnsemble:
     def merge(self) -> None:
         """Sum branches whose tags agree; canonical (sorted) branch order.
 
-        A kept entry is a slot or a tuple of slots; within a tag kind, slot
-        entries sort before tuple entries, so mixed tags stay comparable.
+        A kept entry is a slot or a :class:`Parity`; within a tag kind, slot
+        entries sort before parities, so mixed tags stay comparable.
         """
         keys = [
-            tuple(sorted(((kind, isinstance(entry, tuple), entry), value)
+            tuple(sorted(((kind, isinstance(entry, Parity), entry), value)
                          for (kind, entry), value in t.items()))
             for t in self.tags
         ]
@@ -851,27 +856,28 @@ class TrajectoryEnsemble:
 @dataclass(frozen=True)
 class _CompiledDetector:
     """A detector (ident: its index), or a tracked parity (ident: its tag
-    key, ``last_slot`` None): a product of records that never completes and
-    is read out at the end."""
+    key, ``last_slot`` None), which never completes and is read out at the
+    end."""
 
     ident: "int | tuple"
-    slots: frozenset
-    parity: int
+    parity: Parity
     last_slot: "int | None"
 
 
 def _detectors_by_slot(circuit: Circuit, tracked: Iterable = ()) -> dict:
-    """slot -> the detectors (products of distinct records equal to +1 or
-    -1) and ``tracked`` parities (kept entries, see :func:`_normalize_keep`)
-    that read it."""
+    """slot -> the detectors and ``tracked`` parities (kept entries, see
+    :func:`_normalize_keep`; a slot stands for its record) that read it."""
     seq = {slot: i for i, slot in enumerate(circuit.slots)}
     compiled = [
-        _CompiledDetector(i, frozenset(d.slots), d.parity, max(d.slots, key=seq.__getitem__))
+        _CompiledDetector(i, d, max(d.slots, key=seq.__getitem__))
         for i, d in enumerate(circuit.detectors)
-    ] + [_CompiledDetector(("s", e), frozenset(_entry_slots(e)), 1, None) for e in tracked]
+    ] + [
+        _CompiledDetector(("s", e), e if isinstance(e, Parity) else Parity((e,)), None)
+        for e in tracked
+    ]
     by_slot: dict[int, list[_CompiledDetector]] = {}
     for det in compiled:
-        for s in det.slots:
+        for s in det.parity.slots:
             by_slot.setdefault(s, []).append(det)
     return by_slot
 
@@ -906,37 +912,31 @@ def _normalize_probes(probes, circuit: Circuit) -> tuple:
     return tuple(out.items())
 
 
-def _entry_slots(entry) -> tuple:
-    """The slots whose record product a kept entry stands for."""
-    return entry if isinstance(entry, tuple) else (entry,)
-
-
 def _normalize_keep(keep_slots, circuit: Circuit) -> tuple:
     """The kept entries, hashable for the plan cache: each a recorded slot
-    or a tuple of distinct recorded slots (their record product), and one
-    entry per slot for ``"all"``."""
+    or a :class:`Parity` of recorded slots, and one entry per slot for
+    ``"all"``."""
     if isinstance(keep_slots, str):
         if keep_slots == "all":
             return circuit.slots
         raise ValueError(f"keep_slots must be 'all' or recorded slots, got {keep_slots!r}")
-    keep = list(keep_slots)
+    keep = tuple(keep_slots)
     recorded = set(circuit.slots) if keep else set()
     for entry in keep:
-        slots = _entry_slots(entry)
+        parity = isinstance(entry, Parity)
         problem = (
-            "is neither a slot nor a tuple of slots"
-            if not all(isinstance(s, (int, np.integer)) for s in slots)
-            else "is an empty product" if not slots
-            else "repeats a slot" if len(set(slots)) < len(slots)
-            else "reads a slot the circuit never records" if not set(slots) <= recorded
+            "is neither a slot nor a Parity"
+            if not (parity or isinstance(entry, (int, np.integer)))
+            else "is an empty product" if parity and not entry.slots
+            else "reads a slot the circuit never records"
+            if not recorded.issuperset(entry.slots if parity else (entry,))
             else None
         )
         if problem:
-            raise ValueError(f"keep_slots must be 'all' or recorded slots (or tuples "
-                             f"of distinct ones); entry {entry!r} {problem}")
+            raise ValueError(f"keep_slots must be 'all' or recorded slots (or parities "
+                             f"of them); entry {entry!r} {problem}")
     # Each entry is tracked once: a repeat would share, and XOR twice, its column.
-    keep = [tuple(map(int, e)) if isinstance(e, tuple) else int(e) for e in keep]
-    return tuple(dict.fromkeys(keep))
+    return tuple(dict.fromkeys(e if isinstance(e, Parity) else int(e) for e in keep))
 
 
 def _check_size(circuit: Circuit, initial: TrajectoryEnsemble) -> None:
@@ -1071,7 +1071,7 @@ class _Plan:
     support: np.ndarray  # final support, shared read-only by every run
     groups: tuple  # per final branch: its initial branch group
     kept: tuple  # tag keys ("s", entry) of the tracked parities
-    records: np.ndarray  # per final branch: the tracked parities, +1 or -1
+    records: np.ndarray  # per final branch: each tracked entry's value, +1 or -1
     peak: int
 
 
@@ -1209,16 +1209,16 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
                 neg = np.repeat([False, True], len(keys))
                 keys = np.concatenate([keys, keys])
             else:
-                # The first completing detector pins the record: its parity
-                # must come out equal to d0.parity.
+                # The first completing detector pins the record: its value
+                # must come out +1.
                 d0 = completing[0]
-                neg = (keys[:, det_col[d0.ident]] != 0) ^ (d0.parity == -1)
+                neg = (keys[:, det_col[d0.ident]] != 0) ^ (d0.parity.sign == -1)
             for d in here:
                 keys[:, det_col[d.ident]] ^= neg
             ok = np.ones(len(keys), dtype=bool)
             for d in completing:
                 col = det_col.pop(d.ident)
-                ok &= keys[:, col] == (d.parity == -1)
+                ok &= keys[:, col] == (d.parity.sign == -1)
                 keys[:, col] = 0
                 free.append(col)
             rows = signs = None
@@ -1251,7 +1251,8 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
 
     groups = tuple(int(g) for g in keys[:, 0])
     kept = tuple(("s", entry) for entry in keep)
-    records = np.where(keys[:, [det_col[key] for key in kept]] != 0, -1, 1).astype(np.int8)
+    signs = np.array([e.sign if isinstance(e, Parity) else 1 for e in keep], dtype=np.int8)
+    records = np.where(keys[:, [det_col[key] for key in kept]] != 0, -signs, signs)
     return _Plan(tuple(ops), support, groups, kept, records, max(peak, len(keys))), produced
 
 
@@ -1389,12 +1390,11 @@ def run_circuit(
 
     ``keep_slots`` lists what must remain distinguishable in the final
     ensemble, e.g. to drive outcome-dependent corrections afterwards.  An
-    entry is a slot, or a tuple of distinct slots that stands for the
-    product of their records; every slot must be one of ``circuit.slots``,
-    and ``"all"`` keeps every slot.  Each entry is tracked as a parity and
-    every final branch is tagged with its sign under ``("s", entry)``, so
-    ``ensemble.records[(0, 1, 2)]`` is +1 or -1; branches that agree on all
-    entries are merged.
+    entry is a slot, or a :class:`Parity` with at least one slot; every slot
+    must be one of ``circuit.slots``, and ``"all"`` keeps every slot.  Every
+    final branch is tagged with each entry's value (the record of a slot) under
+    ``("s", entry)``, so ``ensemble.records[Parity((0, 1, 2), -1)]`` is +1
+    or -1; branches that agree on all entries are merged.
     """
     keep = _normalize_keep(keep_slots, circuit)
     plan, coeffs, reads, group_tags = _execute(circuit, noise, initial, keep, probes)
@@ -1556,8 +1556,8 @@ def apply_step(
 
 
 def prune_detected(ensemble: TrajectoryEnsemble, detectors) -> TrajectoryEnsemble:
-    """Drop branches whose records violate any detector: a product of
-    distinct records that must equal +1 or -1, e.g. ``circuit.detectors``.
+    """Drop branches whose records violate any detector: a :class:`Parity`
+    whose value must be +1, e.g. one of ``circuit.detectors``.
     Surviving branches keep their traces unchanged.
     """
     out = ensemble.copy()
@@ -1569,7 +1569,7 @@ def prune_detected(ensemble: TrajectoryEnsemble, detectors) -> TrajectoryEnsembl
                 if ("s", s) not in tag:
                     raise ValueError(f"detector references unrecorded slot s{s}")
                 prod *= tag[("s", s)]
-            if prod != det.parity:
+            if prod != det.sign:
                 keep[b] = False
     out.prune(keep)
     return out

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pauli import PauliString
-from .simulator import Detector
+from .simulator import Parity
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -89,11 +89,11 @@ class MeasureOutcome:
     ``kind`` is "random" when the record is uniformly distributed (it either
     anticommuted with a generator or probed an untracked direction) and
     "deterministic" when earlier records force it; in the latter case
-    ``detector`` holds the implied parity check, with the new slot included.
+    ``detector`` holds the implied check, a :class:`Parity` with the new slot.
     """
 
     kind: str
-    detector: "Detector | None" = None
+    detector: "Parity | None" = None
 
 
 _PREP_LETTER = {"0": ("Z", 1), "1": ("Z", -1), "+": ("X", 1), "-": ("X", -1),
@@ -195,9 +195,7 @@ class TaggedTableau:
         acc = self._accumulate(subset)
         if (acc.x, acc.z) != (x, z) or (acc.k - k) % 2 != 0:
             raise AssertionError("generator algebra is inconsistent")
-        parity = 1 if (acc.k - k) % 4 == 0 else -1
-        slots = tuple(sorted(acc.tags ^ {slot}))
-        detector = Detector(slots, parity)
+        detector = Parity(acc.tags ^ {slot}, 1 if (acc.k - k) % 4 == 0 else -1)
         # Refresh: the same group element is now vouched for by the new
         # record alone, so swap it in for the stalest member of the
         # expansion.  Future repetitions of this measurement then compare
@@ -206,17 +204,17 @@ class TaggedTableau:
         self._gens[stalest] = fresh
         return MeasureOutcome("deterministic", detector)
 
-    def express(self, pauli: "PauliString | str"):
-        """Write a Pauli's forced value as (sign, slots): value = sign *
-        product of the records in ``slots``.  None if the value is not
-        determined by the tracked group."""
+    def express(self, pauli: "PauliString | str") -> "Parity | None":
+        """A Pauli's forced value as a :class:`~tetronsim.simulator.Parity`:
+        the value is the parity's sign times the product of the records in
+        its slots (none when the value is a constant).  None if the value is
+        not determined by the tracked group."""
         x, z, k = _pauli_to_xzk(self.num_qubits, pauli)
         subset = self._solve(x, z)
         if subset is None:
             return None
         acc = self._accumulate(subset)
-        sign = 1 if (acc.k - k) % 4 == 0 else -1
-        return sign, frozenset(acc.tags)
+        return Parity(acc.tags, 1 if (acc.k - k) % 4 == 0 else -1)
 
 
 def _solve_subset(gens, x: int, z: int):

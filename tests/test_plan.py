@@ -28,9 +28,9 @@ from tetronsim.channels import NoiseParams
 from tetronsim.simulator import (
     Circuit,
     CircuitBuilder,
-    Detector,
     Meas1,
     Meas2,
+    Parity,
     TrajectoryEnsemble,
     marginalize_outcomes,
     run_circuit,
@@ -81,15 +81,15 @@ def detector_circuit(rng, num_qubits: int = 3, max_steps: int = 5) -> Circuit:
         if previous is not None and rng.random() < 0.3:
             repeat = tuple(sorted(set(picked) ^ set(previous)))
             if repeat:
-                detectors.append(Detector(repeat, 1))
+                detectors.append(Parity(repeat, 1))
         else:
-            detectors.append(Detector(picked, int(rng.choice([1, -1]))))
+            detectors.append(Parity(picked, int(rng.choice([1, -1]))))
         previous = picked
     if rng.random() < 0.5:
         last = slots[-1]
         others = [s for s in slots if s != last]
         a, b = (int(s) for s in rng.choice(others, size=2, replace=False))
-        detectors += [Detector((a, last), 1), Detector((b, last), int(rng.choice([1, -1])))]
+        detectors += [Parity((a, last), 1), Parity((b, last), int(rng.choice([1, -1])))]
     return Circuit(num_qubits, builder.build().steps, tuple(detectors))
 
 
@@ -150,19 +150,24 @@ def test_plan_kept_records_match_functional(seed, theta):
     noise = random_noise(rng, theta)
     initial = random_initial(rng, circuit.num_qubits)
     slots = circuit.slots
-    # Slots and tuples of slots; the reference keeps every slot they read
-    # and groups its branches by the product over each tuple.
+    # Slots and parities with random signs; the reference keeps every slot
+    # they read and groups its branches by each parity's sign times the
+    # product of its records.  The signs come from a second generator, so
+    # the circuits, noise points and kept slots are those drawn without them.
+    signs = np.random.default_rng([seed, 1])
     keep = []
     for _ in range(int(rng.integers(1, len(slots)))):
         picked = tuple(int(s) for s in rng.choice(slots, size=int(rng.integers(1, 4)),
                                                   replace=False))
-        keep.append(picked[0] if len(picked) == 1 and rng.random() < 0.5 else picked)
-    read = {s for entry in keep for s in (entry if isinstance(entry, tuple) else (entry,))}
+        keep.append(picked[0] if len(picked) == 1 and rng.random() < 0.5
+                    else Parity(picked, int(signs.choice([1, -1]))))
+    read = {s for entry in keep for s in (entry.slots if isinstance(entry, Parity) else (entry,))}
     eager = run_circuit(circuit, noise, initial, keep_slots=keep)
     reference = functional_run(circuit, noise, initial, read)
     got = record_states(eager.ensemble, lambda r: tuple(r[entry] for entry in keep))
     want = record_states(reference, lambda r: tuple(
-        math.prod(r[s] for s in entry) if isinstance(entry, tuple) else r[entry]
+        entry.sign * math.prod(r[s] for s in entry.slots) if isinstance(entry, Parity)
+        else r[entry]
         for entry in keep
     ))
     assert set(got) <= set(want)
@@ -301,7 +306,7 @@ def test_multi_branch_initial_keeps_its_tags():
     noise = NoiseParams(p_a=0.1, p1=0.05)
     first = Circuit.from_text("step\nM1 X q0 -> s0\n")
     second = Circuit.from_text("step\nM1 Z q0 -> s1\nstep\nM1 Z q0 -> s2\nDET s1 s2 = +1\n")
-    joint = Circuit(1, first.steps + second.steps, (Detector((1, 2), 1),))
+    joint = Circuit(1, first.steps + second.steps, (Parity((1, 2), 1),))
     init = TrajectoryEnsemble.from_product_state(["+i"])
     mid = run_circuit(first, noise, init, keep_slots=[0]).ensemble
     assert mid.num_branches == 2
@@ -320,7 +325,7 @@ def test_keys_wider_than_a_machine_word():
     builder.meas1(0, "X")
     builder.end_step()
     for _ in range(69):
-        builder.detector([builder.meas1(1, "Z")], 1)
+        builder.detector(Parity([builder.meas1(1, "Z")]))
         builder.end_step()
     circuit = builder.build()
     init = TrajectoryEnsemble.from_product_state(["0", "0"])
@@ -483,28 +488,38 @@ def blocks(plan, initial, tables, reads):
     yield coeffs
 
 
-def assert_pruned_plan_agrees(circuit, initial, noise, keep=(), probes=None):
-    # The pruned plan may omit idle ops whose counts are all zero on its
+def assert_restricted_plan_agrees(full, restricted, masks, initial, noise):
+    """Walk the unpruned plan ``full`` and ``restricted``, a lowering of the
+    same run that keeps the columns ``masks`` mark (one mask per support, as
+    ``_witness_masks`` lists them), side by side: every kept column must come
+    out the same, every dropped one must read 0.0, and so must the probes.
+    Returns the final block of ``full``."""
+    # A restricted plan may omit idle ops whose counts are all zero on its
     # supports, so the plans are compared where their supports are read,
     # not op by op.
-    full, pruned = plan_pair(circuit, initial, noise.theta, keep, probes)
-    masks = simulator._witness_masks(
-        full, circuit.num_qubits, initial.num_branches, initial.support.size
-    )
-    tables = simulator._NoiseTables(noise, circuit.num_qubits)
+    tables = simulator._NoiseTables(noise, initial.num_qubits)
     reads = [[], []]
-    walks = [blocks(plan, initial, tables, r) for plan, r in zip((full, pruned), reads)]
+    walks = [blocks(plan, initial, tables, r) for plan, r in zip((full, restricted), reads)]
     for live, coeffs, kept in zip(masks, *walks, strict=True):
         atol = RESIDUE * np.abs(coeffs).max(initial=0.0)
         np.testing.assert_allclose(kept, coeffs[:, live], rtol=0, atol=atol)
         assert np.abs(coeffs[:, ~live]).max(initial=0.0) <= atol
-    assert np.array_equal(full.support[live], pruned.support)
+    assert np.array_equal(full.support[live], restricted.support)
     (full_probes, full_acc), (pruned_probes, pruned_acc) = map(simulator._summed_probes, reads)
     assert full_probes.keys() == pruned_probes.keys()
     for step_i, values in full_probes.items():
         np.testing.assert_allclose(list(pruned_probes[step_i].values()),
                                    list(values.values()), rtol=0, atol=TOL)
         assert pruned_acc[step_i] == pytest.approx(full_acc[step_i], abs=TOL)
+    return coeffs
+
+
+def assert_pruned_plan_agrees(circuit, initial, noise, keep=(), probes=None):
+    full, pruned = plan_pair(circuit, initial, noise.theta, keep, probes)
+    masks = simulator._witness_masks(
+        full, circuit.num_qubits, initial.num_branches, initial.support.size
+    )
+    coeffs = assert_restricted_plan_agrees(full, pruned, masks, initial, noise)
     # The public runner: the final ensemble, zero-padded to the unpruned
     # support, and the acceptance.
     eager = run_circuit(circuit, noise, initial, keep_slots=keep, probes=probes)
@@ -569,6 +584,42 @@ def test_pruned_plan_matches_unpruned_on_braid_class_circuits(theta):
         keep = braiding._parities(name, circuit.slots)
         for noise in pruning_noise_points(rng, theta):
             assert_pruned_plan_agrees(circuit, initial, noise, keep)
+
+
+def test_rotations_keeping_every_column_after_pruned_measurements():
+    # A mask wider than the witness's only computes more columns.  Here each
+    # measurement keeps the witness's columns and each rotation every column
+    # it reaches, so a deferred Z rotation reads columns that commute with
+    # it and that the measurement before it dropped: the restricted
+    # lowering must read them as absent (zero).  The witness masks never
+    # reach that case, because a column that commutes with a rotation
+    # passes through it unchanged, so they drop it on both sides or on
+    # neither.
+    rng = np.random.default_rng(19)
+    kinds = (simulator._MeasureOp, simulator._RotateOp)
+    for level in ("physical", "logical"):
+        spec = qed.DecayExperimentSpec(level, "XX")
+        derived = qed._decay_circuit(spec)
+        circuit, n = derived.circuit, derived.circuit.num_qubits
+        initial = qed._initial_state(spec)
+        observable = qed.repcode_observables(level)["XX"]
+        probes = {derived.round_end_steps[r - 1]: (observable,) for r in spec.rounds_grid}
+        groups, _ = simulator._branch_groups(initial.tags)
+        args = (circuit, initial.support, groups, (), probes, True)
+        full, produced = simulator._lower(*args)
+        masks = simulator._witness_masks(full, n, len(groups), initial.support.size)
+        ops = [op for op in full.ops if isinstance(op, kinds)]
+        wide = masks[:1] + [np.ones_like(mask) if isinstance(op, simulator._RotateOp) else mask
+                            for op, mask in zip(ops, masks[1:])]
+        plan, _ = simulator._lower(*args, (sup[m] for sup, m in zip(produced, wide[1:])))
+        reached = 0
+        for op, out in zip([op for op in plan.ops if isinstance(op, kinds)], produced):
+            if isinstance(op, simulator._RotateOp):  # it produces all of ``out``
+                commutes = simulator._phase_exponents(op.axis, out, n) & 1 == 0
+                reached += np.sum(commutes & (op.low.self_class == simulator._ROT_ABSENT_SELF))
+        assert reached > 0, level
+        for noise in pruning_noise_points(rng, True):
+            assert_restricted_plan_agrees(full, plan, wide, initial, noise)
 
 
 def plan_nbytes(plan) -> int:

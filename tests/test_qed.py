@@ -42,6 +42,7 @@ from tetronsim.qed import (
 from tetronsim.simulator import (
     Circuit,
     Meas2,
+    Parity,
     TrajectoryEnsemble,
     marginalize_outcomes,
     run_circuit,
@@ -112,7 +113,7 @@ def test_idle_one_round_shape():
 
 def test_idle_detectors_frozen():
     d = idle_ladder_circuit(3)
-    assert [(det.slots, det.parity) for det in d.circuit.detectors] == [
+    assert [(det.slots, det.sign) for det in d.circuit.detectors] == [
         ((0, 1, 4, 5), 1),
         ((2, 3, 6, 7), 1),
         ((4, 5, 8, 9), 1),
@@ -123,7 +124,7 @@ def test_idle_detectors_frozen():
 
 def test_idle_prep_detectors_frozen():
     d = idle_ladder_circuit(2, prep_letter="Z")
-    assert [(det.slots, det.parity) for det in d.circuit.detectors] == [
+    assert [(det.slots, det.sign) for det in d.circuit.detectors] == [
         ((0,), 1),
         ((1,), 1),
         ((2,), 1),
@@ -152,9 +153,7 @@ def test_yyyy_inferred_from_each_round():
             for letters, pair in step:
                 tab.measure(embed_letters(4, letters, pair), slot)
                 slot += 1
-        sign, slots = tab.express("YYYY")
-        assert sign == 1
-        assert slots == frozenset(range(4 * rnd, 4 * rnd + 4))
+        assert tab.express("YYYY") == Parity(range(4 * rnd, 4 * rnd + 4), 1)
 
 
 def test_patch_yyyy_inferred_after_steps_two_and_three():
@@ -166,13 +165,11 @@ def test_patch_yyyy_inferred_after_steps_two_and_three():
             tab.measure(embed_letters(8, letters, pair), slot)
             slot += 1
         if step_i == 2:
-            assert tab.express(embed_letters(8, "YYYY", (0, 1, 2, 3))) == (
-                1,
-                frozenset({4, 5, 8, 9}),
+            assert tab.express(embed_letters(8, "YYYY", (0, 1, 2, 3))) == Parity(
+                (4, 5, 8, 9), 1
             )
-            assert tab.express(embed_letters(8, "YYYY", (4, 5, 6, 7))) == (
-                1,
-                frozenset({6, 7, 10, 11}),
+            assert tab.express(embed_letters(8, "YYYY", (4, 5, 6, 7))) == Parity(
+                (6, 7, 10, 11), 1
             )
 
 
@@ -182,41 +179,45 @@ def test_surgery_zz_readout_frozen():
     # YY outcomes times the current round's two middle rung outcomes.
     d = logical_zz_circuit(3, prep_letter="X")
     assert d.zz_readouts == (
-        (2, 1, (20, 21, 23, 24)),
-        (3, 1, (34, 35, 37, 38)),
+        (2, Parity((20, 21, 23, 24), 1)),
+        (3, Parity((34, 35, 37, 38), 1)),
     )
     assert d.round_end_steps == (4, 8, 12)
     # without prep the same pattern shifts down by the eight prep slots
     d = logical_zz_circuit(3)
     assert d.zz_readouts == (
-        (2, 1, (12, 13, 15, 16)),
-        (3, 1, (26, 27, 29, 30)),
+        (2, Parity((12, 13, 15, 16), 1)),
+        (3, Parity((26, 27, 29, 30), 1)),
     )
 
 
 def test_zz_readout_constant_on_eigenstate():
     # |0...0> is a +1 eigenstate of the joint ZZ; noiselessly every branch's
-    # inferred readout must be +1 in every round.
+    # inferred readout must be +1 in every round, read from its records and
+    # as a kept parity.
     d = logical_zz_circuit(3, prep_letter="Z")
-    keep = sorted({s for _, _, slots in d.zz_readouts for s in slots})
+    readouts = [readout for _, readout in d.zz_readouts]
+    keep = sorted({s for readout in readouts for s in readout.slots})
     res = run_circuit(
         d.circuit,
         NOISELESS,
         TrajectoryEnsemble.from_product_state(["0"] * 8),
-        keep_slots=keep,
+        keep_slots=keep + readouts,
     )
     assert res.acceptance == 1.0
     for records in res.ensemble.records:
-        for _, sign, slots in d.zz_readouts:
-            value = sign * math.prod(records[s] for s in slots)
+        for readout in readouts:
+            value = readout.sign * math.prod(records[s] for s in readout.slots)
             assert value == 1
+            assert records[readout] == 1
 
 
 def test_zz_readout_matches_branch_states():
     # On a superposition input the readout is random but must agree with the
     # actual joint-ZZ expectation branch by branch.
     d = logical_zz_circuit(2, prep_letter="X")
-    rnd, sign, slots = d.zz_readouts[0]
+    rnd, readout = d.zz_readouts[0]
+    sign, slots = readout.sign, readout.slots
     assert rnd == 2
     # truncate right after the readout becomes available (round 2, step 1)
     steps = d.circuit.steps[: 4 + 2]  # prep + round 1 + first step of round 2
@@ -278,7 +279,9 @@ PREPARATION_DIGESTS = {
 
 
 def circuit_digest(circuit, round_ends=(), readouts=()) -> str:
-    blob = "\n".join([circuit.to_text(), repr(tuple(round_ends)), repr(tuple(readouts))])
+    # Each readout is written as (round, sign, slots).
+    readouts = tuple((rnd, readout.sign, readout.slots) for rnd, readout in readouts)
+    blob = "\n".join([circuit.to_text(), repr(tuple(round_ends)), repr(readouts)])
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -826,13 +829,13 @@ def test_marginalization_schedule_independence():
 
 
 def test_marginalize_mixes_slot_and_parity_entries():
-    # Kept slots and kept parities (tuples of slots) sort side by side in
-    # the reference merge instead of failing to compare.
+    # Kept slots and kept parities sort side by side in the reference merge
+    # instead of failing to compare.
     noise = NoiseParams(p_a=0.02, p1=0.01, p2=0.002)
     d = idle_ladder_circuit(2, prep_letter="X")
     init = TrajectoryEnsemble.from_product_state(["+"] * d.circuit.num_qubits)
-    ens = run_circuit(d.circuit, noise, init, keep_slots=[(0, 2), 1]).ensemble
-    assert {key for tag in ens.tags for key in tag} == {("s", (0, 2)), ("s", 1)}
+    ens = run_circuit(d.circuit, noise, init, keep_slots=[Parity((0, 2)), 1]).ensemble
+    assert {key for tag in ens.tags for key in tag} == {("s", Parity((0, 2))), ("s", 1)}
     for slots in ([5], [1]):
         merged = marginalize_outcomes(ens, slots)
         assert abs(merged.total_trace - ens.total_trace) < 1e-15

@@ -22,9 +22,9 @@ from tetronsim.pauli import PauliString, dense_to_pauli_vec, pauli_vec_to_dense
 from tetronsim.simulator import (
     Circuit,
     CircuitBuilder,
-    Detector,
     Meas1,
     Meas2,
+    Parity,
     Rotate,
     Step,
     TrajectoryEnsemble,
@@ -192,7 +192,7 @@ def random_circuit(rng, num_qubits, num_steps, with_detectors=False):
         builder.end_step()
     if with_detectors and len(slots) >= 2:
         pick = rng.choice(slots, size=2, replace=False)
-        builder.detector(sorted(int(s) for s in pick), 1)
+        builder.detector(Parity(int(s) for s in pick))
     return builder.build()
 
 
@@ -305,7 +305,7 @@ def test_detector_post_selection_probability():
     builder.end_step()
     s1 = builder.meas1(0, "Z")
     builder.end_step()
-    builder.detector([s0, s1], 1)
+    builder.detector(Parity([s0, s1]))
     circuit = builder.build()
     init = TrajectoryEnsemble.from_product_state(["0"])
     res = run_circuit(circuit, noise, init)
@@ -317,12 +317,18 @@ def test_unsatisfiable_detector_rejected():
     with pytest.raises(ValueError, match="repeats a slot"):
         builder = CircuitBuilder(1)
         s0 = builder.meas1(0, "Z")
-        builder.detector([s0, s0], -1)
+        builder.detector(Parity([s0, s0], -1))
         run_circuit(builder.build(), NOISE, TrajectoryEnsemble.from_product_state(["0"]))
-    # A detector's slots are distinct, whatever its parity.
+    # A detector's slots are distinct, whatever its sign.
     for slots, parity in (((0, 0), 1), ((0, 1, 0), -1)):
         with pytest.raises(ValueError, match="repeats a slot"):
-            Detector(slots, parity)
+            Parity(slots, parity)
+    with pytest.raises(ValueError, match="sign must be"):
+        Parity((0,), 0)
+    # An empty parity is a constant, which a detector cannot be.
+    step = Step((Meas1(0, "Z", 0),))
+    with pytest.raises(ValueError, match="detector needs at least one slot"):
+        Circuit(1, (step,), (Parity((), -1),))
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +388,8 @@ def test_prune_detected_errors():
     init = TrajectoryEnsemble.from_product_state(["0"])
     ens = apply_step(init, Step((Meas1(0, "Z", 0),)), NOISE)
     with pytest.raises(ValueError, match="unrecorded"):
-        prune_detected(ens, [Detector((5,), 1)])
-    kept = prune_detected(ens, [Detector((0,), 1)])
+        prune_detected(ens, [Parity((5,), 1)])
+    kept = prune_detected(ens, [Parity((0,), 1)])
     assert kept.num_branches == 1
     assert kept.tags[0][("s", 0)] == 1
 
@@ -448,7 +454,7 @@ def test_text_parsing_details():
     assert circuit.num_qubits == 3
     assert circuit.steps[0].ops[0] == Meas2(0, 1, "XX", 0)
     assert circuit.steps[0].ops[1] == Rotate(2, "Z", 0.125)
-    assert circuit.detectors == (Detector((0, 1), -1),)
+    assert circuit.detectors == (Parity((0, 1), -1),)
 
 
 @pytest.mark.parametrize(
@@ -492,7 +498,7 @@ def test_sampling_matches_exact_run():
     builder.end_step()
     s3 = builder.meas2(0, 1, "ZZ")
     builder.end_step()
-    builder.detector([s2, s3], 1)
+    builder.detector(Parity([s2, s3]))
     circuit = builder.build()
     init = TrajectoryEnsemble.from_product_state(["0", "0"])
     exact = run_circuit(circuit, noise, init)
@@ -630,18 +636,27 @@ def test_run_rejects_unknown_keep_slots():
     for bad in ("al", "s0", "", [7], [0, 7], ["0"]):
         with pytest.raises(ValueError, match="'all' or recorded slots"):
             run_circuit(circuit, NOISE, init, keep_slots=bad)
-    # A tuple is the product of its records: it must name distinct recorded
-    # slots ((1, 1) would be the empty product), and an entry is a slot or a
-    # tuple, nothing else.
+    # A Parity stands for the signed product of its records: it must name
+    # recorded slots, at least one, and distinct ones ((1, 1) would be the
+    # empty product).  An entry is a slot or a Parity, nothing else: not a
+    # tuple either.
     for bad, problem in (
-        ([()], r"entry \(\) is an empty product"),
-        ([(1, 1)], r"entry \(1, 1\) repeats a slot"),
-        ([0, (0, 7)], r"entry \(0, 7\) reads a slot the circuit never records"),
-        ([[0, 1]], r"entry \[0, 1\] is neither a slot nor a tuple"),
-        ([1.0], r"entry 1.0 is neither a slot nor a tuple"),
+        ([Parity(())], r"entry Parity\(slots=\(\), sign=1\) is an empty product"),
+        ([0, Parity((0, 7))], r"entry Parity\(slots=\(0, 7\), sign=1\) reads a slot "
+                              r"the circuit never records"),
+        ([()], r"entry \(\) is neither a slot nor a Parity"),
+        ([(1, 1)], r"entry \(1, 1\) is neither a slot nor a Parity"),
+        ([0, (0, 7)], r"entry \(0, 7\) is neither a slot nor a Parity"),
+        ([(0, 1)], r"entry \(0, 1\) is neither a slot nor a Parity"),
+        ([[0, 1]], r"entry \[0, 1\] is neither a slot nor a Parity"),
+        ([1.0], r"entry 1.0 is neither a slot nor a Parity"),
     ):
         with pytest.raises(ValueError, match=problem):
             run_circuit(circuit, NOISE, init, keep_slots=bad)
+    with pytest.raises(ValueError, match=r"parity \(1, 1\) repeats a slot"):
+        Parity((1, 1), -1)
+    with pytest.raises(TypeError, match="parity slots must be integers"):
+        Parity((1.0,))
     kept = run_circuit(circuit, NOISE, init, keep_slots=[1])
     assert all(1 in records for records in kept.ensemble.records)
 

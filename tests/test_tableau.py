@@ -9,7 +9,7 @@ from test_simulator import lazy_run
 
 from tetronsim.channels import NoiseParams
 from tetronsim.pauli import PauliString, embed_letters
-from tetronsim.simulator import CircuitBuilder, TrajectoryEnsemble, pauli_index
+from tetronsim.simulator import CircuitBuilder, Parity, TrajectoryEnsemble, pauli_index
 from tetronsim.tableau import TaggedGenerator, TaggedTableau
 
 NO_NOISE = NoiseParams()
@@ -112,15 +112,15 @@ def test_idle_ladder_detector_derivation():
         (4, 5, 8, 9),
         (6, 7, 10, 11),
     ]
-    assert all(d.parity == 1 for d in derived)
+    assert all(d.sign == 1 for d in derived)
     # The refresh keeps detector windows bounded: every steady-state check
     # compares one round against the previous one only.
     for det in derived[1:]:
         assert max(det.slots) - min(det.slots) == 5
     # Logical readout expressions after three rounds.
-    assert tab.express("ZZII") == (1, frozenset({10, 11}))
-    assert tab.express("IIZZ") == (1, frozenset())
-    assert tab.express("YYYY") == (1, frozenset({8, 9, 10, 11}))
+    assert tab.express("ZZII") == Parity((10, 11), 1)
+    assert tab.express("IIZZ") == Parity((), 1)
+    assert tab.express("YYYY") == Parity((8, 9, 10, 11), 1)
     assert tab.express("XIXI") is None
 
 
@@ -184,7 +184,7 @@ def test_random_schedules_against_exact_simulator(seed):
                 prod = 1
                 for s in det.slots:
                     prod *= recs[b][s]
-                assert prod == det.parity
+                assert prod == det.sign
 
         for pauli, tags in tab.generators:
             idx = pauli_index(n, PauliString(pauli.letters))
