@@ -45,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .channels import NoiseParams
+from .channels import NoiseParams, grid_csv, walk_grid
 from .pauli import (
     LETTERS,
     PauliString,
@@ -471,29 +471,17 @@ def fidelity_scan(
     """Fidelity map of a class sequence; defaults to a 21 x 21 linear grid
     with p1, p_a in [0, 0.2] at p2 = 0.1."""
     _check_class(name)
-    p1_grid = FIDELITY_GRID.copy() if p1_grid is None else np.asarray(p1_grid, float)
-    pa_grid = FIDELITY_GRID.copy() if pa_grid is None else np.asarray(pa_grid, float)
-    if p1_grid.size == 0 or pa_grid.size == 0:
-        raise ValueError("scan grids must be nonempty")
-    out = np.full((p1_grid.size, pa_grid.size), math.nan)
-    for i, p1 in enumerate(p1_grid):
-        for j, pa in enumerate(pa_grid):
-            noise = NoiseParams(p_a=float(pa), p1=float(p1), p2=p2, theta=theta)
-            out[i, j] = average_class_fidelity(name, noise)
-            if progress is not None:
-                progress(i * pa_grid.size + j + 1, p1_grid.size * pa_grid.size)
-    return FidelityScan(name, p1_grid, pa_grid, p2, theta, out)
+
+    def point(p1: float, pa: float) -> float:
+        return average_class_fidelity(name, NoiseParams(p_a=pa, p1=p1, p2=p2, theta=theta))
+
+    p1_grid, pa_grid, fidelity = walk_grid(point, p1_grid, pa_grid, FIDELITY_GRID, progress)
+    return FidelityScan(name, p1_grid, pa_grid, p2, theta, fidelity)
 
 
 def scan_to_csv(scan: FidelityScan) -> str:
-    lines = ["p1,pa,p2,class,fidelity"]
-    for i, p1 in enumerate(scan.p1_grid):
-        for j, pa in enumerate(scan.pa_grid):
-            lines.append(
-                f"{p1:.12g},{pa:.12g},{scan.p2:.12g},{scan.name},"
-                f"{scan.fidelity[i, j]:.12g}"
-            )
-    return "\n".join(lines) + "\n"
+    fixed = (scan.p2, scan.name)
+    return grid_csv("p1,pa,p2,class,fidelity", scan.p1_grid, scan.pa_grid, fixed, (scan.fidelity,))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -82,6 +83,40 @@ class NoiseParams:
             raise ValueError(
                 f"theta={self.theta!r} outside the allowed range [0, pi)"
             )
+
+
+# ---------------------------------------------------------------------------
+# Noise maps: one grid walk and one CSV writer for every scan
+# ---------------------------------------------------------------------------
+
+
+def walk_grid(point, rows, cols, default, progress=None) -> tuple:
+    """Evaluate ``point(row, col)`` row by row over a noise grid, calling
+    ``progress(done, total)`` after each point.  An axis left None is a copy
+    of ``default``.  Returns both axes as float arrays and the values indexed
+    ``[i, j]``, with a trailing axis when ``point`` returns a tuple."""
+    rows, cols = (np.array(default if a is None else a, float) for a in (rows, cols))
+    if rows.size == 0 or cols.size == 0:
+        raise ValueError("scan grids must be nonempty")
+    values = []
+    for row, col in product(rows, cols):
+        values.append(point(float(row), float(col)))
+        if progress is not None:
+            progress(len(values), rows.size * cols.size)
+    shape = (rows.size, cols.size) + np.shape(values[0])
+    return rows, cols, np.array(values, float).reshape(shape)
+
+
+def grid_csv(header: str, rows, cols, fixed: tuple, grids: tuple) -> str:
+    """A noise map as CSV, one line per point in row-major order: the row and
+    column values, the ``fixed`` values, then each grid's value at the point.
+    Numbers get 12 significant digits, strings are written as they are."""
+    fixed = "".join(f",{v}" if isinstance(v, str) else f",{v:.12g}" for v in fixed)
+    lines = [header]
+    for (i, row), (j, col) in product(enumerate(rows), enumerate(cols)):
+        cells = "".join(f",{grid[i, j]:.12g}" for grid in grids)
+        lines.append(f"{row:.12g},{col:.12g}{fixed}{cells}")
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

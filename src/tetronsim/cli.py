@@ -25,9 +25,10 @@ one section per subcommand) with command-line flags taking precedence.
 Exit codes: 0 success, 1 configuration error, 2 numerical invariant
 failure, 3 regression check failure.
 
-Sweeps run the library scans one p1 row at a time, in parallel over a
-fixed-size process pool; rows are gathered in grid order, so outputs are
-byte-identical for any worker count.
+Sweeps check their axis once (``_noise_axis``) and run the library scan,
+which walks its grid with ``channels.walk_grid``, one p1 row per task over a
+fixed-size process pool (``_scan_by_rows``); rows are gathered in grid
+order, so outputs are byte-identical for any worker count.
 
 A subcommand is one ``_EXPERIMENTS`` entry (help, options, check group,
 sampled mode) plus its ``cmd_<name>``, which computes and prints the
@@ -295,13 +296,18 @@ def _resolve(args: argparse.Namespace, experiment: str) -> Settings:
     )
 
 
-def _validate_noise_grid(**extremes: float) -> None:
-    """Reject grid endpoints outside the noise-parameter domain up front,
-    so worker processes never see an invalid point."""
-    try:
-        NoiseParams(**extremes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+def _noise_axis(grid, default, swept: tuple, **fixed: float) -> np.ndarray:
+    """The scan axis ``grid`` (``default`` when None), swept by every
+    parameter in ``swept`` at once.  Its endpoints are checked against the
+    noise-parameter domain up front, so worker processes never see an
+    invalid point."""
+    axis = np.asarray(default if grid is None else grid, float)
+    for extreme in (axis.min(), axis.max()):
+        try:
+            NoiseParams(**dict.fromkeys(swept, float(extreme)), **fixed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    return axis
 
 
 # ---------------------------------------------------------------------------
@@ -335,21 +341,18 @@ def _require_values(
 # ---------------------------------------------------------------------------
 
 
-def _ordered_map(func, tasks: list, workers: int) -> list:
-    """Map ``func`` over ``tasks`` preserving order; with more than one
-    worker, fan out to a process pool (results still in task order)."""
-    if workers <= 1 or len(tasks) <= 1:
-        return [func(task) for task in tasks]
-    processes = min(workers, len(tasks))
-    chunk = max(1, len(tasks) // (4 * processes))
-    with multiprocessing.Pool(processes) as pool:
-        return pool.map(func, tasks, chunksize=chunk)
-
-
 def _scan_by_rows(scan, p1_grid: np.ndarray, workers: int):
     """Run a library scan on one p1 row per task and stack the rows' 2-D
-    result grids into one scan over ``p1_grid``."""
-    rows = _ordered_map(scan, [[p1] for p1 in p1_grid], workers)
+    result grids into one scan over ``p1_grid``.  With more than one worker
+    the rows fan out to a process pool; either way they come back in grid
+    order."""
+    tasks = [[p1] for p1 in p1_grid]
+    processes = min(workers, len(tasks))
+    if processes <= 1:
+        rows = [scan(task) for task in tasks]
+    else:
+        with multiprocessing.Pool(processes) as pool:
+            rows = pool.map(scan, tasks, chunksize=max(1, len(tasks) // (4 * processes)))
     grids = {
         f.name: np.vstack([getattr(row, f.name) for row in rows])
         for f in dataclasses.fields(rows[0])
@@ -454,14 +457,11 @@ def cmd_braid(settings: Settings) -> tuple:
     name = settings.options["class"]
     p2 = _noise_fallback(settings, settings.options["p2"], "p2", 0.1)
     theta = _noise_fallback(settings, settings.options["theta"], "theta", 0.0)
-    grid = settings.options["grid"]
-    p1_grid = np.asarray(braiding.FIDELITY_GRID if grid is None else grid, float)
-    pa_grid = p1_grid.copy()
-    for extreme in (p1_grid.min(), p1_grid.max()):
-        _validate_noise_grid(p1=float(extreme), p_a=float(extreme), p2=p2, theta=theta)
-
-    row = functools.partial(braiding.fidelity_scan, name, pa_grid=pa_grid, p2=p2, theta=theta)
-    scan = _scan_by_rows(row, p1_grid, settings.workers)
+    grid = _noise_axis(
+        settings.options["grid"], braiding.FIDELITY_GRID, ("p1", "p_a"), p2=p2, theta=theta
+    )
+    row = functools.partial(braiding.fidelity_scan, name, pa_grid=grid, p2=p2, theta=theta)
+    scan = _scan_by_rows(row, grid, settings.workers)
     fidelity = scan.fidelity
     _require_values("fidelity", fidelity, 0.0, 1.0)
 
@@ -484,20 +484,18 @@ def cmd_qed(settings: Settings) -> tuple:
     pa = _noise_fallback(settings, settings.options["pa"], "p_a", 0.01)
     theta = _noise_fallback(settings, settings.options["theta"], "theta", 0.0)
     rounds = settings.options["rounds"]
-    grid = settings.options["scan"]
-    p1_grid = np.asarray(qed.IMPROVEMENT_GRID if grid is None else grid, float)
-    p2_grid = p1_grid.copy()
-    for extreme in (p1_grid.min(), p1_grid.max()):
-        _validate_noise_grid(p1=float(extreme), p2=float(extreme), p_a=pa, theta=theta)
+    grid = _noise_axis(
+        settings.options["scan"], qed.IMPROVEMENT_GRID, ("p1", "p2"), p_a=pa, theta=theta
+    )
     try:
         qed.DecayExperimentSpec("physical", "XX", rounds, NoiseParams())
     except ValueError as exc:
         raise ConfigError(f"option 'rounds': {exc}") from exc
 
     row = functools.partial(
-        qed.improvement_scan, p2_grid=p2_grid, p_a=pa, theta=theta, rounds_grid=rounds
+        qed.improvement_scan, p2_grid=grid, p_a=pa, theta=theta, rounds_grid=rounds
     )
-    scan = _scan_by_rows(row, p1_grid, settings.workers)
+    scan = _scan_by_rows(row, grid, settings.workers)
     for label, arr in (
         ("lambda", scan.lambda_avg),
         ("lambda_x", scan.lambda_x),
@@ -506,7 +504,7 @@ def cmd_qed(settings: Settings) -> tuple:
         if np.isnan(arr).any():
             i, j = map(int, np.argwhere(np.isnan(arr))[0])
             raise NumericalError(
-                f"{label} is NaN at p1={p1_grid[i]:.6g}, p2={p2_grid[j]:.6g}"
+                f"{label} is NaN at p1={scan.p1_grid[i]:.6g}, p2={scan.p2_grid[j]:.6g}"
             )
     _require_values("accept_phys", scan.accept_phys, 0.0, 1.0)
     _require_values("accept_log", scan.accept_log, 0.0, 1.0)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import NoiseParams
+from .channels import NoiseParams, grid_csv, walk_grid
 from .pauli import PauliString, embed_letters
 from .simulator import (
     Circuit,
@@ -553,9 +553,10 @@ class ImprovementScan:
         """The `ratio = level` boundary as an ordered (p1, p2) polyline.
 
         The ratios decrease with p2 at fixed p1, so the boundary is single
-        valued in p1: each column is scanned for the highest sign change and
-        interpolated log-linearly in p2, or linearly on an interval that
-        starts at p2 = 0.  Columns that never cross are skipped.
+        valued in p1: each column is scanned for the highest sign change,
+        interpolated log-linearly in p2 (linearly on an interval that starts
+        at p2 = 0), or the highest grid point exactly at the level.  Columns
+        that never cross are skipped.
         """
         grid = {"avg": self.lambda_avg, "x": self.lambda_x, "z": self.lambda_z}[which]
         points = []
@@ -566,7 +567,9 @@ class ImprovementScan:
                 a, b = col[j] - level, col[j + 1] - level
                 if not (np.isfinite(a) and np.isfinite(b)):
                     continue
-                if a == 0.0:
+                if b == 0.0:
+                    crossing = self.p2_grid[j + 1]
+                elif a == 0.0:
                     crossing = self.p2_grid[j]
                 elif a * b < 0:
                     t = a / (a - b)
@@ -607,34 +610,14 @@ def improvement_scan(
     Defaults reproduce the flagship map: 25 x 25 log-spaced points with
     p1, p2 in [1e-4, 1e-1] at p_a = 0.01 and no coherent rotation.
     """
-    p1_grid = IMPROVEMENT_GRID.copy() if p1_grid is None else np.asarray(p1_grid, float)
-    p2_grid = IMPROVEMENT_GRID.copy() if p2_grid is None else np.asarray(p2_grid, float)
-    if p1_grid.size == 0 or p2_grid.size == 0:
-        raise ValueError("scan grids must be nonempty")
-    shape = (p1_grid.size, p2_grid.size)
-    out = ImprovementScan(
-        p1_grid=p1_grid,
-        p2_grid=p2_grid,
-        p_a=p_a,
-        theta=theta,
-        lambda_avg=np.full(shape, math.nan),
-        lambda_x=np.full(shape, math.nan),
-        lambda_z=np.full(shape, math.nan),
-        accept_phys=np.full(shape, math.nan),
-        accept_log=np.full(shape, math.nan),
-    )
-    for i, p1 in enumerate(p1_grid):
-        for j, p2 in enumerate(p2_grid):
-            noise = NoiseParams(p_a=p_a, p1=float(p1), p2=float(p2), theta=theta)
-            metrics, fits = improvement_point(noise, rounds_grid)
-            out.lambda_avg[i, j] = metrics.lambda_avg
-            out.lambda_x[i, j] = metrics.lambda_x
-            out.lambda_z[i, j] = metrics.lambda_z
-            out.accept_phys[i, j] = fits[("physical", "XX")].acceptance[-1]
-            out.accept_log[i, j] = fits[("logical", "XX")].acceptance[-1]
-            if progress is not None:
-                progress(i * p2_grid.size + j + 1, p1_grid.size * p2_grid.size)
-    return out
+    def point(p1: float, p2: float) -> tuple:
+        noise = NoiseParams(p_a=p_a, p1=p1, p2=p2, theta=theta)
+        metrics, fits = improvement_point(noise, rounds_grid)
+        accept = (fits[(level, "XX")].acceptance[-1] for level in ("physical", "logical"))
+        return (metrics.lambda_avg, metrics.lambda_x, metrics.lambda_z, *accept)
+
+    p1_grid, p2_grid, values = walk_grid(point, p1_grid, p2_grid, IMPROVEMENT_GRID, progress)
+    return ImprovementScan(p1_grid, p2_grid, p_a, theta, *np.moveaxis(values, -1, 0))
 
 
 def scan_to_csv(scan: ImprovementScan) -> str:
@@ -644,16 +627,9 @@ def scan_to_csv(scan: ImprovementScan) -> str:
     logical ZI rate is tiny, so reordering exact floating-point work moves
     the last digits.  Compare such CSVs with a relative tolerance.
     """
-    lines =["p1,p2,pa,lambda,lambda_x,lambda_z,accept_phys,accept_log"]
-    for i, p1 in enumerate(scan.p1_grid):
-        for j, p2 in enumerate(scan.p2_grid):
-            lines.append(
-                f"{p1:.12g},{p2:.12g},{scan.p_a:.12g},"
-                f"{scan.lambda_avg[i, j]:.12g},{scan.lambda_x[i, j]:.12g},"
-                f"{scan.lambda_z[i, j]:.12g},{scan.accept_phys[i, j]:.12g},"
-                f"{scan.accept_log[i, j]:.12g}"
-            )
-    return "\n".join(lines) + "\n"
+    grids = (scan.lambda_avg, scan.lambda_x, scan.lambda_z, scan.accept_phys, scan.accept_log)
+    header = "p1,p2,pa,lambda,lambda_x,lambda_z,accept_phys,accept_log"
+    return grid_csv(header, scan.p1_grid, scan.p2_grid, (scan.p_a,), grids)
 
 
 def contour_to_csv(points) -> str:

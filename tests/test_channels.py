@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from tetronsim import braiding, qed
 from tetronsim.channels import (
     HBAR_EV_S,
     NoiseParams,
@@ -342,3 +343,69 @@ def test_embed_superop_matches_dense_oracle():
     ]
     want_dense = 0.7 * rho + 0.1 * sum(m @ rho @ m for m in mats)
     np.testing.assert_allclose(got, dense_to_pauli_vec(want_dense), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Noise maps: the shared grid walk
+# ---------------------------------------------------------------------------
+
+
+_ROWS, _COLS = [1e-3, 2e-2], [1e-4, 1e-3, 1e-2]
+
+# Per scan: its module, the point function it looks up there, a call of the
+# scan on the 2 x 3 grid, the point's (row, column) noise values, and the
+# scan's values at (i, j) next to those a point result gives.
+_SCANS = {
+    "improvement": (
+        qed,
+        "improvement_point",
+        lambda progress: qed.improvement_scan(_ROWS, _COLS, 0.01, progress=progress),
+        lambda args: (args[0].p1, args[0].p2),
+        lambda scan, i, j: (
+            scan.lambda_avg[i, j],
+            scan.lambda_x[i, j],
+            scan.lambda_z[i, j],
+            scan.accept_phys[i, j],
+            scan.accept_log[i, j],
+        ),
+        lambda result: (
+            result[0].lambda_avg,
+            result[0].lambda_x,
+            result[0].lambda_z,
+            result[1][("physical", "XX")].acceptance[-1],
+            result[1][("logical", "XX")].acceptance[-1],
+        ),
+    ),
+    "fidelity": (
+        braiding,
+        "average_class_fidelity",
+        lambda progress: braiding.fidelity_scan("HS", _ROWS, _COLS, 0.1, progress=progress),
+        lambda args: (args[1].p1, args[1].p_a),
+        lambda scan, i, j: (scan.fidelity[i, j],),
+        lambda result: (result,),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SCANS))
+def test_scans_report_progress_after_each_point_in_row_major_order(monkeypatch, kind):
+    module, name, run, axes_of, scan_values, point_values = _SCANS[kind]
+    original = getattr(module, name)
+    events = []
+
+    def point(*args):
+        result = original(*args)
+        events.append(("point", axes_of(args), result))
+        return result
+
+    monkeypatch.setattr(module, name, point)
+    scan = run(lambda done, total: events.append(("progress", done, total)))
+
+    n1, n2 = len(_ROWS), len(_COLS)
+    assert [e[0] for e in events] == ["point", "progress"] * (n1 * n2)
+    points, progress = events[0::2], events[1::2]
+    assert [e[1:] for e in progress] == [(k, n1 * n2) for k in range(1, n1 * n2 + 1)]
+    for k, (_, axes, result) in enumerate(points):
+        i, j = divmod(k, n2)
+        assert axes == (_ROWS[i], _COLS[j])
+        assert scan_values(scan, i, j) == point_values(result)

@@ -778,6 +778,12 @@ def test_contour_interpolates_log_spaced_crossings_log_linearly():
     assert p2 == pytest.approx(10 ** (-7.0 / 3.0), rel=1e-12)
 
 
+def test_contour_keeps_an_exact_touch_at_the_last_grid_point():
+    # lambda reaches the level exactly at the largest p2, with no sign change.
+    scan = _scan_column([1e-3, 1e-2, 1e-1], [2.0, 1.5, 1.0])
+    assert scan.contour() == [(0.005, 0.1)]
+
+
 def test_scan_csv_round_trip(small_scan):
     text = scan_to_csv(small_scan)
     lines = text.strip().split("\n")
