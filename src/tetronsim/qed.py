@@ -43,6 +43,7 @@ from .simulator import (
     Step,
     TrajectoryEnsemble,
     _require_count,
+    probe_circuit,
     run_circuit,
     sample_circuit,
 )
@@ -448,8 +449,7 @@ def decay_experiment(spec: DecayExperimentSpec) -> DecayFit:
 
     flags: list[str] = []
     if spec.shots is None:
-        result = run_circuit(derived.circuit, spec.noise, initial, probes=probe_steps)
-        probes, acc = result.probes, result.probe_acceptance
+        probes, acc = probe_circuit(derived.circuit, spec.noise, initial, probe_steps)
     else:
         sampled = sample_circuit(
             derived.circuit,
@@ -504,6 +504,9 @@ def lambda_metrics(
     flags: list[str] = []
 
     def ratio(num: float, den: float, label: str) -> float:
+        if math.isnan(num) or math.isnan(den):
+            flags.append(f"undefined improvement: no fitted rate for {label}")
+            return math.nan
         if den == 0.0:
             flags.append(f"infinite improvement: zero logical rate for {label}")
             return math.inf if num > 0 else math.nan

@@ -42,15 +42,21 @@ this tractable:
   summed: a term of one record branch cancels against the same term of
   another.  Which ones does not depend on the noise either, so after a
   witness run at a generic noise point the circuit is lowered again,
-  producing only the columns that can be nonzero.  Lowering fails loudly
-  when a run would outgrow the branch or support budget.
+  producing only the columns that can be nonzero.  A run that reads only
+  its probes (a decay experiment, or the sampler, whose final observables
+  are an end probe) keeps of those only the columns that some probe reads
+  through later ops, found by a backward pass over the plan: the columns
+  no probe or returned state reads are never computed.  Lowering fails
+  loudly when a run would outgrow the branch or support budget.
 
-Both runners execute that one plan.  The exact runner sums the branches;
-the sampler draws its shots from them, at each probe step and at the end,
-in proportion to their traces.  The functional pipeline :func:`apply_step`
--> :func:`prune_detected`, built on the ensemble methods, enumerates every
-record combination and applies the detectors at the end; it stays as the
-independent reference that the tests compare the plan against.
+Every runner executes such a plan.  :func:`run_circuit` sums the branches
+and returns the final state, :func:`probe_circuit` returns only the probes,
+and :func:`sample_circuit` draws its shots from the branches, at each probe
+step and at the end, in proportion to their traces.  The functional pipeline
+:func:`apply_step` -> :func:`prune_detected`, built on the ensemble methods,
+enumerates every record combination and applies the detectors at the end;
+it stays as the independent reference that the tests compare the plan
+against.
 
 Dense cross-checks of every kernel against the channel constructors in
 :mod:`tetronsim.channels` live in the test suite.
@@ -425,7 +431,7 @@ def _dep_class(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> n
 
 # Measurements and rotations are split into noise-independent structure (a
 # lowering) and a numeric pass over the coefficient block.  The ensemble
-# methods and the plan, which both runners execute, use these pieces.
+# methods and the plan, which every runner executes, use these pieces.
 
 _ABSENT_SELF = 4  # self_class of a measured element absent from the input
 _ABSENT_CROSS = 32  # partner_class of a measured element whose partner is absent
@@ -898,6 +904,14 @@ class RunResult:
     peak_branches: int = 0
 
 
+def _pauli_list(name: str, paulis) -> tuple:
+    """``paulis`` as a tuple of :class:`PauliString`; a bare string or Pauli
+    is refused, not read letter by letter."""
+    if isinstance(paulis, (str, PauliString)):
+        raise ValueError(f"{name} must be a list of Paulis, got the bare {paulis!r}")
+    return tuple(PauliString.from_text(p) if isinstance(p, str) else p for p in paulis)
+
+
 def _normalize_probes(probes, circuit: Circuit) -> tuple:
     """(step index, probed Paulis) pairs, hashable for the plan cache; every
     step must lie inside ``circuit``."""
@@ -906,9 +920,7 @@ def _normalize_probes(probes, circuit: Circuit) -> tuple:
         for step_i, paulis in probes.items():
             if not (0 <= int(step_i) < len(circuit.steps)):
                 raise ValueError(f"probe step {step_i} out of range")
-            out[int(step_i)] = tuple(
-                PauliString.from_text(p) if isinstance(p, str) else p for p in paulis
-            )
+            out[int(step_i)] = _pauli_list(f"probes[{step_i}]", paulis)
     return tuple(out.items())
 
 
@@ -1041,7 +1053,7 @@ class _ProbeOp:
     """Appends to ``reads`` the branch traces and, per probed Pauli, its
     name, its column (None when absent from the support) and its sign."""
 
-    step: "int | None"  # None: the final observables of a sampled run
+    step: "int | None"  # None: the end probe, after the last step
     pos0: int  # position of the identity, -1 if absent
     entries: tuple  # (name, position or -1, sign) per probed Pauli
 
@@ -1110,10 +1122,12 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
 
     ``groups`` gives the initial branch group of every input branch, ``keep``
     the kept entries (see :func:`_normalize_keep`), each tracked as a
-    parity.  With ``rotating`` (theta != 0) the plan also holds the coherent
-    rotation ops.  Their angles are whole numbers of theta/2 steps and their
-    supports and gathers do not depend on the angle, so one plan serves every
-    nonzero theta.
+    parity.  ``probe_map`` maps a step index to the Paulis probed after that
+    step; a ``None`` key adds an end probe after the last step, for a run
+    that reads its probes and not its final state.  With ``rotating``
+    (theta != 0) the plan also holds the coherent rotation ops.  Their
+    angles are whole numbers of theta/2 steps and their supports and gathers
+    do not depend on the angle, so one plan serves every nonzero theta.
 
     ``outputs``, if given, restricts each measurement and rotation, in walk
     order, to a subset of the support it produces (see :func:`_cached_plan`).
@@ -1122,7 +1136,8 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
     deferred: each qubit carries a pending number of theta/2 steps, emitted
     as one rotation only before something that does not commute with Z there
     (a measurement or probed Pauli with X or Y on the qubit, or a ``Rotate``
-    on it) and at the end of the walk.  This is exact: the depolarizing
+    on it) and at the end of the walk, where an end probe, like any probe,
+    flushes only the qubits it needs.  This is exact: the depolarizing
     channels are invariant under local unitaries, assignment flips act on
     records only, and pins, prunes and merges act row by row.
     """
@@ -1181,6 +1196,12 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
             if pending[q]:
                 rotate(3 << (2 * (n - 1 - q)), 0.0, pending[q])
                 pending[q] = 0
+
+    def probe(at) -> None:
+        paulis = probe_map[at]
+        for p in paulis:
+            flush(_xy_qubits(pauli_index(n, PauliString(p.letters)), n))
+        ops.append(_probe_op(at, support, paulis, n))
 
     check_budget(len(keys))
     for step_i, step in enumerate(circuit.steps):
@@ -1242,12 +1263,12 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
         if merge is not None:
             ops.append(merge)
         if step_i in probe_map:
-            paulis = probe_map[step_i]
-            for p in paulis:
-                flush(_xy_qubits(pauli_index(n, PauliString(p.letters)), n))
-            ops.append(_probe_op(step_i, support, paulis, n))
+            probe(step_i)
 
-    flush(range(n))
+    if None in probe_map:
+        probe(None)
+    else:
+        flush(range(n))
 
     groups = tuple(int(g) for g in keys[:, 0])
     kept = tuple(("s", entry) for entry in keep)
@@ -1266,7 +1287,9 @@ def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> lis
     the end.  Entry 0, the initial support, keeps every column.  Every
     coefficient is a polynomial in the noise tables and the initial
     coefficients, so one that is exactly 0.0 at this generic point is zero
-    at every point; one that is merely small is kept.
+    at every point; one that is merely small is kept.  This forward pass
+    finds the columns that can be nonzero; the backward pass
+    :func:`_needed_masks` keeps those of them that some read depends on.
     """
     tables = _NoiseTables(_WITNESS_NOISE, num_qubits)
     # Uniform in [-1, 1) from the standard library's generator, which numpy
@@ -1283,17 +1306,62 @@ def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> lis
     return masks
 
 
+_ABSENT_READS = {_MeasureOp: (_ABSENT_SELF, _ABSENT_CROSS),
+                 _RotateOp: (_ROT_ABSENT_SELF, _ROT_ABSENT_PARTNER)}
+
+
+def _needed_masks(plan: _Plan, witness: list) -> list:
+    """The columns the second lowering keeps in a plan that reads only its
+    probes (it ends in an end probe, see :func:`_lower`): per support that
+    :func:`_witness_masks` lists (``witness``), the columns that can be
+    nonzero and that some probe depends on.
+
+    A backward pass over ``plan``, the dual of the witness run.  A probe
+    reads the identity and its probed columns; a kept output column of a
+    measurement or rotation reads its ``pos_self`` and ``pos_partner``
+    inputs, except through the absent class, whose weight is 0.  Idle ops,
+    merges and row selection keep columns where they are.  Which columns
+    are needed depends on the plan only, not on the noise.  Entry 0, the
+    initial support, keeps every column, as in ``witness``.
+    """
+    k = len(witness) - 1
+    need = np.zeros(witness[k].size, dtype=bool)
+    masks = list(witness)
+    for op in reversed(plan.ops):
+        if isinstance(op, _ProbeOp):
+            read = [pos for pos in (op.pos0, *(entry[1] for entry in op.entries)) if pos >= 0]
+            need[read] = True
+        elif isinstance(op, (_MeasureOp, _RotateOp)):
+            kept = masks[k] = witness[k] & need
+            k -= 1
+            absent_self, absent_partner = _ABSENT_READS[type(op)]
+            low = op.low
+            need = np.zeros(witness[k].size, dtype=bool)
+            need[low.pos_self[kept & (low.self_class != absent_self)]] = True
+            need[low.pos_partner[kept & (low.partner_class != absent_partner)]] = True
+    return masks
+
+
 @functools.lru_cache(maxsize=64)
 def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating) -> _Plan:
-    """The plan both runners execute; arguments are hashable stand-ins for
-    those of :func:`_lower`.  The circuit is lowered twice: the second time,
-    each measurement and rotation produces only the columns a witness run of
-    the first plan finds nonzero where they are next read
-    (:func:`_witness_masks`)."""
+    """The plan every runner executes; arguments are hashable stand-ins for
+    those of :func:`_lower`, so a ``(None, Paulis)`` pair in ``probes``
+    lowers an end probe in place of the final state.  The circuit is lowered
+    twice.  The second time, each measurement and rotation produces only the
+    columns that a witness run of the first plan finds nonzero where they are
+    next read (:func:`_witness_masks`); in a plan with an end probe, only
+    those of them that some probe reads through later ops
+    (:func:`_needed_masks`).  A column that no kept column reads enters no
+    kept number, so the needed masks change no value a run returns: each
+    kept column goes through the same floating-point operations as in the
+    plan the witness masks alone give."""
     initial = np.frombuffer(support, np.int64)
-    args = (circuit, initial, groups, keep, dict(probes), rotating)
+    probe_map = dict(probes)
+    args = (circuit, initial, groups, keep, probe_map, rotating)
     plan, produced = _lower(*args)
     masks = _witness_masks(plan, circuit.num_qubits, len(groups), initial.size)
+    if None in probe_map:
+        masks = _needed_masks(plan, masks)
     del plan  # hold one plan at a time
     plan, _ = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
     plan.support.flags.writeable = False  # every run's ensemble shares it
@@ -1315,12 +1383,18 @@ def _branch_groups(tags: list) -> "tuple[tuple, list]":
 
 
 def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
-             keep: tuple, probes) -> tuple:
+             keep: tuple, probes, finals: "tuple | None" = None) -> tuple:
     """Run ``circuit`` from ``initial`` through its cached plan, keeping the
     normalized entries ``keep``.  Returns the plan, the final coefficient
     block (one row per final branch), the probe reads in walk order (see
-    :class:`_ProbeOp`) and the tags of each initial branch group."""
+    :class:`_ProbeOp`) and the tags of each initial branch group.
+
+    With ``finals`` (Paulis, possibly none) the run ends in a probe of them
+    instead of returning its final state: the last read is that end probe,
+    and the final block holds only the columns it reads."""
     probes = _normalize_probes(probes, circuit)
+    if finals is not None:
+        probes += ((None, finals),)
     _check_size(circuit, initial)
     groups, group_tags = _branch_groups(initial.tags)
     plan = _cached_plan(
@@ -1372,7 +1446,9 @@ def run_circuit(
     second lowering that leaves out every column a witness run of the first
     plan, at a generic noise point and from random initial coefficients,
     finds exactly 0.0 in every branch just before the next measurement or
-    rotation reads it (or at the end).
+    rotation reads it (or at the end).  Since the final state is returned,
+    every other column is computed; :func:`probe_circuit` gives the same
+    probes from a plan that also leaves out the columns no probe reads.
     Each coefficient is a polynomial in the noise tables and the initial
     coefficients, and one that is not identically zero is exactly zero at a
     generic point only by accident (Schwartz-Zippel), so a dropped column is
@@ -1406,6 +1482,25 @@ def run_circuit(
     ensemble = TrajectoryEnsemble(circuit.num_qubits, plan.support, coeffs, tags)
     probe_values, probe_acceptance = _summed_probes(reads)
     return RunResult(ensemble, ensemble.total_trace, probe_values, probe_acceptance, plan.peak)
+
+
+def probe_circuit(
+    circuit: Circuit,
+    noise: NoiseParams,
+    initial: TrajectoryEnsemble,
+    probes: "Mapping[int, Iterable]",
+) -> "tuple[dict, dict]":
+    """The ``probes`` and ``probe_acceptance`` of :func:`run_circuit` with
+    the same arguments, equal to them bit for bit, without the final state.
+
+    Its plan computes only the Pauli columns that some probe reads, so a
+    run that needs its probes alone (a decay experiment) skips the columns
+    that matter only to the final state.  It is the plan of a
+    :func:`sample_circuit` call with the same probes and no final
+    observables, so exact and sampled runs of one circuit share it.
+    """
+    _, _, reads, _ = _execute(circuit, noise, initial, (), probes, finals=())
+    return _summed_probes(reads[:-1])  # the last read is the end probe
 
 
 @dataclass
@@ -1449,11 +1544,13 @@ def sample_circuit(
 ) -> SampleResult:
     """Draw ``shots`` shots from the branches of an exact run.
 
-    The circuit runs exactly, through the plan of :func:`run_circuit`.  At
-    each probe step, in order, and at the end, ``shots`` shots are drawn
-    from one ``np.random.default_rng(seed)``: a multinomial over the
-    branches, each weighted by its trace over the initial trace, plus one
-    category for the shots a detector rejected.  A shot's value is the
+    The circuit runs exactly, through the plan of :func:`probe_circuit`
+    with ``final_observables`` read by an end probe, so the plan computes
+    only the columns that the probes and that end probe read.  At each
+    probe step, in order, and at the end, ``shots`` shots are drawn from
+    one ``np.random.default_rng(seed)``: a multinomial over the branches,
+    each weighted by its trace over the initial trace, plus one category
+    for the shots a detector rejected.  A shot's value is the
     conditional expectation of its branch, so the estimates are unbiased
     and spread only as much as the branches differ.  A branch stands for
     the parities of the detectors still in flight, not for the full record
@@ -1468,11 +1565,8 @@ def sample_circuit(
     start_trace = initial.total_trace
     if not start_trace > 0.0:
         raise ValueError("initial state has no positive trace")
-    plan, coeffs, reads, _ = _execute(circuit, noise, initial, (), probes)
-    finals = [
-        PauliString.from_text(p) if isinstance(p, str) else p for p in final_observables
-    ]
-    _probe_op(None, plan.support, finals, circuit.num_qubits).run(coeffs, None, reads)
+    finals = _pauli_list("final_observables", final_observables)
+    _, _, reads, _ = _execute(circuit, noise, initial, (), probes, finals)
     rng = np.random.default_rng(seed)
     result = SampleResult(shots=shots, accepted=0)
     for step_i, trace, columns in reads:

@@ -33,6 +33,7 @@ from tetronsim.simulator import (
     Parity,
     TrajectoryEnsemble,
     marginalize_outcomes,
+    probe_circuit,
     run_circuit,
     sample_circuit,
 )
@@ -725,6 +726,193 @@ def test_merge_keys_matches_unique_rows(rows, columns, kind, seed):
                                         np.diff(merge.starts, append=rows))
     np.testing.assert_array_equal(merged_row, inverse)
 
+
+
+# -- probe-only plans ---------------------------------------------------------
+#
+# probe_circuit and sample_circuit read their probes, and the sampler its final
+# observables through an end probe, never the final state.  Their plan keeps
+# only the witness's columns that some probe reads through later ops
+# (_needed_masks); run_circuit, which returns the final state, keeps every
+# column the witness keeps.  Each kept column goes through the operations it
+# goes through in run_circuit's plan, so the probes agree bit for bit.
+
+MEASURE_OR_ROTATE = (simulator._MeasureOp, simulator._RotateOp)
+
+
+def assert_probes_match_run(circuit, noise, initial, probes):
+    """probe_circuit's probes and acceptance are run_circuit's, bit for bit:
+    repr round-trips every float, and NaN reads equal to NaN."""
+    run = run_circuit(circuit, noise, initial, probes=probes)
+    got = probe_circuit(circuit, noise, initial, probes)
+    assert repr(got) == repr((run.probes, run.probe_acceptance))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_probe_only_run_matches_run_circuit_on_random_corpus(seed, theta):
+    rng = np.random.default_rng(seed)
+    circuit = detector_circuit(rng)
+    initial = random_initial(rng, circuit.num_qubits)
+    steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
+    for noise in pruning_noise_points(rng, theta):
+        assert_probes_match_run(circuit, noise, initial, {s: OBSERVABLES for s in steps})
+
+
+def decay_probes(level, obs):
+    spec = qed.DecayExperimentSpec(level, obs)
+    derived = qed._decay_circuit(spec)
+    observable = qed.repcode_observables(level)[obs]
+    probes = {derived.round_end_steps[r - 1]: (observable,) for r in spec.rounds_grid}
+    return derived.circuit, qed._initial_state(spec), probes
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.01, 0.02])
+def test_probe_only_run_matches_run_circuit_on_decay_circuits(theta):
+    rng = np.random.default_rng(29)
+    points = [NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3)] + pruning_noise_points(rng, False)
+    for level in ("physical", "logical"):
+        for obs in ("XX", "ZI"):
+            circuit, initial, probes = decay_probes(level, obs)
+            for noise in points:
+                assert_probes_match_run(circuit, dataclasses.replace(noise, theta=theta),
+                                        initial, probes)
+
+
+@pytest.mark.parametrize("theta", [False, True])
+def test_probe_only_run_matches_run_circuit_on_braid_class_circuits(theta):
+    rng = np.random.default_rng(31)
+    support, coeffs = braiding._tomography_input()
+    initial = TrajectoryEnsemble(
+        2, support, coeffs, [{("in", label): 1} for label in braiding._TOMO_INPUTS]
+    )
+    for name in braiding.CLIFFORD_CLASSES:
+        circuit = braiding.class_circuit(name)
+        probes = {s: ("XZ", "ZI", "YY", "IX") for s in range(len(circuit.steps))}
+        for noise in pruning_noise_points(rng, theta):
+            assert_probes_match_run(circuit, noise, initial, probes)
+
+
+def needed_masks(circuit, initial, probes, rotating):
+    """(plan with an end probe, its witness masks, its needed masks)."""
+    probes = simulator._normalize_probes(probes, circuit) + ((None, ()),)
+    groups, _ = simulator._branch_groups(initial.tags)
+    full, _ = simulator._lower(circuit, initial.support, groups, (), dict(probes), rotating)
+    witness = simulator._witness_masks(full, circuit.num_qubits, len(groups),
+                                       initial.support.size)
+    return full, witness, simulator._needed_masks(full, witness)
+
+
+def assert_needed_columns_are_closed(full, witness, masks) -> int:
+    """Every column that a kept column or a probe reads is kept, unless the
+    witness finds it zero; the needed masks keep no column the witness
+    drops.  Returns how many witness columns the needed masks drop."""
+    k = 0  # the support the walk reads: the initial one, then the k-th output
+    for op in full.ops:
+        if isinstance(op, simulator._ProbeOp):
+            read = [pos for pos in (op.pos0, *(entry[1] for entry in op.entries)) if pos >= 0]
+            assert (masks[k][read] | ~witness[k][read]).all()
+        elif isinstance(op, MEASURE_OR_ROTATE):
+            kept = masks[k + 1]
+            for pos, cls, absent in zip((op.low.pos_self, op.low.pos_partner),
+                                        (op.low.self_class, op.low.partner_class),
+                                        simulator._ABSENT_READS[type(op)]):
+                read = pos[kept & (cls != absent)]
+                assert (masks[k][read] | ~witness[k][read]).all()
+            k += 1
+    assert k == len(witness) - 1 and masks[0].all()
+    assert all(not (m & ~w).any() for m, w in zip(masks, witness))
+    return sum(int(w.sum() - m.sum()) for m, w in zip(masks, witness))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_needed_columns_are_closed_on_random_corpus(seed, theta):
+    rng = np.random.default_rng(seed)
+    circuit = detector_circuit(rng)
+    initial = random_initial(rng, circuit.num_qubits)
+    steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
+    assert_needed_columns_are_closed(
+        *needed_masks(circuit, initial, {s: OBSERVABLES for s in steps}, theta)
+    )
+
+
+@pytest.mark.parametrize("theta", [False, True])
+def test_needed_columns_are_closed_on_decay_circuits(theta):
+    dropped = 0
+    for level in ("physical", "logical"):
+        for obs in ("XX", "ZI"):
+            dropped += assert_needed_columns_are_closed(
+                *needed_masks(*decay_probes(level, obs), theta)
+            )
+    assert dropped > 0
+
+
+def assert_same_plan(a, b):
+    """Two plans hold the same ops and arrays, entry for entry."""
+    def same(x, y):
+        if isinstance(x, simulator._Lowering):
+            return all(same(getattr(x, f.name), getattr(y, f.name))
+                       for f in dataclasses.fields(x))
+        if isinstance(x, np.ndarray):
+            return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+        return type(x) is type(y) and x == y
+
+    assert len(a.ops) == len(b.ops)
+    for x, y in zip(a.ops, b.ops):
+        assert type(x) is type(y)
+        for f in dataclasses.fields(x):
+            assert same(getattr(x, f.name), getattr(y, f.name)), (type(x).__name__, f.name)
+    for f in dataclasses.fields(a):
+        if f.name != "ops":
+            assert same(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+def assert_run_plan_keeps_the_witness_columns(circuit, initial, keep=(), probes=None,
+                                              theta=False):
+    """run_circuit's plan is the lowering restricted by the witness masks
+    alone: it returns the final state, so it has no end probe to prune to."""
+    keep = simulator._normalize_keep(keep, circuit)
+    probes = simulator._normalize_probes(probes, circuit)
+    groups, _ = simulator._branch_groups(initial.tags)
+    args = (circuit, initial.support, groups, keep, dict(probes), theta)
+    full, produced = simulator._lower(*args)
+    witness = simulator._witness_masks(full, circuit.num_qubits, len(groups),
+                                       initial.support.size)
+    expected, _ = simulator._lower(*args, (sup[m] for sup, m in zip(produced, witness[1:])))
+    assert_same_plan(simulator._cached_plan(circuit, initial.support.tobytes(), groups, keep,
+                                            probes, theta), expected)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_run_plan_keeps_the_witness_columns_on_random_corpus(seed, theta):
+    rng = np.random.default_rng(seed)
+    circuit = detector_circuit(rng)
+    initial = random_initial(rng, circuit.num_qubits)
+    steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
+    keep = [int(s) for s in circuit.slots if rng.random() < 0.3]
+    assert_run_plan_keeps_the_witness_columns(circuit, initial, keep,
+                                              {s: OBSERVABLES for s in steps}, theta)
+
+
+@pytest.mark.parametrize("theta", [False, True])
+def test_run_plan_keeps_the_witness_columns_on_decay_and_braid_circuits(theta):
+    for level in ("physical", "logical"):
+        for obs in ("XX", "ZI"):
+            circuit, initial, probes = decay_probes(level, obs)
+            assert_run_plan_keeps_the_witness_columns(circuit, initial, theta=theta)
+            assert_run_plan_keeps_the_witness_columns(circuit, initial, probes=probes,
+                                                      theta=theta)
+    support, coeffs = braiding._tomography_input()
+    initial = TrajectoryEnsemble(
+        2, support, coeffs, [{("in", label): 1} for label in braiding._TOMO_INPUTS]
+    )
+    for name in braiding.CLIFFORD_CLASSES:
+        circuit = braiding.class_circuit(name)
+        assert_run_plan_keeps_the_witness_columns(
+            circuit, initial, braiding._parities(name, circuit.slots), theta=theta
+        )
 
 # -- loud limits --------------------------------------------------------------
 

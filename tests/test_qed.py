@@ -692,6 +692,19 @@ def test_lambda_zero_denominator_flagged():
     assert any("infinite improvement" in f for f in m.flags)
 
 
+def test_lambda_of_underdetermined_fits_flagged():
+    # An underdetermined fit has a NaN rate; every ratio that reads one is
+    # NaN and says so.
+    m = lambda_metrics(*[DecayFit(math.nan, math.nan, math.nan, (), (), ())] * 4)
+    assert math.isnan(m.lambda_avg) and math.isnan(m.lambda_x) and math.isnan(m.lambda_z)
+    assert m.flags == tuple(f"undefined improvement: no fitted rate for {label}"
+                            for label in ("XX", "ZI", "average"))
+    m = lambda_metrics(_fit(0.1), _fit(0.1), _fit(0.05), _fit(math.nan))
+    assert m.lambda_x == 2.0 and math.isnan(m.lambda_z) and math.isnan(m.lambda_avg)
+    assert m.flags == ("undefined improvement: no fitted rate for ZI",
+                       "undefined improvement: no fitted rate for average")
+
+
 def test_no_improvement_on_equal_noise_diagonal():
     for p in (0.001, 0.01, 0.05):
         noise = NoiseParams(p_a=0.01, p1=p, p2=p)

@@ -2,6 +2,8 @@
 end-to-end against an exhaustive lazy reference evaluation (:func:`lazy_run`,
 the functional pipeline ``apply_step`` -> ``prune_detected``)."""
 
+import hashlib
+import json
 import math
 import pickle
 import warnings
@@ -32,6 +34,7 @@ from tetronsim.simulator import (
     apply_step,
     init_ensemble,
     marginalize_outcomes,
+    probe_circuit,
     prune_detected,
     run_circuit,
     sample_circuit,
@@ -528,6 +531,38 @@ def test_sampling_averages_a_repeated_final_observable_once():
     assert result.final == {"Z": 1.0}
 
 
+def test_sampled_decays_draw_as_before_the_end_probe_moved_into_the_plan():
+    # The final observables are read by an end probe inside the plan, which
+    # computes only the columns the probes read.  The digest (sha256 of every
+    # value as float.hex, on x86-64 with numpy 2.x) was taken while the
+    # sampler read them off the whole final block of run_circuit's plan, so
+    # it shows that the pruned plan leaves every draw of the four decay
+    # circuits unchanged.
+    def canonical(value):
+        if isinstance(value, dict):
+            return {str(key): canonical(v) for key, v in value.items()}
+        return float(value).hex() if isinstance(value, float) else value
+
+    results = []
+    for theta in (0.0, 0.01):
+        noise = NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3, theta=theta)
+        for level in ("physical", "logical"):
+            logicals = qed.repcode_observables(level)
+            for observable in ("XX", "ZI"):
+                spec = qed.DecayExperimentSpec(level, observable, noise=noise)
+                derived = qed._decay_circuit(spec)
+                probes = {derived.round_end_steps[r - 1]: [logicals[observable]]
+                          for r in spec.rounds_grid}
+                result = sample_circuit(
+                    derived.circuit, noise, qed._initial_state(spec), 500, seed=11,
+                    probes=probes, final_observables=[logicals["XX"], logicals["ZI"]],
+                )
+                assert result.final.keys() == {str(logicals["XX"]), str(logicals["ZI"])}
+                results.append(canonical(vars(result)))
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == "53add21749927d2583a5ad759a6fb61aa5354c012d39ff1b04801ee8f28a86f0"
+
+
 def _decay_sampling_inputs(level, observable, noise):
     spec = qed.DecayExperimentSpec(level, observable, noise=noise)
     derived = qed._decay_circuit(spec)
@@ -617,6 +652,25 @@ def test_sampling_rejects_probe_steps_out_of_range():
             sample_circuit(circuit, NOISE, init, 10, seed=1, probes={step: ["Z"]})
         with pytest.raises(ValueError, match="out of range"):
             run_circuit(circuit, NOISE, init, probes={step: ["Z"]})
+
+
+@pytest.mark.parametrize("qubits", [1, 2])
+def test_runners_reject_a_bare_string_of_paulis(qubits):
+    # A string is not read letter by letter: on one qubit "ZX" would probe Z
+    # and X, on two qubits each letter would not fit the register.
+    circuit = Circuit(qubits, (Step((Meas1(0, "X", 0),)),))
+    init = TrajectoryEnsemble.from_product_state(["0"] * qubits)
+    paulis = "ZX" if qubits == 1 else "XX"
+    with pytest.raises(ValueError, match=rf"probes\[0\] must be a list of Paulis, got the "
+                                         rf"bare '{paulis}'"):
+        run_circuit(circuit, NOISE, init, probes={0: paulis})
+    with pytest.raises(ValueError, match=r"probes\[0\] must be a list of Paulis"):
+        probe_circuit(circuit, NOISE, init, {0: PauliString(paulis)})
+    with pytest.raises(ValueError, match=rf"final_observables must be a list of Paulis, got "
+                                         rf"the bare '{paulis}'"):
+        sample_circuit(circuit, NOISE, init, 10, seed=1, final_observables=paulis)
+    assert probe_circuit(circuit, NOISE, init, {0: [paulis[:qubits]]})[0][0] == run_circuit(
+        circuit, NOISE, init, probes={0: [paulis[:qubits]]}).probes[0]
 
 
 def test_runners_reject_initial_state_of_wrong_size():
