@@ -12,7 +12,7 @@ The package is organized by what each layer does:
     constructions, and derivation of parameters from physical inputs.
 ``simulator``
     Exact trajectory-ensemble engine: circuits, noisy instruments,
-    detectors, pruning, marginalization, probes.
+    detectors, lowered run plans, probes and sampling.
 ``benchmarking``
     Measurement-based qubit benchmarking, rebit gate-set reconstruction,
     and idle-lifetime experiments.
@@ -46,12 +46,7 @@ from .simulator import (
     Parity,
     RunResult,
     TrajectoryEnsemble,
-    acceptance_rate,
-    apply_step,
-    marginalize_outcomes,
-    prune_detected,
     run_circuit,
-    total_state,
 )
 
 __version__ = "0.1.0"
@@ -65,20 +60,15 @@ __all__ = [
     "RunResult",
     "Superoperator",
     "TrajectoryEnsemble",
-    "acceptance_rate",
-    "apply_step",
     "depolarize1_superop",
     "depolarize2_superop",
     "derive_noise",
     "idle_superop",
-    "marginalize_outcomes",
     "meas1_record_superop",
     "meas2_record_superop",
-    "prune_detected",
     "rotation_superop",
     "run_circuit",
     "t_state_fidelity",
     "timed_coupling_rotation",
-    "total_state",
     "__version__",
 ]

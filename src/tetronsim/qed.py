@@ -393,18 +393,22 @@ def fit_decay(rounds, values) -> "tuple":
 
     Returns (rate, intercept, residual, flags).  Non-positive magnitudes are
     excluded and flagged; a significantly negative fitted rate is flagged.
+    With fewer than two distinct rounds left the fit is NaN, flagged
+    underdetermined.
     """
     rounds = np.asarray(rounds, dtype=float)
     values = np.asarray(values, dtype=float)
+    if rounds.shape != values.shape:
+        raise ValueError(f"rounds and values differ in length: {rounds.size} and {values.size}")
     flags: list[str] = []
     mags = np.abs(values)
     good = np.isfinite(mags) & (mags > 0.0)
     if not good.all():
         flags.append("non-positive or undefined expectations excluded from fit")
-    if good.sum() < 2:
+    x = rounds[good]
+    if x.size == 0 or (x == x[0]).all():  # fewer than two distinct rounds
         flags.append("fit underdetermined")
         return math.nan, math.nan, math.nan, tuple(flags)
-    x = rounds[good]
     y = np.log(mags[good])
     slope, intercept = np.polyfit(x, y, 1)
     rate = -float(slope)

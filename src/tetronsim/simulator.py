@@ -52,14 +52,10 @@ this tractable:
 Every runner executes such a plan.  :func:`run_circuit` sums the branches
 and returns the final state, :func:`probe_circuit` returns only the probes,
 and :func:`sample_circuit` draws its shots from the branches, at each probe
-step and at the end, in proportion to their traces.  The functional pipeline
-:func:`apply_step` -> :func:`prune_detected`, built on the ensemble methods,
-enumerates every record combination and applies the detectors at the end;
-it stays as the independent reference that the tests compare the plan
-against.
+step and at the end, in proportion to their traces.
 
-Dense cross-checks of every kernel against the channel constructors in
-:mod:`tetronsim.channels` live in the test suite.
+The test suite checks every kernel, and whole circuits, against the dense
+channel constructors of :mod:`tetronsim.channels`.
 """
 
 from __future__ import annotations
@@ -608,9 +604,10 @@ class TrajectoryEnsemble:
         values = np.array([1.0])
         n = len(labels)
         for q, label in enumerate(labels):
-            bloch = _STATE_LABELS[label] if isinstance(label, str) else tuple(label)
+            bloch = _STATE_LABELS.get(label, ()) if isinstance(label, str) else tuple(label)
             if len(bloch) != 3 or any(not math.isfinite(c) for c in bloch):
-                raise ValueError(f"bad state spec for qubit {q}: {label!r}")
+                raise ValueError(f"bad state spec for qubit {q}: {label!r}; labels are "
+                                 f"{', '.join(_STATE_LABELS)} or an (x, y, z) Bloch tuple")
             comps = [(0, 1.0)] + [
                 (d, c) for d, c in zip((1, 2, 3), bloch) if c != 0.0
             ]
@@ -633,14 +630,6 @@ class TrajectoryEnsemble:
             support = np.concatenate([[0], support])
             support.sort()
         return cls(n, support, vec[support][None, :].copy(), [{}])
-
-    def copy(self) -> "TrajectoryEnsemble":
-        return TrajectoryEnsemble(
-            self.num_qubits,
-            self.support.copy(),
-            self.coeffs.copy(),
-            [dict(t) for t in self.tags],
-        )
 
     # -- inspection ------------------------------------------------------
 
@@ -752,9 +741,6 @@ class TrajectoryEnsemble:
         self.support, low = _lower_rotation(self.support, p_index, self.num_qubits)
         self.coeffs = _rotate(self.coeffs, low, phi)
 
-    def apply_rotation(self, op: Rotate) -> None:
-        self._rotate_by_index(op_pauli_index(op, self.num_qubits), op.angle)
-
     def apply_idle(self, qubits: Iterable[int], noise: NoiseParams) -> None:
         """One idle step on the listed qubits: rotate by theta about Z, then
         depolarize by p1."""
@@ -818,17 +804,15 @@ class TrajectoryEnsemble:
         self.coeffs = coeffs
         self.tags = tags
 
-    def drop_tags(self, keys: Iterable) -> None:
-        for tag in self.tags:
-            for key in keys:
-                tag.pop(key, None)
-
     def trace_columns(self, qubits: Iterable[int]) -> "tuple[np.ndarray, np.ndarray]":
         """The support columns a partial trace over the listed qubits keeps
         (those with no component on them), in the order of their Pauli
         indices on the remaining qubits, and those indices."""
         drop = sorted(set(qubits))
         n = self.num_qubits
+        for q in drop:
+            if not 0 <= q < n:
+                raise ValueError(f"cannot trace out qubit {q} of a {n}-qubit ensemble")
         keep_qubits = [q for q in range(n) if q not in drop]
         mask = np.ones(self.support.shape, dtype=bool)
         for q in drop:
@@ -1459,11 +1443,6 @@ def run_circuit(
     would hold more than the branch or support budget raises ``ValueError``
     while the plan is lowered.
 
-    The functional pipeline :func:`apply_step` -> :func:`prune_detected`
-    materializes every record combination and applies the detectors only at
-    the end; it is exponential in the number of measurements and is the
-    independent cross-check.
-
     ``keep_slots`` lists what must remain distinguishable in the final
     ensemble, e.g. to drive outcome-dependent corrections afterwards.  An
     entry is a slot, or a :class:`Parity` with at least one slot; every slot
@@ -1594,98 +1573,3 @@ def sample_circuit(
                 result.probes.setdefault(step_i, {})[name] = mean
                 result.probe_stderr.setdefault(step_i, {})[name] = stderr
     return result
-
-
-# ---------------------------------------------------------------------------
-# Functional step-at-a-time interface
-# ---------------------------------------------------------------------------
-#
-# run_circuit is the workhorse, but each of its moves is also available as a
-# standalone value-in/value-out operation for callers that drive the
-# evolution themselves (and for cross-checking the runner in tests).
-
-
-def init_ensemble(num_qubits: int, initial_state) -> TrajectoryEnsemble:
-    """Single-branch ensemble from a normalized density matrix.
-
-    ``initial_state`` may be a DenseOperator or a raw matrix.  It must have
-    unit trace (1e-9) and be positive semidefinite (min eigenvalue >= -1e-10).
-    """
-    mat = initial_state.matrix if isinstance(initial_state, DenseOperator) else initial_state
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (2**num_qubits, 2**num_qubits):
-        raise ValueError(
-            f"state has shape {mat.shape}, expected {(2**num_qubits, 2**num_qubits)}"
-        )
-    tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > 1e-9:
-        raise ValueError(f"initial state trace {tr} is not 1")
-    if float(np.linalg.eigvalsh((mat + mat.conj().T) / 2).min()) < -1e-10:
-        raise ValueError("initial state is not positive semidefinite")
-    return TrajectoryEnsemble.from_density_matrix(mat)
-
-
-def apply_step(
-    ensemble: TrajectoryEnsemble, step: Step, noise: NoiseParams
-) -> TrajectoryEnsemble:
-    """Apply one step, doubling each branch per measurement (both records).
-
-    Qubits not measured in the step accrue the idle channel.  Returns a new
-    ensemble; the input is untouched.
-    """
-    Circuit(ensemble.num_qubits, (step,))  # reuse the structural validation
-    recorded = {key[1] for tag in ensemble.tags for key in tag if key[0] == "s"}
-    out = ensemble.copy()
-    measured: set[int] = set()
-    for op in step.ops:
-        if isinstance(op, Rotate):
-            out.apply_rotation(op)
-            continue
-        if op.slot in recorded:
-            raise ValueError(f"slot s{op.slot} already recorded")
-        measured.update(op.qubits)
-        out.split_measurement(op, noise)
-    out.apply_idle([q for q in range(out.num_qubits) if q not in measured], noise)
-    return out
-
-
-def prune_detected(ensemble: TrajectoryEnsemble, detectors) -> TrajectoryEnsemble:
-    """Drop branches whose records violate any detector: a :class:`Parity`
-    whose value must be +1, e.g. one of ``circuit.detectors``.
-    Surviving branches keep their traces unchanged.
-    """
-    out = ensemble.copy()
-    keep = np.ones(out.num_branches, dtype=bool)
-    for det in detectors:
-        for b, tag in enumerate(out.tags):
-            prod = 1
-            for s in det.slots:
-                if ("s", s) not in tag:
-                    raise ValueError(f"detector references unrecorded slot s{s}")
-                prod *= tag[("s", s)]
-            if prod != det.sign:
-                keep[b] = False
-    out.prune(keep)
-    return out
-
-
-def marginalize_outcomes(ensemble: TrajectoryEnsemble, slots) -> TrajectoryEnsemble:
-    """Forget the listed record slots and merge branches that now agree.
-
-    Total trace is preserved exactly (branch matrices are summed).  The
-    caller must not marginalize slots still needed by an unapplied detector.
-    """
-    out = ensemble.copy()
-    out.drop_tags([("s", s) for s in slots])
-    out.merge()
-    return out
-
-
-def total_state(ensemble: TrajectoryEnsemble) -> DenseOperator:
-    """Record-summed (unnormalized) density matrix of the ensemble."""
-    return DenseOperator(pauli_vec_to_dense(ensemble.sum_pauli_vec()), hermitian=True)
-
-
-def acceptance_rate(ensemble: TrajectoryEnsemble) -> float:
-    """Total surviving probability: trace of the record-summed state."""
-    return ensemble.total_trace

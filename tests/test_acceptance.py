@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_oracle
 import test_simulator as circuit_corpus
 
 from tetronsim import qed
@@ -43,8 +44,6 @@ from tetronsim.pauli import PauliString, embed_letters
 from tetronsim.simulator import (
     Circuit,
     TrajectoryEnsemble,
-    acceptance_rate,
-    marginalize_outcomes,
     run_circuit,
 )
 from tetronsim.tableau import TaggedTableau
@@ -338,7 +337,8 @@ def test_06_noise_derivation_physical_regime():
 
 # ---------------------------------------------------------------------------
 # 7. Simulator conservation battery over 50 random circuits on up to 8
-#    qubits: unpruned trace, branch positivity, and schedule independence.
+#    qubits: unpruned trace, branch positivity, and the eager run against
+#    the dense oracle.
 # ---------------------------------------------------------------------------
 
 _SLOT_BUDGET = {2: 8, 3: 8, 4: 7, 5: 7, 6: 6, 7: 5, 8: 4}
@@ -377,25 +377,21 @@ def test_07_simulator_conservation_battery():
         for _record, op in plain.ensemble.branch_states():
             assert np.linalg.eigvalsh(op.matrix).min() > -1e-9
 
-        # Schedule independence: eager pruning, lazy pruning (the manual
-        # run-then-prune pipeline), and the same pipeline followed by
-        # marginalizing every record must agree bitwise-close.
+        # Schedule independence: the eager run (pruned and merged as early
+        # as the plan can) and the dense oracle (the dense channels, step by
+        # step, summing branches only where their keys agree) must agree,
+        # with every record kept and with none.
         eager = run_circuit(circuit, noise, init)
-        pruned, _ = circuit_corpus.lazy_run(circuit, noise, init)
-        recorded = sorted({slot for rec in pruned.records for slot in rec})
-        manual = marginalize_outcomes(pruned, recorded) if recorded else pruned
+        reference = dense_oracle.run(circuit, noise, init)
+        kept = dense_oracle.run(circuit, noise, init, keep="all")
 
         acc = eager.acceptance
-        assert abs(pruned.total_trace - acc) < 1e-12
-        assert abs(acceptance_rate(manual) - acc) < 1e-12
-        if acc > 1e-12:
-            reference = eager.ensemble.sum_pauli_vec()
-            np.testing.assert_allclose(
-                pruned.sum_pauli_vec(), reference, atol=1e-12
-            )
-            np.testing.assert_allclose(
-                manual.sum_pauli_vec(), reference, atol=1e-12
-            )
+        assert abs(reference.acceptance - acc) < 1e-12
+        assert abs(kept.acceptance - acc) < 1e-12
+        np.testing.assert_allclose(reference.state, eager.ensemble.sum_pauli_vec(),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(kept.state, eager.ensemble.sum_pauli_vec(),
+                                   rtol=0, atol=1e-12)
     assert time.monotonic() - t0 < 120.0
 
 

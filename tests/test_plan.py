@@ -1,12 +1,13 @@
 """The eager runner's lowered plan against the independent reference.
 
 ``run_circuit`` runs a plan lowered from the circuit (cached for every
-theta).  The functional pipeline ``apply_step`` -> ``prune_detected`` (the
-lazy reference, ``lazy_run``), followed by ``marginalize_outcomes`` where
-records are forgotten, enumerates every record combination with the
-ensemble methods instead, so agreement to 1e-12 checks the lowering: the
-support evolution, the gather positions, the pinned records, the pruning
-and the branch merging.
+theta).  The dense oracle (``dense_oracle.run``) walks the circuit step by
+step instead, on full 4^n Pauli vectors through the dense channel
+constructors, with no kernel of the engine, so agreement to 1e-12 checks
+the kernels and the lowering together: the support evolution, the gather
+positions, the pinned records, the pruning, the branch merging and the
+deferred rotations.  Test names that say "lazy" or "functional" are kept so
+that their ids stay stable; their reference is the oracle.
 
 The plan is also pruned to the columns that can be nonzero; the
 pruning tests run the pruned and the unpruned plan of one circuit side
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_simulator import lazy_run
+import dense_oracle
 
 from tetronsim import braiding, qed, simulator
 from tetronsim.channels import NoiseParams
@@ -32,7 +33,6 @@ from tetronsim.simulator import (
     Meas2,
     Parity,
     TrajectoryEnsemble,
-    marginalize_outcomes,
     probe_circuit,
     run_circuit,
     sample_circuit,
@@ -112,16 +112,27 @@ def record_states(ensemble: TrajectoryEnsemble, key_of=lambda r: tuple(sorted(r.
     return out
 
 
-def functional_run(circuit, noise, initial, keep=()):
-    ens, _ = lazy_run(circuit, noise, initial)
-    return marginalize_outcomes(ens, [s for s in circuit.slots if s not in keep])
-
-
 def assert_same_run(eager, reference):
-    assert eager.acceptance == pytest.approx(reference.total_trace, abs=TOL)
-    np.testing.assert_allclose(
-        eager.ensemble.sum_pauli_vec(), reference.sum_pauli_vec(), rtol=0, atol=TOL
-    )
+    """A ``run_circuit`` result and an oracle run agree on the acceptance and
+    on every kept-record branch."""
+    assert eager.acceptance == pytest.approx(reference.acceptance, abs=TOL)
+    got = dense_oracle.ensemble_branches(eager.ensemble, reference.kept)
+    dense_oracle.assert_same_branches(got, reference.branches, atol=TOL)
+
+
+def assert_same_probes(probes, acceptance, reference):
+    """Probe values and acceptances (of ``run_circuit`` or ``probe_circuit``)
+    agree with an oracle run's: NaN where no weight is left."""
+    assert probes.keys() == reference.probes.keys() == acceptance.keys()
+    for step_i, values in reference.probes.items():
+        assert acceptance[step_i] == pytest.approx(reference.probe_acceptance[step_i], abs=TOL)
+        assert probes[step_i].keys() == values.keys()
+        for name, want in values.items():
+            got = probes[step_i][name]
+            if reference.probe_acceptance[step_i] > 1e-9:
+                assert got == pytest.approx(want, abs=TOL), (step_i, name)
+            elif reference.probe_acceptance[step_i] == 0.0:
+                assert math.isnan(got) and math.isnan(want)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -132,14 +143,15 @@ def test_plan_matches_lazy_and_functional(seed, theta):
     noise = random_noise(rng, theta)
     initial = random_initial(rng, circuit.num_qubits)
     eager = run_circuit(circuit, noise, initial)
-    lazy, lazy_peak = lazy_run(circuit, noise, initial)
-    assert_same_run(eager, lazy)
-    assert_same_run(eager, marginalize_outcomes(lazy, circuit.slots))
-    assert eager.peak_branches <= lazy_peak
+    reference = dense_oracle.run(circuit, noise, initial)
+    assert_same_run(eager, reference)
+    # The plan merges branches once per step, the oracle after every
+    # measurement, so the plan holds at least the oracle's branches.
+    assert reference.peak <= eager.peak_branches
     if eager.acceptance > 1e-9:
         for obs in OBSERVABLES:
             assert eager.ensemble.expectation(obs) == pytest.approx(
-                lazy.expectation(obs), abs=TOL
+                reference.expectation(obs), abs=TOL
             )
 
 
@@ -151,10 +163,9 @@ def test_plan_kept_records_match_functional(seed, theta):
     noise = random_noise(rng, theta)
     initial = random_initial(rng, circuit.num_qubits)
     slots = circuit.slots
-    # Slots and parities with random signs; the reference keeps every slot
-    # they read and groups its branches by each parity's sign times the
-    # product of its records.  The signs come from a second generator, so
-    # the circuits, noise points and kept slots are those drawn without them.
+    # Slots and parities with random signs; the oracle tracks each one's
+    # running value.  The signs come from a second generator, so the
+    # circuits, noise points and kept slots are those drawn without them.
     signs = np.random.default_rng([seed, 1])
     keep = []
     for _ in range(int(rng.integers(1, len(slots)))):
@@ -162,41 +173,25 @@ def test_plan_kept_records_match_functional(seed, theta):
                                                   replace=False))
         keep.append(picked[0] if len(picked) == 1 and rng.random() < 0.5
                     else Parity(picked, int(signs.choice([1, -1]))))
-    read = {s for entry in keep for s in (entry.slots if isinstance(entry, Parity) else (entry,))}
     eager = run_circuit(circuit, noise, initial, keep_slots=keep)
-    reference = functional_run(circuit, noise, initial, read)
-    got = record_states(eager.ensemble, lambda r: tuple(r[entry] for entry in keep))
-    want = record_states(reference, lambda r: tuple(
-        entry.sign * math.prod(r[s] for s in entry.slots) if isinstance(entry, Parity)
-        else r[entry]
-        for entry in keep
-    ))
-    assert set(got) <= set(want)
-    for key, vec in want.items():
-        np.testing.assert_allclose(got.get(key, 0.0 * vec), vec, rtol=0, atol=TOL)
+    assert_same_run(eager, dense_oracle.run(circuit, noise, initial, keep=keep))
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_plan_probes_match_truncated_lazy_runs(seed, theta):
+    # A probe reads the branches that pass the detectors completed by its
+    # step, in the oracle as in both runners.
     rng = np.random.default_rng(seed)
     circuit = detector_circuit(rng)
     noise = random_noise(rng, theta)
     initial = random_initial(rng, circuit.num_qubits)
     steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
-    eager = run_circuit(circuit, noise, initial, probes={s: OBSERVABLES for s in steps})
-    for step_i in steps:
-        recorded = set(Circuit(circuit.num_qubits, circuit.steps[: step_i + 1]).slots)
-        done = tuple(d for d in circuit.detectors if set(d.slots) <= recorded)
-        truncated = Circuit(circuit.num_qubits, circuit.steps[: step_i + 1], done)
-        lazy, _ = lazy_run(truncated, noise, initial)
-        assert eager.probe_acceptance[step_i] == pytest.approx(lazy.total_trace, abs=TOL)
-        for obs in OBSERVABLES:
-            got = eager.probes[step_i][obs]
-            if lazy.total_trace > 1e-9:
-                assert got == pytest.approx(lazy.expectation(obs), abs=TOL)
-            elif lazy.total_trace == 0.0:
-                assert math.isnan(got)
+    probes = {s: OBSERVABLES for s in steps}
+    reference = dense_oracle.run(circuit, noise, initial, probes=probes)
+    eager = run_circuit(circuit, noise, initial, probes=probes)
+    assert_same_probes(eager.probes, eager.probe_acceptance, reference)
+    assert_same_probes(*probe_circuit(circuit, noise, initial, probes), reference)
 
 
 SHOTS = 4000
@@ -257,7 +252,7 @@ def test_one_plan_serves_many_noise_points():
             noise = random_noise(rng, theta=theta)
             thetas.add(noise.theta)
             eager = run_circuit(circuit, noise, initial)
-            assert_same_run(eager, lazy_run(circuit, noise, initial)[0])
+            assert_same_run(eager, dense_oracle.run(circuit, noise, initial))
         info = simulator._cached_plan.cache_info()
         assert (info.misses, info.hits) == (1, 3)
         assert len(thetas) == (4 if theta else 1)
@@ -345,8 +340,9 @@ def test_keys_wider_than_a_machine_word():
 # -- deferred coherent Z rotations -------------------------------------------
 #
 # Under theta the lowering keeps a pending Z angle per qubit and emits it only
-# before an op that does not commute with Z there.  The lazy reference rotates
-# eagerly through the ensemble methods, so it is independent of the deferral.
+# before an op that does not commute with Z there.  The oracle rotates in
+# every step, inside each measurement's and idle step's dense channel, so it
+# is independent of the deferral.
 
 
 def test_deferred_rotations_match_lazy_on_idle_ladder():
@@ -355,13 +351,54 @@ def test_deferred_rotations_match_lazy_on_idle_ladder():
     noise = NoiseParams(p_a=0.03, p1=0.02, p2=0.04, theta=0.07)
     initial = TrajectoryEnsemble.from_product_state(["+"] * circuit.num_qubits)
     eager = run_circuit(circuit, noise, initial)
-    lazy, lazy_peak = lazy_run(circuit, noise, initial)
-    assert lazy_peak == 4096
-    assert_same_run(eager, lazy)
+    reference = dense_oracle.run(circuit, noise, initial)
+    assert_same_run(eager, reference)
     for obs in ("XXXX", "ZZII", "IYXI", "XIIY"):
         assert eager.ensemble.expectation(obs) == pytest.approx(
-            lazy.expectation(obs), abs=TOL
+            reference.expectation(obs), abs=TOL
         )
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.01])
+@pytest.mark.parametrize("level", ["physical", "logical"])
+def test_runners_match_the_oracle_on_decay_circuits(level, theta):
+    # The physical decays at their full length, the eight-qubit logical ones
+    # at three rounds (the oracle holds 4^8 entries per branch).
+    rounds = (2, 4, 6, 8, 10) if level == "physical" else (1, 2, 3)
+    noise = NoiseParams(p_a=0.01, p1=2e-3, p2=3e-3, theta=theta)
+    for obs in ("XX", "ZI"):
+        spec = qed.DecayExperimentSpec(level, obs, rounds, noise)
+        derived = qed._decay_circuit(spec)
+        circuit, initial = derived.circuit, qed._initial_state(spec)
+        observable = qed.repcode_observables(level)[obs]
+        probes = {derived.round_end_steps[r - 1]: (observable,) for r in rounds}
+        keep = (circuit.slots[0], Parity(circuit.slots[-2:], -1)) if level == "physical" else ()
+        reference = dense_oracle.run(circuit, noise, initial, keep=keep, probes=probes)
+        eager = run_circuit(circuit, noise, initial, keep_slots=keep, probes=probes)
+        assert_same_run(eager, reference)
+        assert_same_probes(eager.probes, eager.probe_acceptance, reference)
+        assert_same_probes(*probe_circuit(circuit, noise, initial, probes), reference)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02])
+def test_runners_match_the_oracle_on_the_batched_braid_input(theta):
+    # Four tagged input branches on one support; each class keeps the
+    # parities of its frame corrections.
+    noise = NoiseParams(p_a=0.03, p1=0.02, p2=0.05, theta=theta)
+    support, coeffs = braiding._tomography_input()
+    initial = TrajectoryEnsemble(
+        2, support, coeffs, [{("in", label): 1} for label in braiding._TOMO_INPUTS]
+    )
+    for name in braiding.CLIFFORD_CLASSES:
+        circuit = braiding.class_circuit(name)
+        keep = braiding._parities(name, circuit.slots)
+        probes = {s: ("XZ", "ZI", "YY", "IX") for s in range(len(circuit.steps))}
+        reference = dense_oracle.run(circuit, noise, initial, keep=keep, probes=probes)
+        assert len(reference.branches) == len(braiding._TOMO_INPUTS) * 2 ** len(keep)
+        eager = run_circuit(circuit, noise, initial, keep_slots=keep, probes=probes)
+        assert_same_run(eager, reference)
+        assert_same_probes(eager.probes, eager.probe_acceptance, reference)
+        assert_same_probes(*probe_circuit(circuit, noise, initial, probes), reference)
 
 
 DEFERRAL_CIRCUIT = """
@@ -388,24 +425,15 @@ def test_deferred_rotations_match_truncated_lazy_runs():
     circuit = Circuit.from_text(DEFERRAL_CIRCUIT)
     noise = NoiseParams(p_a=0.05, p1=0.03, p2=0.04, theta=0.13)
     initial = TrajectoryEnsemble.from_product_state(["+", "+i", "+"])
-    observables = ("ZZI", "XXI")
-    steps = range(len(circuit.steps))
-    eager = run_circuit(circuit, noise, initial, probes={s: observables for s in steps})
-    for step_i in steps:
-        recorded = set(Circuit(circuit.num_qubits, circuit.steps[: step_i + 1]).slots)
-        done = tuple(d for d in circuit.detectors if set(d.slots) <= recorded)
-        truncated = Circuit(circuit.num_qubits, circuit.steps[: step_i + 1], done)
-        lazy, _ = lazy_run(truncated, noise, initial)
-        assert eager.probe_acceptance[step_i] == pytest.approx(lazy.total_trace, abs=TOL)
-        for obs in observables:
-            assert eager.probes[step_i][obs] == pytest.approx(
-                lazy.expectation(obs), abs=TOL
-            )
-    lazy, _ = lazy_run(circuit, noise, initial)
-    assert_same_run(eager, lazy)
+    probes = {s: ("ZZI", "XXI") for s in range(len(circuit.steps))}
+    eager = run_circuit(circuit, noise, initial, probes=probes)
+    reference = dense_oracle.run(circuit, noise, initial, probes=probes)
+    assert_same_probes(eager.probes, eager.probe_acceptance, reference)
+    assert_same_probes(*probe_circuit(circuit, noise, initial, probes), reference)
+    assert_same_run(eager, reference)
     for obs in ("IIY", "IIX", "YXZ"):
         assert eager.ensemble.expectation(obs) == pytest.approx(
-            lazy.expectation(obs), abs=TOL
+            reference.expectation(obs), abs=TOL
         )
 
 

@@ -9,9 +9,12 @@ improvement ratios) were computed once with this code path and pinned.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+
+import dense_oracle
 
 from tetronsim import qed, simulator
 from tetronsim.channels import (
@@ -44,7 +47,6 @@ from tetronsim.simulator import (
     Meas2,
     Parity,
     TrajectoryEnsemble,
-    marginalize_outcomes,
     run_circuit,
 )
 from tetronsim.tableau import TaggedTableau
@@ -613,6 +615,18 @@ def test_fit_flags():
     assert any("negative" in f for f in flags)
 
 
+def test_fit_rejects_degenerate_inputs():
+    with pytest.raises(ValueError, match="differ in length: 3 and 2"):
+        fit_decay((1, 2, 3), (0.9, 0.8))
+    # Two usable points at one round: a line through them is not determined.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rounds, values in (((2, 2, 4), (0.9, 0.8, 0.0)), ((3, 3), (0.5, 0.5))):
+            fit = fit_decay(rounds, values)
+            assert all(math.isnan(v) for v in fit[:3])
+            assert "fit underdetermined" in fit[3]
+
+
 def test_decay_acceptance_series_monotone():
     noise = NoiseParams(p_a=0.01, p1=0.02, p2=0.01)
     fit = decay_experiment(DecayExperimentSpec("physical", "XX", noise=noise))
@@ -833,6 +847,8 @@ def test_scan_rejects_empty_grid():
 
 
 def test_marginalization_schedule_independence():
+    # Keeping every record and summing the branches afterwards gives the
+    # state of the run that keeps none; both are the dense oracle's.
     noise = NoiseParams(p_a=0.02, p1=0.01, p2=0.002)
     d = logical_zz_circuit(2, prep_letter="X")
     init = TrajectoryEnsemble.from_product_state(["+"] * 8)
@@ -841,20 +857,30 @@ def test_marginalization_schedule_independence():
     kept = run_circuit(d.circuit, noise, init, keep_slots="all")
     assert kept.ensemble.num_branches > eager.ensemble.num_branches
 
-    merged = marginalize_outcomes(kept.ensemble, d.circuit.slots)
-    assert abs(eager.acceptance - kept.ensemble.total_trace) < 1e-12
+    reference = dense_oracle.run(d.circuit, noise, init)
+    assert abs(eager.acceptance - reference.acceptance) < 1e-12
+    assert abs(kept.ensemble.total_trace - reference.acceptance) < 1e-12
+    np.testing.assert_allclose(eager.ensemble.sum_pauli_vec(), reference.state, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(kept.ensemble.sum_pauli_vec(), reference.state, rtol=0,
+                               atol=1e-12)
     for obs in (XBAR, "ZZIIIIII", embed_letters(8, "ZZZZ", (2, 3, 4, 5))):
-        assert abs(eager.ensemble.expectation(obs) - merged.expectation(obs)) < 1e-12
+        assert abs(kept.ensemble.expectation(obs) - reference.expectation(obs)) < 1e-12
 
 
 def test_marginalize_mixes_slot_and_parity_entries():
-    # Kept slots and kept parities sort side by side in the reference merge
-    # instead of failing to compare.
+    # Kept slots and kept parities side by side, and each alone: every
+    # branch is the dense oracle's branch of the same kept values.
     noise = NoiseParams(p_a=0.02, p1=0.01, p2=0.002)
     d = idle_ladder_circuit(2, prep_letter="X")
     init = TrajectoryEnsemble.from_product_state(["+"] * d.circuit.num_qubits)
     ens = run_circuit(d.circuit, noise, init, keep_slots=[Parity((0, 2)), 1]).ensemble
     assert {key for tag in ens.tags for key in tag} == {("s", Parity((0, 2))), ("s", 1)}
-    for slots in ([5], [1]):
-        merged = marginalize_outcomes(ens, slots)
-        assert abs(merged.total_trace - ens.total_trace) < 1e-15
+    # The detectors pin s0 to s3; the ZZ checks s6, s7, s10 and s11 are random.
+    for keep, branches in (([Parity((0, 2)), 1], 1), ([Parity((6, 10)), 7], 4),
+                           ([Parity((6, 10))], 2), ([6, Parity((7, 11), -1)], 4)):
+        ens = run_circuit(d.circuit, noise, init, keep_slots=keep).ensemble
+        reference = dense_oracle.run(d.circuit, noise, init, keep=keep)
+        assert len(reference.branches) == branches
+        dense_oracle.assert_same_branches(dense_oracle.ensemble_branches(ens, keep),
+                                          reference.branches, atol=1e-12)

@@ -1,15 +1,18 @@
-"""Tagged stabilizer tableau, cross-checked against the exact simulator:
-random measurement schedules must produce the predicted branch counts, and
-every derived detector and expression must hold on every surviving branch."""
+"""Tagged stabilizer tableau, cross-checked against the dense oracle (and the
+oracle against the exact simulator): random measurement schedules must
+produce the predicted branch counts, and every derived detector and
+expression must hold on every surviving branch."""
+
+import math
 
 import numpy as np
 import pytest
 
-from test_simulator import lazy_run
+import dense_oracle
 
 from tetronsim.channels import NoiseParams
 from tetronsim.pauli import PauliString, embed_letters
-from tetronsim.simulator import CircuitBuilder, Parity, TrajectoryEnsemble, pauli_index
+from tetronsim.simulator import CircuitBuilder, Parity, TrajectoryEnsemble, run_circuit
 from tetronsim.tableau import TaggedGenerator, TaggedTableau
 
 NO_NOISE = NoiseParams()
@@ -169,31 +172,25 @@ def test_random_schedules_against_exact_simulator(seed):
             else:
                 builder.meas2(qs[0], qs[1], ls)
             builder.end_step()
+        circuit = builder.build()
         init = TrajectoryEnsemble.from_product_state(labels)
-        ens, _ = lazy_run(builder.build(), NO_NOISE, init)
-
-        traces = ens.branch_traces
-        alive = np.flatnonzero(traces > 1e-12)
+        branches = dense_oracle.run(circuit, NO_NOISE, init, keep="all").branches
+        eager = run_circuit(circuit, NO_NOISE, init, keep_slots="all").ensemble
+        dense_oracle.assert_same_branches(
+            dense_oracle.ensemble_branches(eager, circuit.slots), branches, atol=1e-12
+        )
+        alive = [(dict(zip(circuit.slots, values)), vec)
+                 for (_, values), vec in branches.items() if vec[0] > 1e-12]
         assert len(alive) == 2 ** kinds.count("random")
 
-        recs = ens.records
         for det in dets:
             if det is None:
                 continue
-            for b in alive:
-                prod = 1
-                for s in det.slots:
-                    prod *= recs[b][s]
-                assert prod == det.sign
+            for records, _ in alive:
+                assert math.prod(records[s] for s in det.slots) == det.sign
 
         for pauli, tags in tab.generators:
-            idx = pauli_index(n, PauliString(pauli.letters))
-            pos = int(np.searchsorted(ens.support, idx))
-            in_support = pos < len(ens.support) and ens.support[pos] == idx
-            for b in alive:
-                val = ens.coeffs[b, pos] * pauli.sign if in_support else 0.0
-                val /= traces[b]
-                want = 1.0
-                for t in tags:
-                    want *= recs[b][t]
+            for records, vec in alive:
+                val = vec[pauli.index] * pauli.sign / vec[0]
+                want = math.prod(records[t] for t in tags)
                 assert val == pytest.approx(want, abs=1e-10)
