@@ -146,8 +146,9 @@ def test_plan_matches_lazy_and_functional(seed, theta):
     reference = dense_oracle.run(circuit, noise, initial)
     assert_same_run(eager, reference)
     # The plan merges branches once per step, the oracle after every
-    # measurement, so the plan holds at least the oracle's branches.
-    assert reference.peak <= eager.peak_branches
+    # measurement, so the plan holds at least the oracle's branches; and no
+    # more than every record combination of every initial branch.
+    assert reference.peak <= eager.peak_branches <= initial.num_branches * 2 ** len(circuit.slots)
     if eager.acceptance > 1e-9:
         for obs in OBSERVABLES:
             assert eager.ensemble.expectation(obs) == pytest.approx(

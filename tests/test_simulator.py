@@ -99,6 +99,35 @@ def test_forced_record_equals_split_row():
     np.testing.assert_allclose(full_vec(forced, 0), full_vec(split, 1), atol=1e-15)
 
 
+def test_merge_and_prune_with_mixed_slot_and_parity_tags():
+    # Kept slots and kept parities sort side by side in ``merge`` instead of
+    # failing to compare; ``prune`` drops rows and their tags together.
+    rng = np.random.default_rng(5)
+    ens = TrajectoryEnsemble.from_density_matrix(pauli_vec_to_dense(random_density_vec(rng, 2)))
+    for op in (Meas1(0, "X", 0), Meas1(1, "Z", 1), Meas1(0, "Z", 2)):
+        ens.split_measurement(op, NOISE)
+    split = [dict(tag) for tag in ens.tags]
+    ens.tags = [{("s", Parity((0, 2))): t[("s", 0)] * t[("s", 2)], ("s", 1): t[("s", 1)]}
+                for t in split]
+    want: dict = {}
+    for row, tag in enumerate(ens.tags):
+        key = (tag[("s", 1)], tag[("s", Parity((0, 2)))])
+        want[key] = want.get(key, 0.0) + ens.coeffs[row]
+    trace = ens.total_trace
+    ens.merge()
+    assert ens.num_branches == 4
+    assert ens.total_trace == pytest.approx(trace, abs=1e-15)
+    got = [(tag[("s", 1)], tag[("s", Parity((0, 2)))]) for tag in ens.tags]
+    assert got == sorted(want)
+    for row, key in enumerate(got):
+        np.testing.assert_allclose(ens.coeffs[row], want[key], atol=1e-15)
+    keep = np.array([True, False, False, True])
+    kept_rows, kept_tags = ens.coeffs[keep], [ens.tags[0], ens.tags[3]]
+    ens.prune(keep)
+    np.testing.assert_array_equal(ens.coeffs, kept_rows)
+    assert ens.tags == kept_tags
+
+
 @pytest.mark.parametrize("axis,angle", [("X", 0.37), ("Y", -0.8), ("Z", 0.11)])
 def test_rotation_kernel_matches_superop(axis, angle):
     rng = np.random.default_rng(17)
