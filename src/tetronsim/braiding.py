@@ -24,16 +24,15 @@ The correction rule is data: each letter is switched on by a signed product
 of at most three outcomes, a :class:`~tetronsim.simulator.Parity` equal to
 +1.  The noisy runs keep only those parities (at most two per class).
 A class map is tomographed in one batched run: the four input states are
-initial branches of one ensemble, each branch gets its Pauli frame
-correction, the auxiliary is traced out and each input's branches are
-summed.  The run's final support and the records of its branches depend on
-the class and on whether theta is zero, not on the noise numbers, so that
-post-processing is compiled once per class and plan kind into a readout (a
-sign per branch and column, the columns that survive the trace, the rows of
-each input), built from the first run; every later noise point runs the
-plan and applies the readout.  Everything else that does not depend on the
-noise (circuits, the batched input, ideal unitaries and their transfer
-matrices) is computed once as well.
+initial branches of one ensemble, and the run ends in a probe that reads,
+per final branch, the computational qubit's Pauli vector with the auxiliary
+traced out, next to the branch's kept parities and its input.  Each
+branch's vector gets the signs of its Pauli frame correction, and each
+input's branches are summed.  The run's plan is cached like every plan of
+the simulator, so a noise scan lowers each class circuit once per plan kind
+(theta zero or not).  Everything else that does not depend on the noise
+(circuits, the batched input, ideal unitaries and their transfer matrices)
+is computed once as well.
 """
 
 from __future__ import annotations
@@ -55,7 +54,8 @@ from .pauli import (
     projector,
     unitary_superop,
 )
-from .simulator import CircuitBuilder, Circuit, Parity, TrajectoryEnsemble, run_circuit
+from .simulator import (CircuitBuilder, Circuit, Parity, TrajectoryEnsemble, read_branches,
+                        run_circuit)
 
 CLIFFORD_CLASSES = ("identity", "H", "S", "HSH", "SH", "HS")
 
@@ -330,64 +330,22 @@ def _tomography_input() -> "tuple[np.ndarray, np.ndarray]":
     return support, coeffs
 
 
-@dataclass(frozen=True)
-class _Readout:
-    """What :func:`simulate_class` does with the final coefficient block of
-    its run, as data: the Pauli frame corrections, the trace over the
-    auxiliary and the sum over each input's branches.
-
-    ``columns`` are the final support columns without an auxiliary
-    component, ordered by their computational Pauli index ``targets``.  The
-    rows of tomography input ``i`` are ``rows[starts[i]:starts[i + 1]]``
-    (ascending), and ``signs[k]`` is the correction of row ``rows[k]`` on
-    ``columns``: -1 where it anticommutes.  All arrays are read-only.
-    """
-
-    columns: np.ndarray
-    targets: np.ndarray
-    rows: np.ndarray
-    starts: np.ndarray
-    signs: np.ndarray
-
-    def outputs(self, coeffs: np.ndarray) -> np.ndarray:
-        """The corrected, record-summed one-qubit Pauli vector of each
-        tomography input (one row each).  Every coefficient goes through the
-        floating-point operations of correcting, tracing and summing the
-        ensemble, in the same order, so the result is the same to the bit."""
-        kept = coeffs[self.rows][:, self.columns]
-        kept *= self.signs
-        out = np.zeros((len(_TOMO_INPUTS), 4))
-        out[:, self.targets] = np.add.reduceat(kept, self.starts, axis=0)
-        return out
+# The computational qubit's Pauli vector, the auxiliary traced out.
+_COMPUTATIONAL_PAULIS = tuple(PauliString("I" + letter) for letter in LETTERS)
 
 
-def _build_readout(name: str, ens: TrajectoryEnsemble) -> _Readout:
-    """The readout of a final ensemble of :func:`simulate_class`'s run."""
-    parities = _parities(name, class_circuit(name).slots)
-    columns, targets = ens.trace_columns([AUX])
-    by_input = [[row for row, tag in enumerate(ens.tags) if ("in", label) in tag]
-                for label in _TOMO_INPUTS]
-    rows = [row for group in by_input for row in group]
-    records = ens.records
-    signs = []
-    for row in rows:
-        frame = _correction(name, tuple(records[row][p] for p in parities))
-        signs.append([1.0 if frame.commutes(PauliString(LETTERS[t])) else -1.0
-                      for t in targets])
-    readout = _Readout(
-        columns,
-        targets,
-        np.array(rows),
-        np.cumsum([0] + [len(group) for group in by_input[:-1]]),
-        np.array(signs),
-    )
-    for array in vars(readout).values():
-        array.flags.writeable = False
-    return readout
-
-
-# (class, theta != 0) -> its readout; see simulate_class.
-_READOUTS: dict = {}
+@functools.lru_cache(maxsize=None)
+def _frame_signs(name: str) -> np.ndarray:
+    """Read-only; row c holds, per computational Pauli I, X, Y, Z, -1.0
+    where the correction anticommutes with it, else 1.0, for a branch whose
+    i-th :func:`_parities` value of ``name`` is -1 iff bit i of c is set."""
+    count = sum(1 for _, pos, _ in _EXPONENTS[name] if pos)
+    frames = [_correction(name, tuple(1 - 2 * (code >> i & 1) for i in range(count)))
+              for code in range(1 << count)]
+    table = np.array([[1.0 if f.commutes(PauliString(x)) else -1.0 for x in LETTERS]
+                      for f in frames])
+    table.flags.writeable = False
+    return table
 
 
 def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperator:
@@ -403,22 +361,19 @@ def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperat
     outputs.  No post-selection: every record is summed over, so the result
     is trace preserving up to numerical error.
 
-    The run's plan, and with it the final support and the records of every
-    branch, depends on the class and on whether theta is zero, not on the
-    noise numbers.  So does everything after the run: it is compiled into a
-    :class:`_Readout` from the first run of each (class, theta != 0), and
-    every later call only runs the plan and applies the readout.
+    The run ends in a probe of the computational qubit's Pauli vector on
+    every final branch (see :func:`~tetronsim.simulator.read_branches`), so
+    it builds no ensemble, and its cached plan computes only the columns
+    that probe reads.  Each input's branches are summed in ascending order.
     """
     circuit = class_circuit(name)
-    parities = _parities(name, circuit.slots)
     support, coeffs = _tomography_input()
     init = TrajectoryEnsemble(2, support, coeffs, [{("in", label): 1} for label in _TOMO_INPUTS])
-    ens = run_circuit(circuit, noise, init, keep_slots=parities).ensemble
-    key = (name, noise.theta != 0)
-    readout = _READOUTS.get(key)
-    if readout is None:
-        readout = _READOUTS[key] = _build_readout(name, ens)
-    outputs = readout.outputs(ens.coeffs)
+    reads = read_branches(circuit, noise, init, _COMPUTATIONAL_PAULIS,
+                          keep_slots=_parities(name, circuit.slots))
+    codes = (reads.records < 0) @ (1 << np.arange(reads.records.shape[1]))
+    outputs = np.zeros((len(_TOMO_INPUTS), len(LETTERS)))
+    np.add.at(outputs, reads.groups, reads.values * _frame_signs(name)[codes])
 
     v_id = outputs[0] + outputs[1]
     columns = [

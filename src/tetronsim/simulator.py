@@ -42,17 +42,19 @@ this tractable:
   summed: a term of one record branch cancels against the same term of
   another.  Which ones does not depend on the noise either, so after a
   witness run at a generic noise point the circuit is lowered again,
-  producing only the columns that can be nonzero.  A run that reads only
-  its probes (a decay experiment, or the sampler, whose final observables
-  are an end probe) keeps of those only the columns that some probe reads
-  through later ops, found by a backward pass over the plan: the columns
-  no probe or returned state reads are never computed.  Lowering fails
-  loudly when a run would outgrow the branch or support budget.
+  producing only the columns that can be nonzero.  Of those it keeps only
+  the columns that the returned state or some probe reads through later
+  ops, found by a backward pass over the plan.  A run that reads only its
+  probes (a decay experiment, a braiding class map, or the sampler, whose
+  final observables are an end probe) never computes the columns that
+  matter only to the final state.  Lowering fails loudly when a run would
+  outgrow the branch or support budget.
 
 Every runner executes such a plan.  :func:`run_circuit` sums the branches
 and returns the final state, :func:`probe_circuit` returns only the probes,
-and :func:`sample_circuit` draws its shots from the branches, at each probe
-step and at the end, in proportion to their traces.
+:func:`read_branches` reads the final branches one by one through an end
+probe, and :func:`sample_circuit` draws its shots from the branches, at each
+probe step and at the end, in proportion to their traces.
 
 The test suite checks every kernel, and whole circuits, against the dense
 channel constructors of :mod:`tetronsim.channels`.
@@ -623,7 +625,14 @@ class TrajectoryEnsemble:
 
     @classmethod
     def from_density_matrix(cls, rho: np.ndarray) -> "TrajectoryEnsemble":
-        vec = dense_to_pauli_vec(np.asarray(rho, dtype=complex))
+        """Single-branch ensemble of a Hermitian matrix of unit trace (to
+        1e-9) that is positive semidefinite (no eigenvalue below -1e-10)."""
+        rho = np.asarray(rho, dtype=complex)
+        vec = dense_to_pauli_vec(rho)
+        if abs(vec[0] - 1.0) > 1e-9:
+            raise ValueError(f"density matrix has trace {vec[0]!r}, not 1")
+        if np.linalg.eigvalsh(rho).min() < -1e-10:
+            raise ValueError("density matrix is not positive semidefinite")
         n = max(1, (vec.size.bit_length() - 1) // 2)
         support = np.flatnonzero(vec).astype(np.int64)
         if 0 not in support:
@@ -804,10 +813,8 @@ class TrajectoryEnsemble:
         self.coeffs = coeffs
         self.tags = tags
 
-    def trace_columns(self, qubits: Iterable[int]) -> "tuple[np.ndarray, np.ndarray]":
-        """The support columns a partial trace over the listed qubits keeps
-        (those with no component on them), in the order of their Pauli
-        indices on the remaining qubits, and those indices."""
+    def trace_out(self, qubits: Iterable[int]) -> "TrajectoryEnsemble":
+        """Partial trace over the listed qubits."""
         drop = sorted(set(qubits))
         n = self.num_qubits
         for q in drop:
@@ -824,18 +831,8 @@ class TrajectoryEnsemble:
         for j, q in enumerate(keep_qubits):
             new_idx |= _digit_column(sel, n, q) << (2 * (m - 1 - j))
         order = np.argsort(new_idx)
-        return columns[order], new_idx[order]
-
-    def trace_out(self, qubits: Iterable[int]) -> "TrajectoryEnsemble":
-        """Partial trace over the listed qubits."""
-        drop = set(qubits)
-        columns, support = self.trace_columns(drop)
-        return TrajectoryEnsemble(
-            self.num_qubits - len(drop),
-            support,
-            np.ascontiguousarray(self.coeffs[:, columns]),
-            [dict(t) for t in self.tags],
-        )
+        coeffs = np.ascontiguousarray(self.coeffs[:, columns[order]])
+        return TrajectoryEnsemble(m, new_idx[order], coeffs, [dict(t) for t in self.tags])
 
 
 # ---------------------------------------------------------------------------
@@ -1295,12 +1292,13 @@ _ABSENT_READS = {_MeasureOp: (_ABSENT_SELF, _ABSENT_CROSS),
 
 
 def _needed_masks(plan: _Plan, witness: list) -> list:
-    """The columns the second lowering keeps in a plan that reads only its
-    probes (it ends in an end probe, see :func:`_lower`): per support that
+    """The columns the second lowering keeps: per support that
     :func:`_witness_masks` lists (``witness``), the columns that can be
-    nonzero and that some probe depends on.
+    nonzero and that something the run returns depends on.
 
-    A backward pass over ``plan``, the dual of the witness run.  A probe
+    A backward pass over ``plan``, the dual of the witness run.  A plan that
+    returns its final state reads every final column; one that ends in an
+    end probe (see :func:`_lower`) reads only what its probes read.  A probe
     reads the identity and its probed columns; a kept output column of a
     measurement or rotation reads its ``pos_self`` and ``pos_partner``
     inputs, except through the absent class, whose weight is 0.  Idle ops,
@@ -1309,7 +1307,8 @@ def _needed_masks(plan: _Plan, witness: list) -> list:
     initial support, keeps every column, as in ``witness``.
     """
     k = len(witness) - 1
-    need = np.zeros(witness[k].size, dtype=bool)
+    last = plan.ops[-1] if plan.ops else None
+    need = np.full(witness[k].size, not (isinstance(last, _ProbeOp) and last.step is None))
     masks = list(witness)
     for op in reversed(plan.ops):
         if isinstance(op, _ProbeOp):
@@ -1333,22 +1332,21 @@ def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating)
     lowers an end probe in place of the final state.  The circuit is lowered
     twice.  The second time, each measurement and rotation produces only the
     columns that a witness run of the first plan finds nonzero where they are
-    next read (:func:`_witness_masks`); in a plan with an end probe, only
-    those of them that some probe reads through later ops
-    (:func:`_needed_masks`).  A column that no kept column reads enters no
-    kept number, so the needed masks change no value a run returns: each
-    kept column goes through the same floating-point operations as in the
-    plan the witness masks alone give."""
+    next read (:func:`_witness_masks`) and that the final state or a probe
+    reads through later ops (:func:`_needed_masks`).  A column that no kept
+    column reads enters no kept number, so dropping it changes no value a
+    run returns: each kept column goes through the same floating-point
+    operations as it would with every column the witness keeps."""
     initial = np.frombuffer(support, np.int64)
-    probe_map = dict(probes)
-    args = (circuit, initial, groups, keep, probe_map, rotating)
+    args = (circuit, initial, groups, keep, dict(probes), rotating)
     plan, produced = _lower(*args)
-    masks = _witness_masks(plan, circuit.num_qubits, len(groups), initial.size)
-    if None in probe_map:
-        masks = _needed_masks(plan, masks)
+    masks = _needed_masks(plan, _witness_masks(plan, circuit.num_qubits, len(groups),
+                                               initial.size))
     del plan  # hold one plan at a time
     plan, _ = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
-    plan.support.flags.writeable = False  # every run's ensemble shares it
+    # Every run's ensemble, or branch reads, shares these.
+    plan.support.flags.writeable = False
+    plan.records.flags.writeable = False
     return plan
 
 
@@ -1426,22 +1424,24 @@ def run_circuit(
     plan lowered from the circuit; the plan does not depend on the noise
     numbers and is cached, so repeated runs do only the numeric pass.
 
-    The plan computes only the Pauli columns that can be nonzero.  It is a
-    second lowering that leaves out every column a witness run of the first
-    plan, at a generic noise point and from random initial coefficients,
-    finds exactly 0.0 in every branch just before the next measurement or
-    rotation reads it (or at the end).  Since the final state is returned,
-    every other column is computed; :func:`probe_circuit` gives the same
-    probes from a plan that also leaves out the columns no probe reads.
-    Each coefficient is a polynomial in the noise tables and the initial
-    coefficients, and one that is not identically zero is exactly zero at a
-    generic point only by accident (Schwartz-Zippel), so a dropped column is
-    zero at every noise point; small values are never dropped.  The final
-    ensemble's support therefore omits Paulis whose coefficient is zero in
-    every branch, and its entries may differ from an unpruned run by the
-    rounding residue the cancellations leave (about one ulp).  A run that
-    would hold more than the branch or support budget raises ``ValueError``
-    while the plan is lowered.
+    The plan computes only the Pauli columns that can be nonzero and that
+    the final state or a probe reads.  It is a second lowering that leaves
+    out every column a witness run of the first plan, at a generic noise
+    point and from random initial coefficients, finds exactly 0.0 in every
+    branch just before the next measurement or rotation reads it (or at the
+    end), and every column that no later op reads.  Since the final state is
+    returned, every final column that can be nonzero is computed;
+    :func:`probe_circuit` gives the same probes from a plan that also leaves
+    out the columns only the final state reads.  Each coefficient is a
+    polynomial in the noise tables and the initial coefficients, and one
+    that is not identically zero is exactly zero at a generic point only by
+    accident (Schwartz-Zippel), so a dropped column is zero at every noise
+    point; small values are never dropped.  The final ensemble's support
+    therefore omits Paulis whose coefficient is zero in every branch, and
+    its entries may differ from an unpruned run by the rounding residue the
+    cancellations leave (about one ulp).  A run that would hold more than
+    the branch or support budget raises ``ValueError`` while the plan is
+    lowered.
 
     ``keep_slots`` lists what must remain distinguishable in the final
     ensemble, e.g. to drive outcome-dependent corrections afterwards.  An
@@ -1480,6 +1480,50 @@ def probe_circuit(
     """
     _, _, reads, _ = _execute(circuit, noise, initial, (), probes, finals=())
     return _summed_probes(reads[:-1])  # the last read is the end probe
+
+
+@dataclass(frozen=True)
+class BranchReads:
+    """The final branches of a run (see :func:`read_branches`).  Final
+    branch b descends from initial branch group ``groups[b]``, the index of
+    its tags among the distinct tags of the initial branches in order of
+    first appearance.  ``records[b]`` holds each kept entry's value, +1 or
+    -1 (read-only), and ``values[b]`` tr(P rho_b) for each observable P:
+    the identity's is the branch's trace."""
+
+    groups: np.ndarray
+    records: np.ndarray
+    values: np.ndarray
+
+
+def read_branches(
+    circuit: Circuit,
+    noise: NoiseParams,
+    initial: TrajectoryEnsemble,
+    observables: Iterable,
+    *,
+    keep_slots: "Iterable[int] | str" = (),
+) -> BranchReads:
+    """The kept entries and the ``observables`` of each final branch of
+    :func:`run_circuit` with the same arguments, without the final state:
+    the values are the final ensemble's columns (0.0 for a Pauli its support
+    lacks).
+
+    The run ends in a probe of ``observables``, as :func:`sample_circuit`
+    does, so its plan computes only the columns that this probe reads.  The
+    probe applies only the deferred Z rotations its observables need, in its
+    own order, so the value of a Pauli with X or Y on several qubits may
+    differ from the ensemble's column by rounding.
+    """
+    keep = _normalize_keep(keep_slots, circuit)
+    finals = _pauli_list("observables", observables)
+    plan, _, reads, _ = _execute(circuit, noise, initial, keep, None, finals)
+    _, trace, columns = reads[-1]
+    values = np.zeros((len(trace), len(columns)))
+    for j, (_, column, sign) in enumerate(columns):
+        if column is not None:
+            values[:, j] = column if sign == 1 else -column
+    return BranchReads(np.array(plan.groups), plan.records, values)
 
 
 @dataclass

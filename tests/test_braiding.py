@@ -12,7 +12,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from tetronsim import braiding
+from tetronsim import braiding, simulator
 from tetronsim.braiding import (
     AUX,
     COMP,
@@ -36,7 +36,14 @@ from tetronsim.braiding import (
 )
 from tetronsim.channels import NoiseParams, meas1_record_superop, meas2_record_superop
 from tetronsim.pauli import PauliString, embed_letters, pauli_matrix, unitary_superop
-from tetronsim.simulator import Circuit, Meas1, Meas2, TrajectoryEnsemble, run_circuit
+from tetronsim.simulator import (
+    Circuit,
+    Meas1,
+    Meas2,
+    TrajectoryEnsemble,
+    read_branches,
+    run_circuit,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +329,22 @@ def test_parity_runs_match_per_branch_reference(name, monkeypatch):
     runs = []
 
     def counting_run(*args, **kwargs):
-        result = run_circuit(*args, **kwargs)
-        runs.append(result.ensemble)
-        return result
+        reads = read_branches(*args, **kwargs)
+        runs.append(reads)
+        return reads
 
     for noise in braid_noise_points():
         want = per_branch_simulate_class(name, noise)
         with monkeypatch.context() as patch:
-            patch.setattr(braiding, "run_circuit", counting_run)
+            patch.setattr(braiding, "read_branches", counting_run)
             got = simulate_class(name, noise).matrix
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         # One batched run, at most four parity branches per input.
         assert len(runs) == 1
-        ens = runs.pop()
-        for label in ("0", "1", "+", "+i"):
-            assert 1 <= sum(("in", label) in tag for tag in ens.tags) <= 4
-        assert ens.num_branches <= 16
+        reads = runs.pop()
+        per_input = np.bincount(reads.groups, minlength=len(braiding._TOMO_INPUTS))
+        assert len(per_input) == 4 and ((1 <= per_input) & (per_input <= 4)).all()
+        assert len(reads.groups) <= 16
         suite = run_gateset_suite(name, noise)
         with monkeypatch.context() as patch:
             patch.setattr(braiding, "_run_tomography_circuit", per_branch_tomography)
@@ -358,56 +365,41 @@ def test_batched_run_matches_per_input_runs_exactly(name):
                               per_input_simulate_class(name, noise))
 
 
-def test_readout_is_built_once_per_class_and_plan_kind(monkeypatch):
-    built = []
-
-    def counting_build(name, ens):
-        built.append(name)
-        return build(name, ens)
-
-    build = braiding._build_readout
-    monkeypatch.setattr(braiding, "_READOUTS", {})
-    monkeypatch.setattr(braiding, "_build_readout", counting_build)
+def test_class_plans_are_lowered_once_per_class_and_plan_kind():
+    # The plan cache is the only cache of a class map: one plan per class and
+    # per theta zero or not, whatever the noise numbers.
+    simulator._cached_plan.cache_clear()
     for noise in braid_noise_points() * 2:
         for name in CLIFFORD_CLASSES:
             simulate_class(name, noise)
-    assert sorted(built) == sorted(CLIFFORD_CLASSES * 2)
-    assert set(braiding._READOUTS) == {
-        (name, rotating) for name in CLIFFORD_CLASSES for rotating in (False, True)
-    }
-
-
-def test_readout_refuses_writes():
-    simulate_class("SH", NoiseParams(p1=0.01))
-    readout = braiding._READOUTS[("SH", False)]
-    for array in (readout.columns, readout.targets, readout.rows, readout.starts,
-                  readout.signs):
-        with pytest.raises(ValueError, match="read-only"):
-            array[0] = 1
-    with pytest.raises(AttributeError):
-        readout.signs = -readout.signs
+    info = simulator._cached_plan.cache_info()
+    assert info.misses == len(CLIFFORD_CLASSES) * 2
+    assert info.hits == len(CLIFFORD_CLASSES) * (len(braid_noise_points()) * 2 - 2)
 
 
 def test_mutating_results_does_not_leak_into_later_runs(monkeypatch):
-    # Every class, on both plan kinds, so every cached readout is covered.
+    # Every class, on both plan kinds, so every cached plan is covered.
     for name in CLIFFORD_CLASSES:
         for theta in (0.0, 0.07):
             noise = NoiseParams(p_a=0.03, p1=0.04, p2=0.05, theta=theta)
             want = per_input_simulate_class(name, noise)
             seen = []
 
-            def capturing_run(circuit, noise, initial, **kwargs):
-                result = run_circuit(circuit, noise, initial, **kwargs)
-                seen.append((circuit, initial, result.ensemble))
-                return result
+            def capturing_run(circuit, noise, initial, *args, **kwargs):
+                reads = read_branches(circuit, noise, initial, *args, **kwargs)
+                seen.append((circuit, initial, reads))
+                return reads
 
             with monkeypatch.context() as patch:
-                patch.setattr(braiding, "run_circuit", capturing_run)
+                patch.setattr(braiding, "read_branches", capturing_run)
                 first = simulate_class(name, noise)
-            circuit, initial, ens = seen.pop()
+            circuit, initial, reads = seen.pop()
             first.matrix[:] = 0.0
-            ens.coeffs[:] = 7.0
-            for tag in ens.tags + initial.tags:
+            for array in (reads.groups, reads.values):
+                array[:] = 7
+            with pytest.raises(ValueError, match="read-only"):
+                reads.records[:] = 1
+            for tag in initial.tags:
                 tag.clear()
             with pytest.raises(ValueError, match="read-only"):
                 initial.coeffs[0, 0] = 2.0
@@ -478,6 +470,30 @@ def test_theta_fidelity_scan_csv_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "11af0ada348f3bd27aceb7ca958257b9c5d2533a2ce34aa60d673a76daa83fe3"
     )
+
+
+# sha256 of scan_to_csv of each default 21 x 21 map, on x86-64 with numpy 2.x.
+DEFAULT_MAP_CSV_SHA256 = {
+    ("identity", 0.0): "aa151995173ffb5a06e784ed8063694085f1b96e688b11124f3996e56b1d37e1",
+    ("H", 0.0): "67ef1d21fbce408bb39fd5394eca8812783cc9ae60089bda289f17eb056b3269",
+    ("S", 0.0): "438fd0ee725b9312ed80b13701354b9184ad045a6ed4d330139a890816edfec5",
+    ("HSH", 0.0): "cf1647863b244dfd3d98dfe7afd03732657d9bbe95ef5c773d8cb3bf99d227a1",
+    ("SH", 0.0): "1699f435c14d2a0bfa4285186d5553792aad57a3d66df3f5f1f28b63e594445f",
+    ("HS", 0.0): "1e0ee88853f3f02900d100f6e1de704536cb5da8fdee1bfa9ee17f3082ef8861",
+    ("identity", 0.02): "aa151995173ffb5a06e784ed8063694085f1b96e688b11124f3996e56b1d37e1",
+    ("H", 0.02): "7bf6d0ce6a42ab9a00de8c8afba88ab4e90c336dd205f804ef23d639caa4e98f",
+    ("S", 0.02): "9f3788bd1a52b26f69fc0ee24dba1f06d882d2f62b8a2046b2e877e0d1352a91",
+    ("HSH", 0.02): "f0f9dfd1ca24530ed85a110471dbeab0f51a034f8c0aa0968c946ccc65b96eb8",
+    ("SH", 0.02): "a209a60bfbcbb5b3af4beb36ac0258904308c23b94376ca421bbdef099024520",
+    ("HS", 0.02): "2dd5ed26b932c4376b86fbfbfb30ae4546f3e5a72c2587893d0cde04eb3eee78",
+}
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02])
+def test_default_fidelity_maps_csv_are_pinned(theta):
+    for name in CLIFFORD_CLASSES:
+        text = scan_to_csv(fidelity_scan(name, theta=theta))
+        assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_MAP_CSV_SHA256[name, theta]
 
 
 def test_scan_values_match_pointwise_evaluation():

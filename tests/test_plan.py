@@ -487,12 +487,14 @@ def test_no_two_z_rotations_on_a_qubit_without_a_blocker_between():
 # -- pruned plans -------------------------------------------------------------
 #
 # run_circuit computes only the columns a witness run at a generic noise point
-# finds nonzero where they are next read.  Side by side with the unpruned plan
-# (the first lowering), every kept column must come out the same and every
-# dropped one must read 0.0, at noise points with channels off too.  A
-# dropped column is zero as a polynomial; the unpruned run may still leave
-# rounding residue in it where branches cancel, at most about one ulp of the
-# largest coefficient, and the kept columns then differ by as little.
+# finds nonzero where they are next read, and of those only the ones that a
+# later op, a probe or the final state reads (_needed_masks).  Side by side
+# with the unpruned plan (the first lowering), every kept column must come out
+# the same and every column the witness drops must read 0.0, at noise points
+# with channels off too.  Such a column is zero as a polynomial; the unpruned
+# run may still leave rounding residue in it where branches cancel, at most
+# about one ulp of the largest coefficient, and the kept columns then differ
+# by as little.
 
 RESIDUE = 1e-15  # relative to the largest coefficient of the block
 
@@ -518,22 +520,31 @@ def blocks(plan, initial, tables, reads):
     yield coeffs
 
 
-def assert_restricted_plan_agrees(full, restricted, masks, initial, noise):
+def witness_and_needed_masks(full, initial):
+    """The witness masks of the unpruned plan ``full`` and its needed masks,
+    the columns ``_cached_plan`` keeps."""
+    witness = simulator._witness_masks(full, initial.num_qubits, initial.num_branches,
+                                       initial.support.size)
+    return witness, simulator._needed_masks(full, witness)
+
+
+def assert_restricted_plan_agrees(full, restricted, masks, witness, initial, noise):
     """Walk the unpruned plan ``full`` and ``restricted``, a lowering of the
     same run that keeps the columns ``masks`` mark (one mask per support, as
     ``_witness_masks`` lists them), side by side: every kept column must come
-    out the same, every dropped one must read 0.0, and so must the probes.
-    Returns the final block of ``full``."""
+    out the same, every column the ``witness`` masks drop must read 0.0 in
+    ``full``, and the probes must agree.  Returns the final block of
+    ``full``."""
     # A restricted plan may omit idle ops whose counts are all zero on its
     # supports, so the plans are compared where their supports are read,
     # not op by op.
     tables = simulator._NoiseTables(noise, initial.num_qubits)
     reads = [[], []]
     walks = [blocks(plan, initial, tables, r) for plan, r in zip((full, restricted), reads)]
-    for live, coeffs, kept in zip(masks, *walks, strict=True):
+    for live, nonzero, coeffs, kept in zip(masks, witness, *walks, strict=True):
         atol = RESIDUE * np.abs(coeffs).max(initial=0.0)
         np.testing.assert_allclose(kept, coeffs[:, live], rtol=0, atol=atol)
-        assert np.abs(coeffs[:, ~live]).max(initial=0.0) <= atol
+        assert np.abs(coeffs[:, ~nonzero]).max(initial=0.0) <= atol
     assert np.array_equal(full.support[live], restricted.support)
     (full_probes, full_acc), (pruned_probes, pruned_acc) = map(simulator._summed_probes, reads)
     assert full_probes.keys() == pruned_probes.keys()
@@ -546,10 +557,8 @@ def assert_restricted_plan_agrees(full, restricted, masks, initial, noise):
 
 def assert_pruned_plan_agrees(circuit, initial, noise, keep=(), probes=None):
     full, pruned = plan_pair(circuit, initial, noise.theta, keep, probes)
-    masks = simulator._witness_masks(
-        full, circuit.num_qubits, initial.num_branches, initial.support.size
-    )
-    coeffs = assert_restricted_plan_agrees(full, pruned, masks, initial, noise)
+    witness, masks = witness_and_needed_masks(full, initial)
+    coeffs = assert_restricted_plan_agrees(full, pruned, masks, witness, initial, noise)
     # The public runner: the final ensemble, zero-padded to the unpruned
     # support, and the acceptance.
     eager = run_circuit(circuit, noise, initial, keep_slots=keep, probes=probes)
@@ -649,7 +658,7 @@ def test_rotations_keeping_every_column_after_pruned_measurements():
                 reached += np.sum(commutes & (op.low.self_class == simulator._ROT_ABSENT_SELF))
         assert reached > 0, level
         for noise in pruning_noise_points(rng, True):
-            assert_restricted_plan_agrees(full, plan, wide, initial, noise)
+            assert_restricted_plan_agrees(full, plan, wide, masks, initial, noise)
 
 
 def plan_nbytes(plan) -> int:
@@ -759,12 +768,13 @@ def test_merge_keys_matches_unique_rows(rows, columns, kind, seed):
 
 # -- probe-only plans ---------------------------------------------------------
 #
-# probe_circuit and sample_circuit read their probes, and the sampler its final
-# observables through an end probe, never the final state.  Their plan keeps
-# only the witness's columns that some probe reads through later ops
-# (_needed_masks); run_circuit, which returns the final state, keeps every
-# column the witness keeps.  Each kept column goes through the operations it
-# goes through in run_circuit's plan, so the probes agree bit for bit.
+# probe_circuit and sample_circuit read their probes, and the sampler and
+# read_branches their final observables through an end probe, never the final
+# state.  Their plan keeps only the witness's columns that some probe reads
+# through later ops (_needed_masks); run_circuit, which returns the final
+# state, keeps every final column the witness keeps.  Each kept column goes
+# through the operations it goes through in run_circuit's plan, so the probes
+# agree bit for bit.
 
 MEASURE_OR_ROTATE = (simulator._MeasureOp, simulator._RotateOp)
 
@@ -822,19 +832,69 @@ def test_probe_only_run_matches_run_circuit_on_braid_class_circuits(theta):
             assert_probes_match_run(circuit, noise, initial, probes)
 
 
-def needed_masks(circuit, initial, probes, rotating):
-    """(plan with an end probe, its witness masks, its needed masks)."""
-    probes = simulator._normalize_probes(probes, circuit) + ((None, ()),)
+def braid_initial():
+    """The batched tomography input of braiding.simulate_class."""
+    support, coeffs = braiding._tomography_input()
+    return TrajectoryEnsemble(
+        2, support, coeffs, [{("in", label): 1} for label in braiding._TOMO_INPUTS]
+    )
+
+
+def assert_branch_reads_match_run(circuit, noise, initial, observables, keep, atol):
+    """read_branches reads run_circuit's final ensemble branch by branch:
+    the tags and each observable's column (0 where absent)."""
+    ens = run_circuit(circuit, noise, initial, keep_slots=keep).ensemble
+    reads = simulator.read_branches(circuit, noise, initial, observables, keep_slots=keep)
+    _, group_tags = simulator._branch_groups(initial.tags)
+    kept = [("s", e) for e in simulator._normalize_keep(keep, circuit)]
+    assert [{**group_tags[g], **dict(zip(kept, r))}
+            for g, r in zip(reads.groups, reads.records.tolist())] == ens.tags
+    want = []
+    for p in simulator._pauli_list("observables", observables):
+        pos = simulator._positions(ens.support, np.array([p.index]))[0]
+        want.append(np.zeros(ens.num_branches) if pos < 0 else p.sign * ens.coeffs[:, pos])
+    np.testing.assert_allclose(reads.values, np.column_stack(want), rtol=0, atol=atol)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_branch_reads_match_run_circuit_on_random_corpus(seed, theta):
+    # The end probe applies only the deferred Z rotations its observables
+    # need, in its own order, so a Pauli on several qubits can differ from
+    # run_circuit's column by rounding.
+    rng = np.random.default_rng(seed)
+    circuit = detector_circuit(rng)
+    initial = random_initial(rng, circuit.num_qubits)
+    keep = [int(s) for s in circuit.slots if rng.random() < 0.3]
+    for noise in pruning_noise_points(rng, theta):
+        assert_branch_reads_match_run(circuit, noise, initial,
+                                      OBSERVABLES + ("III", "-IXI"), keep, TOL)
+
+
+@pytest.mark.parametrize("theta", [False, True])
+def test_branch_reads_match_run_circuit_exactly_on_braid_class_circuits(theta):
+    rng = np.random.default_rng(37)
+    for name in braiding.CLIFFORD_CLASSES:
+        circuit = braiding.class_circuit(name)
+        keep = braiding._parities(name, circuit.slots)
+        for noise in pruning_noise_points(rng, theta):
+            assert_branch_reads_match_run(circuit, noise, braid_initial(),
+                                          braiding._COMPUTATIONAL_PAULIS, keep, 0.0)
+
+
+def needed_masks(circuit, initial, probes, rotating, end_probe=True):
+    """(the plan, ending in an end probe or returning its final state, its
+    witness masks, its needed masks)."""
+    probes = simulator._normalize_probes(probes, circuit) + ((None, ()),) * end_probe
     groups, _ = simulator._branch_groups(initial.tags)
     full, _ = simulator._lower(circuit, initial.support, groups, (), dict(probes), rotating)
-    witness = simulator._witness_masks(full, circuit.num_qubits, len(groups),
-                                       initial.support.size)
-    return full, witness, simulator._needed_masks(full, witness)
+    return (full, *witness_and_needed_masks(full, initial))
 
 
 def assert_needed_columns_are_closed(full, witness, masks) -> int:
     """Every column that a kept column or a probe reads is kept, unless the
-    witness finds it zero; the needed masks keep no column the witness
+    witness finds it zero, and a plan with no end probe keeps every final
+    column the witness keeps; the needed masks keep no column the witness
     drops.  Returns how many witness columns the needed masks drop."""
     k = 0  # the support the walk reads: the initial one, then the k-th output
     for op in full.ops:
@@ -850,6 +910,9 @@ def assert_needed_columns_are_closed(full, witness, masks) -> int:
                 assert (masks[k][read] | ~witness[k][read]).all()
             k += 1
     assert k == len(witness) - 1 and masks[0].all()
+    last = full.ops[-1] if full.ops else None
+    if not (isinstance(last, simulator._ProbeOp) and last.step is None):
+        assert np.array_equal(masks[k], witness[k])  # the final state reads them all
     assert all(not (m & ~w).any() for m, w in zip(masks, witness))
     return sum(int(w.sum() - m.sum()) for m, w in zip(masks, witness))
 
@@ -861,20 +924,22 @@ def test_needed_columns_are_closed_on_random_corpus(seed, theta):
     circuit = detector_circuit(rng)
     initial = random_initial(rng, circuit.num_qubits)
     steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
-    assert_needed_columns_are_closed(
-        *needed_masks(circuit, initial, {s: OBSERVABLES for s in steps}, theta)
-    )
+    for end_probe in (True, False):
+        assert_needed_columns_are_closed(
+            *needed_masks(circuit, initial, {s: OBSERVABLES for s in steps}, theta, end_probe)
+        )
 
 
 @pytest.mark.parametrize("theta", [False, True])
 def test_needed_columns_are_closed_on_decay_circuits(theta):
-    dropped = 0
+    dropped = {True: 0, False: 0}
     for level in ("physical", "logical"):
         for obs in ("XX", "ZI"):
-            dropped += assert_needed_columns_are_closed(
-                *needed_masks(*decay_probes(level, obs), theta)
-            )
-    assert dropped > 0
+            for end_probe in dropped:
+                dropped[end_probe] += assert_needed_columns_are_closed(
+                    *needed_masks(*decay_probes(level, obs), theta, end_probe)
+                )
+    assert dropped[True] > dropped[False] > 0
 
 
 def assert_same_plan(a, b):
@@ -897,51 +962,50 @@ def assert_same_plan(a, b):
             assert same(getattr(a, f.name), getattr(b, f.name)), f.name
 
 
-def assert_run_plan_keeps_the_witness_columns(circuit, initial, keep=(), probes=None,
-                                              theta=False):
-    """run_circuit's plan is the lowering restricted by the witness masks
-    alone: it returns the final state, so it has no end probe to prune to."""
+def assert_run_plan_keeps_the_needed_columns(circuit, initial, keep=(), probes=None,
+                                             theta=False):
+    """run_circuit's plan is the lowering restricted by the needed masks,
+    seeded with every final column: its final support is every column the
+    witness keeps at the end."""
     keep = simulator._normalize_keep(keep, circuit)
     probes = simulator._normalize_probes(probes, circuit)
     groups, _ = simulator._branch_groups(initial.tags)
     args = (circuit, initial.support, groups, keep, dict(probes), theta)
     full, produced = simulator._lower(*args)
-    witness = simulator._witness_masks(full, circuit.num_qubits, len(groups),
-                                       initial.support.size)
-    expected, _ = simulator._lower(*args, (sup[m] for sup, m in zip(produced, witness[1:])))
-    assert_same_plan(simulator._cached_plan(circuit, initial.support.tobytes(), groups, keep,
-                                            probes, theta), expected)
+    witness, masks = witness_and_needed_masks(full, initial)
+    expected, _ = simulator._lower(*args, (sup[m] for sup, m in zip(produced, masks[1:])))
+    plan = simulator._cached_plan(circuit, initial.support.tobytes(), groups, keep, probes,
+                                  theta)
+    assert_same_plan(plan, expected)
+    assert np.array_equal(plan.support, full.support[witness[-1]])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.booleans())
-def test_run_plan_keeps_the_witness_columns_on_random_corpus(seed, theta):
+def test_run_plan_keeps_the_needed_columns_on_random_corpus(seed, theta):
     rng = np.random.default_rng(seed)
     circuit = detector_circuit(rng)
     initial = random_initial(rng, circuit.num_qubits)
     steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
     keep = [int(s) for s in circuit.slots if rng.random() < 0.3]
-    assert_run_plan_keeps_the_witness_columns(circuit, initial, keep,
-                                              {s: OBSERVABLES for s in steps}, theta)
+    assert_run_plan_keeps_the_needed_columns(circuit, initial, keep,
+                                             {s: OBSERVABLES for s in steps}, theta)
 
 
 @pytest.mark.parametrize("theta", [False, True])
-def test_run_plan_keeps_the_witness_columns_on_decay_and_braid_circuits(theta):
+def test_run_plan_keeps_the_needed_columns_on_decay_and_braid_circuits(theta):
     for level in ("physical", "logical"):
         for obs in ("XX", "ZI"):
             circuit, initial, probes = decay_probes(level, obs)
-            assert_run_plan_keeps_the_witness_columns(circuit, initial, theta=theta)
-            assert_run_plan_keeps_the_witness_columns(circuit, initial, probes=probes,
-                                                      theta=theta)
-    support, coeffs = braiding._tomography_input()
-    initial = TrajectoryEnsemble(
-        2, support, coeffs, [{("in", label): 1} for label in braiding._TOMO_INPUTS]
-    )
+            assert_run_plan_keeps_the_needed_columns(circuit, initial, theta=theta)
+            assert_run_plan_keeps_the_needed_columns(circuit, initial, probes=probes,
+                                                     theta=theta)
     for name in braiding.CLIFFORD_CLASSES:
         circuit = braiding.class_circuit(name)
-        assert_run_plan_keeps_the_witness_columns(
-            circuit, initial, braiding._parities(name, circuit.slots), theta=theta
+        assert_run_plan_keeps_the_needed_columns(
+            circuit, braid_initial(), braiding._parities(name, circuit.slots), theta=theta
         )
+
 
 # -- loud limits --------------------------------------------------------------
 

@@ -194,7 +194,7 @@ def test_trace_out_rejects_qubits_outside_the_register():
         with pytest.raises(ValueError, match=rf"cannot trace out qubit {q} of a 2-qubit"):
             ens.trace_out([q])
         with pytest.raises(ValueError, match=rf"qubit {q}\b"):
-            ens.trace_columns([0, q])
+            ens.trace_out([0, q])
     assert list(ens.trace_out([1]).support) == [0, 3]
 
 
@@ -206,6 +206,18 @@ def test_product_state_rejects_unknown_labels():
             TrajectoryEnsemble.from_product_state(labels)
     with pytest.raises(ValueError, match="bad state spec for qubit 0"):
         TrajectoryEnsemble.from_product_state([(0.0, 1.0)])
+
+
+def test_from_density_matrix_validation():
+    rho = np.array([[0.5, 0.25], [0.25, 0.5]])
+    ens = TrajectoryEnsemble.from_density_matrix(rho)
+    assert ens.num_branches == 1
+    assert ens.total_trace == pytest.approx(1.0)
+    for bad in (np.zeros((2, 2)), -np.eye(2) / 2, 2 * rho):
+        with pytest.raises(ValueError, match="trace"):
+            TrajectoryEnsemble.from_density_matrix(bad)
+    with pytest.raises(ValueError, match="positive"):
+        TrajectoryEnsemble.from_density_matrix(np.diag([1.5, -0.5]))
 
 
 def test_star_import_binds_exactly_all():
