@@ -227,7 +227,9 @@ def _resolve(args: argparse.Namespace, experiment: str) -> Settings:
         if "out" in section:
             out = Path(section["out"])
         if "mode" in section:
-            mode = _conv_choice("exact", "sampled")(section["mode"])
+            mode = section["mode"]
+            if mode not in ("exact", "sampled"):
+                raise ConfigError(f"mode must be one of exact, sampled; got {mode!r}")
         if "shots" in section:
             shots = _to_int("shots", section["shots"])
     if args.seed is not None:

@@ -184,7 +184,7 @@ class Circuit:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         # Eager runs look their cached plan up by circuit, so hash it once.
         object.__setattr__(self, "_hash", hash((self.num_qubits, self.steps, self.detectors)))
-        seen_slots: set[int] = set()
+        seen_slots: dict[int, None] = {}  # insertion-ordered
         for step in self.steps:
             if not isinstance(step, Step):
                 raise TypeError(f"circuit steps must be Step instances, got {step!r}")
@@ -201,13 +201,14 @@ class Circuit:
                 if isinstance(op, (Meas1, Meas2)):
                     if op.slot in seen_slots:
                         raise ValueError(f"slot s{op.slot} recorded twice")
-                    seen_slots.add(op.slot)
+                    seen_slots[op.slot] = None
         for det in self.detectors:
             if not det.slots:
                 raise ValueError("detector needs at least one slot")
             for s in det.slots:
                 if s not in seen_slots:
                     raise ValueError(f"detector references unrecorded slot s{s}")
+        object.__setattr__(self, "slots", tuple(seen_slots))  # in recording order
 
     def __hash__(self) -> int:
         return self._hash
@@ -215,16 +216,6 @@ class Circuit:
     def __reduce__(self):
         # String hashes differ between processes: rebuild, do not copy _hash.
         return (type(self), (self.num_qubits, self.steps, self.detectors))
-
-    @property
-    def slots(self) -> tuple:
-        """Slots in recording order."""
-        out = []
-        for step in self.steps:
-            for op in step.ops:
-                if isinstance(op, (Meas1, Meas2)):
-                    out.append(op.slot)
-        return tuple(out)
 
     # -- text form ---------------------------------------------------------
 
@@ -979,15 +970,14 @@ class _RotateOp:
 
 @dataclass(frozen=True)
 class _MeasureOp:
-    """A measurement on every branch, recording into ``slot``.  With
-    ``split`` both records are realized (+1 children first); otherwise a
-    completing detector pins the record, ``rows`` lists the branches that
-    pass the other detectors completing on the same slot (None: all) and
-    ``signs`` the pinned record of each (None: all +1)."""
+    """A measurement on every branch.  With ``split`` both records are
+    realized (+1 children first); otherwise a completing detector pins the
+    record, ``rows`` lists the branches that pass the other detectors
+    completing on the same slot (None: all) and ``signs`` the pinned record
+    of each (None: all +1)."""
 
     low: _Lowering
     arity: int
-    slot: int
     split: bool
     rows: "np.ndarray | None"
     signs: "np.ndarray | None"
@@ -1031,19 +1021,21 @@ class _MergeOp:
 
 @dataclass(frozen=True)
 class _ProbeOp:
-    """Appends to ``reads`` the branch traces and, per probed Pauli, its
-    name, its column (None when absent from the support) and its sign."""
+    """Appends ``(step, names, block)`` to ``reads``.  The probe block has a
+    row per branch: column 0 holds the branch's trace and column j the
+    signed tr(P_j rho_b) of the j-th probed Pauli, +0.0 where the support
+    lacks the identity or P_j."""
 
     step: "int | None"  # None: the end probe, after the last step
-    pos0: int  # position of the identity, -1 if absent
-    entries: tuple  # (name, position or -1, sign) per probed Pauli
+    names: tuple  # text of each probed Pauli
+    columns: np.ndarray  # the block columns the support holds
+    positions: np.ndarray  # their positions in the support
+    signs: np.ndarray  # their signs, 1.0 or -1.0
 
     def run(self, coeffs, tables, reads):
-        # Copies, not views: a view would keep the whole block alive.
-        trace = coeffs[:, self.pos0].copy() if self.pos0 >= 0 else np.zeros(len(coeffs))
-        columns = [(name, coeffs[:, pos].copy() if pos >= 0 else None, sign)
-                   for name, pos, sign in self.entries]
-        reads.append((self.step, trace, columns))
+        block = np.zeros((len(coeffs), 1 + len(self.names)))
+        block[:, self.columns] = coeffs[:, self.positions] * self.signs
+        reads.append((self.step, self.names, block))
         return coeffs
 
 
@@ -1081,14 +1073,12 @@ def _merge_keys(keys: np.ndarray):
 
 
 def _probe_op(step_i: int, support: np.ndarray, paulis, num_qubits: int) -> _ProbeOp:
-    def position(index: int) -> int:
-        return int(_positions(support, np.array([index]))[0])
-
-    entries = tuple(
-        (str(p), position(pauli_index(num_qubits, PauliString(p.letters))), p.sign)
-        for p in paulis
-    )
-    return _ProbeOp(step_i, position(0), entries)
+    indices = [0] + [pauli_index(num_qubits, p) for p in paulis]
+    positions = _positions(support, np.array(indices, dtype=np.int64))
+    columns = np.flatnonzero(positions >= 0)
+    signs = np.array([1.0] + [float(p.sign) for p in paulis])
+    return _ProbeOp(step_i, tuple(str(p) for p in paulis), columns, positions[columns],
+                    signs[columns])
 
 
 def _xy_qubits(p_index: int, num_qubits: int) -> list:
@@ -1117,8 +1107,11 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
     deferred: each qubit carries a pending number of theta/2 steps, emitted
     as one rotation only before something that does not commute with Z there
     (a measurement or probed Pauli with X or Y on the qubit, or a ``Rotate``
-    on it) and at the end of the walk, where an end probe, like any probe,
-    flushes only the qubits it needs.  This is exact: the depolarizing
+    on it) and at the end of the walk.  Pending qubits flush in ascending
+    order: all of them at the end of a walk that returns its final state,
+    and at a probe, the end probe included, those on which some probed
+    Pauli has X or Y, so a probed column goes through the same rotations
+    as the final state's.  This is exact: the depolarizing
     channels are invariant under local unitaries, assignment flips act on
     records only, and pins, prunes and merges act row by row.
     """
@@ -1180,8 +1173,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
 
     def probe(at) -> None:
         paulis = probe_map[at]
-        for p in paulis:
-            flush(_xy_qubits(pauli_index(n, PauliString(p.letters)), n))
+        flush(sorted({q for p in paulis for q in _xy_qubits(pauli_index(n, p), n)}))
         ops.append(_probe_op(at, support, paulis, n))
 
     check_budget(len(keys))
@@ -1229,7 +1221,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
                 keys, neg = keys[ok], neg[ok]
             if not split and neg.any():
                 signs = np.where(neg, -1, 1).astype(np.int8)
-            ops.append(_MeasureOp(low, len(op.qubits), op.slot, split, rows, signs))
+            ops.append(_MeasureOp(low, len(op.qubits), split, rows, signs))
             for q in op.qubits:
                 pending[q] += half
             peak = max(peak, len(keys))
@@ -1312,8 +1304,7 @@ def _needed_masks(plan: _Plan, witness: list) -> list:
     masks = list(witness)
     for op in reversed(plan.ops):
         if isinstance(op, _ProbeOp):
-            read = [pos for pos in (op.pos0, *(entry[1] for entry in op.entries)) if pos >= 0]
-            need[read] = True
+            need[op.positions] = True
         elif isinstance(op, (_MeasureOp, _RotateOp)):
             kept = masks[k] = witness[k] & need
             k -= 1
@@ -1392,19 +1383,14 @@ def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
 
 def _summed_probes(reads: list) -> "tuple[dict, dict]":
     """The ``probes`` and ``probe_acceptance`` of a :class:`RunResult`:
-    each probed value summed over the branches, over the summed trace."""
+    each probe block column summed over the branches, over the summed
+    trace."""
     probes, acceptance = {}, {}
-    for step_i, trace, columns in reads:
-        tr = float(np.sum(trace))
+    for step_i, names, block in reads:
+        tr = float(np.sum(block[:, 0]))
         acceptance[step_i] = tr
-        probes[step_i] = {
-            name: (
-                (0.0 if column is None else float(np.sum(column)) * sign) / tr
-                if tr > 0.0
-                else math.nan
-            )
-            for name, column, sign in columns
-        }
+        probes[step_i] = {name: float(np.sum(block[:, j])) / tr if tr > 0.0 else math.nan
+                          for j, name in enumerate(names, 1)}
     return probes, acceptance
 
 
@@ -1506,24 +1492,17 @@ def read_branches(
 ) -> BranchReads:
     """The kept entries and the ``observables`` of each final branch of
     :func:`run_circuit` with the same arguments, without the final state:
-    the values are the final ensemble's columns (0.0 for a Pauli its support
-    lacks).
+    the values are the final ensemble's columns, signed, bit for bit (+0.0
+    for a Pauli its support lacks).
 
     The run ends in a probe of ``observables``, as :func:`sample_circuit`
-    does, so its plan computes only the columns that this probe reads.  The
-    probe applies only the deferred Z rotations its observables need, in its
-    own order, so the value of a Pauli with X or Y on several qubits may
-    differ from the ensemble's column by rounding.
+    does, so its plan computes only the columns that this probe reads, and
+    ``values`` are the Pauli columns of that probe's block.
     """
     keep = _normalize_keep(keep_slots, circuit)
     finals = _pauli_list("observables", observables)
     plan, _, reads, _ = _execute(circuit, noise, initial, keep, None, finals)
-    _, trace, columns = reads[-1]
-    values = np.zeros((len(trace), len(columns)))
-    for j, (_, column, sign) in enumerate(columns):
-        if column is not None:
-            values[:, j] = column if sign == 1 else -column
-    return BranchReads(np.array(plan.groups), plan.records, values)
+    return BranchReads(np.array(plan.groups), plan.records, reads[-1][2][:, 1:])
 
 
 @dataclass
@@ -1592,7 +1571,8 @@ def sample_circuit(
     _, _, reads, _ = _execute(circuit, noise, initial, (), probes, finals)
     rng = np.random.default_rng(seed)
     result = SampleResult(shots=shots, accepted=0)
-    for step_i, trace, columns in reads:
+    for step_i, names, block in reads:
+        trace = block[:, 0]
         # Rounding can leave a trace below zero, never drawn, or the traces
         # summing past the initial trace, which would make the draw raise.
         weights = np.maximum(trace, 0.0) / start_trace
@@ -1605,9 +1585,8 @@ def sample_circuit(
             result.accepted = accepted
         if not accepted:
             continue
-        for name, column, sign in columns:
-            values = (np.zeros(len(drawn)) if column is None
-                      else sign * column[drawn] / trace[drawn])
+        for j, name in enumerate(names, 1):
+            values = block[drawn, j] / trace[drawn]
             mean = float(counts @ values) / accepted
             stderr = math.sqrt(max(float(counts @ values**2) / accepted - mean**2, 0.0)
                                / accepted)

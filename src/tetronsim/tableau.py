@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .pauli import PauliString
-from .simulator import Parity
+from .simulator import _STATE_LABELS, Parity
 
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -96,10 +96,6 @@ class MeasureOutcome:
     detector: "Parity | None" = None
 
 
-_PREP_LETTER = {"0": ("Z", 1), "1": ("Z", -1), "+": ("X", 1), "-": ("X", -1),
-                "+i": ("Y", 1), "-i": ("Y", -1), "mixed": None}
-
-
 class TaggedTableau:
     """Mutable stabilizer tableau over untagged or slot-tagged generators."""
 
@@ -119,18 +115,22 @@ class TaggedTableau:
     def from_product_state(cls, labels) -> "TaggedTableau":
         """Tableau of a product of one-qubit Pauli eigenstates.
 
-        Labels follow the simulator's conventions ("0", "1", "+", "-", "+i",
-        "-i", "mixed"); "mixed" qubits contribute no generator.
+        Labels are those of :meth:`TrajectoryEnsemble.from_product_state`
+        ("0", "1", "+", "-", "+i", "i", "-i", "mixed"): the Bloch vector of
+        each has at most one nonzero component, +1 or -1, which gives the
+        qubit's generator; "mixed" qubits contribute none.
         """
         gens = []
         n = len(labels)
         for q, label in enumerate(labels):
-            spec = _PREP_LETTER[label]
-            if spec is None:
-                continue
-            letter, sign = spec
-            letters = "".join(letter if j == q else "I" for j in range(n))
-            gens.append((PauliString(letters, sign=sign), frozenset()))
+            bloch = _STATE_LABELS.get(label) if isinstance(label, str) else None
+            if bloch is None:
+                raise ValueError(f"bad state label for qubit {q}: {label!r}; labels are "
+                                 f"{', '.join(_STATE_LABELS)}")
+            for letter, component in zip("XYZ", bloch):
+                if component:
+                    letters = "".join(letter if j == q else "I" for j in range(n))
+                    gens.append((PauliString(letters, sign=int(component)), frozenset()))
         return cls(n, gens)
 
     # -- inspection ------------------------------------------------------

@@ -378,6 +378,13 @@ def test_config_unknown_keys_rejected(tmp_path):
     )
 
 
+def test_config_bad_run_values_name_their_key(tmp_path, capsys):
+    for text, message in (("mode = bogus", "mode must be one of exact, sampled; got 'bogus'"),
+                          ("seed = x", "seed must be an integer, got 'x'")):
+        assert main(["mbqb", "--config", _write_ini(tmp_path, f"[run]\n{text}\n")]) == 1
+        assert f"configuration error: {message}" in capsys.readouterr().err
+
+
 def test_config_missing_file_and_parse_error(tmp_path, capsys):
     assert main(["mbqb", "--config", str(tmp_path / "absent.ini")]) == 1
     assert "not found" in capsys.readouterr().err

@@ -859,16 +859,16 @@ def assert_branch_reads_match_run(circuit, noise, initial, observables, keep, at
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1), st.booleans())
 def test_branch_reads_match_run_circuit_on_random_corpus(seed, theta):
-    # The end probe applies only the deferred Z rotations its observables
-    # need, in its own order, so a Pauli on several qubits can differ from
-    # run_circuit's column by rounding.
+    # The end probe flushes the deferred Z rotations of the qubits its
+    # observables need, in the ascending order in which the end of
+    # run_circuit flushes every qubit, so each value is that column exactly.
     rng = np.random.default_rng(seed)
     circuit = detector_circuit(rng)
     initial = random_initial(rng, circuit.num_qubits)
     keep = [int(s) for s in circuit.slots if rng.random() < 0.3]
     for noise in pruning_noise_points(rng, theta):
         assert_branch_reads_match_run(circuit, noise, initial,
-                                      OBSERVABLES + ("III", "-IXI"), keep, TOL)
+                                      OBSERVABLES + ("III", "-IXI"), keep, 0.0)
 
 
 @pytest.mark.parametrize("theta", [False, True])
@@ -899,7 +899,7 @@ def assert_needed_columns_are_closed(full, witness, masks) -> int:
     k = 0  # the support the walk reads: the initial one, then the k-th output
     for op in full.ops:
         if isinstance(op, simulator._ProbeOp):
-            read = [pos for pos in (op.pos0, *(entry[1] for entry in op.entries)) if pos >= 0]
+            read = op.positions
             assert (masks[k][read] | ~witness[k][read]).all()
         elif isinstance(op, MEASURE_OR_ROTATE):
             kept = masks[k + 1]

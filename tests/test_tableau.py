@@ -4,6 +4,7 @@ produce the predicted branch counts, and every derived detector and
 expression must hold on every surviving branch."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,16 @@ def test_product_state_generators():
     tab = TaggedTableau.from_product_state(["0", "-", "mixed", "+i"])
     gens = {str(p) for p, _ in tab.generators}
     assert gens == {"ZIII", "-IXII", "IIIY"}
+
+
+def test_product_state_reads_the_simulator_labels():
+    tab = TaggedTableau.from_product_state(["i", "-i", "1"])
+    assert {str(p) for p, _ in tab.generators} == {"YII", "-IYI", "-IIZ"}
+    for labels in (["2"], ["0", "+j"], ["0", (0.0, 0.0, 1.0)]):
+        message = (f"bad state label for qubit {len(labels) - 1}: {labels[-1]!r}; labels are "
+                   f"0, 1, +, -, +i, i, -i, mixed")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TaggedTableau.from_product_state(labels)
 
 
 def idle_ladder_outcomes(rounds):
