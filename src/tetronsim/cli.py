@@ -708,7 +708,8 @@ _EXPERIMENTS: dict = {
                 _parse_int_list, (2, 4, 6, 8, 10), "decay-experiment round counts"
             ),
         },
-        ("qed-lambda-pin", "repcode-error-table", "simulator-trace-conservation"),
+        ("qed-lambda-pin", "qed-theta-lambda-pin", "repcode-error-table",
+         "simulator-trace-conservation"),
     ),
     "lifetime": _Experiment(
         cmd_lifetime,
@@ -861,6 +862,14 @@ def _check_qed_pin() -> None:
     _expect("lambda_z", metrics.lambda_z, 822.886764894882, 1e-9, rel=True)
 
 
+def _check_qed_theta_pin() -> None:
+    # At theta != 0 lambda_z holds about 8 digits (see qed.scan_to_csv).
+    metrics, _ = qed.improvement_point(NoiseParams(p_a=0.01, p1=0.005, p2=0.0005, theta=0.01))
+    _expect("lambda_avg", metrics.lambda_avg, 5.257434292319962, 1e-9, rel=True)
+    _expect("lambda_x", metrics.lambda_x, 5.057093065652833, 1e-9, rel=True)
+    _expect("lambda_z", metrics.lambda_z, 801.024206858028, 1e-7, rel=True)
+
+
 def _check_repcode_table() -> None:
     bell = qed.prepare_repcode_state("XX", "physical")
     bell.apply_pauli("ZI")
@@ -932,6 +941,7 @@ _CHECKS: tuple = (
     ("braid-identity-noiseless", _check_braid_noiseless),
     ("braid-fidelity-pin", _check_braid_pin),
     ("qed-lambda-pin", _check_qed_pin),
+    ("qed-theta-lambda-pin", _check_qed_theta_pin),
     ("repcode-error-table", _check_repcode_table),
     ("noise-derivation-anchors", _check_noise_anchors),
     ("tgate-t-state", _check_tgate),

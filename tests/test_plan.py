@@ -15,6 +15,7 @@ by side and require the same numbers from both.
 """
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from tetronsim.simulator import (
     Meas1,
     Meas2,
     Parity,
+    Rotate,
     TrajectoryEnsemble,
     probe_circuit,
     run_circuit,
@@ -880,6 +882,59 @@ def test_branch_reads_match_run_circuit_exactly_on_braid_class_circuits(theta):
         for noise in pruning_noise_points(rng, theta):
             assert_branch_reads_match_run(circuit, noise, braid_initial(),
                                           braiding._COMPUTATIONAL_PAULIS, keep, 0.0)
+
+
+def theta_corpus(count: int = 40):
+    """The first ``count`` random-corpus circuits that hold a ``Rotate``, each
+    with its initial state, kept slots, probes and three noise points at
+    theta != 0."""
+    seed = 0
+    while count:
+        rng = np.random.default_rng(seed)
+        seed += 1
+        circuit = detector_circuit(rng)
+        if not any(isinstance(op, Rotate) for step in circuit.steps for op in step.ops):
+            continue
+        count -= 1
+        initial = random_initial(rng, circuit.num_qubits)
+        steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
+        keep = [int(s) for s in circuit.slots if rng.random() < 0.3]
+        yield (circuit, initial, keep, {s: OBSERVABLES for s in steps},
+               pruning_noise_points(rng, True))
+
+
+def float_digest(values) -> str:
+    """sha256 of ``float.hex`` of each value in turn, -0.0 read as +0.0."""
+    digest = hashlib.sha256()
+    for v in values:
+        digest.update(float.hex(float(v) + 0.0).encode())
+    return digest.hexdigest()
+
+
+def theta_corpus_values():
+    for circuit, initial, keep, probes, points in theta_corpus():
+        for noise in points:
+            run = run_circuit(circuit, noise, initial, keep_slots=keep, probes=probes)
+            yield from run.ensemble.support
+            yield from run.ensemble.coeffs.ravel()
+            for got in (run.probes, run.probe_acceptance) + probe_circuit(circuit, noise,
+                                                                          initial, probes):
+                for step_i in sorted(got):
+                    values = got[step_i]
+                    yield from values.values() if isinstance(values, dict) else (values,)
+            reads = simulator.read_branches(circuit, noise, initial,
+                                            OBSERVABLES + ("III", "-IXI"), keep_slots=keep)
+            yield from reads.values.ravel()
+
+
+# sha256 of the theta != 0 corpus outputs (theta_corpus_values), on x86-64
+# with numpy 2.x: the final supports and blocks of run_circuit, its probes
+# and acceptances, probe_circuit's, and read_branches' values.
+THETA_CORPUS_SHA256 = "30d927e080199f632509050d7ba53effd566f402e63455940997c4f43607a2f2"
+
+
+def test_theta_corpus_outputs_are_pinned():
+    assert float_digest(theta_corpus_values()) == THETA_CORPUS_SHA256
 
 
 def needed_masks(circuit, initial, probes, rotating, end_probe=True):
