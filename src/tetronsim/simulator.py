@@ -65,7 +65,7 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -419,8 +419,10 @@ def _dep_class(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> n
 
 
 # Measurements and rotations are split into noise-independent structure (a
-# lowering) and a numeric pass over the coefficient block.  The ensemble
-# methods and the plan, which every runner executes, use these pieces.
+# lowering) and a numeric pass over a support-major coefficient block: one
+# row per Pauli, one column per branch.  The plan, which every runner
+# executes, uses these pieces, and so do the ensemble methods, whose
+# (branches x support) coefficients they read through a transpose.
 
 _ABSENT_SELF = 4  # self_class of a measured element absent from the input
 _ABSENT_CROSS = 32  # partner_class of a measured element whose partner is absent
@@ -433,8 +435,9 @@ class _Lowering:
     """A measurement or rotation lowered against one support.
 
     Output element j reads input positions ``pos_self[j]`` and
-    ``pos_partner[j]``, the partner being the element times the op's Pauli.
-    Its two terms are weighted by ``w_self[self_class[j]]`` and
+    ``pos_partner[j]``, the partner being the element times the op's Pauli:
+    positions in the input support, or, in a plan op's ``reads``, rows of
+    the block.  Its two terms are weighted by ``w_self[self_class[j]]`` and
     ``w_partner[partner_class[j]]``, tables that the noise point or the
     rotation angle supplies (see :func:`_terms`).
     """
@@ -445,14 +448,16 @@ class _Lowering:
     partner_class: np.ndarray
 
 
-def _terms(coeffs: np.ndarray, low: _Lowering, w_self, w_partner):
-    """The self and partner terms of every output element.  A measurement's
-    +1 record block is their sum and its -1 block their difference; a
-    rotation is their sum."""
-    own = coeffs[:, low.pos_self]
-    own *= w_self[low.self_class]
-    partner = coeffs[:, low.pos_partner]
-    partner *= w_partner[low.partner_class]
+def _terms(block: np.ndarray, low: _Lowering, w_self, w_partner, own=None):
+    """The self and partner terms of every output element of ``low``, a row
+    each, gathered from the rows of the support-major ``block``.  A
+    measurement's +1 record block is their sum and its -1 block their
+    difference; a rotation is their sum.  ``own``, if given, receives the
+    self terms; it must not overlap ``block``."""
+    own = np.take(block, low.pos_self, axis=0, out=own, mode="clip")
+    own *= w_self[low.self_class][:, None]
+    partner = np.take(block, low.pos_partner, axis=0, mode="clip")
+    partner *= w_partner[low.partner_class][:, None]
     return own, partner
 
 
@@ -525,9 +530,11 @@ def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int, new_supp
     )
 
 
-def _rotate(coeffs: np.ndarray, low: _Lowering, phi: float) -> np.ndarray:
+def _rotate(block: np.ndarray, low: _Lowering, phi: float, out=None) -> np.ndarray:
+    """The output rows of ``low``, a rotation exp(i phi P), from the rows of
+    the support-major ``block``, into ``out`` if given (see :func:`_terms`)."""
     c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
-    own, partner = _terms(coeffs, low, np.array([1.0, c, 0.0]), np.array([0.0, s, -s]))
+    own, partner = _terms(block, low, np.array([1.0, c, 0.0]), np.array([0.0, s, -s]), out)
     own += partner
     return own
 
@@ -724,8 +731,8 @@ class TrajectoryEnsemble:
         for axis in axes:
             self._rotate_by_index(axis, noise.theta / 2.0)
         support, low = _lower_measurement(self.support, op, n)
-        base, cross = _terms(self.coeffs, low, *_meas_tables(len(op.qubits), noise))
-        plus, minus = base + cross, base - cross
+        base, cross = _terms(self.coeffs.T, low, *_meas_tables(len(op.qubits), noise))
+        plus, minus = (base + cross).T, (base - cross).T
         if axes:
             self.support = support
             self.coeffs = np.concatenate([plus, minus], axis=0)
@@ -739,7 +746,7 @@ class TrajectoryEnsemble:
         if phi == 0.0:
             return
         self.support, low = _lower_rotation(self.support, p_index, self.num_qubits)
-        self.coeffs = _rotate(self.coeffs, low, phi)
+        self.coeffs = _rotate(self.coeffs.T, low, phi).T
 
     def apply_idle(self, qubits: Iterable[int], noise: NoiseParams) -> None:
         """One idle step on the listed qubits: rotate by theta about Z, then
@@ -954,69 +961,108 @@ _WITNESS_NOISE = NoiseParams(p_a=0.0731, p1=0.0617, p2=0.0893, theta=0.2113)
 _WITNESS_SEED = 1331
 
 
+# The plan's ops pass one support-major block along: row r holds one Pauli
+# of the current support in every branch, and the lowering gives each op the
+# rows it reads.  Measurements and merges allocate a fresh block with spare
+# rows at its end, which the rotations that follow fill; a rotation writes
+# only its new rows, so the block's rows are the support in sorted order
+# only until the first rotation after that block was allocated.
+
+
 @dataclass(frozen=True)
 class _RotateOp:
     """Rotation by ``angle`` (a ``Rotate``) plus ``half_turns`` theta/2 steps
-    (a deferred coherent Z rotation), resolved against each run's theta."""
+    (a deferred coherent Z rotation), resolved against each run's theta.
+
+    ``low`` lowers the rotation against the supports.  The op computes only
+    the output columns that anticommute with the axis, and any the input
+    lacks, from the block rows ``reads`` gives, and writes them as rows
+    ``at`` onward of the block it reads; every other output column is its
+    input column and keeps its row.  ``rows`` is the block row of each
+    output column."""
 
     low: _Lowering
+    reads: _Lowering
+    at: int
+    rows: np.ndarray
     axis: int  # Pauli index of the rotation axis
     angle: float
     half_turns: int
 
-    def run(self, coeffs, tables, reads):
-        return _rotate(coeffs, self.low, self.angle + self.half_turns * tables.half_theta)
+    def run(self, block, tables, reads):
+        end = self.at + len(self.reads.pos_self)
+        _rotate(block[:self.at], self.reads, self.angle + self.half_turns * tables.half_theta,
+                block[self.at:end])
+        return block
 
 
 @dataclass(frozen=True)
 class _MeasureOp:
-    """A measurement on every branch.  With ``split`` both records are
-    realized (+1 children first); otherwise a completing detector pins the
-    record, ``rows`` lists the branches that pass the other detectors
-    completing on the same slot (None: all) and ``signs`` the pinned record
-    of each (None: all +1)."""
+    """A measurement on every branch, into a fresh block of the output
+    support in sorted order plus ``spare`` rows.  ``low`` lowers it against
+    the supports and ``reads`` holds the block rows it reads.  With
+    ``split`` both records are realized (+1 children first); otherwise a
+    completing detector pins the record, ``branches`` lists the branches
+    that pass the other detectors completing on the same slot (None: all;
+    selected from the block's first ``height`` rows) and ``signs`` the
+    pinned record of each (None: all +1)."""
 
     low: _Lowering
+    reads: _Lowering
     arity: int
     split: bool
-    rows: "np.ndarray | None"
+    branches: "np.ndarray | None"
     signs: "np.ndarray | None"
+    height: int
+    spare: int = 0
 
-    def run(self, coeffs, tables, reads):
-        if self.rows is not None:
-            coeffs = coeffs[self.rows]
-        base, cross = _terms(coeffs, self.low, *tables.meas[self.arity])
+    rows = None  # the output column j is row j
+
+    def run(self, block, tables, reads):
+        if self.branches is not None:
+            block = np.take(block[:self.height], self.branches, axis=1)
+        size = len(self.reads.pos_self)
+        width = block.shape[1]
         if self.split:
-            half = base.shape[0]
-            out = np.empty((2 * half, base.shape[1]))
-            np.add(base, cross, out=out[:half])
-            np.subtract(base, cross, out=out[half:])
+            base, cross = _terms(block, self.reads, *tables.meas[self.arity])
+            out = np.empty((size + self.spare, 2 * width))
+            np.add(base, cross, out=out[:size, :width])
+            np.subtract(base, cross, out=out[:size, width:])
             return out
+        out = np.empty((size + self.spare, width))
+        base, cross = _terms(block, self.reads, *tables.meas[self.arity], out[:size])
         if self.signs is not None:
-            cross *= self.signs[:, None]
+            cross *= self.signs
         base += cross
-        return base
+        return out
 
 
 @dataclass(frozen=True)
 class _IdleOp:
-    counts: np.ndarray  # idle qubits each support element acts on
+    counts: np.ndarray  # idle qubits each block row acts on (0: a row no column holds)
 
-    def run(self, coeffs, tables, reads):
+    def run(self, block, tables, reads):
         if tables.idle is not None:
-            coeffs *= tables.idle[self.counts]
-        return coeffs
+            block[:len(self.counts)] *= tables.idle[self.counts][:, None]
+        return block
 
 
 @dataclass(frozen=True)
 class _MergeOp:
-    """Sum each group of rows: group g is rows ``order[starts[g]:starts[g+1]]``."""
+    """Sum each group of branches: group g is branches
+    ``order[starts[g]:starts[g+1]]``, over the block's first ``height``
+    rows, into a fresh block with ``spare`` more."""
 
     order: np.ndarray
     starts: np.ndarray
+    height: int = 0
+    spare: int = 0
 
-    def run(self, coeffs, tables, reads):
-        return np.add.reduceat(coeffs[self.order], self.starts, axis=0)
+    def run(self, block, tables, reads):
+        out = np.empty((self.height + self.spare, len(self.starts)))
+        np.add.reduceat(np.take(block[:self.height], self.order, axis=1), self.starts, axis=1,
+                        out=out[:self.height])
+        return out
 
 
 @dataclass(frozen=True)
@@ -1028,15 +1074,16 @@ class _ProbeOp:
 
     step: "int | None"  # None: the end probe, after the last step
     names: tuple  # text of each probed Pauli
-    columns: np.ndarray  # the block columns the support holds
+    columns: np.ndarray  # the probe block columns the support holds
     positions: np.ndarray  # their positions in the support
+    rows: np.ndarray  # and their rows in the coefficient block
     signs: np.ndarray  # their signs, 1.0 or -1.0
 
-    def run(self, coeffs, tables, reads):
-        block = np.zeros((len(coeffs), 1 + len(self.names)))
-        block[:, self.columns] = coeffs[:, self.positions] * self.signs
-        reads.append((self.step, self.names, block))
-        return coeffs
+    def run(self, block, tables, reads):
+        out = np.zeros((block.shape[1], 1 + len(self.names)))
+        out[:, self.columns] = (np.take(block, self.rows, axis=0) * self.signs[:, None]).T
+        reads.append((self.step, self.names, out))
+        return block
 
 
 class _NoiseTables:
@@ -1050,7 +1097,10 @@ class _NoiseTables:
 
 @dataclass(frozen=True)
 class _Plan:
-    """A lowered eager run."""
+    """A lowered eager run.  Its ops pass a support-major block along (see
+    :class:`_RotateOp`): the run enters with the initial coefficients
+    transposed, in sorted-support order, plus ``spare`` rows, and its final
+    column j is block row ``rows[j]`` (row j when ``rows`` is None)."""
 
     ops: tuple
     support: np.ndarray  # final support, shared read-only by every run
@@ -1058,6 +1108,8 @@ class _Plan:
     kept: tuple  # tag keys ("s", entry) of the tracked parities
     records: np.ndarray  # per final branch: each tracked entry's value, +1 or -1
     peak: int
+    spare: int  # rows the entry block holds past the initial support
+    rows: "np.ndarray | None"
 
 
 def _merge_keys(keys: np.ndarray):
@@ -1072,13 +1124,19 @@ def _merge_keys(keys: np.ndarray):
     return ordered[starts], _MergeOp(order.astype(np.int32), starts)
 
 
-def _probe_op(step_i: int, support: np.ndarray, paulis, num_qubits: int) -> _ProbeOp:
+def _block_rows(rows: "np.ndarray | None", positions: np.ndarray) -> np.ndarray:
+    """The block rows of the support ``positions``, given the block row of
+    each support element (None: row j holds element j)."""
+    return positions.astype(np.intp) if rows is None else rows[positions]
+
+
+def _probe_op(step_i: int, support: np.ndarray, rows, paulis, num_qubits: int) -> _ProbeOp:
     indices = [0] + [pauli_index(num_qubits, p) for p in paulis]
     positions = _positions(support, np.array(indices, dtype=np.int64))
     columns = np.flatnonzero(positions >= 0)
     signs = np.array([1.0] + [float(p.sign) for p in paulis])
     return _ProbeOp(step_i, tuple(str(p) for p in paulis), columns, positions[columns],
-                    signs[columns])
+                    _block_rows(rows, positions[columns]), signs[columns])
 
 
 def _xy_qubits(p_index: int, num_qubits: int) -> list:
@@ -1126,9 +1184,17 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
     outputs = iter(() if outputs is None else outputs)
     pending = [0] * n  # deferred theta/2 steps of Z rotation per qubit
     step_i = 0  # the step being lowered; the closing rotations belong to the last
+    # The block the run holds: the row of each support element (None: row j
+    # holds element j), the rows in use, and the op that allocated it (None:
+    # the entry) with the rows that op fills; spares[op] counts the rows the
+    # rotations after it append.
+    rows = None
+    height = support.size
+    block_op, filled = None, support.size
+    spares: dict = {}
     # Once the support stops growing, a measurement, rotation or idle step
-    # repeats against the same support (and output) round after round; those
-    # rounds share one lowering.
+    # repeats against the same support, rows (and output) round after round;
+    # those rounds share one lowering.
     lowered: dict = {}
 
     def column() -> int:
@@ -1139,7 +1205,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
         return keys.shape[1] - 1
 
     def memoized(key: tuple, lower_fn):
-        memo = (support.tobytes(),) + key
+        memo = (support.tobytes(), None if rows is None else rows.tobytes(), height) + key
         if memo not in lowered:
             lowered[memo] = lower_fn(support)
         return lowered[memo]
@@ -1152,18 +1218,52 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
                 f"{_SUPPORT_BUDGET} terms"
             )
 
-    def lower(key: tuple, lower_fn, target):
+    def reads_of(low: _Lowering, at=slice(None)) -> _Lowering:
+        """The block rows that the outputs ``at`` of ``low`` read."""
+        return _Lowering(_block_rows(rows, low.pos_self[at]), _block_rows(rows, low.pos_partner[at]),
+                         low.self_class[at], low.partner_class[at])
+
+    def lower(key: tuple, lower_fn) -> list:
+        """``lower_fn(input support, output subset or None)`` returns the
+        support produced and what the op needs."""
         nonlocal support
         out = next(outputs, None)
         key += (None if out is None else out.tobytes(),)
-        support, low = memoized(key, lambda sup: lower_fn(sup, target, n, out))
+        support, *lowering = memoized(key, lambda sup: lower_fn(sup, out))
         produced.append(support)
         check_budget(len(keys))
-        return low
+        return lowering
+
+    def allocated(size: int) -> None:
+        """The op just added allocates a fresh block and fills ``size`` rows."""
+        nonlocal block_op, filled, height
+        block_op, filled, height = len(ops) - 1, size, size
+
+    def lower_rotation(axis: int, sup, out):
+        new_support, low = _lower_rotation(sup, axis, n, out)
+        computed = np.flatnonzero(low.self_class != 0)  # anticommuting or absent
+        new_rows = _block_rows(rows, low.pos_self)
+        new_rows[computed] = height + np.arange(computed.size)
+        return new_support, low, reads_of(low, computed), new_rows
 
     def rotate(axis: int, angle: float, half_turns: int) -> None:
-        low = lower((axis,), _lower_rotation, axis)
-        ops.append(_RotateOp(low, axis, angle, half_turns))
+        nonlocal rows, height
+        low, reads, new_rows = lower((axis,), functools.partial(lower_rotation, axis))
+        ops.append(_RotateOp(low, reads, height, new_rows, axis, angle, half_turns))
+        rows, height = new_rows, height + len(reads.pos_self)
+        spares[block_op] = height - filled
+
+    def lower_measurement(op, sup, out):
+        new_support, low = _lower_measurement(sup, op, n, out)
+        return new_support, low, reads_of(low)
+
+    def idle_counts(idle, sup):
+        counts = _idle_counts(sup, n, idle)
+        if rows is None:
+            return counts
+        by_row = np.zeros(height, dtype=counts.dtype)
+        by_row[rows] = counts
+        return by_row
 
     def flush(qubits) -> None:
         for q in qubits:
@@ -1174,7 +1274,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
     def probe(at) -> None:
         paulis = probe_map[at]
         flush(sorted({q for p in paulis for q in _xy_qubits(pauli_index(n, p), n)}))
-        ops.append(_probe_op(at, support, paulis, n))
+        ops.append(_probe_op(at, support, rows, paulis, n))
 
     check_budget(len(keys))
     for step_i, step in enumerate(circuit.steps):
@@ -1191,7 +1291,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
             for q in op.qubits:
                 pending[q] += half
             flush(_xy_qubits(p_index, n))
-            low = lower((p_index, op.qubits), _lower_measurement, op)
+            low, reads = lower((p_index, op.qubits), functools.partial(lower_measurement, op))
             here = dets_by_slot.get(op.slot, ())
             for d in here:
                 if d.ident not in det_col:
@@ -1215,13 +1315,15 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
                 ok &= keys[:, col] == (d.parity.sign == -1)
                 keys[:, col] = 0
                 free.append(col)
-            rows = signs = None
+            branches = signs = None
             if not ok.all():
-                rows = np.flatnonzero(ok).astype(np.int32)
+                branches = np.flatnonzero(ok)
                 keys, neg = keys[ok], neg[ok]
             if not split and neg.any():
                 signs = np.where(neg, -1, 1).astype(np.int8)
-            ops.append(_MeasureOp(low, len(op.qubits), split, rows, signs))
+            ops.append(_MeasureOp(low, reads, len(op.qubits), split, branches, signs, height))
+            rows = None
+            allocated(support.size)
             for q in op.qubits:
                 pending[q] += half
             peak = max(peak, len(keys))
@@ -1229,12 +1331,13 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
         if rotating:
             for q in idle:
                 pending[q] += 2  # a whole theta per idle step
-        counts = memoized(("idle",) + tuple(idle), lambda sup: _idle_counts(sup, n, idle))
+        counts = memoized(("idle",) + tuple(idle), functools.partial(idle_counts, idle))
         if counts.any():
             ops.append(_IdleOp(counts))
         keys, merge = _merge_keys(keys)
         if merge is not None:
-            ops.append(merge)
+            ops.append(replace(merge, height=height))
+            allocated(height)
         if step_i in probe_map:
             probe(step_i)
 
@@ -1243,11 +1346,46 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
     else:
         flush(range(n))
 
+    for i, spare in spares.items():
+        if i is not None:
+            ops[i] = replace(ops[i], spare=spare)
     groups = tuple(int(g) for g in keys[:, 0])
     kept = tuple(("s", entry) for entry in keep)
     signs = np.array([e.sign if isinstance(e, Parity) else 1 for e in keep], dtype=np.int8)
     records = np.where(keys[:, [det_col[key] for key in kept]] != 0, -signs, signs)
-    return _Plan(tuple(ops), support, groups, kept, records, max(peak, len(keys))), produced
+    plan = _Plan(tuple(ops), support, groups, kept, records, max(peak, len(keys)),
+                 spares.get(None, 0), rows)
+    return plan, produced
+
+
+def _entry_block(coeffs: np.ndarray, spare: int) -> np.ndarray:
+    """The support-major block a plan starts from: ``coeffs`` (branches x
+    support) transposed, plus ``spare`` rows."""
+    block = np.empty((coeffs.shape[1] + spare, coeffs.shape[0]))
+    block[:coeffs.shape[1]] = coeffs.T
+    return block
+
+
+def _support_rows(block: np.ndarray, rows: "np.ndarray | None", size: int) -> np.ndarray:
+    """The rows of a support of ``size`` columns in sorted-support order,
+    given the block row of each (None: row j holds column j)."""
+    return block[:size] if rows is None else np.take(block, rows, axis=0)
+
+
+def _walk(plan: _Plan, coeffs: np.ndarray, tables, reads: list):
+    """Run ``plan`` from ``coeffs`` (branches x support), and yield the
+    support-major rows of each support :func:`_witness_masks` lists, in
+    sorted-support order, where they are next read: the initial support
+    first, then the output of each measurement or rotation just before the
+    next one, and the final support at the end."""
+    block = _entry_block(coeffs, plan.spare)
+    at, size = None, coeffs.shape[1]  # the block rows of the support read next, and its size
+    for op in plan.ops:
+        if isinstance(op, (_MeasureOp, _RotateOp)):
+            yield _support_rows(block, at, size)
+            at, size = op.rows, len(op.low.pos_self)
+        block = op.run(block, tables, reads)
+    yield _support_rows(block, at, size)
 
 
 def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> list:
@@ -1269,12 +1407,7 @@ def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> lis
     # imports anyway; importing numpy.random would add megabytes to a run.
     bits = np.frombuffer(random.Random(_WITNESS_SEED).randbytes(8 * rows * columns), np.uint64)
     coeffs = ((bits >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(rows, columns)
-    masks = []
-    for op in plan.ops:
-        if isinstance(op, (_MeasureOp, _RotateOp)):
-            masks.append(coeffs.any(axis=0))
-        coeffs = op.run(coeffs, tables, [])
-    masks.append(coeffs.any(axis=0))
+    masks = [block.any(axis=1) for block in _walk(plan, coeffs, tables, [])]
     masks[0] = np.ones(columns, dtype=bool)
     return masks
 
@@ -1374,11 +1507,12 @@ def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
         circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0
     )
     tables = _NoiseTables(noise, circuit.num_qubits)
-    coeffs = initial.coeffs.copy()
+    block = _entry_block(initial.coeffs, plan.spare)
     reads: list = []
     for op in plan.ops:
-        coeffs = op.run(coeffs, tables, reads)
-    return plan, coeffs, reads, group_tags
+        block = op.run(block, tables, reads)
+    final = np.ascontiguousarray(_support_rows(block, plan.rows, plan.support.size).T)
+    return plan, final, reads, group_tags
 
 
 def _summed_probes(reads: list) -> "tuple[dict, dict]":

@@ -512,14 +512,11 @@ def plan_pair(circuit, initial, theta, keep=(), probes=None):
 
 
 def blocks(plan, initial, tables, reads):
-    """The coefficient block just before each measurement or rotation of
-    ``plan``, then the final block; the probe ops append to ``reads``."""
-    coeffs = initial.coeffs.copy()
-    for op in plan.ops:
-        if isinstance(op, (simulator._MeasureOp, simulator._RotateOp)):
-            yield coeffs
-        coeffs = op.run(coeffs, tables, reads)
-    yield coeffs
+    """The coefficients (branches x support, in sorted-support order) just
+    before each measurement or rotation of ``plan``, then the final ones;
+    the probe ops append to ``reads``."""
+    for block in simulator._walk(plan, initial.coeffs, tables, reads):
+        yield block.T
 
 
 def witness_and_needed_masks(full, initial):
@@ -728,14 +725,15 @@ def test_restricted_lowering_reads_the_full_lowering_at_kept_columns(seed, rotat
     coeffs = rng.uniform(-1, 1, (3, support.size))
     coeffs[:, ~np.isin(support, inputs)] = 0.0
     restricted = coeffs[:, np.isin(support, inputs)]
+    # The kernels read support-major blocks: one row per Pauli.
     if rotation:
-        np.testing.assert_array_equal(simulator._rotate(restricted, low, 0.37),
-                                      simulator._rotate(coeffs, full, 0.37)[:, at])
+        np.testing.assert_array_equal(simulator._rotate(restricted.T, low, 0.37),
+                                      simulator._rotate(coeffs.T, full, 0.37)[at])
     else:
         tables = simulator._meas_tables(len(op.qubits), random_noise(rng, False))
-        for a, b in zip(simulator._terms(coeffs, full, *tables),
-                        simulator._terms(restricted, low, *tables)):
-            np.testing.assert_array_equal(b, a[:, at])
+        for a, b in zip(simulator._terms(coeffs.T, full, *tables),
+                        simulator._terms(restricted.T, low, *tables)):
+            np.testing.assert_array_equal(b, a[at])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
