@@ -449,14 +449,14 @@ class _Lowering:
 
 
 def _terms(block: np.ndarray, low: _Lowering, w_self, w_partner, own=None):
-    """The self and partner terms of every output element of ``low``, a row
-    each, gathered from the rows of the support-major ``block``.  A
-    measurement's +1 record block is their sum and its -1 block their
-    difference; a rotation is their sum.  ``own``, if given, receives the
-    self terms; it must not overlap ``block``."""
-    own = np.take(block, low.pos_self, axis=0, out=own, mode="clip")
+    """The self and partner terms of every output element of a measurement
+    lowering ``low``, a row each, gathered from the rows of the
+    support-major ``block``: the +1 record block is their sum and the -1
+    block their difference.  ``own``, if given, receives the self terms; it
+    must not overlap ``block``."""
+    own = block.take(low.pos_self, axis=0, out=own, mode="clip")
+    partner = block.take(low.pos_partner, axis=0, mode="clip")
     own *= w_self[low.self_class][:, None]
-    partner = np.take(block, low.pos_partner, axis=0, mode="clip")
     partner *= w_partner[low.partner_class][:, None]
     return own, partner
 
@@ -530,13 +530,68 @@ def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int, new_supp
     )
 
 
-def _rotate(block: np.ndarray, low: _Lowering, phi: float, out=None) -> np.ndarray:
-    """The output rows of ``low``, a rotation exp(i phi P), from the rows of
-    the support-major ``block``, into ``out`` if given (see :func:`_terms`)."""
+# The (diag, off) classes of the outputs that a rotation computes, in the
+# order it lays their rows out.  Class (0, 0), an output that commutes with
+# the axis and that the input holds, is its input column.
+_ROTATION_RUNS = ((1, 0), (1, 1), (1, 2), (2, 1), (2, 2), (2, 0))
+
+
+def _rotation_rows(low: _Lowering, rows: "np.ndarray | None", height: int) -> tuple:
+    """What a rotation lowered as ``low`` reads and writes in a block whose
+    first ``height`` rows are in use and whose row ``rows[j]`` holds input
+    element j (None: row j): ``(pos_self, pos_partner, counts, out_rows)``.
+
+    Only the outputs of the classes :data:`_ROTATION_RUNS` lists are
+    computed, ``counts`` of each in that order, into the rows from
+    ``height`` on; ``out_rows`` gives the block row of every output, and an
+    output that is not computed keeps the row of its input.  The first
+    three classes read the block rows ``pos_self``, the middle four the
+    rows ``pos_partner``, and the last class reads none."""
+    pair = 4 * low.self_class.astype(np.intp) + low.partner_class
+    computed = [np.flatnonzero(pair == 4 * diag + off) for diag, off in _ROTATION_RUNS]
+    counts = tuple(len(c) for c in computed)
+    order = np.concatenate(computed)
+    out_rows = _block_rows(rows, low.pos_self)
+    out_rows[order] = height + np.arange(order.size)
+    with_self, with_partner = order[:sum(counts[:3])], order[counts[0]:sum(counts[:5])]
+    return (_block_rows(rows, low.pos_self[with_self]),
+            _block_rows(rows, low.pos_partner[with_partner]), counts, out_rows)
+
+
+def _rotate(block: np.ndarray, pos_self, pos_partner, counts: tuple, phi: float,
+            out=None) -> np.ndarray:
+    """The computed rows of a rotation exp(i phi P) (see :func:`_rotation_rows`)
+    from the rows of the support-major ``block``, into ``out`` if given; it
+    must not overlap ``block``.  A row with a self term x and a partner
+    term y reads cos 2phi x + (+-sin 2phi) y; a row with one term, that term
+    alone; a row with none, 0.0."""
     c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
-    own, partner = _terms(block, low, np.array([1.0, c, 0.0]), np.array([0.0, s, -s]), out)
-    own += partner
-    return own
+    n10, n11, n12, n21, n22, n20 = counts
+    both, alone = n11 + n12, n21 + n22
+    if out is None:
+        out = np.empty((sum(counts), block.shape[1]))
+    own = block.take(pos_self, axis=0, out=out[:n10 + both], mode="clip")
+    own *= c
+    partner = block.take(pos_partner[:both], axis=0, mode="clip")
+    partner[:n11] *= s
+    partner[n11:] *= -s
+    own[n10:] += partner
+    grown = block.take(pos_partner[both:], axis=0, out=out[n10 + both:n10 + both + alone],
+                       mode="clip")
+    grown[:n21] *= s
+    grown[n21:] *= -s
+    out[len(out) - n20:] = 0.0
+    return out
+
+
+def _rotated(coeffs: np.ndarray, low: _Lowering, phi: float) -> np.ndarray:
+    """``coeffs`` (branches x support) after the rotation exp(i phi P) that
+    ``low`` lowers: :func:`_rotate` through a transpose."""
+    size = coeffs.shape[1]
+    *reads, rows = _rotation_rows(low, None, size)
+    block = _entry_block(coeffs, sum(reads[2]))
+    _rotate(block[:size], *reads, phi, block[size:])
+    return _support_rows(block, rows, len(low.pos_self)).T
 
 
 def _sandwich_axes(op, theta: float, num_qubits: int) -> list:
@@ -746,7 +801,7 @@ class TrajectoryEnsemble:
         if phi == 0.0:
             return
         self.support, low = _lower_rotation(self.support, p_index, self.num_qubits)
-        self.coeffs = _rotate(self.coeffs.T, low, phi).T
+        self.coeffs = _rotated(self.coeffs, low, phi)
 
     def apply_idle(self, qubits: Iterable[int], noise: NoiseParams) -> None:
         """One idle step on the listed qubits: rotate by theta about Z, then
@@ -982,7 +1037,9 @@ class _RotateOp:
     output column."""
 
     low: _Lowering
-    reads: _Lowering
+    pos_self: np.ndarray
+    pos_partner: np.ndarray
+    counts: tuple
     at: int
     rows: np.ndarray
     axis: int  # Pauli index of the rotation axis
@@ -990,9 +1047,9 @@ class _RotateOp:
     half_turns: int
 
     def run(self, block, tables, reads):
-        end = self.at + len(self.reads.pos_self)
-        _rotate(block[:self.at], self.reads, self.angle + self.half_turns * tables.half_theta,
-                block[self.at:end])
+        phi = self.angle + self.half_turns * tables.half_theta
+        _rotate(block[:self.at], self.pos_self, self.pos_partner, self.counts, phi,
+                block[self.at:self.at + sum(self.counts)])
         return block
 
 
@@ -1218,10 +1275,10 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
                 f"{_SUPPORT_BUDGET} terms"
             )
 
-    def reads_of(low: _Lowering, at=slice(None)) -> _Lowering:
-        """The block rows that the outputs ``at`` of ``low`` read."""
-        return _Lowering(_block_rows(rows, low.pos_self[at]), _block_rows(rows, low.pos_partner[at]),
-                         low.self_class[at], low.partner_class[at])
+    def reads_of(low: _Lowering) -> _Lowering:
+        """``low`` reading block rows in place of support positions."""
+        return _Lowering(_block_rows(rows, low.pos_self), _block_rows(rows, low.pos_partner),
+                         low.self_class, low.partner_class)
 
     def lower(key: tuple, lower_fn) -> list:
         """``lower_fn(input support, output subset or None)`` returns the
@@ -1241,16 +1298,15 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
 
     def lower_rotation(axis: int, sup, out):
         new_support, low = _lower_rotation(sup, axis, n, out)
-        computed = np.flatnonzero(low.self_class != 0)  # anticommuting or absent
-        new_rows = _block_rows(rows, low.pos_self)
-        new_rows[computed] = height + np.arange(computed.size)
-        return new_support, low, reads_of(low, computed), new_rows
+        return new_support, low, *_rotation_rows(low, rows, height)
 
     def rotate(axis: int, angle: float, half_turns: int) -> None:
         nonlocal rows, height
-        low, reads, new_rows = lower((axis,), functools.partial(lower_rotation, axis))
-        ops.append(_RotateOp(low, reads, height, new_rows, axis, angle, half_turns))
-        rows, height = new_rows, height + len(reads.pos_self)
+        low, pos_self, pos_partner, counts, new_rows = lower(
+            (axis,), functools.partial(lower_rotation, axis))
+        ops.append(_RotateOp(low, pos_self, pos_partner, counts, height, new_rows, axis, angle,
+                             half_turns))
+        rows, height = new_rows, height + sum(counts)
         spares[block_op] = height - filled
 
     def lower_measurement(op, sup, out):

@@ -725,10 +725,10 @@ def test_restricted_lowering_reads_the_full_lowering_at_kept_columns(seed, rotat
     coeffs = rng.uniform(-1, 1, (3, support.size))
     coeffs[:, ~np.isin(support, inputs)] = 0.0
     restricted = coeffs[:, np.isin(support, inputs)]
-    # The kernels read support-major blocks: one row per Pauli.
+    # The measurement kernel reads support-major blocks: one row per Pauli.
     if rotation:
-        np.testing.assert_array_equal(simulator._rotate(restricted.T, low, 0.37),
-                                      simulator._rotate(coeffs.T, full, 0.37)[at])
+        np.testing.assert_array_equal(simulator._rotated(restricted, low, 0.37),
+                                      simulator._rotated(coeffs, full, 0.37)[:, at])
     else:
         tables = simulator._meas_tables(len(op.qubits), random_noise(rng, False))
         for a, b in zip(simulator._terms(coeffs.T, full, *tables),

@@ -136,7 +136,7 @@ def test_rotation_kernel_matches_superop(axis, angle):
     p_index = simulator.op_pauli_index(Rotate(1, axis, angle), 2)
     support, low = simulator._lower_rotation(ens.support, p_index, 2)
     got = np.zeros(16)
-    got[support] = simulator._rotate(ens.coeffs.T, low, angle)[:, 0]  # support-major
+    got[support] = simulator._rotated(ens.coeffs, low, angle)[0]
     want = apply_superop_to_axes(rotation_superop(axis, angle), vec, (1,), 2)
     np.testing.assert_allclose(got, want, atol=1e-13)
 
