@@ -19,7 +19,7 @@ this tractable:
   beyond the group generated by the initial state and the measured operators,
   so an eight-qubit code patch needs a few hundred coefficients, not 4^8.
   The support evolves identically in every branch, so branches share one
-  support array next to a (branches x support) coefficient block.
+  support array next to a block of coefficients, one per branch and Pauli.
 * Branches are merged whenever their future-relevant record information
   agrees.  The eager runner gives every branch a key, one bit per parity of
   a detector still in flight and per kept entry (a caller-requested record
@@ -1031,9 +1031,11 @@ class _RotateOp:
 
     ``low`` lowers the rotation against the supports.  The op computes only
     the output columns that anticommute with the axis, and any the input
-    lacks, from the block rows ``reads`` gives, and writes them as rows
-    ``at`` onward of the block it reads; every other output column is its
-    input column and keeps its row.  ``rows`` is the block row of each
+    lacks, reading the block rows ``pos_self`` and ``pos_partner``, and
+    appends them, ``counts`` per class (see :func:`_rotation_rows`), as
+    rows ``at`` onward of the block it reads, in spare rows that the
+    lowering reserved.  Every other output column is its input column: it
+    keeps its row and is never copied.  ``rows`` is the block row of each
     output column."""
 
     low: _Lowering
@@ -1077,7 +1079,7 @@ class _MeasureOp:
 
     def run(self, block, tables, reads):
         if self.branches is not None:
-            block = np.take(block[:self.height], self.branches, axis=1)
+            block = block[:self.height].take(self.branches, axis=1)
         size = len(self.reads.pos_self)
         width = block.shape[1]
         if self.split:
@@ -1117,7 +1119,7 @@ class _MergeOp:
 
     def run(self, block, tables, reads):
         out = np.empty((self.height + self.spare, len(self.starts)))
-        np.add.reduceat(np.take(block[:self.height], self.order, axis=1), self.starts, axis=1,
+        np.add.reduceat(block[:self.height].take(self.order, axis=1), self.starts, axis=1,
                         out=out[:self.height])
         return out
 
@@ -1138,7 +1140,7 @@ class _ProbeOp:
 
     def run(self, block, tables, reads):
         out = np.zeros((block.shape[1], 1 + len(self.names)))
-        out[:, self.columns] = (np.take(block, self.rows, axis=0) * self.signs[:, None]).T
+        out[:, self.columns] = (block.take(self.rows, axis=0) * self.signs[:, None]).T
         reads.append((self.step, self.names, out))
         return block
 
@@ -1178,7 +1180,7 @@ def _merge_keys(keys: np.ndarray):
     starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
     if len(starts) == len(keys):
         return keys, None
-    return ordered[starts], _MergeOp(order.astype(np.int32), starts)
+    return ordered[starts], _MergeOp(order, starts)
 
 
 def _block_rows(rows: "np.ndarray | None", positions: np.ndarray) -> np.ndarray:
@@ -1228,7 +1230,12 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
     Pauli has X or Y, so a probed column goes through the same rotations
     as the final state's.  This is exact: the depolarizing
     channels are invariant under local unitaries, assignment flips act on
-    records only, and pins, prunes and merges act row by row.
+    records only, and pins, prunes and merges act row by row.  A flushed
+    rotation computes only its outputs that anticommute with Z there and
+    appends them as rows of the block it reads (see :class:`_RotateOp`),
+    so the lowering tracks the block row of every support element and
+    reserves, in the block of the last measurement or merge before the
+    rotations (or the entry block), the spare rows they append.
     """
     n = circuit.num_qubits
     dets_by_slot = _detectors_by_slot(circuit, keep)
@@ -1425,7 +1432,7 @@ def _entry_block(coeffs: np.ndarray, spare: int) -> np.ndarray:
 def _support_rows(block: np.ndarray, rows: "np.ndarray | None", size: int) -> np.ndarray:
     """The rows of a support of ``size`` columns in sorted-support order,
     given the block row of each (None: row j holds column j)."""
-    return block[:size] if rows is None else np.take(block, rows, axis=0)
+    return block[:size] if rows is None else block.take(rows, axis=0)
 
 
 def _walk(plan: _Plan, coeffs: np.ndarray, tables, reads: list):
@@ -1449,9 +1456,10 @@ def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> lis
 
     Runs ``plan`` once at :data:`_WITNESS_NOISE` from random coefficients
     on ``rows`` x ``columns``.  Entry k marks the columns of the support the
-    k-th measurement or rotation produces that are nonzero in some row where
-    they are next read: just before the next measurement or rotation, or at
-    the end.  Entry 0, the initial support, keeps every column.  Every
+    k-th measurement or rotation produces that are nonzero in some branch
+    where they are next read: just before the next measurement or rotation,
+    or at the end (see :func:`_walk`, which reads each column at its block
+    row).  Entry 0, the initial support, keeps every column.  Every
     coefficient is a polynomial in the noise tables and the initial
     coefficients, so one that is exactly 0.0 at this generic point is zero
     at every point; one that is merely small is kept.  This forward pass
@@ -1481,9 +1489,12 @@ def _needed_masks(plan: _Plan, witness: list) -> list:
     returns its final state reads every final column; one that ends in an
     end probe (see :func:`_lower`) reads only what its probes read.  A probe
     reads the identity and its probed columns; a kept output column of a
-    measurement or rotation reads its ``pos_self`` and ``pos_partner``
-    inputs, except through the absent class, whose weight is 0.  Idle ops,
-    merges and row selection keep columns where they are.  Which columns
+    measurement or rotation reads the ``pos_self`` and ``pos_partner``
+    inputs of the op's ``low``, except through the absent class, whose
+    weight is 0.  A rotation output that commutes with the axis is its
+    input column, so its need passes straight through to that column; one
+    that anticommutes reads its input column and its partner.  Idle ops,
+    merges and branch selection keep columns where they are.  Which columns
     are needed depends on the plan only, not on the noise.  Entry 0, the
     initial support, keeps every column, as in ``witness``.
     """
@@ -1548,8 +1559,14 @@ def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
              keep: tuple, probes, finals: "tuple | None" = None) -> tuple:
     """Run ``circuit`` from ``initial`` through its cached plan, keeping the
     normalized entries ``keep``.  Returns the plan, the final coefficient
-    block (one row per final branch), the probe reads in walk order (see
-    :class:`_ProbeOp`) and the tags of each initial branch group.
+    block (one row per final branch, one column per Pauli of the final
+    support), the probe reads in walk order (see :class:`_ProbeOp`) and the
+    tags of each initial branch group.
+
+    The plan's ops pass a support-major block along (see :class:`_Plan`):
+    the run transposes the initial coefficients once on entry and gathers
+    the final rows back into sorted-support order, transposed, once on
+    exit, so the final block has the layout of ``TrajectoryEnsemble.coeffs``.
 
     With ``finals`` (Paulis, possibly none) the run ends in a probe of them
     instead of returning its final state: the last read is that end probe,

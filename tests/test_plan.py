@@ -660,6 +660,41 @@ def test_rotations_keeping_every_column_after_pruned_measurements():
             assert_restricted_plan_agrees(full, plan, wide, masks, initial, noise)
 
 
+def test_rotations_compute_only_their_anticommuting_outputs():
+    # The theta = 0.01 logical-XX plan of probe_circuit: each rotation writes
+    # new rows for exactly the outputs that anticommute with its axis, as
+    # many cells as branches times those outputs; every commuting output
+    # keeps the row of its input.  Those rows are 41% of the 3.03 M cells a
+    # rotation that rewrote every output would fill.  Of the rows written,
+    # 0.41 M cells are columns the input lacks (grown from their partners).
+    circuit, initial, probes = decay_probes("logical", "XX")
+    n = circuit.num_qubits
+    probes = simulator._normalize_probes(probes, circuit) + ((None, ()),)
+    groups, _ = simulator._branch_groups(initial.tags)
+    args = (circuit, initial.support, groups, (), dict(probes), True)
+    full, produced = simulator._lower(*args)
+    witness, masks = witness_and_needed_masks(full, initial)
+    plan, produced = simulator._lower(*args, (sup[m] for sup, m in zip(produced, masks[1:])))
+    assert_same_plan(plan, simulator._cached_plan(circuit, initial.support.tobytes(), groups,
+                                                  (), probes, True))
+    tables = simulator._NoiseTables(NoiseParams(p_a=0.01, p1=1e-3, p2=1e-3, theta=0.01), n)
+    block = simulator._entry_block(initial.coeffs, plan.spare)
+    supports = iter(produced)
+    computed = every = 0
+    for op in plan.ops:
+        if isinstance(op, MEASURE_OR_ROTATE):
+            support = next(supports)
+        if isinstance(op, simulator._RotateOp):
+            anti = simulator._phase_exponents(op.axis, support, n) & 1 == 1
+            np.testing.assert_array_equal(op.rows >= op.at, anti)
+            assert sum(op.counts) == anti.sum()
+            computed += block.shape[1] * sum(op.counts)
+            every += block.shape[1] * support.size
+        block = op.run(block, tables, [])
+    assert every == pytest.approx(3.03e6, rel=1e-3)
+    assert computed / every == pytest.approx(0.586, abs=1e-3)
+
+
 def plan_nbytes(plan) -> int:
     """Bytes of the distinct arrays a plan holds."""
     arrays = {}
