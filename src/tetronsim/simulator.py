@@ -551,8 +551,8 @@ def _rotation_rows(low: _Lowering, rows: "np.ndarray | None", height: int) -> tu
     computed = [np.flatnonzero(pair == 4 * diag + off) for diag, off in _ROTATION_RUNS]
     counts = tuple(len(c) for c in computed)
     order = np.concatenate(computed)
-    out_rows = _block_rows(rows, low.pos_self)
-    out_rows[order] = height + np.arange(order.size)
+    out_rows = _block_rows(rows, low.pos_self).copy()
+    out_rows[order] = np.arange(height, height + order.size, dtype=np.int32)
     with_self, with_partner = order[:sum(counts[:3])], order[counts[0]:sum(counts[:5])]
     return (_block_rows(rows, low.pos_self[with_self]),
             _block_rows(rows, low.pos_partner[with_partner]), counts, out_rows)
@@ -1082,15 +1082,11 @@ class _MeasureOp:
             block = block[:self.height].take(self.branches, axis=1)
         size = len(self.reads.pos_self)
         width = block.shape[1]
+        out = np.empty((size + self.spare, (1 + self.split) * width))
+        base, cross = _terms(block, self.reads, *tables.meas[self.arity], out[:size, :width])
         if self.split:
-            base, cross = _terms(block, self.reads, *tables.meas[self.arity])
-            out = np.empty((size + self.spare, 2 * width))
-            np.add(base, cross, out=out[:size, :width])
             np.subtract(base, cross, out=out[:size, width:])
-            return out
-        out = np.empty((size + self.spare, width))
-        base, cross = _terms(block, self.reads, *tables.meas[self.arity], out[:size])
-        if self.signs is not None:
+        elif self.signs is not None:
             cross *= self.signs
         base += cross
         return out
@@ -1184,9 +1180,9 @@ def _merge_keys(keys: np.ndarray):
 
 
 def _block_rows(rows: "np.ndarray | None", positions: np.ndarray) -> np.ndarray:
-    """The block rows of the support ``positions``, given the block row of
-    each support element (None: row j holds element j)."""
-    return positions.astype(np.intp) if rows is None else rows[positions]
+    """The block rows of the support ``positions`` (int32), given the block
+    row of each support element (None: row j holds element j)."""
+    return positions if rows is None else rows[positions]
 
 
 def _probe_op(step_i: int, support: np.ndarray, rows, paulis, num_qubits: int) -> _ProbeOp:
@@ -1284,8 +1280,10 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
 
     def reads_of(low: _Lowering) -> _Lowering:
         """``low`` reading block rows in place of support positions."""
-        return _Lowering(_block_rows(rows, low.pos_self), _block_rows(rows, low.pos_partner),
-                         low.self_class, low.partner_class)
+        if rows is None:
+            return low
+        return _Lowering(rows[low.pos_self], rows[low.pos_partner], low.self_class,
+                         low.partner_class)
 
     def lower(key: tuple, lower_fn) -> list:
         """``lower_fn(input support, output subset or None)`` returns the
@@ -1471,7 +1469,9 @@ def _witness_masks(plan: _Plan, num_qubits: int, rows: int, columns: int) -> lis
     # imports anyway; importing numpy.random would add megabytes to a run.
     bits = np.frombuffer(random.Random(_WITNESS_SEED).randbytes(8 * rows * columns), np.uint64)
     coeffs = ((bits >> np.uint64(11)) * 2.0**-52 - 1.0).reshape(rows, columns)
-    masks = [block.any(axis=1) for block in _walk(plan, coeffs, tables, [])]
+    # map, unlike a loop variable, drops each gathered support before the walk goes on.
+    masks = list(map(lambda support_rows: support_rows.any(axis=1),
+                     _walk(plan, coeffs, tables, [])))
     masks[0] = np.ones(columns, dtype=bool)
     return masks
 
