@@ -448,17 +448,25 @@ class _Lowering:
     partner_class: np.ndarray
 
 
+def _weighted(block: np.ndarray, pos, classes, weights, out=None) -> np.ndarray:
+    """Rows ``pos`` of the support-major ``block``, row j times
+    ``weights[classes[j]]``, copied into ``out`` if given."""
+    rows = block.take(pos, axis=0)
+    rows *= weights[classes][:, None]
+    if out is None:
+        return rows
+    out[...] = rows
+    return out
+
+
 def _terms(block: np.ndarray, low: _Lowering, w_self, w_partner, own=None):
     """The self and partner terms of every output element of a measurement
-    lowering ``low``, a row each, gathered from the rows of the
-    support-major ``block``: the +1 record block is their sum and the -1
-    block their difference.  ``own``, if given, receives the self terms; it
-    must not overlap ``block``."""
-    own = block.take(low.pos_self, axis=0, out=own, mode="clip")
-    partner = block.take(low.pos_partner, axis=0, mode="clip")
-    own *= w_self[low.self_class][:, None]
-    partner *= w_partner[low.partner_class][:, None]
-    return own, partner
+    lowering ``low``, a row each, from the rows of the support-major
+    ``block``: the +1 record block is their sum and the -1 block their
+    difference.  ``own``, if given, receives the self terms, and the
+    gathered rows behind them are freed before the partner terms are."""
+    return (_weighted(block, low.pos_self, low.self_class, w_self, own),
+            _weighted(block, low.pos_partner, low.partner_class, w_partner))
 
 
 def _lower_measurement(support: np.ndarray, op, num_qubits: int, new_support=None):
@@ -567,6 +575,7 @@ def _rotate(block: np.ndarray, pos_self, pos_partner, counts: tuple, phi: float,
     alone; a row with none, 0.0."""
     c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
     n10, n11, n12, n21, n22, n20 = counts
+    # mode="clip" lets take write into ``out`` unbuffered; plan rows are in range.
     both, alone = n11 + n12, n21 + n22
     if out is None:
         out = np.empty((sum(counts), block.shape[1]))
