@@ -575,10 +575,10 @@ def _rotate(block: np.ndarray, pos_self, pos_partner, counts: tuple, phi: float,
     alone; a row with none, 0.0."""
     c, s = math.cos(2.0 * phi), math.sin(2.0 * phi)
     n10, n11, n12, n21, n22, n20 = counts
-    # mode="clip" lets take write into ``out`` unbuffered; plan rows are in range.
     both, alone = n11 + n12, n21 + n22
     if out is None:
         out = np.empty((sum(counts), block.shape[1]))
+    # mode="clip" lets take write into ``out`` unbuffered; plan rows are in range.
     own = block.take(pos_self, axis=0, out=out[:n10 + both], mode="clip")
     own *= c
     partner = block.take(pos_partner[:both], axis=0, mode="clip")
