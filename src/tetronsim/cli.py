@@ -115,25 +115,22 @@ def parse_grid(text: str) -> "np.ndarray | None":
     return np.array([_to_float("grid value", v) for v in text.split(",")])
 
 
-def _parse_int_list(text: str) -> "tuple | None":
-    if text.strip() == "default":
-        return None
-    return tuple(_to_int("list entry", v) for v in text.split(","))
+def _list_of(parse):
+    """A converter of a comma list (or ``default``) read by ``parse``."""
 
-
-def _parse_float_list(text: str) -> "tuple | None":
-    if text.strip() == "default":
-        return None
-    return tuple(_to_float("list entry", v) for v in text.split(","))
-
-
-def _conv_choice(*allowed: str):
-    def convert(text: str) -> str:
-        if text not in allowed:
-            raise ConfigError(f"must be one of {', '.join(allowed)}; got {text!r}")
-        return text
+    def convert(text: str) -> "tuple | None":
+        if text.strip() == "default":
+            return None
+        return tuple(parse("list entry", v) for v in text.split(","))
 
     return convert
+
+
+def _conv_int(text: str) -> int:
+    try:
+        return int(str(text), 10)
+    except ValueError as exc:
+        raise ConfigError(f"must be an integer, got {text!r}") from exc
 
 
 def _conv_posint(text: str) -> int:
@@ -143,8 +140,7 @@ def _conv_posint(text: str) -> int:
     return value
 
 
-def _conv_float(text: str) -> float:
-    return _to_float("value", text)
+_conv_float = functools.partial(_to_float, "value")
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +148,35 @@ def _conv_float(text: str) -> float:
 # ---------------------------------------------------------------------------
 
 
-_RUN_KEYS = ("seed", "workers", "out", "mode", "shots")
+@dataclass(frozen=True)
+class _Opt:
+    """One setting: its ``--flag`` (``_`` spelled ``-``), else its config key,
+    else the ``noise`` parameter it names if the noise inputs set it, else
+    ``default``, which a converted None (a ``default`` grid or list) stands for."""
+
+    convert: "object"
+    default: "object"
+    help: str
+    choices: "tuple | None" = None
+    metavar: str = "VALUE"
+    noise: "str | None" = None
+
+
+# The [run] section.  Its only flags for ``mode`` are --exact and --shots,
+# which also selects sampled mode.
+_RUN: dict = {
+    "seed": _Opt(_conv_int, 0, "base random seed", metavar="U64"),
+    "workers": _Opt(_conv_int, 1, "process count for grid sweeps", metavar="N"),
+    "out": _Opt(Path, None, "artifact output directory", metavar="DIR"),
+    "mode": _Opt(str, "exact", "exact or sampled statistics", ("exact", "sampled")),
+    "shots": _Opt(_conv_int, 1_000_000, "sampled statistics with N shots", metavar="N"),
+}
 
 
 @dataclass
 class Settings:
     """Fully resolved run configuration (defaults < config file < flags)."""
 
-    experiment: str
     noise: NoiseParams
     noise_inputs: dict
     noise_audit: dict
@@ -168,11 +185,12 @@ class Settings:
     mode: str
     shots: int
     out: "Path | None"
-    check: bool
     options: dict
 
 
-def _read_ini(path: Path) -> configparser.ConfigParser:
+def _read_ini(path: Path) -> dict:
+    """Each section of the INI file at ``path``, as a dict of its keys.  A
+    section that no setting reads is rejected."""
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
@@ -182,24 +200,55 @@ def _read_ini(path: Path) -> configparser.ConfigParser:
             parser.read_file(handle)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
-    return parser
+    allowed = {"noise", "run"} | set(_EXPERIMENTS)
+    unknown = set(parser.sections()) - allowed
+    if unknown:
+        raise ConfigError(
+            f"unknown config section(s) {sorted(unknown)}; expected {sorted(allowed)}"
+        )
+    return {name: dict(parser.items(name)) for name in parser.sections()}
+
+
+def _ini_section(config: dict, name: str, expected=None) -> dict:
+    """The keys of section ``[name]`` of ``config`` (none if it is absent).
+    With ``expected``, the keys it allows, a key outside it is rejected and
+    the message lists ``expected`` as given."""
+    section = dict(config.get(name, {}))
+    unknown = set() if expected is None else set(section) - set(expected)
+    if unknown:
+        raise ConfigError(f"unknown [{name}] key(s) {sorted(unknown)}; expected {expected}")
+    return section
+
+
+def _resolve_options(table: dict, section: dict, args: argparse.Namespace, label: str,
+                     given: dict) -> dict:
+    """Every setting of ``table`` (see :class:`_Opt`), with ``section`` its
+    config keys and ``given`` the noise parameters that the noise inputs set.
+    A value that does not convert is named by ``label``, formatted with the
+    setting's ``key`` and the ``source`` it came from: its flag or its key."""
+    values = {}
+    for key, opt in table.items():
+        raw, source = getattr(args, "opt_" + key), "--" + key.replace("_", "-")
+        if raw is None:
+            raw, source = section.get(key), key
+        if raw is None:
+            values[key] = given.get(opt.noise, opt.default)
+            continue
+        try:
+            if opt.choices and raw not in opt.choices:
+                raise ConfigError(f"must be one of {', '.join(opt.choices)}; got {raw!r}")
+            value = opt.convert(raw)
+        except ConfigError as exc:
+            raise ConfigError(label.format(key=key, source=source) + str(exc)) from exc
+        values[key] = opt.default if value is None else value
+    return values
 
 
 def _resolve(args: argparse.Namespace, experiment: str) -> Settings:
-    ini = _read_ini(Path(args.config)) if args.config else None
-    if ini is not None:
-        allowed = {"noise", "run"} | set(_EXPERIMENTS)
-        unknown = set(ini.sections()) - allowed
-        if unknown:
-            raise ConfigError(
-                f"unknown config section(s) {sorted(unknown)}; "
-                f"expected {sorted(allowed)}"
-            )
+    config = _read_ini(Path(args.config)) if args.config else {}
 
-    # -- noise ----------------------------------------------------------
-    noise_inputs: dict = {}
-    if ini is not None and ini.has_section("noise"):
-        noise_inputs.update(dict(ini.items("noise")))
+    # -- noise: any key, which derive_noise checks --------------------------
+    noise_inputs = _ini_section(config, "noise")
     for item in args.noise or ():
         key, sep, value = item.partition("=")
         if not sep or not key.strip():
@@ -211,90 +260,33 @@ def _resolve(args: argparse.Namespace, experiment: str) -> Settings:
         raise ConfigError(str(exc)) from exc
     noise_inputs = {key: float(value) for key, value in noise_inputs.items()}
 
-    # -- run section ------------------------------------------------------
-    seed, workers, mode, shots, out = 0, 1, "exact", 1_000_000, None
-    if ini is not None and ini.has_section("run"):
-        section = dict(ini.items("run"))
-        unknown = set(section) - set(_RUN_KEYS)
-        if unknown:
-            raise ConfigError(
-                f"unknown [run] key(s) {sorted(unknown)}; expected {_RUN_KEYS}"
-            )
-        if "seed" in section:
-            seed = _to_int("seed", section["seed"])
-        if "workers" in section:
-            workers = _to_int("workers", section["workers"])
-        if "out" in section:
-            out = Path(section["out"])
-        if "mode" in section:
-            mode = section["mode"]
-            if mode not in ("exact", "sampled"):
-                raise ConfigError(f"mode must be one of exact, sampled; got {mode!r}")
-        if "shots" in section:
-            shots = _to_int("shots", section["shots"])
-    if args.seed is not None:
-        seed = _to_int("--seed", args.seed)
-    if args.workers is not None:
-        workers = _to_int("--workers", args.workers)
-    if args.out is not None:
-        out = Path(args.out)
-    if getattr(args, "exact", False):
-        mode = "exact"
-    if getattr(args, "shots", None) is not None:
-        mode = "sampled"
-        shots = _to_int("--shots", args.shots)
+    # -- [run] settings ---------------------------------------------------
+    run = _resolve_options(_RUN, _ini_section(config, "run", tuple(_RUN)), args, "{source} ", {})
+    if args.opt_shots is not None:  # --shots also selects sampled mode
+        run["mode"] = "sampled"
+    if not 0 <= run["seed"] < 2**64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {run['seed']}")
+    for key in ("workers", "shots"):
+        if run[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {run[key]}")
+    if run["mode"] == "sampled" and not _EXPERIMENTS[experiment].sampled:
+        chosen = "--shots" if args.opt_shots is not None else "[run] mode = sampled"
+        raise ConfigError(f"{experiment} runs exactly; it has no sampled mode (drop {chosen})")
 
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
-    if workers < 1:
-        raise ConfigError(f"workers must be at least 1, got {workers}")
-    if shots < 1:
-        raise ConfigError(f"shots must be at least 1, got {shots}")
-    if mode == "sampled" and not _EXPERIMENTS[experiment].sampled:
-        raise ConfigError(
-            f"{experiment} runs exactly; it has no sampled mode (drop --shots)"
-        )
-
-    # -- experiment options ----------------------------------------------
+    # -- experiment options -------------------------------------------------
     spec = _EXPERIMENTS[experiment].options
-    section = (
-        dict(ini.items(experiment))
-        if ini is not None and ini.has_section(experiment)
-        else {}
-    )
-    unknown = set(section) - set(spec)
-    if unknown:
-        raise ConfigError(
-            f"unknown [{experiment}] key(s) {sorted(unknown)}; "
-            f"expected {sorted(spec)}"
-        )
-    options: dict = {}
-    for key, opt in spec.items():
-        raw = section.get(key)
-        cli_value = getattr(args, "opt_" + key.replace("-", "_"), None)
-        if cli_value is not None:
-            raw = cli_value
-        if raw is None:
-            options[key] = opt.default
-            continue
-        try:
-            value = opt.convert(raw)
-        except ConfigError as exc:
-            raise ConfigError(f"option {key!r}: {exc}") from exc
-        options[key] = opt.default if value is None else value
+    routes = audit.get("route", {})
+    given = {param: value for param, value in dataclasses.asdict(noise).items()
+             if routes.get(param, "default") != "default"}
+    section = _ini_section(config, experiment, sorted(spec))
+    options = _resolve_options(spec, section, args, "option {key!r}: ", given)
 
     return Settings(
-        experiment=experiment,
         noise=noise,
         noise_inputs=noise_inputs,
         noise_audit=audit,
-        seed=seed,
-        workers=workers,
-        mode=mode,
-        shots=shots,
-        out=out,
-        check=getattr(args, "check", False),
         options=options,
+        **run,
     )
 
 
@@ -443,22 +435,9 @@ def cmd_mbqb(settings: Settings) -> tuple:
     return {"mbqb_metrics.json": metrics.to_json() + "\n"}, summary
 
 
-def _noise_fallback(
-    settings: Settings, option_value, param: str, default: float
-) -> float:
-    """Fixed scan parameters resolve as: experiment flag > [noise]/--noise
-    input > the experiment's own default."""
-    if option_value is not None:
-        return option_value
-    if settings.noise_audit.get("route", {}).get(param, "default") != "default":
-        return getattr(settings.noise, param)
-    return default
-
-
 def cmd_braid(settings: Settings) -> tuple:
     name = settings.options["class"]
-    p2 = _noise_fallback(settings, settings.options["p2"], "p2", 0.1)
-    theta = _noise_fallback(settings, settings.options["theta"], "theta", 0.0)
+    p2, theta = settings.options["p2"], settings.options["theta"]
     grid = _noise_axis(
         settings.options["grid"], braiding.FIDELITY_GRID, ("p1", "p_a"), p2=p2, theta=theta
     )
@@ -483,8 +462,7 @@ def cmd_braid(settings: Settings) -> tuple:
 
 
 def cmd_qed(settings: Settings) -> tuple:
-    pa = _noise_fallback(settings, settings.options["pa"], "p_a", 0.01)
-    theta = _noise_fallback(settings, settings.options["theta"], "theta", 0.0)
+    pa, theta = settings.options["pa"], settings.options["theta"]
     rounds = settings.options["rounds"]
     grid = _noise_axis(
         settings.options["scan"], qed.IMPROVEMENT_GRID, ("p1", "p2"), p_a=pa, theta=theta
@@ -627,18 +605,10 @@ def cmd_derive_noise(settings: Settings) -> tuple:
 
 
 @dataclass(frozen=True)
-class _Opt:
-    convert: "object"
-    default: "object"
-    help: str
-    choices: "tuple | None" = None
-
-
-@dataclass(frozen=True)
 class _Experiment:
     """One subcommand: ``run`` is its ``cmd_<name>``, ``options`` its
     ``--flag`` / config-key table, ``checks`` its ``--check`` group, and
-    ``sampled`` whether it accepts ``--shots``."""
+    ``sampled`` whether it has a sampled mode."""
 
     run: "object"
     help: str
@@ -648,6 +618,7 @@ class _Experiment:
 
 
 _GRID_HELP = "'default', a comma list, or lin:a:b:n / log:a:b:n"
+_THETA = _Opt(_conv_float, 0.0, "coherent idle rotation angle (else [noise] theta)", noise="theta")
 
 _EXPERIMENTS: dict = {
     "mbqb": _Experiment(
@@ -671,19 +642,13 @@ _EXPERIMENTS: dict = {
         cmd_braid,
         "average-fidelity scan for a braided Clifford class",
         {
-            "class": _Opt(
-                _conv_choice(*braiding.CLIFFORD_CLASSES),
-                "S",
-                "Clifford class to braid",
-                choices=braiding.CLIFFORD_CLASSES,
-            ),
+            "class": _Opt(str, "S", "Clifford class to braid", braiding.CLIFFORD_CLASSES),
             "p2": _Opt(
-                _conv_float, None,
+                _conv_float, 0.1,
                 "two-qubit error rate held fixed (else [noise] p2, else 0.1)",
+                noise="p2",
             ),
-            "theta": _Opt(
-                _conv_float, None, "coherent idle rotation angle (else [noise] theta)"
-            ),
+            "theta": _THETA,
             "grid": _Opt(parse_grid, None, f"p1 and p_a axis: {_GRID_HELP}"),
         },
         (
@@ -697,15 +662,14 @@ _EXPERIMENTS: dict = {
         "ladder-code logical-improvement scan",
         {
             "pa": _Opt(
-                _conv_float, None,
+                _conv_float, 0.01,
                 "assignment error rate held fixed (else [noise] p_a, else 0.01)",
+                noise="p_a",
             ),
-            "theta": _Opt(
-                _conv_float, None, "coherent idle rotation angle (else [noise] theta)"
-            ),
+            "theta": _THETA,
             "scan": _Opt(parse_grid, None, f"p1 and p2 axis: {_GRID_HELP}"),
             "rounds": _Opt(
-                _parse_int_list, (2, 4, 6, 8, 10), "decay-experiment round counts"
+                _list_of(_to_int), (2, 4, 6, 8, 10), "decay-experiment round counts"
             ),
         },
         ("qed-lambda-pin", "qed-theta-lambda-pin", "repcode-error-table",
@@ -715,11 +679,9 @@ _EXPERIMENTS: dict = {
         cmd_lifetime,
         "idle-lifetime decay experiment",
         {
-            "basis": _Opt(
-                _conv_choice("X", "Z"), "Z", "measurement basis", ("X", "Z")
-            ),
+            "basis": _Opt(str, "Z", "measurement basis", ("X", "Z")),
             "idle_steps": _Opt(
-                _parse_int_list,
+                _list_of(_to_int),
                 tuple(range(0, 31, 3)),
                 "idle counts between measurements",
             ),
@@ -732,7 +694,7 @@ _EXPERIMENTS: dict = {
         {
             "phi": _Opt(_conv_float, math.pi / 8.0, "nominal rotation angle"),
             "delta": _Opt(
-                _parse_float_list, (0.0, 0.05, 0.1), "injected phase errors to evaluate"
+                _list_of(_to_float), (0.0, 0.05, 0.1), "injected phase errors to evaluate"
             ),
         },
         ("tgate-t-state",),
@@ -755,10 +717,10 @@ def _run_experiment(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     files, summary = experiment.run(settings)
     wall = time.perf_counter() - start
-    checks = run_checks(experiment.checks) if settings.check else None
+    checks = run_checks(experiment.checks) if args.check else None
     if settings.out is not None:
         manifest = {
-            "experiment": settings.experiment,
+            "experiment": args.command,
             "version": __version__,
             "seed": settings.seed,
             "workers": settings.workers,
@@ -982,6 +944,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _add_flags(parser, table: dict) -> None:
+    """The ``--flag`` of every setting in ``table``, read back by
+    :func:`_resolve_options`."""
+    for key, opt in table.items():
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            dest="opt_" + key,
+            metavar=opt.metavar,
+            choices=opt.choices,
+            help=opt.help,
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="tetronsim", description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -999,11 +974,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="noise or physical parameter (repeatable; overrides [noise])",
     )
-    common.add_argument("--seed", metavar="U64", help="base random seed")
-    common.add_argument(
-        "--workers", metavar="N", help="process count for grid sweeps"
-    )
-    common.add_argument("--out", metavar="DIR", help="artifact output directory")
+    _add_flags(common, {key: _RUN[key] for key in ("seed", "workers", "out")})
     common.add_argument(
         "--check",
         action="store_true",
@@ -1011,22 +982,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mode_group = common.add_mutually_exclusive_group()
     mode_group.add_argument(
-        "--exact", action="store_true", help="exact trajectory statistics"
+        "--exact", dest="opt_mode", action="store_const", const="exact",
+        help="exact trajectory statistics",
     )
-    mode_group.add_argument(
-        "--shots", metavar="N", help="sampled statistics with N shots"
-    )
+    _add_flags(mode_group, {"shots": _RUN["shots"]})
 
     for name, experiment in _EXPERIMENTS.items():
         sub = subparsers.add_parser(name, parents=[common], help=experiment.help)
-        for key, opt in experiment.options.items():
-            sub.add_argument(
-                "--" + key.replace("_", "-"),
-                dest="opt_" + key.replace("-", "_"),
-                metavar="VALUE",
-                choices=opt.choices,
-                help=opt.help,
-            )
+        _add_flags(sub, experiment.options)
         sub.set_defaults(func=_run_experiment)
 
     check = subparsers.add_parser(

@@ -1567,19 +1567,18 @@ def _branch_groups(tags: list) -> "tuple[tuple, list]":
 def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
              keep: tuple, probes, finals: "tuple | None" = None) -> tuple:
     """Run ``circuit`` from ``initial`` through its cached plan, keeping the
-    normalized entries ``keep``.  Returns the plan, the final coefficient
-    block (one row per final branch, one column per Pauli of the final
-    support), the probe reads in walk order (see :class:`_ProbeOp`) and the
-    tags of each initial branch group.
+    normalized entries ``keep``.  Returns the plan, the last block, the probe
+    reads in walk order (see :class:`_ProbeOp`) and the tags of each initial
+    branch group.
 
     The plan's ops pass a support-major block along (see :class:`_Plan`):
-    the run transposes the initial coefficients once on entry and gathers
-    the final rows back into sorted-support order, transposed, once on
-    exit, so the final block has the layout of ``TrajectoryEnsemble.coeffs``.
+    the run transposes the initial coefficients once on entry.  The last
+    block is in the same layout; only :func:`run_circuit`, which returns the
+    final state, gathers its rows back into sorted-support order.
 
     With ``finals`` (Paulis, possibly none) the run ends in a probe of them
     instead of returning its final state: the last read is that end probe,
-    and the final block holds only the columns it reads."""
+    and the last block holds only the columns it reads."""
     probes = _normalize_probes(probes, circuit)
     if finals is not None:
         probes += ((None, finals),)
@@ -1593,8 +1592,7 @@ def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
     reads: list = []
     for op in plan.ops:
         block = op.run(block, tables, reads)
-    final = np.ascontiguousarray(_support_rows(block, plan.rows, plan.support.size).T)
-    return plan, final, reads, group_tags
+    return plan, block, reads, group_tags
 
 
 def _summed_probes(reads: list) -> "tuple[dict, dict]":
@@ -1654,7 +1652,9 @@ def run_circuit(
     or -1; branches that agree on all entries are merged.
     """
     keep = _normalize_keep(keep_slots, circuit)
-    plan, coeffs, reads, group_tags = _execute(circuit, noise, initial, keep, probes)
+    plan, block, reads, group_tags = _execute(circuit, noise, initial, keep, probes)
+    # One row per final branch, one column per Pauli of the final support.
+    coeffs = np.ascontiguousarray(_support_rows(block, plan.rows, plan.support.size).T)
     tags = []
     for group, records in zip(plan.groups, plan.records.tolist()):
         tag = dict(group_tags[group])

@@ -52,8 +52,9 @@ class OracleRun:
     ``branches`` maps (frozenset of the initial branch's tag items, values
     of the ``kept`` entries, in order) to that branch's subnormalized Pauli
     vector.  ``probes`` and ``probe_acceptance`` read like those of
-    :class:`tetronsim.RunResult`; ``peak`` is the most branches held after
-    any measurement.
+    :class:`tetronsim.RunResult`; ``probe_traces`` holds, per probe step,
+    the trace of every branch held there; ``peak`` is the most branches held
+    after any measurement.
     """
 
     num_qubits: int
@@ -61,6 +62,7 @@ class OracleRun:
     branches: dict
     probes: dict = field(default_factory=dict)
     probe_acceptance: dict = field(default_factory=dict)
+    probe_traces: dict = field(default_factory=dict)
     peak: int = 0
 
     @property
@@ -134,6 +136,7 @@ def run(circuit: Circuit, noise: channels.NoiseParams, initial, *, keep=(),
             state = sum(branches.values(), np.zeros(4**n))
             trace = float(state[0])
             result.probe_acceptance[step_i] = trace
+            result.probe_traces[step_i] = [float(vec[0]) for vec in branches.values()]
             result.probes[step_i] = {
                 str(p): _read(state, p) / trace if trace > 0.0 else math.nan
                 for p in probes[step_i]

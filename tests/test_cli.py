@@ -124,7 +124,8 @@ def test_braid_byte_identical_across_worker_counts(tmp_path):
 
 
 def test_braid_noise_inputs_feed_fixed_parameters(tmp_path):
-    """[noise]/--noise p2 is the fixed scan p2 unless --p2 overrides it."""
+    """[noise]/--noise p2 is the fixed scan p2 unless --p2 overrides it, and
+    the manifest's options record the value that ran."""
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert main(
         ["braid", "--noise", "p2=0", "--grid", "0,0.1", "--out", str(out_a)]
@@ -137,6 +138,13 @@ def test_braid_noise_inputs_feed_fixed_parameters(tmp_path):
     row_b = (out_b / "braid_S.csv").read_text().splitlines()[1]
     assert float(row_a.split(",")[4]) == pytest.approx(1.0, abs=1e-9)
     assert float(row_b.split(",")[4]) == pytest.approx(0.9495473251028806, rel=1e-9)
+    out_c = tmp_path / "c"
+    assert main(
+        ["braid", "--noise", "p2=0.05", "--grid", "0,0.1", "--out", str(out_c)]
+    ) == 0
+    options = [json.loads((out / "manifest.json").read_text())["options"]
+               for out in (out_a, out_b, out_c)]
+    assert [(o["p2"], o["theta"]) for o in options] == [(0.0, 0.0), (0.1, 0.0), (0.05, 0.0)]
 
 
 def test_braid_rejects_unknown_class():
@@ -335,33 +343,43 @@ def _write_ini(tmp_path, text):
     return str(path)
 
 
+_RUN_INI = "[run]\nseed = 4\nworkers = 2\nout = {out}\nmode = sampled\nshots = 20000\n"
+
+
 def test_config_file_sets_noise_run_and_options(tmp_path, capsys):
     out = tmp_path / "from_ini"
     path = _write_ini(
         tmp_path,
-        f"[noise]\np_a = 0.05\n\n[run]\nseed = 4\nout = {out}\n\n"
+        "[noise]\np_a = 0.05\n\n" + _RUN_INI.format(out=out) + "\n"
         "[mbqb]\nchains = 32\n\n[braid]\np2 = 0.0\n",
     )
     assert main(["mbqb", "--config", path]) == 0
-    assert "err_a = 0.095" in capsys.readouterr().out
+    assert "+-" in capsys.readouterr().out  # sampled metrics print their intervals
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["seed"] == 4
+    assert manifest["noise"]["p_a"] == pytest.approx(0.05)
+    assert (manifest["seed"], manifest["workers"]) == (4, 2)
+    assert (manifest["mode"], manifest["shots"]) == ("sampled", 20000)
     assert manifest["options"]["chains"] == 32
 
 
 def test_cli_flags_override_config(tmp_path):
-    out = tmp_path / "override"
-    path = _write_ini(tmp_path, "[noise]\np_a = 0.05\n\n[run]\nseed = 4\n")
+    ini_out, out, sampled = tmp_path / "ini", tmp_path / "override", tmp_path / "sampled"
+    path = _write_ini(tmp_path, "[noise]\np_a = 0.05\n\n" + _RUN_INI.format(out=ini_out))
     rc = main(
-        ["mbqb", "--config", path, "--noise", "p_a=0.02", "--seed", "8", "--out",
-         str(out)]
+        ["mbqb", "--config", path, "--noise", "p_a=0.02", "--seed", "8", "--workers", "1",
+         "--out", str(out), "--exact"]
     )
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["noise"]["p_a"] == pytest.approx(0.02)
-    assert manifest["seed"] == 8
+    assert (manifest["seed"], manifest["workers"]) == (8, 1)
+    assert (manifest["mode"], manifest["shots"]) == ("exact", None)
     # 2 * 0.02 * 0.98, the closed-form assignment error
     assert manifest["summary"]["err_a"] == pytest.approx(0.0392, abs=1e-12)
+    assert main(["mbqb", "--config", path, "--shots", "5000", "--out", str(sampled)]) == 0
+    manifest = json.loads((sampled / "manifest.json").read_text())
+    assert (manifest["mode"], manifest["shots"]) == ("sampled", 5000)
+    assert not ini_out.exists()
 
 
 def test_config_unknown_section_rejected(tmp_path, capsys):
@@ -433,6 +451,16 @@ def test_exact_and_shots_are_mutually_exclusive():
 def test_sampled_mode_rejected_for_exact_only_experiments():
     for name in ("braid", "qed", "lifetime", "tgate", "derive-noise"):
         assert main([name, "--shots", "100"]) == 1
+
+
+def test_sampled_mode_rejection_names_what_selected_it(tmp_path, capsys):
+    path = _write_ini(tmp_path, "[run]\nmode = sampled\n")
+    for args, chosen in ((["--config", path], "[run] mode = sampled"),
+                         (["--config", path, "--shots", "100"], "--shots")):
+        assert main(["braid", *args, "--grid", "0,0.1"]) == 1
+        assert capsys.readouterr().err == (
+            f"configuration error: braid runs exactly; it has no sampled mode (drop {chosen})\n"
+        )
 
 
 def test_unknown_or_missing_subcommand():

@@ -228,6 +228,37 @@ def test_sampler_matches_plan_within_three_sigma(seed, theta):
             assert abs(got - want) <= 3.0 * sampled.final_stderr[obs] + 1e-9
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_sampler_branch_traces_match_the_oracle(seed, theta):
+    # The sampler draws each probe step's shots, and the end's, from the
+    # branch traces in column 0 of that probe's block.  As multisets they
+    # are the traces of the oracle's branches there.
+    rng = np.random.default_rng(seed)
+    circuit = detector_circuit(rng)
+    noise = random_noise(rng, theta)
+    initial = random_initial(rng, circuit.num_qubits)
+    steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
+    probes = {s: OBSERVABLES for s in steps}
+    walks, execute = [], simulator._execute
+
+    def recorded(*args, **kwargs):
+        walks.append(execute(*args, **kwargs))
+        return walks[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulator, "_execute", recorded)
+        sample_circuit(circuit, noise, initial, 1, seed=seed, probes=probes,
+                       final_observables=OBSERVABLES)
+    reference = dense_oracle.run(circuit, noise, initial, probes=probes)
+    want = {**reference.probe_traces, None: [float(v[0]) for v in reference.branches.values()]}
+    ((_, _, reads, _),) = walks
+    assert [step_i for step_i, _, _ in reads] == [*steps, None]
+    for step_i, _, block in reads:
+        np.testing.assert_allclose(np.sort(block[:, 0]), np.sort(want[step_i]), rtol=0,
+                                   atol=TOL, err_msg=f"probe step {step_i}")
+
+
 def test_sampled_and_exact_decays_each_reuse_their_plan():
     # Both runners execute the one cached plan of the circuit: it is lowered
     # once for the first run and found in the cache by the other three.
