@@ -15,13 +15,19 @@ subsequences (two-measurement unconditioned reset, a conditioning
 measurement, and a final measurement).  Statistics come either from exact
 channel composition or from sampling long pseudorandom measurement chains;
 de Bruijn cycles guarantee every subsequence pattern is sampled equally
-often.  The sampler keeps every chain's state as one column of a
-(4, chains) array, so each measurement step is one matrix product over all
-chains, and draws each chain's own random stream in fixed blocks of steps;
-chain c is bit-exactly reproducible from (seed, c).  The same experiment
-bank supports reconstruction of each measurement outcome's action on the
-real slice of the Bloch sphere (a "rebit"), and a same-basis repetition
-experiment with inserted idle periods measures the qubit lifetime.
+often.  The sampler first builds the chains' finite outcome automaton (a
+node per sequence phase and chain state) and cuts every chain at a renewal
+phase, where the measurement history is forgotten; then a block of steps
+costs one sequence period of array operations on the node ids of every
+segment of every chain.  Instruments whose states do not close, or that
+never renew, get the matrix walk: every chain's state is a column of one
+(4, chains) array, and each measurement step is one matrix product over all
+chains.  Both walks draw each chain's own random stream in blocks of steps
+and give identical outcomes; chain c is bit-exactly reproducible from
+(seed, c).  The same experiment bank supports reconstruction of each
+measurement outcome's action on the real slice of the Bloch sphere (a
+"rebit"), and a same-basis repetition experiment with inserted idle periods
+measures the qubit lifetime.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ _REBIT_AXES = (0, 1, 3)  # Pauli-vector components (trace, x, z)
 _REBIT_NAMES = ("trace", "x", "z")
 _WILSON_95 = 1.959963984540054
 _BLOCK = 512  # steps of uniforms drawn per chain at a time in sampled mode
+_MAX_NODES = 16 * _BLOCK  # outcome automaton nodes built before the matrix walk runs instead
 _RESIDUAL_TOLERANCE = 1e-6  # log-fit residual above which a lifetime is non-exponential
 
 
@@ -320,12 +327,21 @@ def subsequence_statistics(
     windows are collected in total.  ``shots`` and ``chains`` must be
     positive integers in sampled mode.
 
-    The chains advance together: their states are the columns of one
-    (4, chains) array, and each step stacks the +1 and -1 outcome maps into
-    one matrix product.  Chain c draws its uniforms from its own generator,
-    seeded from ``SeedSequence(entropy=seed, spawn_key=(c,))``, in fixed
-    blocks of steps; the blocks concatenate to the same stream, so chain c
-    is bit-exactly reproducible from (seed, c) whatever the chain count.
+    The chains advance together.  Where the chain's outcome automaton (a
+    node per sequence phase and normalized state, with p(+1) and the two
+    successors) closes within the chain's step count and has a renewal
+    phase, a phase at which every node has the same p(+1) and successors,
+    each chain is cut there into one-period segments, and every segment of
+    every chain steps through the automaton's integer node ids at once.
+    Otherwise the states are the columns of one (4, chains) array, and each
+    step stacks the +1 and -1 outcome maps into one matrix product.  Both
+    walks compute the same states with the same arithmetic, so they draw
+    the same outcomes.  Chain c draws its uniforms from its own generator,
+    seeded from ``SeedSequence(entropy=seed, spawn_key=(c,))``, in blocks of
+    at most 512 steps; the blocks concatenate to the same stream,
+    so chain c is bit-exactly reproducible from (seed, c) whatever the chain
+    count.  Windows are counted block by block, so memory does not grow
+    with ``shots``.
     """
     instruments = _as_instruments(source)
     if mode == "exact":
@@ -375,6 +391,130 @@ def _missing_windows(sequence: MeasurementSequence, window: int) -> list:
     return ["".join(key) for key in _table_keys() if "".join(key) not in seen]
 
 
+def _stacked_maps(instruments: dict) -> dict:
+    """Per basis, rows 0-3: the +1 outcome map, rows 4-7: the -1 outcome map."""
+    return {
+        letter: np.vstack([instruments[letter].plus, instruments[letter].minus])
+        for letter in BASES
+    }
+
+
+def _matrix_walk(instruments: dict, labels: tuple, chains: int):
+    """The general walk: every chain's state is a column of one (4, chains)
+    array, and each step is one product of the stacked outcome maps with it.
+    Returns ``walk(start, uniforms)``, which advances every chain through
+    steps ``start, start + 1, ...`` (one column of ``uniforms`` per step) and
+    returns the (steps, chains) outcome-+1 flags."""
+    stacked = _stacked_maps(instruments)
+    both = np.empty((8, chains))
+    state = np.tile(_MIXED[:, None], (1, chains))  # column c is chain c
+
+    def walk(start: int, uniforms: np.ndarray) -> np.ndarray:
+        hits = np.empty(uniforms.shape[::-1], dtype=bool)
+        for t, u in enumerate(np.ascontiguousarray(uniforms.T), start):
+            np.matmul(stacked[labels[t % len(labels)]], state, out=both)
+            hit = np.less(u, both[0], out=hits[t - start])
+            np.copyto(state, both[4:])
+            np.copyto(state, both[:4], where=hit)
+            np.divide(state, state[0], out=state)
+        return hits
+
+    return walk
+
+
+@dataclass(frozen=True)
+class _OutcomeAutomaton:
+    """The finite outcome automaton of a measurement chain.
+
+    A node is a (sequence phase, normalized chain state) pair.  Node ids are
+    stored doubled: ``prob[2i]`` and ``prob[2i + 1]`` hold node i's p(+1),
+    ``successor[2i]`` twice the id of its successor after outcome -1 and
+    ``successor[2i + 1]`` after outcome +1 (-2 for an outcome no uniform in
+    [0, 1) selects).  At the ``renewal`` phase every node has the same p(+1)
+    and successors, so a chain's walk from there depends only on its
+    uniforms: ``cut`` (any node at that phase) starts every segment.
+    """
+
+    prob: np.ndarray
+    successor: np.ndarray
+    period: int
+    renewal: int
+    cut: int
+
+    def walk(self, start: int, uniforms: np.ndarray) -> np.ndarray:
+        """Outcome-+1 flags (steps, chains) of steps ``start, start + 1, ...``
+        with one column of ``uniforms`` per step.  ``start`` is 0 for the
+        steps before the first renewal phase, else a renewal step."""
+        size = uniforms.shape[1]
+        if start < self.renewal:
+            return self._segments(0, uniforms, size)
+        whole = size - size % self.period  # a tail only in the chain's last block
+        parts = []
+        if whole:
+            parts.append(self._segments(self.cut, uniforms[:, :whole], self.period))
+        if whole < size:
+            parts.append(self._segments(self.cut, uniforms[:, whole:], size - whole))
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def _segments(self, node: int, uniforms: np.ndarray, length: int) -> np.ndarray:
+        # Cut each chain's steps into segments of ``length`` steps from
+        # ``node`` and walk every segment of every chain at once.
+        chains, size = uniforms.shape
+        runs = size // length
+        u = uniforms.reshape(chains, runs, length).transpose(2, 1, 0).reshape(length, -1)
+        hits = np.empty(u.shape, dtype=bool)
+        at = np.full(u.shape[1], 2 * node, dtype=np.intp)
+        for j in range(length):
+            np.less(u[j], self.prob.take(at), out=hits[j])
+            at = self.successor.take(at + hits[j])
+        return hits.reshape(length, runs, chains).transpose(1, 0, 2).reshape(size, chains)
+
+
+def _outcome_automaton(instruments: dict, labels: tuple, cap: int) -> "_OutcomeAutomaton | None":
+    """Build the chain's outcome automaton from the maximally mixed start,
+    with the matrix walk's arithmetic (the stacked maps times the state,
+    then a divide by row 0).  Returns None when the states do not close
+    within ``cap`` nodes, when no phase is a renewal phase, or when a period
+    does not fit in one block of uniforms; the matrix walk runs instead."""
+    period = len(labels)
+    if period > _BLOCK:
+        return None
+    stacked = _stacked_maps(instruments)
+    ids = {(0, _MIXED.tobytes()): 0}
+    phases, prob, successor = [0], [], []
+    level, phase = [_MIXED], 0  # the states of the newest nodes, in id order
+    while level:
+        block = stacked[labels[phase]] @ np.stack(level, axis=1)
+        phase = (phase + 1) % period
+        p = block[0]
+        # u < p selects +1: a uniform u in [0, 1) can select +1 iff p > 0 and
+        # -1 iff not p >= 1 (a NaN p always selects -1, as in the matrix walk)
+        minus_drawable, plus_drawable = ~(p >= 1), p > 0
+        minus = np.divide(block[4:], block[4], out=np.zeros((4, len(p))), where=minus_drawable).T
+        plus = np.divide(block[:4], p, out=np.zeros((4, len(p))), where=plus_drawable).T
+        level = []
+        for j in range(len(p)):
+            prob.append(p[j])
+            for rows, drawable in ((minus, minus_drawable[j]), (plus, plus_drawable[j])):
+                if not drawable:
+                    successor.append(-2)
+                    continue
+                node = ids.setdefault((phase, rows[j].tobytes()), len(phases))
+                if node == len(phases):
+                    if node == cap:
+                        return None
+                    phases.append(phase)
+                    level.append(rows[j])
+                successor.append(2 * node)
+    prob, successor, phases = np.array(prob), np.array(successor, dtype=np.intp), np.array(phases)
+    pairs = successor.reshape(-1, 2)
+    for renewal in range(period):
+        nodes = np.flatnonzero(phases == renewal)
+        if np.all(prob[nodes] == prob[nodes[0]]) and np.all(pairs[nodes] == pairs[nodes[0]]):
+            return _OutcomeAutomaton(np.repeat(prob, 2), successor, period, renewal, int(nodes[0]))
+    return None
+
+
 def _sampled_statistics(
     instruments: dict,
     *,
@@ -399,57 +539,53 @@ def _sampled_statistics(
     per_chain = -(-shots // chains)
     per_chain = -(-per_chain // period) * period
     steps = window - 1 + per_chain
-    letters = sequence.cycled(steps)
+
+    # A build that does not close stops at the chain's step count, so it
+    # costs about a sixth of the matrix walk that then runs (about 3 us a
+    # node against 16 us a matrix step on a 2-vCPU Xeon), and at _MAX_NODES,
+    # so it holds about 3 MB (some 400 B a node) whatever the shot count.
+    automaton = _outcome_automaton(instruments, sequence.labels, cap=min(steps, _MAX_NODES))
+    if automaton is None:
+        walk, cut, span = _matrix_walk(instruments, sequence.labels, chains), 0, _BLOCK
+    else:
+        walk, cut, span = automaton.walk, automaton.renewal, _BLOCK // period * period
+    starts = ([0] if cut else []) + list(range(cut, steps, span))
+
+    # Table key of the window that ends at phase t: (reset order, q, p) as an
+    # index into _table_keys(), or -1 where its first two labels agree.
+    z = np.array(sequence.labels) == "Z"
+    first, second, q, p = (np.roll(z, window - 1 - i) for i in range(window))
+    phase_key = np.where(first != second, 4 * first + 2 * q + p, -1)
+    counts = np.zeros((len(_table_keys()), 2, 2), dtype=np.int64)
 
     # one independent, splittable stream per chain: chain c is bit-exactly
     # reproducible from (seed, c) no matter how chains are batched, and
-    # drawing it _BLOCK steps at a time yields the same numbers
+    # drawing it in blocks of any size yields the same numbers
     streams = [
         np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
         for c in range(chains)
     ]
     drawn = np.empty((chains, _BLOCK))
-    # rows 0-3: the +1 outcome map, rows 4-7: the -1 outcome map
-    stacked = {
-        letter: np.vstack([instruments[letter].plus, instruments[letter].minus])
-        for letter in BASES
-    }
-    both = np.empty((8, chains))
-    state = np.tile(_MIXED[:, None], (1, chains))  # chain-major: column c is chain c
-    hits = np.empty((steps, chains), dtype=bool)  # outcome +1 at each step
-    for start in range(0, steps, _BLOCK):
-        size = min(_BLOCK, steps - start)
+    for start, stop in zip(starts, starts[1:] + [steps]):
         for rng, row in zip(streams, drawn):
-            rng.random(out=row[:size])
-        uniforms = np.ascontiguousarray(drawn[:, :size].T)  # row t - start: step t
-        for t in range(start, start + size):
-            np.matmul(stacked[letters[t]], state, out=both)
-            hit = np.less(uniforms[t - start], both[0], out=hits[t])
-            np.copyto(state, both[4:])
-            np.copyto(state, both[:4], where=hit)
-            np.divide(state, state[0], out=state)
-
-    # Window t reads s = outcome t - 1 and r = outcome t.  From the counts of
-    # s = +1, r = +1 and both, the 2x2 cell is
-    # [[both, s - both], [r - both, chains - s - r + both]].
-    plus = np.count_nonzero(hits, axis=1)
-    both_plus = np.count_nonzero(hits[:-1] & hits[1:], axis=1)
-    s_plus, r_plus, sr_plus = plus[window - 2 : -1], plus[window - 1 :], both_plus[window - 2 :]
-    cells = np.stack(
-        [sr_plus, s_plus - sr_plus, r_plus - sr_plus, chains - s_plus - r_plus + sr_plus],
-        axis=1,
-    ).reshape(-1, 2, 2)
-    # Table key of each window: (reset order, q, p) as an index into
-    # _table_keys(); windows whose first two labels agree are not counted.
-    z = np.array(letters) == "Z"
-    first, second, q, p = (z[i : steps - window + 1 + i] for i in range(window))
-    counted = first != second
-    keys = _table_keys()
-    counts = np.zeros((len(keys), 2, 2), dtype=np.int64)
-    np.add.at(counts, (4 * first + 2 * q + p)[counted], cells[counted])
+            rng.random(out=row[: stop - start])
+        hits = walk(start, drawn[:, : stop - start])  # row i: outcome +1 at step start + i
+        if start:  # the block's first window reads the last outcome of the one before
+            hits = np.concatenate([last[None], hits])
+        last = hits[-1]
+        # Window t reads s = outcome t - 1 and r = outcome t.  From the counts
+        # of s = +1, r = +1 and both, the 2x2 cell is
+        # [[both, s - both], [r - both, chains - s - r + both]].
+        plus = np.count_nonzero(hits, axis=1)
+        both = np.count_nonzero(hits[:-1] & hits[1:], axis=1)
+        s, r = plus[:-1], plus[1:]
+        cells = np.stack([both, s - both, r - both, chains - s - r + both], axis=1)
+        t = np.arange(stop - len(cells), stop)
+        entry = np.where(t >= window - 1, phase_key[t % period], -1)
+        np.add.at(counts, entry[entry >= 0], cells[entry >= 0].reshape(-1, 2, 2))
 
     probs, weights, flags = {}, {}, {}
-    for key, cell in zip(keys, counts.astype(float)):
+    for key, cell in zip(_table_keys(), counts.astype(float)):
         row_totals = cell.sum(axis=1)
         flag = row_totals == 0
         table = np.full((2, 2), math.nan)

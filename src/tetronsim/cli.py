@@ -371,8 +371,6 @@ def _jsonable(value):
         return float(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
-    if isinstance(value, Path):
-        return str(value)
     return value
 
 

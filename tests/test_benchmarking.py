@@ -353,6 +353,49 @@ def _reference_sampled_statistics(instruments, *, shots, seed, sequence, chains)
 
 
 _KERNEL_SIZES = ((1_000_000, 256), (20_000, 7), (1, 1), (5_000, 300))  # (shots, chains)
+# A de Bruijn cycle of order 4 rotated so that its first renewal phase (for
+# the tetron and biased-flip instruments, the first change of basis) is
+# phase 1: one step comes before the first cut, and each chain ends in a
+# two-step tail whose first outcome the ZXXZ window counts.
+_ROTATED_DE_BRUIJN = MeasurementSequence.from_string("XZZXZXZZZZXXXXZX")
+
+
+def _weak_instruments(strength: float) -> dict:
+    """X and Z measurements of the given strength: each outcome map mixes the
+    projection with half the identity.  A chain's states never repeat, so
+    its outcome automaton never closes."""
+    half = 0.5 * (1 - strength) * np.eye(4)
+    return {
+        letter: Instrument(
+            strength * projection_superop(letter, 1).matrix + half,
+            strength * projection_superop(letter, -1).matrix + half,
+        )
+        for letter in BASES
+    }
+
+
+def _biased_flip_instruments() -> dict:
+    """Perfect X and Z measurements whose records flip with probabilities
+    that depend on the basis and the true outcome, so that p(+1) differs
+    from one phase of the sequence to the next."""
+    flips = {"X": (0.1, 0.3), "Z": (0.2, 0.05)}  # (flip of +1, flip of -1)
+    return {
+        letter: Instrument(
+            (1 - up) * projection_superop(letter, 1).matrix
+            + down * projection_superop(letter, -1).matrix,
+            up * projection_superop(letter, 1).matrix
+            + (1 - down) * projection_superop(letter, -1).matrix,
+        )
+        for letter, (up, down) in flips.items()
+    }
+
+
+def _coin_x_instruments() -> dict:
+    """A perfect Z measurement and an X "measurement" that flips a fair coin
+    and leaves the state alone: every X step has p(+1) = 1/2, but its
+    successor is the state it was given, so no phase renews."""
+    coin = Instrument(0.5 * np.eye(4), 0.5 * np.eye(4))
+    return {"X": coin, "Z": identical_instruments("Z")["Z"]}
 
 
 def _chain_steps(shots, chains, period):
@@ -371,9 +414,13 @@ def _chain_steps(shots, chains, period):
         (identical_instruments("Z"), None),
         # Not a de Bruijn cycle, but it holds every window the table counts.
         (NoiseParams(p_a=0.05, p1=0.01), MeasurementSequence.from_string("XZZXXXZXXZZZXZ")),
+        (_biased_flip_instruments(), _ROTATED_DE_BRUIJN),
+        (_weak_instruments(0.3), None),
+        (_coin_x_instruments(), None),
     ],
     ids=[
-        "tetron", "tetron-theta", "ideal", "randomizing", "flip-0.7", "identical-Z", "non-de-Bruijn"
+        "tetron", "tetron-theta", "ideal", "randomizing", "flip-0.7", "identical-Z",
+        "non-de-Bruijn", "rotated-de-Bruijn", "weak", "coin-X",
     ],
 )
 def test_sampled_kernel_matches_reference_loop(source, sequence):
@@ -400,6 +447,36 @@ def test_sampled_kernel_matches_reference_loop(source, sequence):
                 assert np.array_equal(table.weights[key], weights[key]), key
                 assert table.weights[key].dtype == weights[key].dtype
                 assert np.array_equal(table.flags[key], flags[key]), key
+
+
+def test_sampled_kernel_walks_the_outcome_automaton_where_it_closes(monkeypatch):
+    # The tetron instruments close within the chain's step count and renew at
+    # a change of basis, so the matrix walk never runs; a weak measurement
+    # never closes, and identical or coin-X instruments never renew, so it
+    # runs there.
+    matrix_walk = benchmarking._matrix_walk
+
+    def no_matrix_walk(*args):
+        raise AssertionError("the matrix walk ran")
+
+    monkeypatch.setattr(benchmarking, "_matrix_walk", no_matrix_walk)
+    noise = NoiseParams(p_a=0.05)
+    for sequence in (None, _ROTATED_DE_BRUIJN):
+        subsequence_statistics(
+            noise, mode="sampled", shots=1_000_000, seed=1, sequence=sequence, chains=256
+        )
+    assert benchmarking._outcome_automaton(
+        tetron_instruments(noise), _ROTATED_DE_BRUIJN.labels, cap=1000
+    ).renewal == 1
+
+    walks = []
+    monkeypatch.setattr(
+        benchmarking, "_matrix_walk", lambda *args: walks.append(args) or matrix_walk(*args)
+    )
+    sources = (_weak_instruments(0.3), identical_instruments("Z"), _coin_x_instruments())
+    for source in sources:
+        subsequence_statistics(source, mode="sampled", shots=20_000, seed=1, chains=16)
+    assert len(walks) == len(sources)
 
 
 def test_sampled_mode_rejects_a_sequence_missing_windows_before_any_draw(monkeypatch):

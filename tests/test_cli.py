@@ -1,6 +1,7 @@
 """Command-line runner: configuration layering, exit codes, artifacts,
 and byte-identical outputs across worker counts."""
 
+import hashlib
 import json
 import math
 
@@ -86,6 +87,18 @@ def test_mbqb_sampled_mode_needs_debruijn_order_four(mode, order, code, capsys):
         assert "needs order 4 or more" in capsys.readouterr().err
 
 
+# sha256 of mbqb_metrics.json, on x86-64 with numpy 2.x: the sampled MBQB
+# statistics of the default chains (a period of 16) and of an odd chain count
+# on an order-5 de Bruijn cycle (a period of 32).
+MBQB_SAMPLED_SHA256 = {
+    ("--noise", "p_a=0.05", "--shots", "1000000", "--seed", "7"):
+        "befae0a992590cd777427c04c8ac747f9999bbee1ef2127a323994ae576f3eab",
+    ("--noise", "p_a=0.02", "--noise", "p1=0.01", "--shots", "200000", "--seed", "3",
+     "--debruijn", "5", "--chains", "7"):
+        "55c0aca1dac21148e1c7d58c52f1619ca1728523b9bfded49ebc04c4a618b428",
+}
+
+
 def test_mbqb_sampled_rerun_is_identical(tmp_path):
     args = ["mbqb", "--shots", "20000", "--seed", "11"]
     first, second = tmp_path / "a", tmp_path / "b"
@@ -94,6 +107,11 @@ def test_mbqb_sampled_rerun_is_identical(tmp_path):
     assert (first / "mbqb_metrics.json").read_bytes() == (
         second / "mbqb_metrics.json"
     ).read_bytes()
+    for i, (pinned, digest) in enumerate(MBQB_SAMPLED_SHA256.items()):
+        out = tmp_path / f"pin{i}"
+        assert main(["mbqb", *pinned, "--out", str(out)]) == 0
+        text = (out / "mbqb_metrics.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == digest, pinned
 
 
 # ---------------------------------------------------------------------------
