@@ -558,13 +558,11 @@ def _sampled_statistics(
     phase_key = np.where(first != second, 4 * first + 2 * q + p, -1)
     counts = np.zeros((len(_table_keys()), 2, 2), dtype=np.int64)
 
-    # one independent, splittable stream per chain: chain c is bit-exactly
+    # one independent, splittable stream per chain: chain c, seeded from the
+    # spawned child SeedSequence(entropy=seed, spawn_key=(c,)), is bit-exactly
     # reproducible from (seed, c) no matter how chains are batched, and
     # drawing it in blocks of any size yields the same numbers
-    streams = [
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(c,)))
-        for c in range(chains)
-    ]
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(chains)]
     drawn = np.empty((chains, _BLOCK))
     for start, stop in zip(starts, starts[1:] + [steps]):
         for rng, row in zip(streams, drawn):

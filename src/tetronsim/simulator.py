@@ -425,7 +425,8 @@ def _dep_class(indices: np.ndarray, num_qubits: int, qubits: Sequence[int]) -> n
 # (branches x support) coefficients they read through a transpose.
 
 _ABSENT_SELF = 4  # self_class of a measured element absent from the input
-_ABSENT_CROSS = 32  # partner_class of a measured element whose partner is absent
+_CROSS = 5  # the first partner_class of a measurement: its weights follow the self weights
+_ABSENT_CROSS = _CROSS + 32  # partner_class of a measured element whose partner is absent
 _ROT_ABSENT_SELF = 2  # self_class of a rotated element absent from the input
 _ROT_ABSENT_PARTNER = 0  # partner_class of a rotated element whose partner is absent
 
@@ -437,41 +438,67 @@ class _Lowering:
     Output element j reads input positions ``pos_self[j]`` and
     ``pos_partner[j]``, the partner being the element times the op's Pauli:
     positions in the input support, or, in a plan op's ``reads``, rows of
-    the block.  Its two terms are weighted by ``w_self[self_class[j]]`` and
-    ``w_partner[partner_class[j]]``, tables that the noise point or the
-    rotation angle supplies (see :func:`_terms`).
+    the block.  Its two terms are weighted by the entries ``self_class[j]``
+    and ``partner_class[j]`` of weight tables that the noise point or the
+    rotation angle supplies: one table for a measurement, whose partner
+    entries follow its self entries (see :func:`_terms`).  ``pos`` holds
+    ``pos_self`` then ``pos_partner``, and ``classes`` the two class
+    arrays in the same layout, so a measurement gathers both terms of every
+    output with one take; the four halves are views of them.
     """
 
-    pos_self: np.ndarray
-    pos_partner: np.ndarray
-    self_class: np.ndarray
-    partner_class: np.ndarray
+    pos: np.ndarray  # int32
+    classes: np.ndarray  # int8
+
+    @property
+    def size(self) -> int:
+        """The number of output elements."""
+        return len(self.pos) // 2
+
+    @property
+    def pos_self(self) -> np.ndarray:
+        return self.pos[:self.size]
+
+    @property
+    def pos_partner(self) -> np.ndarray:
+        return self.pos[self.size:]
+
+    @property
+    def self_class(self) -> np.ndarray:
+        return self.classes[:self.size]
+
+    @property
+    def partner_class(self) -> np.ndarray:
+        return self.classes[self.size:]
 
 
-def _weighted(block: np.ndarray, pos, classes, weights, out=None) -> np.ndarray:
-    """Rows ``pos`` of the support-major ``block``, row j times
-    ``weights[classes[j]]``, copied into ``out`` if given."""
-    rows = block.take(pos, axis=0)
-    rows *= weights[classes][:, None]
-    if out is None:
-        return rows
-    out[...] = rows
+def _terms(block: np.ndarray, low: _Lowering, weights: np.ndarray, out: np.ndarray,
+           signs=None) -> np.ndarray:
+    """The outputs of a measurement lowering ``low`` from the rows of the
+    support-major ``block``, written into ``out``, a row per output element.
+
+    One take gathers the self and then the partner term of every element,
+    and one multiply weights them by ``weights[low.classes]`` (see
+    :func:`_meas_weights`).  When ``out`` has twice the columns of
+    ``block``, both records are realized: the +1 block, self plus partner,
+    fills its first half and the -1 block, self minus partner, its second.
+    Otherwise the record is pinned: self plus partner times ``signs`` (one
+    per branch; None: all +1)."""
+    size, width = low.size, block.shape[1]
+    terms = block.take(low.pos, axis=0)
+    terms *= weights[low.classes][:, None]
+    base, cross = terms[:size], terms[size:]
+    if out.shape[1] > width:
+        np.subtract(base, cross, out=out[:, width:])
+    elif signs is not None:
+        cross *= signs
+    np.add(base, cross, out=out[:, :width])
     return out
 
 
-def _terms(block: np.ndarray, low: _Lowering, w_self, w_partner, own=None):
-    """The self and partner terms of every output element of a measurement
-    lowering ``low``, a row each, from the rows of the support-major
-    ``block``: the +1 record block is their sum and the -1 block their
-    difference.  ``own``, if given, receives the self terms, and the
-    gathered rows behind them are freed before the partner terms are."""
-    return (_weighted(block, low.pos_self, low.self_class, w_self, own),
-            _weighted(block, low.pos_partner, low.partner_class, w_partner))
-
-
 def _lower_measurement(support: np.ndarray, op, num_qubits: int, new_support=None):
-    """(support after the measurement, its lowering); the weight tables are
-    :func:`_meas_tables`.  A given ``new_support``, a subset of that
+    """(support after the measurement, its lowering); the weight table is
+    :func:`_meas_weights`.  A given ``new_support``, a subset of that
     support, restricts the output to those columns."""
     n = num_qubits
     p_index = op_pauli_index(op, n)
@@ -480,21 +507,19 @@ def _lower_measurement(support: np.ndarray, op, num_qubits: int, new_support=Non
         kept = support[(k & 1) == 0]
         new_support = np.unique(np.concatenate([kept, kept ^ p_index]))
     partner = new_support ^ p_index
-    pos_self = _positions(support, new_support)
-    pos_partner = _positions(support, partner)
+    pos = _positions(support, np.concatenate([new_support, partner]))
     c_new = _dep_class(new_support, n, op.qubits)
     flip = _phase_exponents(p_index, new_support, n) != 0
-    cross = 4 * c_new + _dep_class(partner, n, op.qubits) + 16 * flip
-    return new_support, _Lowering(
-        _index32(pos_self),
-        _index32(pos_partner),
-        np.where(pos_self < 0, _ABSENT_SELF, c_new).astype(np.int8),
-        np.where(pos_partner < 0, _ABSENT_CROSS, cross).astype(np.int8),
-    )
+    cross = _CROSS + 4 * c_new + _dep_class(partner, n, op.qubits) + 16 * flip
+    absent = np.repeat([_ABSENT_SELF, _ABSENT_CROSS], new_support.size)
+    classes = np.where(pos < 0, absent, np.concatenate([c_new, cross]))
+    return new_support, _Lowering(_index32(pos), classes.astype(np.int8))
 
 
-def _meas_tables(arity: int, noise: NoiseParams) -> "tuple[np.ndarray, np.ndarray]":
-    """Noise tables (a, b) of a one- or two-qubit measurement.
+def _meas_weights(arity: int, noise: NoiseParams) -> np.ndarray:
+    """Weight table of a one- or two-qubit measurement's terms: the self
+    entries a (classes 0 to :data:`_ABSENT_SELF`), then the partner entries
+    b (from :data:`_CROSS` on).
 
     Each sandwich half depolarizes by D1[p1/2] per touched qubit and, for
     two qubits, D2[p2/2]; ``dep[c]`` is the resulting factor of a Pauli of
@@ -515,7 +540,7 @@ def _meas_tables(arity: int, noise: NoiseParams) -> "tuple[np.ndarray, np.ndarra
         for c_new in range(4)
         for c_partner in range(4)
     ] + [0.0]
-    return np.array(a), np.array(b)
+    return np.array(a + b)
 
 
 def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int, new_support=None):
@@ -527,15 +552,13 @@ def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int, new_supp
         k = _phase_exponents(p_index, support, n)
         grown = support[(k & 1) == 1] ^ p_index
         new_support = np.unique(np.concatenate([support, grown]))
-    pos_self = _positions(support, new_support)
-    pos_partner = _positions(support, new_support ^ p_index)
+    pos = _positions(support, np.concatenate([new_support, new_support ^ p_index]))
+    pos_self, pos_partner = np.split(pos, 2)
     k_new = _phase_exponents(p_index, new_support, n)
     anti = (k_new & 1) == 1
     diag = np.where(pos_self < 0, _ROT_ABSENT_SELF, np.where(anti, 1, 0))
     off = np.where(anti & (pos_partner >= 0), np.where(k_new == 1, 1, 2), _ROT_ABSENT_PARTNER)
-    return new_support, _Lowering(
-        _index32(pos_self), _index32(pos_partner), diag.astype(np.int8), off.astype(np.int8)
-    )
+    return new_support, _Lowering(_index32(pos), np.concatenate([diag, off]).astype(np.int8))
 
 
 # The (diag, off) classes of the outputs that a rotation computes, in the
@@ -795,15 +818,15 @@ class TrajectoryEnsemble:
         for axis in axes:
             self._rotate_by_index(axis, noise.theta / 2.0)
         support, low = _lower_measurement(self.support, op, n)
-        base, cross = _terms(self.coeffs.T, low, *_meas_tables(len(op.qubits), noise))
-        plus, minus = (base + cross).T, (base - cross).T
+        out = np.empty((low.size, 2 * self.num_branches))
+        # +1 branches, then -1 branches
+        coeffs = _terms(self.coeffs.T, low, _meas_weights(len(op.qubits), noise), out).T
         if axes:
-            self.support = support
-            self.coeffs = np.concatenate([plus, minus], axis=0)
+            self.support, self.coeffs = support, coeffs
             for axis in axes:
                 self._rotate_by_index(axis, noise.theta / 2.0)
-            support = self.support
-            plus, minus = np.split(self.coeffs, 2)
+            support, coeffs = self.support, self.coeffs
+        plus, minus = np.split(coeffs, 2)
         return plus, minus, support
 
     def _rotate_by_index(self, p_index: int, phi: float) -> None:
@@ -1068,7 +1091,9 @@ class _RotateOp:
 class _MeasureOp:
     """A measurement on every branch, into a fresh block of the output
     support in sorted order plus ``spare`` rows.  ``low`` lowers it against
-    the supports and ``reads`` holds the block rows it reads.  With
+    the supports and ``reads`` holds the block rows it reads (``low``
+    itself when the block holds the support in sorted order), self rows
+    then partner rows, which :func:`_terms` gathers in one take.  With
     ``split`` both records are realized (+1 children first); otherwise a
     completing detector pins the record, ``branches`` lists the branches
     that pass the other detectors completing on the same slot (None: all;
@@ -1089,15 +1114,9 @@ class _MeasureOp:
     def run(self, block, tables, reads):
         if self.branches is not None:
             block = block[:self.height].take(self.branches, axis=1)
-        size = len(self.reads.pos_self)
-        width = block.shape[1]
-        out = np.empty((size + self.spare, (1 + self.split) * width))
-        base, cross = _terms(block, self.reads, *tables.meas[self.arity], out[:size, :width])
-        if self.split:
-            np.subtract(base, cross, out=out[:size, width:])
-        elif self.signs is not None:
-            cross *= self.signs
-        base += cross
+        size = self.reads.size
+        out = np.empty((size + self.spare, (1 + self.split) * block.shape[1]))
+        _terms(block, self.reads, tables.meas[self.arity], out[:size], self.signs)
         return out
 
 
@@ -1111,21 +1130,48 @@ class _IdleOp:
         return block
 
 
+# The largest group that np.add.reduceat sums as a0 + ((a1 + a2) + ...): it
+# adds the sum of the other members to the first, and sums up to seven
+# terms left to right (more, pairwise).
+_SEQUENTIAL_GROUP = 8
+
+
+def _sum_groups(members: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:, g]``, the sum of the k >= 2 members ``members[:, g, :]`` of
+    group g, added as a0 + ((a1 + a2) + ...): bit for bit what
+    np.add.reduceat gives for k up to :data:`_SEQUENTIAL_GROUP`."""
+    k = members.shape[2]
+    rest = members[:, :, 1]
+    if k > 2:
+        rest = np.add(rest, members[:, :, 2], out=out)
+        for j in range(3, k):
+            rest += members[:, :, j]
+    return np.add(members[:, :, 0], rest, out=out)
+
+
 @dataclass(frozen=True)
 class _MergeOp:
     """Sum each group of branches: group g is branches
     ``order[starts[g]:starts[g+1]]``, over the block's first ``height``
-    rows, into a fresh block with ``spare`` more."""
+    rows, into a fresh block with ``spare`` more.  When every group has
+    ``k`` members, the member columns are added in np.add.reduceat's order
+    (:func:`_sum_groups`); otherwise (``k`` = 0: groups of different sizes
+    or of more than :data:`_SEQUENTIAL_GROUP`) reduceat sums them."""
 
     order: np.ndarray
     starts: np.ndarray
+    k: int = 0
     height: int = 0
     spare: int = 0
 
     def run(self, block, tables, reads):
         out = np.empty((self.height + self.spare, len(self.starts)))
-        np.add.reduceat(block[:self.height].take(self.order, axis=1), self.starts, axis=1,
-                        out=out[:self.height])
+        members = block[:self.height].take(self.order, axis=1)
+        if self.k:
+            groups = members.reshape(self.height, len(self.starts), self.k)
+            _sum_groups(groups, out[:self.height])
+        else:
+            np.add.reduceat(members, self.starts, axis=1, out=out[:self.height])
         return out
 
 
@@ -1154,7 +1200,7 @@ class _NoiseTables:
     """What one noise point feeds into the executor."""
 
     def __init__(self, noise: NoiseParams, num_qubits: int):
-        self.meas = {arity: _meas_tables(arity, noise) for arity in (1, 2)}
+        self.meas = {arity: _meas_weights(arity, noise) for arity in (1, 2)}
         self.idle = _idle_table(noise.p1, num_qubits) if noise.p1 != 0.0 else None
         self.half_theta = noise.theta / 2.0
 
@@ -1185,7 +1231,9 @@ def _merge_keys(keys: np.ndarray):
     starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
     if len(starts) == len(keys):
         return keys, None
-    return ordered[starts], _MergeOp(order, starts)
+    sizes = np.diff(starts, append=len(keys))
+    k = int(sizes[0]) if sizes[0] <= _SEQUENTIAL_GROUP and (sizes == sizes[0]).all() else 0
+    return ordered[starts], _MergeOp(order, starts, k)
 
 
 def _block_rows(rows: "np.ndarray | None", positions: np.ndarray) -> np.ndarray:
@@ -1291,8 +1339,7 @@ def _lower(circuit: Circuit, support, groups, keep, probe_map, rotating: bool,
         """``low`` reading block rows in place of support positions."""
         if rows is None:
             return low
-        return _Lowering(rows[low.pos_self], rows[low.pos_partner], low.self_class,
-                         low.partner_class)
+        return _Lowering(rows[low.pos], low.classes)
 
     def lower(key: tuple, lower_fn) -> list:
         """``lower_fn(input support, output subset or None)`` returns the
@@ -1453,7 +1500,7 @@ def _walk(plan: _Plan, coeffs: np.ndarray, tables, reads: list):
     for op in plan.ops:
         if isinstance(op, (_MeasureOp, _RotateOp)):
             yield _support_rows(block, at, size)
-            at, size = op.rows, len(op.low.pos_self)
+            at, size = op.rows, op.low.size
         block = op.run(block, tables, reads)
     yield _support_rows(block, at, size)
 
@@ -1490,9 +1537,10 @@ _ABSENT_READS = {_MeasureOp: (_ABSENT_SELF, _ABSENT_CROSS),
 
 
 def _needed_masks(plan: _Plan, witness: list) -> list:
-    """The columns the second lowering keeps: per support that
-    :func:`_witness_masks` lists (``witness``), the columns that can be
-    nonzero and that something the run returns depends on.
+    """The columns a restricted lowering keeps (see :func:`_cached_plan`):
+    per support that :func:`_witness_masks` lists, the columns that
+    ``witness`` marks as possibly nonzero (every column, or those the
+    witness run finds) and that something the run returns depends on.
 
     A backward pass over ``plan``, the dual of the witness run.  A plan that
     returns its final state reads every final column; one that ends in an
@@ -1529,20 +1577,28 @@ def _needed_masks(plan: _Plan, witness: list) -> list:
 def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating) -> _Plan:
     """The plan every runner executes; arguments are hashable stand-ins for
     those of :func:`_lower`, so a ``(None, Paulis)`` pair in ``probes``
-    lowers an end probe in place of the final state.  The circuit is lowered
-    twice.  The second time, each measurement and rotation produces only the
-    columns that a witness run of the first plan finds nonzero where they are
-    next read (:func:`_witness_masks`) and that the final state or a probe
-    reads through later ops (:func:`_needed_masks`).  A column that no kept
-    column reads enters no kept number, so dropping it changes no value a
-    run returns: each kept column goes through the same floating-point
-    operations as it would with every column the witness keeps."""
+    lowers an end probe in place of the final state.
+
+    The circuit is lowered three times, and each lowering restricts every
+    measurement and rotation to a subset of the support it produced in the
+    one before.  The second keeps the columns that the final state or a
+    probe reads through later ops, taking every column as nonzero
+    (:func:`_needed_masks`).  The third also drops every column that a
+    witness run of the second plan finds zero where it is next read
+    (:func:`_witness_masks`), and what then goes unread.  A column that no
+    kept column reads enters no kept number, so dropping it changes no value
+    a run returns: each kept column goes through the same floating-point
+    operations as it would with every column.  The witness runs the smaller
+    plan, so it reserves and fills fewer rows."""
     initial = np.frombuffer(support, np.int64)
     args = (circuit, initial, groups, keep, dict(probes), rotating)
     plan, produced = _lower(*args)
+    masks = _needed_masks(plan, [np.ones(sup.size, dtype=bool) for sup in (initial, *produced)])
+    del plan  # hold one plan at a time
+    plan, produced = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
     masks = _needed_masks(plan, _witness_masks(plan, circuit.num_qubits, len(groups),
                                                initial.size))
-    del plan  # hold one plan at a time
+    del plan
     plan, _ = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
     # Every run's ensemble, or branch reads, shares these.
     plan.support.flags.writeable = False
@@ -1625,11 +1681,12 @@ def run_circuit(
     numbers and is cached, so repeated runs do only the numeric pass.
 
     The plan computes only the Pauli columns that can be nonzero and that
-    the final state or a probe reads.  It is a second lowering that leaves
-    out every column a witness run of the first plan, at a generic noise
-    point and from random initial coefficients, finds exactly 0.0 in every
-    branch just before the next measurement or rotation reads it (or at the
-    end), and every column that no later op reads.  Since the final state is
+    the final state or a probe reads.  Lowered first to the columns that
+    some later op reads, it is lowered again leaving out every column that
+    a witness run of that plan, at a generic noise point and from random
+    initial coefficients, finds exactly 0.0 in every branch just before the
+    next measurement or rotation reads it (or at the end), and every column
+    that then goes unread (see :func:`_cached_plan`).  Since the final state is
     returned, every final column that can be nonzero is computed;
     :func:`probe_circuit` gives the same probes from a plan that also leaves
     out the columns only the final state reads.  Each coefficient is a

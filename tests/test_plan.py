@@ -744,9 +744,15 @@ def test_pruned_plan_shares_repeated_lowerings():
     derived = qed._decay_circuit(spec)
     for theta in (0.0, 0.01):
         full, pruned = plan_pair(derived.circuit, qed._initial_state(spec), theta)
-        for kind, field in ((simulator._MeasureOp, "low"), (simulator._IdleOp, "counts")):
+        for kind, field in ((simulator._MeasureOp, "low"), (simulator._MeasureOp, "reads"),
+                            (simulator._IdleOp, "counts")):
             ops = [op for op in pruned.ops if isinstance(op, kind)]
             assert len({id(getattr(op, field)) for op in ops}) < len(ops) / 2
+        # At theta = 0 no rotation reorders a block, so every measurement
+        # reads its block through its lowering itself, not a copy.
+        if theta == 0.0:
+            assert all(op.reads is op.low for op in pruned.ops
+                       if isinstance(op, simulator._MeasureOp))
         assert plan_nbytes(pruned) < plan_nbytes(full)
 
 
@@ -796,10 +802,10 @@ def test_restricted_lowering_reads_the_full_lowering_at_kept_columns(seed, rotat
         np.testing.assert_array_equal(simulator._rotated(restricted, low, 0.37),
                                       simulator._rotated(coeffs, full, 0.37)[:, at])
     else:
-        tables = simulator._meas_tables(len(op.qubits), random_noise(rng, False))
-        for a, b in zip(simulator._terms(coeffs.T, full, *tables),
-                        simulator._terms(restricted.T, low, *tables)):
-            np.testing.assert_array_equal(b, a[at])
+        weights = simulator._meas_weights(len(op.qubits), random_noise(rng, False))
+        a, b = (simulator._terms(block.T, lowering, weights, np.empty((lowering.size, 6)))
+                for block, lowering in ((coeffs, full), (restricted, low)))
+        np.testing.assert_array_equal(b, a[at])
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -829,6 +835,132 @@ def test_merge_keys_matches_unique_rows(rows, columns, kind, seed):
     merged_row[merge.order] = np.repeat(np.arange(len(merge.starts)),
                                         np.diff(merge.starts, append=rows))
     np.testing.assert_array_equal(merged_row, inverse)
+
+
+
+# -- kernels against the ones they replaced -----------------------------------
+#
+# A measurement gathers both of its terms with one take and a merge of equal
+# groups of at most eight adds member columns in np.add.reduceat's order.
+# Both must give the bits of the kernels they replaced, kept here as
+# references: a take, weight and copy per term, and reduceat for every merge.
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def reference_measure(op, block, tables):
+    """The filled rows of ``op.run``, one gathered term at a time."""
+    if op.branches is not None:
+        block = block[:op.height].take(op.branches, axis=1)
+    weights, cross_at = tables.meas[op.arity], simulator._CROSS
+    low, width = op.reads, block.shape[1]
+
+    def weighted(pos, classes, table):
+        rows = block.take(pos, axis=0)
+        rows *= table[classes][:, None]
+        return rows
+
+    out = np.empty((low.size, (1 + op.split) * width))
+    base = out[:, :width]
+    base[...] = weighted(low.pos_self, low.self_class, weights[:cross_at])
+    cross = weighted(low.pos_partner, low.partner_class - cross_at, weights[cross_at:])
+    if op.split:
+        np.subtract(base, cross, out=out[:, width:])
+    elif op.signs is not None:
+        cross *= op.signs
+    base += cross
+    return out
+
+
+def reference_merge(op, block):
+    """The filled rows of ``op.run``, summed by np.add.reduceat."""
+    return np.add.reduceat(block[:op.height].take(op.order, axis=1), op.starts, axis=1)
+
+
+def assert_kernels_match_references(plan, initial, noise) -> set:
+    """Walk ``plan`` and check every measurement and merge against its
+    reference on the same input block; returns the merges' ``k`` values."""
+    tables = simulator._NoiseTables(noise, initial.num_qubits)
+    block = simulator._entry_block(initial.coeffs, plan.spare)
+    ks = set()
+    for op in plan.ops:
+        if isinstance(op, simulator._MeasureOp):
+            expected = reference_measure(op, block, tables)
+        elif isinstance(op, simulator._MergeOp):
+            expected = reference_merge(op, block)
+            ks.add(op.k)
+        block = op.run(block, tables, [])
+        if isinstance(op, (simulator._MeasureOp, simulator._MergeOp)):
+            assert same_bits(block[:len(expected)], expected), type(op).__name__
+    return ks
+
+
+KERNEL_NOISE = (NoiseParams(p_a=0.01, p1=1e-4, p2=0.05), NoiseParams(p_a=0.01, p1=1e-3, p2=3e-4),
+                NoiseParams(p_a=0.0731, p1=0.0617, p2=0.0893))
+
+
+def test_measure_and_merge_kernels_match_references_on_decay_plans():
+    ks = set()
+    for theta in (0.0, 0.01):
+        for level in ("physical", "logical"):
+            for obs in ("XX", "ZI"):
+                circuit, initial, probes = decay_probes(level, obs)
+                for noise in KERNEL_NOISE:
+                    noise = dataclasses.replace(noise, theta=theta)
+                    plan, *_ = simulator._execute(circuit, noise, initial, (), probes, ())
+                    ks |= assert_kernels_match_references(plan, initial, noise)
+    assert ks == {0, 2, 4, 8}  # groups of 2, 4 and 8, and of 16 through reduceat
+
+
+def test_measure_and_merge_kernels_match_references_on_braid_class_plans():
+    initial = braid_initial()
+    finals = simulator._pauli_list("observables", braiding._COMPUTATIONAL_PAULIS)
+    for theta in (0.0, 0.02):
+        for name in braiding.CLIFFORD_CLASSES:
+            circuit = braiding.class_circuit(name)
+            keep = simulator._normalize_keep(braiding._parities(name, circuit.slots), circuit)
+            for noise in KERNEL_NOISE:
+                noise = dataclasses.replace(noise, theta=theta)
+                plan, *_ = simulator._execute(circuit, noise, initial, keep, None, finals)
+                assert assert_kernels_match_references(plan, initial, noise) <= {2}
+
+
+@pytest.mark.parametrize("sizes", [(k,) * 6 for k in range(1, 9)]
+                         + [(2, 4, 1, 8, 3, 2), (16,) * 3, (9,) * 3])
+def test_merge_adds_groups_as_reduceat_does(sizes):
+    # Rows of values spread over 16 decades, where the left-to-right sum of a
+    # group of three or more differs from reduceat's, plus a group of signed
+    # zeros and the group of 16 equal values of the theta = 0 logical-XX plan
+    # at p1 1e-4, p2 0.05 that reduceat sums to ...791393 and left to right
+    # to ...7914.
+    rng = np.random.default_rng(sum(sizes) * 31 + len(set(sizes)))
+    group = np.repeat(np.arange(len(sizes)), sizes)
+    keys = rng.permutation(group).astype(np.int32)[:, None]
+    _, merge = simulator._merge_keys(keys)
+    if max(sizes) == 1:
+        assert merge is None  # no plan merges groups of one member
+        return
+    uniform = len(set(sizes)) == 1 and sizes[0] <= 8
+    assert merge.k == (sizes[0] if uniform else 0)
+    height = 300
+    shape = (height + 2, len(keys))
+    block = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    block[0] = -0.0
+    block[1] = -2.3596186026119628e-05
+    op = dataclasses.replace(merge, height=height, spare=2)
+    got = op.run(block, None, [])
+    assert got.shape == (height + 2, len(sizes))
+    expected = reference_merge(op, block)
+    assert same_bits(got[:height], expected)
+    assert np.signbit(got[0]).all()
+    if max(sizes) >= 3:
+        members = block[:height].take(merge.order, axis=1)
+        ends = np.r_[merge.starts[1:], len(keys)]
+        left_to_right = np.array([np.cumsum(members[:, a:b], axis=1)[:, -1]
+                                  for a, b in zip(merge.starts, ends)]).T
+        assert not same_bits(left_to_right, expected)
 
 
 
