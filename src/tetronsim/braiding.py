@@ -28,11 +28,13 @@ initial branches of one ensemble, and the run ends in a probe that reads,
 per final branch, the computational qubit's Pauli vector with the auxiliary
 traced out, next to the branch's kept parities and its input.  Each
 branch's vector gets the signs of its Pauli frame correction, and each
-input's branches are summed.  The run's plan is cached like every plan of
-the simulator, so a noise scan lowers each class circuit once per plan kind
-(theta zero or not).  Everything else that does not depend on the noise
-(circuits, the batched input, ideal unitaries and their transfer matrices)
-is computed once as well.
+input's branches are summed.  The gate-set suite reads its circuits the
+same way, through an end probe of the identity that reads each branch's
+trace.  Every run's plan is cached like every plan of the simulator, so a
+noise scan lowers each circuit once per plan kind (theta zero or not).
+Everything else that does not depend on the noise (circuits, the batched
+input, ideal unitaries and their transfer matrices) is computed once as
+well.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from .pauli import (
     projector,
     unitary_superop,
 )
+# run_circuit is unused here, but benchmarks/tracing.py wraps braiding.run_circuit by name.
 from .simulator import (CircuitBuilder, Circuit, Parity, TrajectoryEnsemble, read_branches,
                         run_circuit)
 
@@ -116,21 +119,6 @@ _EXPONENTS = {
 }
 
 
-def _applied_letters(name: str, parity) -> list:
-    """The letters of the correction rule of ``name`` that apply, left to
-    right; ``parity(positions)`` is the product of the outcomes at those
-    sequence positions (+1 for none)."""
-    return [letter for letter, positions, sign in _EXPONENTS[name] if parity(positions) == sign]
-
-
-def _signless_product(letters) -> PauliString:
-    """Product of single-qubit Pauli letters, phase dropped."""
-    result = PauliString("I")
-    for letter in letters:
-        result, _phase = result.mul_with_phase(PauliString(letter))
-    return result
-
-
 @functools.lru_cache(maxsize=None)
 def _parities(name: str, slots: tuple) -> tuple:
     """The parities of ``slots`` (the sequence's measurements) that switch on
@@ -141,10 +129,14 @@ def _parities(name: str, slots: tuple) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _correction(name: str, values: tuple) -> PauliString:
     """The correction of a branch whose :func:`_parities` of ``name`` came
-    out as ``values``, in order; a letter reading no outcome needs sign +1."""
+    out as ``values``, in order: the left-to-right product of the letters
+    that apply, phase dropped; a letter reading no outcome needs sign +1."""
     values = iter(values)
-    return _signless_product([letter for letter, pos, sign in _EXPONENTS[name]
-                              if (next(values) if pos else sign) == 1])
+    result = PauliString("I")
+    for letter, pos, sign in _EXPONENTS[name]:
+        if (next(values) if pos else sign) == 1:
+            result, _phase = result.mul_with_phase(PauliString(letter))
+    return result
 
 
 @dataclass(frozen=True)
@@ -189,9 +181,8 @@ def pauli_correction(name: str, outcomes) -> PauliString:
         raise ValueError(f"{name} needs {expected} outcomes, got {len(outcomes)}")
     if any(s not in (1, -1) for s in outcomes):
         raise ValueError("outcomes must be +1 or -1")
-    return _signless_product(
-        _applied_letters(name, lambda pos: math.prod(outcomes[i] for i in pos))
-    )
+    return _correction(name, tuple(sign * math.prod(outcomes[i] for i in pos)
+                                   for _, pos, sign in _EXPONENTS[name] if pos))
 
 
 # ---------------------------------------------------------------------------
@@ -219,8 +210,9 @@ class SequenceReport:
 
 def _correction_matrix(name: str, outcomes) -> np.ndarray:
     m = np.eye(2, dtype=complex)
-    for letter in _applied_letters(name, lambda pos: math.prod(outcomes[i] for i in pos)):
-        m = m @ pauli_matrix(letter)
+    for letter, pos, sign in _EXPONENTS[name]:
+        if math.prod(outcomes[i] for i in pos) == sign:
+            m = m @ pauli_matrix(letter)
     return m
 
 
@@ -348,6 +340,12 @@ def _frame_signs(name: str) -> np.ndarray:
     return table
 
 
+def _branch_frames(name: str, records: np.ndarray) -> np.ndarray:
+    """The :func:`_frame_signs` row of ``name`` of each branch, given its
+    :func:`_parities` values, one row of ``records`` per branch."""
+    return _frame_signs(name)[(records < 0) @ (1 << np.arange(records.shape[1]))]
+
+
 def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperator:
     """Exact transfer matrix of the noisy, outcome-corrected class map.
 
@@ -371,9 +369,8 @@ def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperat
     init = TrajectoryEnsemble(2, support, coeffs, [{("in", label): 1} for label in _TOMO_INPUTS])
     reads = read_branches(circuit, noise, init, _COMPUTATIONAL_PAULIS,
                           keep_slots=_parities(name, circuit.slots))
-    codes = (reads.records < 0) @ (1 << np.arange(reads.records.shape[1]))
     outputs = np.zeros((len(_TOMO_INPUTS), len(LETTERS)))
-    np.add.at(outputs, reads.groups, reads.values * _frame_signs(name)[codes])
+    np.add.at(outputs, reads.groups, reads.values * _branch_frames(name, reads.records))
 
     v_id = outputs[0] + outputs[1]
     columns = [
@@ -491,27 +488,21 @@ class GatesetResult:
 
 
 def _run_tomography_circuit(name: str, circuit: Circuit, noise, with_class: bool) -> float:
+    """The final outcome's expectation, frame corrected, given the preparation.
+
+    The run keeps the correction rule's parities and the final record, and
+    ends in a probe of the identity, which reads each branch's trace."""
+    frame = name if with_class else "identity"  # a reference circuit has no class sequence
     slots = circuit.slots
-    final_slot = slots[-1]
-    parities = _parities(name, slots[3:-1]) if with_class else ()
-    meas_letter = circuit.steps[-1].ops[0].letter
-    keep = parities + (final_slot,)
-    ens = run_circuit(circuit, noise, TrajectoryEnsemble.from_product_state(["+", "+"]),
-                      keep_slots=keep).ensemble
-    total = 0.0
-    weighted = 0.0
-    traces = ens.branch_traces
-    for row, records in enumerate(ens.records):
-        s = records[final_slot]
-        if with_class:
-            frame = _correction(name, tuple(records[p] for p in parities))
-            if not frame.commutes(PauliString(meas_letter)):
-                s = -s
-        weighted += s * traces[row]
-        total += traces[row]
+    reads = read_branches(circuit, noise, TrajectoryEnsemble.from_product_state(["+", "+"]),
+                          ("II",), keep_slots=_parities(frame, slots[3:-1]) + (slots[-1],))
+    traces = reads.values[:, 0]
+    total = sum(traces.tolist())  # summed in branch order, as simulate_class sums
     if total <= 0.0:
         raise ValueError("preparation post-selection left no acceptance")
-    return weighted / total
+    letter = LETTERS.index(circuit.steps[-1].ops[0].letter)
+    signs = reads.records[:, -1] * _branch_frames(frame, reads.records[:, :-1])[:, letter]
+    return sum((signs * traces).tolist()) / total
 
 
 def run_gateset_suite(name: str, noise: NoiseParams = NoiseParams()) -> GatesetResult:

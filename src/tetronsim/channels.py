@@ -36,6 +36,7 @@ on each side:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -405,10 +406,21 @@ def t_state_fidelity(phase_error: float = 0.0, *, phi: float = math.pi / 8.0) ->
 
 
 def projection_superop(pauli: "PauliString | str", outcome: int) -> Superoperator:
-    """Subnormalized projection rho -> Pi_s rho Pi_s."""
+    """Subnormalized projection rho -> Pi_s rho Pi_s (a fresh copy of a map
+    built once per signed Pauli and outcome)."""
+    if isinstance(pauli, str):
+        pauli = PauliString.from_text(pauli)
+    return Superoperator(_projection_matrix(pauli, outcome))
+
+
+@functools.lru_cache(maxsize=None)
+def _projection_matrix(pauli: PauliString, outcome: int) -> np.ndarray:
+    """Read-only transfer matrix of :func:`projection_superop`."""
     pi = projector(pauli, outcome)
     n = pi.shape[0].bit_length() - 1
-    return channel_to_superop(lambda rho: pi @ rho @ pi, n)
+    matrix = channel_to_superop(lambda rho: pi @ rho @ pi, n).matrix
+    matrix.flags.writeable = False
+    return matrix
 
 
 def assignment_mixed_projection(

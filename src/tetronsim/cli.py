@@ -211,12 +211,13 @@ def _read_ini(path: Path) -> dict:
 
 def _ini_section(config: dict, name: str, expected=None) -> dict:
     """The keys of section ``[name]`` of ``config`` (none if it is absent).
-    With ``expected``, the keys it allows, a key outside it is rejected and
-    the message lists ``expected`` as given."""
+    With ``expected``, the option table of the section, a key outside it is
+    rejected and the message lists the table's keys sorted."""
     section = dict(config.get(name, {}))
     unknown = set() if expected is None else set(section) - set(expected)
     if unknown:
-        raise ConfigError(f"unknown [{name}] key(s) {sorted(unknown)}; expected {expected}")
+        raise ConfigError(
+            f"unknown [{name}] key(s) {sorted(unknown)}; expected {sorted(expected)}")
     return section
 
 
@@ -261,7 +262,7 @@ def _resolve(args: argparse.Namespace, experiment: str) -> Settings:
     noise_inputs = {key: float(value) for key, value in noise_inputs.items()}
 
     # -- [run] settings ---------------------------------------------------
-    run = _resolve_options(_RUN, _ini_section(config, "run", tuple(_RUN)), args, "{source} ", {})
+    run = _resolve_options(_RUN, _ini_section(config, "run", _RUN), args, "{source} ", {})
     if args.opt_shots is not None:  # --shots also selects sampled mode
         run["mode"] = "sampled"
     if not 0 <= run["seed"] < 2**64:
@@ -278,7 +279,7 @@ def _resolve(args: argparse.Namespace, experiment: str) -> Settings:
     routes = audit.get("route", {})
     given = {param: value for param, value in dataclasses.asdict(noise).items()
              if routes.get(param, "default") != "default"}
-    section = _ini_section(config, experiment, sorted(spec))
+    section = _ini_section(config, experiment, spec)
     options = _resolve_options(spec, section, args, "option {key!r}: ", given)
 
     return Settings(

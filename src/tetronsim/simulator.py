@@ -36,15 +36,16 @@ this tractable:
   only before the next op that does not commute with Z there, which keeps
   the rotations few; the plan stores that number and the run resolves it
   against theta.  A plan thus depends only on whether theta is zero, and is
-  cached per circuit, initial support, kept entries, probes and that flag,
-  so a noise scan lowers each circuit once.
+  cached, with no bound, per circuit, initial support, kept entries, probes
+  and that flag, so a noise scan lowers each circuit once.
 * Many support columns are zero in every branch once the branches are
   summed: a term of one record branch cancels against the same term of
   another.  Which ones does not depend on the noise either, so after a
   witness run at a generic noise point the circuit is lowered again,
   producing only the columns that can be nonzero.  Of those it keeps only
   the columns that the returned state or some probe reads through later
-  ops, found by a backward pass over the plan.  A run that reads only its
+  ops, found by a backward pass over the plan; a pass that drops no
+  column costs no lowering.  A run that reads only its
   probes (a decay experiment, a braiding class map, or the sampler, whose
   final observables are an end probe) never computes the columns that
   matter only to the final state.  Lowering fails loudly when a run would
@@ -1573,33 +1574,44 @@ def _needed_masks(plan: _Plan, witness: list) -> list:
     return masks
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=None)
 def _cached_plan(circuit, support: bytes, groups, keep, probes: tuple, rotating) -> _Plan:
     """The plan every runner executes; arguments are hashable stand-ins for
     those of :func:`_lower`, so a ``(None, Paulis)`` pair in ``probes``
     lowers an end probe in place of the final state.
 
-    The circuit is lowered three times, and each lowering restricts every
+    Two pruning passes follow the first lowering, and each restricts every
     measurement and rotation to a subset of the support it produced in the
-    one before.  The second keeps the columns that the final state or a
+    lowering before.  The first keeps the columns that the final state or a
     probe reads through later ops, taking every column as nonzero
-    (:func:`_needed_masks`).  The third also drops every column that a
-    witness run of the second plan finds zero where it is next read
-    (:func:`_witness_masks`), and what then goes unread.  A column that no
-    kept column reads enters no kept number, so dropping it changes no value
-    a run returns: each kept column goes through the same floating-point
+    (:func:`_needed_masks`).  The second also drops every column that a
+    witness run of the plan finds zero where it is next read
+    (:func:`_witness_masks`), and what then goes unread.  A pass that drops
+    no column would lower the same plan again, so the circuit is lowered
+    again only after a pass that drops one.  A column that no kept column
+    reads enters no kept number, so dropping it changes no value a run
+    returns: each kept column goes through the same floating-point
     operations as it would with every column.  The witness runs the smaller
-    plan, so it reserves and fills fewer rows."""
+    plan, so it reserves and fills fewer rows.
+
+    The cache has no bound.  A process holds one plan per distinct run it
+    makes (the gate-set suite of :mod:`tetronsim.braiding` needs 108 per
+    plan kind), and a count bound would not bound memory: a braiding class
+    plan holds about a kilobyte of arrays, a forty-round theta != 0 logical
+    decay plan over ten megabytes."""
     initial = np.frombuffer(support, np.int64)
     args = (circuit, initial, groups, keep, dict(probes), rotating)
     plan, produced = _lower(*args)
-    masks = _needed_masks(plan, [np.ones(sup.size, dtype=bool) for sup in (initial, *produced)])
-    del plan  # hold one plan at a time
-    plan, produced = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
-    masks = _needed_masks(plan, _witness_masks(plan, circuit.num_qubits, len(groups),
-                                               initial.size))
-    del plan
-    plan, _ = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks[1:])))
+    for witnessed in (False, True):
+        if witnessed:
+            nonzero = _witness_masks(plan, circuit.num_qubits, len(groups), initial.size)
+        else:
+            nonzero = [np.ones(sup.size, dtype=bool) for sup in (initial, *produced)]
+        masks = _needed_masks(plan, nonzero)[1:]
+        if all(mask.all() for mask in masks):
+            continue
+        del plan  # hold one plan at a time
+        plan, produced = _lower(*args, (sup[mask] for sup, mask in zip(produced, masks)))
     # Every run's ensemble, or branch reads, shares these.
     plan.support.flags.writeable = False
     plan.records.flags.writeable = False
@@ -1681,12 +1693,13 @@ def run_circuit(
     numbers and is cached, so repeated runs do only the numeric pass.
 
     The plan computes only the Pauli columns that can be nonzero and that
-    the final state or a probe reads.  Lowered first to the columns that
-    some later op reads, it is lowered again leaving out every column that
-    a witness run of that plan, at a generic noise point and from random
-    initial coefficients, finds exactly 0.0 in every branch just before the
-    next measurement or rotation reads it (or at the end), and every column
-    that then goes unread (see :func:`_cached_plan`).  Since the final state is
+    the final state or a probe reads.  Restricted first to the columns that
+    some later op reads, it leaves out every column that a witness run of
+    that plan, at a generic noise point and from random initial
+    coefficients, finds exactly 0.0 in every branch just before the next
+    measurement or rotation reads it (or at the end), and every column that
+    then goes unread; it is lowered again only when a pass drops a column
+    (see :func:`_cached_plan`).  Since the final state is
     returned, every final column that can be nonzero is computed;
     :func:`probe_circuit` gives the same probes from a plan that also leaves
     out the columns only the final state reads.  Each coefficient is a

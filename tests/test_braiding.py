@@ -553,6 +553,23 @@ def test_noisy_suite_tracks_the_true_channel():
     assert np.max(np.abs(result.transfer.matrix - truth)) < 0.05
 
 
+def test_second_suite_pass_compiles_no_plan(monkeypatch):
+    # 108 distinct plans per plan kind, each run read through its end probe, never
+    # through a final ensemble; a second pass finds every plan cached.
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("the suite builds no final ensemble")
+
+    monkeypatch.setattr(braiding, "run_circuit", no_ensemble)
+    noise = NoiseParams(p_a=0.02, p1=0.05, p2=0.1, theta=0.02)
+    first = [run_gateset_suite(name, noise) for name in CLIFFORD_CLASSES]
+    misses = simulator._cached_plan.cache_info().misses
+    again = [run_gateset_suite(name, noise) for name in CLIFFORD_CLASSES]
+    assert simulator._cached_plan.cache_info().misses == misses
+    for a, b in zip(first, again):
+        assert np.array_equal(a.with_class, b.with_class)
+        assert np.array_equal(a.reference, b.reference)
+
+
 def test_degenerate_reference_table_is_rejected():
     with pytest.raises(ValueError, match="degenerate"):
         solve_gateset(np.eye(3), np.zeros((3, 3)))

@@ -37,6 +37,7 @@ from tetronsim.channels import (
 )
 from tetronsim.pauli import (
     PAULI_MATRICES,
+    PauliString,
     Superoperator,
     channel_to_superop,
     dense_to_pauli_vec,
@@ -280,6 +281,20 @@ def test_zero_noise_measurement_is_bare_projection():
         projection_superop("YZ", 1).matrix,
         atol=1e-14,
     )
+
+
+def test_projection_superop_returns_fresh_copies_of_one_map():
+    for pauli, outcome in (("Z", -1), ("YZ", 1), ("-XY", 1), (PauliString("ZX", -1), -1)):
+        pi = projector(pauli, outcome)
+        want = channel_to_superop(lambda rho: pi @ rho @ pi, pi.shape[0].bit_length() - 1)
+        first, second = projection_superop(pauli, outcome), projection_superop(pauli, outcome)
+        for got in (first, second):
+            assert np.array_equal(got.matrix, want.matrix) and got.matrix.flags.writeable
+        assert not np.shares_memory(first.matrix, second.matrix)
+        first.matrix[:] = 7.0
+        assert np.array_equal(projection_superop(pauli, outcome).matrix, want.matrix)
+    assert np.array_equal(projection_superop("-XY", 1).matrix,
+                          projection_superop(PauliString("XY", -1), 1).matrix)
 
 
 def test_assignment_error_sets_record_probability():

@@ -414,6 +414,16 @@ def test_config_unknown_keys_rejected(tmp_path):
     )
 
 
+def test_config_unknown_keys_list_the_expected_keys_sorted(tmp_path, capsys):
+    for section, expected in (
+        ("run", "['mode', 'out', 'seed', 'shots', 'workers']"),
+        ("mbqb", "['chains', 'debruijn']"),
+    ):
+        assert main(["mbqb", "--config", _write_ini(tmp_path, f"[{section}]\nbogus = 1\n")]) == 1
+        assert (f"configuration error: unknown [{section}] key(s) ['bogus']; "
+                f"expected {expected}") in capsys.readouterr().err
+
+
 def test_config_bad_run_values_name_their_key(tmp_path, capsys):
     for text, message in (("mode = bogus", "mode must be one of exact, sampled; got 'bogus'"),
                           ("seed = x", "seed must be an integer, got 'x'")):

@@ -1258,6 +1258,62 @@ def test_run_plan_keeps_the_needed_columns_on_decay_and_braid_circuits(theta):
         )
 
 
+def lowered_after_each_pass(circuit, initial, keep, probes, rotating):
+    """The plan of ``_cached_plan``'s arguments, lowered again after both of
+    its pruning passes whether a pass drops a column or not, and how many
+    of the passes drop one."""
+    groups, _ = simulator._branch_groups(initial.tags)
+    args = (circuit, initial.support, groups, keep, dict(probes), rotating)
+    plan, produced = simulator._lower(*args)
+    masks = simulator._needed_masks(
+        plan, [np.ones(sup.size, dtype=bool) for sup in (initial.support, *produced)])
+    dropping = int(not all(m.all() for m in masks))
+    plan, produced = simulator._lower(*args, (sup[m] for sup, m in zip(produced, masks[1:])))
+    witness = simulator._witness_masks(plan, circuit.num_qubits, len(groups),
+                                       initial.support.size)
+    masks = simulator._needed_masks(plan, witness)
+    dropping += not all(m.all() for m in masks)
+    plan, _ = simulator._lower(*args, (sup[m] for sup, m in zip(produced, masks[1:])))
+    return plan, dropping
+
+
+@pytest.mark.parametrize("rotating", [False, True])
+def test_plans_lower_again_only_after_a_pass_that_drops_a_column(rotating, monkeypatch):
+    # The decay runners' plans (probe_circuit's, ending in an end probe, and
+    # run_circuit's) and the braid class maps' plans.
+    cases = []
+    for level in ("physical", "logical"):
+        for obs in ("XX", "ZI"):
+            circuit, initial, probes = decay_probes(level, obs)
+            probes = simulator._normalize_probes(probes, circuit)
+            cases += [(circuit, initial, (), probes + ((None, ()),)),
+                      (circuit, initial, (), probes)]
+    for name in braiding.CLIFFORD_CLASSES:
+        circuit = braiding.class_circuit(name)
+        keep = simulator._normalize_keep(braiding._parities(name, circuit.slots), circuit)
+        cases.append((circuit, braid_initial(), keep,
+                      ((None, braiding._COMPUTATIONAL_PAULIS),)))
+    lowerings = []
+
+    def counting_lower(*args):
+        lowerings.append(args[0])
+        return lower(*args)
+
+    lower = simulator._lower
+    for circuit, initial, keep, probes in cases:
+        want, dropping = lowered_after_each_pass(circuit, initial, keep, probes, rotating)
+        groups, _ = simulator._branch_groups(initial.tags)
+        with monkeypatch.context() as patch:
+            patch.setattr(simulator, "_lower", counting_lower)
+            plan = simulator._cached_plan.__wrapped__(
+                circuit, initial.support.tobytes(), groups, keep, probes, rotating)
+        assert_same_plan(plan, want)
+        assert len(lowerings) == 1 + dropping
+        if not rotating and probes[-1][0] is None:
+            assert dropping <= 1  # at theta = 0 the witness drops no probe plan's column
+        lowerings.clear()
+
+
 # -- loud limits --------------------------------------------------------------
 
 
