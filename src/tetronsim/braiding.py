@@ -33,8 +33,11 @@ same way, through an end probe of the identity that reads each branch's
 trace.  Every run's plan is cached like every plan of the simulator, so a
 noise scan lowers each circuit once per plan kind (theta zero or not).
 Everything else that does not depend on the noise (circuits, the batched
-input, ideal unitaries and their transfer matrices) is computed once as
-well.
+input, ideal unitaries and their transfer matrices, the gate-set suite's
+circuits and initial state) is computed once as well.  A fidelity scan
+compiles its class map once (:class:`_ClassRun`: the compiled read, the
+input and frame signs of each final branch, the ideal unitary), and each
+point runs only the plan's numeric pass, the readout and the fidelity.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from .pauli import (
     unitary_superop,
 )
 # run_circuit is unused here, but benchmarks/tracing.py wraps braiding.run_circuit by name.
-from .simulator import (CircuitBuilder, Circuit, Parity, TrajectoryEnsemble, read_branches,
-                        run_circuit)
+from .simulator import (CircuitBuilder, Circuit, Parity, TrajectoryEnsemble, _CompiledRun,
+                        _compile_read, read_branches, run_circuit)
 
 CLIFFORD_CLASSES = ("identity", "H", "S", "HSH", "SH", "HS")
 
@@ -346,6 +349,29 @@ def _branch_frames(name: str, records: np.ndarray) -> np.ndarray:
     return _frame_signs(name)[(records < 0) @ (1 << np.arange(records.shape[1]))]
 
 
+def _class_transfer(values: np.ndarray, groups: np.ndarray, frames: np.ndarray) -> Superoperator:
+    """The one-qubit transfer matrix of a class read, in a fresh array:
+    ``values`` holds the computational Pauli vector of each final branch,
+    ``groups`` its input and ``frames`` the signs of its frame correction.
+    Each input's branches are summed in ascending order."""
+    outputs = np.zeros((len(_TOMO_INPUTS), len(LETTERS)))
+    np.add.at(outputs, groups, values * frames)
+    matrix = np.empty((len(LETTERS), len(LETTERS)))
+    np.add(outputs[0], outputs[1], out=matrix[:, 0])
+    np.subtract(2.0 * outputs[2], matrix[:, 0], out=matrix[:, 1])
+    np.subtract(2.0 * outputs[3], matrix[:, 0], out=matrix[:, 2])
+    np.subtract(outputs[0], outputs[1], out=matrix[:, 3])
+    matrix *= 0.5
+    return Superoperator(matrix, copy=False)
+
+
+def _tomography_ensemble() -> TrajectoryEnsemble:
+    """|+> (auxiliary) tensor each tomography input, one initial branch
+    tagged ``("in", label)`` per input, on read-only arrays."""
+    support, coeffs = _tomography_input()
+    return TrajectoryEnsemble(2, support, coeffs, [{("in", label): 1} for label in _TOMO_INPUTS])
+
+
 def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperator:
     """Exact transfer matrix of the noisy, outcome-corrected class map.
 
@@ -365,27 +391,55 @@ def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperat
     that probe reads.  Each input's branches are summed in ascending order.
     """
     circuit = class_circuit(name)
-    support, coeffs = _tomography_input()
-    init = TrajectoryEnsemble(2, support, coeffs, [{("in", label): 1} for label in _TOMO_INPUTS])
-    reads = read_branches(circuit, noise, init, _COMPUTATIONAL_PAULIS,
+    reads = read_branches(circuit, noise, _tomography_ensemble(), _COMPUTATIONAL_PAULIS,
                           keep_slots=_parities(name, circuit.slots))
-    outputs = np.zeros((len(_TOMO_INPUTS), len(LETTERS)))
-    np.add.at(outputs, reads.groups, reads.values * _branch_frames(name, reads.records))
-
-    v_id = outputs[0] + outputs[1]
-    columns = [
-        v_id,
-        2.0 * outputs[2] - v_id,
-        2.0 * outputs[3] - v_id,
-        outputs[0] - outputs[1],
-    ]
-    return Superoperator(0.5 * np.column_stack(columns))
+    return _class_transfer(reads.values, reads.groups, _branch_frames(name, reads.records))
 
 
-def average_class_fidelity(name: str, noise: NoiseParams = NoiseParams()) -> float:
+def average_class_fidelity(name: "str | _ClassRun", noise: NoiseParams = NoiseParams()) -> float:
     """Average gate fidelity of the noisy class map against the ideal
-    unitary, uniformly over pure input states."""
+    unitary, uniformly over pure input states.
+
+    ``name`` may also be a class run that :func:`fidelity_scan` compiled
+    (see :class:`_ClassRun`); the call then runs only the numeric pass at
+    ``noise``, which must be of the run's theta kind, and returns the same
+    value bit for bit."""
+    if isinstance(name, _ClassRun):
+        return name.fidelity(noise)
     return average_gate_fidelity(simulate_class(name, noise), ideal_unitary(name))
+
+
+@dataclass(frozen=True)
+class _ClassRun:
+    """The class map of :func:`simulate_class`, compiled for every noise
+    point of one theta kind: the compiled read (one plan walk per point),
+    the input of each final branch, the frame signs of each final branch's
+    kept parities and the ideal unitary, all read-only.  A scan builds it
+    once and runs :meth:`fidelity` per point, equal to
+    :func:`average_class_fidelity` bit for bit."""
+
+    read: _CompiledRun
+    groups: np.ndarray
+    frames: np.ndarray
+    ideal: np.ndarray
+
+    @classmethod
+    def compile(cls, name: str, theta: float) -> "_ClassRun":
+        circuit = class_circuit(name)
+        read = _compile_read(circuit, _tomography_ensemble(), _COMPUTATIONAL_PAULIS,
+                             _parities(name, circuit.slots), theta != 0.0)
+        groups = np.array(read.plan.groups)
+        frames = _branch_frames(name, read.plan.records)
+        ideal = ideal_unitary(name)
+        for array in (groups, frames, ideal):
+            array.flags.writeable = False
+        return cls(read, groups, frames, ideal)
+
+    def fidelity(self, noise: NoiseParams) -> float:
+        transfer = _class_transfer(self.read.end_values(noise), self.groups, self.frames)
+        # Called through the module global, not bound in the run, so a
+        # wrapper set on braiding.average_gate_fidelity sees every point.
+        return average_gate_fidelity(transfer, self.ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +475,16 @@ def fidelity_scan(
     progress=None,
 ) -> FidelityScan:
     """Fidelity map of a class sequence; defaults to a 21 x 21 linear grid
-    with p1, p_a in [0, 0.2] at p2 = 0.1."""
+    with p1, p_a in [0, 0.2] at p2 = 0.1.
+
+    The class map is compiled once for the scan's theta kind, and each point
+    is :func:`average_class_fidelity` of that compiled run, equal bit for
+    bit to the value of a call by class name."""
     _check_class(name)
+    run = _ClassRun.compile(name, theta)
 
     def point(p1: float, pa: float) -> float:
-        return average_class_fidelity(name, NoiseParams(p_a=pa, p1=p1, p2=p2, theta=theta))
+        return average_class_fidelity(run, NoiseParams(p_a=pa, p1=p1, p2=p2, theta=theta))
 
     p1_grid, pa_grid, fidelity = walk_grid(point, p1_grid, pa_grid, FIDELITY_GRID, progress)
     return FidelityScan(name, p1_grid, pa_grid, p2, theta, fidelity)
@@ -456,6 +515,13 @@ def gateset_experiment_suite(name: str, *, reset_order: str = "XZ") -> list:
     _check_class(name)
     if reset_order not in _RESET_ORDERS:
         raise ValueError(f"reset_order must be 'XZ' or 'ZX', got {reset_order!r}")
+    return list(_suite_circuits(name, reset_order))
+
+
+@functools.lru_cache(maxsize=None)
+def _suite_circuits(name: str, reset_order: str) -> tuple:
+    """The circuits of :func:`gateset_experiment_suite`, built once per
+    class and reset order, as :func:`class_circuit` is."""
     circuits = []
     for with_class in (True, False):
         for meas_basis in _PREP_BASES:
@@ -472,7 +538,7 @@ def gateset_experiment_suite(name: str, *, reset_order: str = "XZ") -> list:
                 builder.end_step()
                 builder.detector(Parity((prep_slot,)))
                 circuits.append(builder.build())
-    return circuits
+    return tuple(circuits)
 
 
 @dataclass(frozen=True)
@@ -487,6 +553,15 @@ class GatesetResult:
     transfer: Superoperator
 
 
+@functools.lru_cache(maxsize=None)
+def _plus_plus() -> TrajectoryEnsemble:
+    """The suite's initial state |+>|+>, on read-only arrays."""
+    state = TrajectoryEnsemble.from_product_state(["+", "+"])
+    state.support.flags.writeable = False
+    state.coeffs.flags.writeable = False
+    return state
+
+
 def _run_tomography_circuit(name: str, circuit: Circuit, noise, with_class: bool) -> float:
     """The final outcome's expectation, frame corrected, given the preparation.
 
@@ -494,8 +569,8 @@ def _run_tomography_circuit(name: str, circuit: Circuit, noise, with_class: bool
     ends in a probe of the identity, which reads each branch's trace."""
     frame = name if with_class else "identity"  # a reference circuit has no class sequence
     slots = circuit.slots
-    reads = read_branches(circuit, noise, TrajectoryEnsemble.from_product_state(["+", "+"]),
-                          ("II",), keep_slots=_parities(frame, slots[3:-1]) + (slots[-1],))
+    reads = read_branches(circuit, noise, _plus_plus(), ("II",),
+                          keep_slots=_parities(frame, slots[3:-1]) + (slots[-1],))
     traces = reads.values[:, 0]
     total = sum(traces.tolist())  # summed in branch order, as simulate_class sums
     if total <= 0.0:

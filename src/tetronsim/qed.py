@@ -444,7 +444,8 @@ def decay_experiment(spec: DecayExperimentSpec) -> DecayFit:
     The circuit is built once at the largest round count; the expectation at
     each requested round is probed mid-run, which matches running separate
     truncated circuits because detectors never reach backwards across a probe
-    point.
+    point.  A sampled run reports, as each round's acceptance, the share of
+    that round's ``shots`` that no detector rejected.
     """
     derived = _decay_circuit(spec)
     observable = repcode_observables(spec.level)[spec.observable]
@@ -464,7 +465,7 @@ def decay_experiment(spec: DecayExperimentSpec) -> DecayFit:
             probes=probe_steps,
         )
         probes = sampled.probes
-        acc = {s: math.nan for s in probe_steps}
+        acc = {s: count / spec.shots for s, count in sampled.probe_accepted.items()}
         flags.append(f"sampled with {spec.shots} shots")
 
     name = str(observable)

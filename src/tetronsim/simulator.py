@@ -51,11 +51,18 @@ this tractable:
   matter only to the final state.  Lowering fails loudly when a run would
   outgrow the branch or support budget.
 
-Every runner executes such a plan.  :func:`run_circuit` sums the branches
-and returns the final state, :func:`probe_circuit` returns only the probes,
+Every runner executes such a plan, in two steps.  The compile step does
+what the noise does not touch: it normalizes the kept entries and probes,
+groups the initial branches by their tags, looks the plan up in the cache
+and builds the entry block.  The walk builds the noise tables of one point
+and runs the plan's ops.  :func:`run_circuit` sums the branches and returns
+the final state, :func:`probe_circuit` returns only the probes,
 :func:`read_branches` reads the final branches one by one through an end
 probe, and :func:`sample_circuit` draws its shots from the branches, at each
-probe step and at the end, in proportion to their traces.
+probe step and at the end, in proportion to their traces.  Each of them
+compiles and then walks once; a scan over the noise points of one theta
+kind, such as a braiding-fidelity map, compiles its read once and walks it
+per point.
 
 The test suite checks every kernel, and whole circuits, against the dense
 channel constructors of :mod:`tetronsim.channels`.
@@ -534,14 +541,12 @@ def _meas_weights(arity: int, noise: NoiseParams) -> np.ndarray:
         lam2_2 = 1.0 - 8.0 * (noise.p2 / 2.0) / 9.0
         dep = (1.0, lam1 * lam2_1, lam1 * lam2_1, lam1 * lam1 * lam2_2)
     damp = 1.0 - 2.0 * noise.p_a
-    a = [0.5 * d * d for d in dep] + [0.0]
-    b = [
-        damp * (0.5 * dep[c_new] * dep[c_partner] * phi)
-        for phi in (1.0, -1.0)
-        for c_new in range(4)
-        for c_partner in range(4)
-    ] + [0.0]
-    return np.array(a + b)
+    a = [0.5 * d * d for d in dep]
+    # Entry 16 * flip + 4 * c_new + c_partner of b is the cross product of
+    # the two classes, negated for a flipped sign (phi = -1): rounding is
+    # symmetric in the sign, so negating equals multiplying by phi.
+    cross = [damp * (0.5 * d_new * d_partner) for d_new in dep for d_partner in dep]
+    return np.array(a + [0.0] + cross + [-b for b in cross] + [0.0])
 
 
 def _lower_rotation(support: np.ndarray, p_index: int, num_qubits: int, new_support=None):
@@ -1632,17 +1637,48 @@ def _branch_groups(tags: list) -> "tuple[tuple, list]":
     return tuple(groups), first
 
 
-def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
-             keep: tuple, probes, finals: "tuple | None" = None) -> tuple:
-    """Run ``circuit`` from ``initial`` through its cached plan, keeping the
-    normalized entries ``keep``.  Returns the plan, the last block, the probe
-    reads in walk order (see :class:`_ProbeOp`) and the tags of each initial
-    branch group.
+@dataclass(frozen=True)
+class _CompiledRun:
+    """A run of one circuit from one initial ensemble, with its kept entries
+    and probes, compiled for every noise point of one plan kind (theta zero
+    or not): the cached plan, the entry block and the tags of each initial
+    branch group.  :meth:`walk` runs the numeric pass for one noise point.
 
-    The plan's ops pass a support-major block along (see :class:`_Plan`):
-    the run transposes the initial coefficients once on entry.  The last
-    block is in the same layout; only :func:`run_circuit`, which returns the
-    final state, gathers its rows back into sorted-support order.
+    The entry block is the initial coefficients transposed plus the plan's
+    spare rows (see :class:`_Plan`), read-only: each walk starts from a copy,
+    since the first ops may write into it.  Nothing a walk returns is shared
+    with the run or with another walk, so one compiled run serves a whole
+    scan."""
+
+    plan: _Plan
+    entry: np.ndarray
+    group_tags: list
+    num_qubits: int
+    rotating: bool  # the plan kind: theta != 0
+
+    def walk(self, noise: NoiseParams) -> "tuple[np.ndarray, list]":
+        """The last block and the probe reads in walk order (see
+        :class:`_ProbeOp`) at ``noise``, which must be of the plan's kind."""
+        if (noise.theta != 0.0) != self.rotating:
+            kind = "theta != 0" if self.rotating else "theta = 0"
+            raise ValueError(f"a run compiled for {kind} cannot run theta = {noise.theta!r}")
+        tables = _NoiseTables(noise, self.num_qubits)
+        block = self.entry.copy()
+        reads: list = []
+        for op in self.plan.ops:
+            block = op.run(block, tables, reads)
+        return block, reads
+
+    def end_values(self, noise: NoiseParams) -> np.ndarray:
+        """The end probe's reads at ``noise``: per final branch, tr(P rho_b)
+        of each of its Paulis, signed (the trace column left out)."""
+        return self.walk(noise)[1][-1][2][:, 1:]
+
+
+def _compile(circuit: Circuit, initial: TrajectoryEnsemble, keep: tuple, probes,
+             finals: "tuple | None", rotating: bool) -> _CompiledRun:
+    """Compile a run of ``circuit`` from ``initial`` for the plan kind
+    ``rotating``, keeping the normalized entries ``keep``.
 
     With ``finals`` (Paulis, possibly none) the run ends in a probe of them
     instead of returning its final state: the last read is that end probe,
@@ -1652,15 +1688,26 @@ def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
         probes += ((None, finals),)
     _check_size(circuit, initial)
     groups, group_tags = _branch_groups(initial.tags)
-    plan = _cached_plan(
-        circuit, initial.support.tobytes(), groups, keep, probes, noise.theta != 0
-    )
-    tables = _NoiseTables(noise, circuit.num_qubits)
-    block = _entry_block(initial.coeffs, plan.spare)
-    reads: list = []
-    for op in plan.ops:
-        block = op.run(block, tables, reads)
-    return plan, block, reads, group_tags
+    plan = _cached_plan(circuit, initial.support.tobytes(), groups, keep, probes, rotating)
+    entry = _entry_block(initial.coeffs, plan.spare)
+    entry.flags.writeable = False
+    return _CompiledRun(plan, entry, group_tags, circuit.num_qubits, rotating)
+
+
+def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
+             keep: tuple, probes, finals: "tuple | None" = None) -> tuple:
+    """Run ``circuit`` from ``initial`` through its cached plan, keeping the
+    normalized entries ``keep``: :func:`_compile`, then one walk.  Returns
+    the plan, the last block, the probe reads in walk order (see
+    :class:`_ProbeOp`) and the tags of each initial branch group.
+
+    The plan's ops pass a support-major block along (see :class:`_Plan`).
+    The last block is in the same layout; only :func:`run_circuit`, which
+    returns the final state, gathers its rows back into sorted-support
+    order."""
+    run = _compile(circuit, initial, keep, probes, finals, noise.theta != 0)
+    block, reads = run.walk(noise)
+    return run.plan, block, reads, run.group_tags
 
 
 def _summed_probes(reads: list) -> "tuple[dict, dict]":
@@ -1692,10 +1739,12 @@ def run_circuit(
     plan lowered from the circuit; the plan does not depend on the noise
     numbers and is cached, so repeated runs do only the numeric pass.
 
-    The plan computes only the Pauli columns that can be nonzero and that
-    the final state or a probe reads.  Restricted first to the columns that
-    some later op reads, it leaves out every column that a witness run of
-    that plan, at a generic noise point and from random initial
+    Each call compiles the run (normalized entries and probes, branch
+    groups, the cached plan, the entry block) and walks it once at
+    ``noise``.  The plan computes only the Pauli columns that can be
+    nonzero and that the final state or a probe reads.  Restricted first to
+    the columns that some later op reads, it leaves out every column that a
+    witness run of that plan, at a generic noise point and from random initial
     coefficients, finds exactly 0.0 in every branch just before the next
     measurement or rotation reads it (or at the end), and every column that
     then goes unread; it is lowered again only when a pass drops a column
@@ -1783,12 +1832,22 @@ def read_branches(
 
     The run ends in a probe of ``observables``, as :func:`sample_circuit`
     does, so its plan computes only the columns that this probe reads, and
-    ``values`` are the Pauli columns of that probe's block.
+    ``values`` are the Pauli columns of that probe's block.  It is
+    :func:`_compile_read` and one walk; a scan over noise points of one
+    theta kind compiles the read once and walks it per point.
     """
+    run = _compile_read(circuit, initial, observables, keep_slots, noise.theta != 0)
+    return BranchReads(np.array(run.plan.groups), run.plan.records, run.end_values(noise))
+
+
+def _compile_read(circuit: Circuit, initial: TrajectoryEnsemble, observables,
+                  keep_slots, rotating: bool) -> _CompiledRun:
+    """The compiled run of a :func:`read_branches` call for the plan kind
+    ``rotating`` (theta != 0); its :meth:`~_CompiledRun.end_values` are the
+    call's ``values``, and its plan's groups and records the call's."""
     keep = _normalize_keep(keep_slots, circuit)
     finals = _pauli_list("observables", observables)
-    plan, _, reads, _ = _execute(circuit, noise, initial, keep, None, finals)
-    return BranchReads(np.array(plan.groups), plan.records, reads[-1][2][:, 1:])
+    return _compile(circuit, initial, keep, None, finals, rotating)
 
 
 @dataclass
@@ -1797,9 +1856,16 @@ class SampleResult:
 
     Each probe step and the end of the run draw their own ``shots`` shots;
     ``accepted`` counts the shots of the final draw that no detector
-    rejected.  Expectations are averages over accepted shots of each shot's
-    branch-conditional expectation, with standard errors.
+    rejected, and ``probe_accepted`` maps each probe step to the accepted
+    shots of its draw.  Expectations are averages over accepted shots of
+    each shot's branch-conditional expectation, with standard errors.
+
+    ``probe_accepted`` is a slot, not a field: it starts empty, and
+    ``vars()``, the comparison and the repr of a result cover the fields
+    alone, as they did before the counts were kept.
     """
+
+    __slots__ = ("__dict__", "probe_accepted")
 
     shots: int
     accepted: int
@@ -1807,6 +1873,9 @@ class SampleResult:
     probe_stderr: dict = field(default_factory=dict)
     final: dict = field(default_factory=dict)
     final_stderr: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.probe_accepted = {}
 
     @property
     def acceptance(self) -> float:
@@ -1869,6 +1938,8 @@ def sample_circuit(
         accepted = int(counts.sum())
         if step_i is None:
             result.accepted = accepted
+        else:
+            result.probe_accepted[step_i] = accepted
         if not accepted:
             continue
         for j, name in enumerate(names, 1):

@@ -502,6 +502,58 @@ def test_scan_values_match_pointwise_evaluation():
     assert scan.fidelity[0, 0] == pytest.approx(direct, rel=1e-12)
 
 
+# The grid of the compiled-scan tests: both zero edges, an inner point and
+# the default map's far edge.
+EDGE_GRID = (0.0, 0.07, 0.2)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.02])
+def test_compiled_scan_equals_pointwise_fidelity_bit_for_bit(theta):
+    # A scan compiles each class once and walks its plan per point; the
+    # per-call path compiles at every point.
+    for name in CLIFFORD_CLASSES:
+        scan = fidelity_scan(name, EDGE_GRID, EDGE_GRID, 0.1, theta=theta)
+        for (i, p1), (j, pa) in product(enumerate(EDGE_GRID), enumerate(EDGE_GRID)):
+            want = average_class_fidelity(name, NoiseParams(p_a=pa, p1=p1, p2=0.1, theta=theta))
+            assert float(scan.fidelity[i, j]).hex() == want.hex(), (name, p1, pa)
+
+
+def test_compiled_class_run_refuses_the_other_theta_kind():
+    for theta, other in ((0.0, 0.02), (0.02, 0.0)):
+        run = braiding._ClassRun.compile("HS", theta)
+        kind = "!= 0" if theta else "= 0"
+        with pytest.raises(ValueError, match=f"compiled for theta {kind} cannot run theta"):
+            average_class_fidelity(run, NoiseParams(p1=0.01, theta=other))
+        assert average_class_fidelity(run, NoiseParams(p1=0.01, theta=theta)) == (
+            average_class_fidelity("HS", NoiseParams(p1=0.01, theta=theta)))
+
+
+def test_reads_between_scan_points_change_no_result():
+    # After every point the scan's progress callback reads the class through
+    # the per-call path on the same cached plan and scribbles over what it
+    # got back; the compiled scan shares no writable state with it.
+    def meddle(name, theta):
+        noise = NoiseParams(p_a=0.15, p1=0.1, p2=0.2, theta=theta)
+        circuit = class_circuit(name)
+
+        def progress(done, total):
+            reads = read_branches(circuit, noise, braiding._tomography_ensemble(),
+                                  braiding._COMPUTATIONAL_PAULIS,
+                                  keep_slots=braiding._parities(name, circuit.slots))
+            reads.values[:] = 7.0
+            reads.groups[:] = 0
+            simulate_class(name, noise).matrix[:] = 0.0
+
+        return progress
+
+    for theta in (0.0, 0.02):
+        for name in CLIFFORD_CLASSES:
+            plain = fidelity_scan(name, EDGE_GRID, EDGE_GRID, 0.1, theta=theta)
+            mixed = fidelity_scan(name, EDGE_GRID, EDGE_GRID, 0.1, theta=theta,
+                                  progress=meddle(name, theta))
+            assert plain.fidelity.tobytes() == mixed.fidelity.tobytes(), (name, theta)
+
+
 # ---------------------------------------------------------------------------
 # Tomography suite
 # ---------------------------------------------------------------------------
@@ -529,6 +581,15 @@ def test_reference_circuits_skip_the_class_sequence():
         assert len(c.steps) == 4 + len(sequence_for("SH").measurements)
     for c in reference:
         assert len(c.steps) == 4
+
+
+def test_suite_returns_a_fresh_list_of_the_same_circuits():
+    first = gateset_experiment_suite("HSH", reset_order="ZX")
+    circuits = list(first)
+    first.clear()
+    again = gateset_experiment_suite("HSH", reset_order="ZX")
+    assert len(again) == 18 and all(a is b for a, b in zip(again, circuits))
+    assert gateset_experiment_suite("HSH")[0] is not again[0]  # the other reset order
 
 
 def test_reset_order_validation():

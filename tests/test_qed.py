@@ -635,6 +635,23 @@ def test_decay_acceptance_series_monotone():
     assert acc[0] <= 1.0
 
 
+def test_sampled_decay_acceptance_lies_within_three_sigma_of_exact():
+    # Each round's sampled acceptance is the accepted share of that round's
+    # own draw of ``shots`` shots: Binomial(shots, a) / shots, a the exact
+    # acceptance.
+    noise = NoiseParams(p_a=0.02, p1=5e-3, p2=5e-3)
+    shots = 2000
+    for level in ("physical", "logical"):
+        for observable in ("XX", "ZI"):
+            exact = decay_experiment(DecayExperimentSpec(level, observable, noise=noise))
+            sampled = decay_experiment(
+                DecayExperimentSpec(level, observable, noise=noise, shots=shots, seed=9))
+            assert len(sampled.acceptance) == len(exact.acceptance)
+            for a, got in zip(exact.acceptance, sampled.acceptance):
+                assert 0.0 < a < 1.0
+                assert abs(got - a) <= 3.0 * math.sqrt(a * (1.0 - a) / shots), (level, observable)
+
+
 def test_logical_beats_physical_at_reference_point():
     noise = NoiseParams(p_a=0.01, p1=0.005, p2=0.0005)
     metrics, fits = improvement_point(noise)

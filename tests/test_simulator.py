@@ -619,6 +619,23 @@ def test_sampling_accepts_every_shot_when_the_trace_is_kept(noisy, theta):
     assert result.probes.keys() == set(range(3)) and result.final.keys() == {"ZZZ"}
 
 
+def test_sampling_counts_the_accepted_shots_of_every_probe_step():
+    # The counts come from the draws the sampler makes anyway; vars() of the
+    # result lists the fields alone.
+    spec = qed.DecayExperimentSpec("logical", "XX", noise=NoiseParams(p_a=0.02, p1=5e-3))
+    derived = qed._decay_circuit(spec)
+    probes = {derived.round_end_steps[r - 1]: [qed.repcode_observables("logical")["XX"]]
+              for r in spec.rounds_grid}
+    result = sample_circuit(derived.circuit, spec.noise, qed._initial_state(spec), 400,
+                            seed=3, probes=probes)
+    assert list(result.probe_accepted) == list(probes)
+    assert all(0 < c < 400 for c in result.probe_accepted.values())
+    assert "probe_accepted" not in vars(result)
+    again = sample_circuit(derived.circuit, spec.noise, qed._initial_state(spec), 400,
+                           seed=3, probes=probes)
+    assert again.probe_accepted == result.probe_accepted and again == result
+
+
 def test_sampling_with_zero_acceptance_reports_no_expectations():
     circuit = Circuit.from_text("step\nM1 Z q0 -> s0\nDET s0 = -1\n")
     init = TrajectoryEnsemble.from_product_state(["0"])
@@ -744,3 +761,56 @@ def test_equal_circuits_hash_equal_and_share_a_plan():
     run_circuit(other, noise, init)
     info = simulator._cached_plan.cache_info()
     assert (info.misses, info.hits) == (2, 1)
+
+
+# ---------------------------------------------------------------------------
+# Compiled runs and noise tables
+# ---------------------------------------------------------------------------
+
+
+def reference_meas_weights(arity: int, noise: NoiseParams) -> np.ndarray:
+    """The measurement weight table as :func:`simulator._meas_weights` once
+    computed it: every partner entry multiplied out for either sign."""
+    lam1 = 1.0 - 4.0 * (noise.p1 / 2.0) / 3.0
+    if arity == 1:
+        dep = (1.0, lam1, 1.0, 1.0)
+    else:
+        lam2_1 = 1.0 - 4.0 * (noise.p2 / 2.0) / 3.0
+        lam2_2 = 1.0 - 8.0 * (noise.p2 / 2.0) / 9.0
+        dep = (1.0, lam1 * lam2_1, lam1 * lam2_1, lam1 * lam1 * lam2_2)
+    damp = 1.0 - 2.0 * noise.p_a
+    a = [0.5 * d * d for d in dep] + [0.0]
+    b = [
+        damp * (0.5 * dep[c_new] * dep[c_partner] * phi)
+        for phi in (1.0, -1.0)
+        for c_new in range(4)
+        for c_partner in range(4)
+    ] + [0.0]
+    return np.array(a + b)
+
+
+def test_measurement_weights_equal_the_per_sign_formula_byte_for_byte():
+    rng = np.random.default_rng(32)
+    points = [NoiseParams(p_a=float(rng.uniform(0.0, 0.5)), p1=float(rng.uniform(0.0, 0.75)),
+                          p2=float(rng.uniform(0.0, 15 / 16))) for _ in range(300)]
+    points += [NoiseParams(), NoiseParams(p_a=0.5), NoiseParams(p1=0.75),
+               NoiseParams(p2=15 / 16), NoiseParams(p_a=0.5, p1=0.75, p2=15 / 16),
+               NoiseParams(p_a=0.5, p2=0.3), NoiseParams(p1=0.75, p2=0.3)]
+    for noise in points:
+        for arity in (1, 2):
+            got = simulator._meas_weights(arity, noise)
+            assert got.tobytes() == reference_meas_weights(arity, noise).tobytes(), (arity, noise)
+
+
+def test_compiled_run_refuses_the_other_theta_kind():
+    circuit = Circuit.from_text("step\nM2 ZZ q0 q1 -> s0\nstep\nM1 X q0 -> s1\n")
+    initial = TrajectoryEnsemble.from_product_state(["+", "0"])
+    for rotating, theta in ((False, 0.1), (True, 0.0)):
+        run = simulator._compile_read(circuit, initial, ["XI", "ZZ"], (0,), rotating)
+        kind = "!= 0" if rotating else "= 0"
+        with pytest.raises(ValueError, match=f"a run compiled for theta {kind} cannot run"):
+            run.walk(NoiseParams(p1=0.01, theta=theta))
+        noise = NoiseParams(p1=0.01, theta=0.1 if rotating else 0.0)
+        reads = simulator.read_branches(circuit, noise, initial, ["XI", "ZZ"], keep_slots=(0,))
+        assert run.end_values(noise).tobytes() == reads.values.tobytes()
+        assert run.plan.records is reads.records
