@@ -34,10 +34,12 @@ trace.  Every run's plan is cached like every plan of the simulator, so a
 noise scan lowers each circuit once per plan kind (theta zero or not).
 Everything else that does not depend on the noise (circuits, the batched
 input, ideal unitaries and their transfer matrices, the gate-set suite's
-circuits and initial state) is computed once as well.  A fidelity scan
-compiles its class map once (:class:`_ClassRun`: the compiled read, the
-input and frame signs of each final branch, the ideal unitary), and each
-point runs only the plan's numeric pass, the readout and the fidelity.
+circuits and initial state) is computed once as well.  A class map is
+always compiled first (:class:`_ClassRun`: the compiled read, the input and
+frame signs of each final branch, the ideal unitary) and then walked at a
+noise point.  A call by class name compiles and walks once; a fidelity scan
+compiles once, and each point runs only the plan's numeric pass, the
+readout and the fidelity.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ from .pauli import (
 )
 # run_circuit is unused here, but benchmarks/tracing.py wraps braiding.run_circuit by name.
 from .simulator import (CircuitBuilder, Circuit, Parity, TrajectoryEnsemble, _CompiledRun,
-                        _compile_read, read_branches, run_circuit)
+                        _compile, read_branches, run_circuit)
 
 CLIFFORD_CLASSES = ("identity", "H", "S", "HSH", "SH", "HS")
 
@@ -389,24 +391,17 @@ def simulate_class(name: str, noise: NoiseParams = NoiseParams()) -> Superoperat
     every final branch (see :func:`~tetronsim.simulator.read_branches`), so
     it builds no ensemble, and its cached plan computes only the columns
     that probe reads.  Each input's branches are summed in ascending order.
+    It is the :class:`_ClassRun` of ``name`` compiled for ``noise``'s theta
+    kind, walked once.
     """
-    circuit = class_circuit(name)
-    reads = read_branches(circuit, noise, _tomography_ensemble(), _COMPUTATIONAL_PAULIS,
-                          keep_slots=_parities(name, circuit.slots))
-    return _class_transfer(reads.values, reads.groups, _branch_frames(name, reads.records))
+    return _ClassRun.compile(name, noise.theta).transfer(noise)
 
 
-def average_class_fidelity(name: "str | _ClassRun", noise: NoiseParams = NoiseParams()) -> float:
+def average_class_fidelity(name: str, noise: NoiseParams = NoiseParams()) -> float:
     """Average gate fidelity of the noisy class map against the ideal
-    unitary, uniformly over pure input states.
-
-    ``name`` may also be a class run that :func:`fidelity_scan` compiled
-    (see :class:`_ClassRun`); the call then runs only the numeric pass at
-    ``noise``, which must be of the run's theta kind, and returns the same
-    value bit for bit."""
-    if isinstance(name, _ClassRun):
-        return name.fidelity(noise)
-    return average_gate_fidelity(simulate_class(name, noise), ideal_unitary(name))
+    unitary, uniformly over pure input states: the :class:`_ClassRun` of
+    ``name`` compiled for ``noise``'s theta kind, walked once."""
+    return _ClassRun.compile(name, noise.theta).fidelity(noise)
 
 
 @dataclass(frozen=True)
@@ -415,8 +410,7 @@ class _ClassRun:
     point of one theta kind: the compiled read (one plan walk per point),
     the input of each final branch, the frame signs of each final branch's
     kept parities and the ideal unitary, all read-only.  A scan builds it
-    once and runs :meth:`fidelity` per point, equal to
-    :func:`average_class_fidelity` bit for bit."""
+    once and runs :meth:`fidelity` per point."""
 
     read: _CompiledRun
     groups: np.ndarray
@@ -426,8 +420,8 @@ class _ClassRun:
     @classmethod
     def compile(cls, name: str, theta: float) -> "_ClassRun":
         circuit = class_circuit(name)
-        read = _compile_read(circuit, _tomography_ensemble(), _COMPUTATIONAL_PAULIS,
-                             _parities(name, circuit.slots), theta != 0.0)
+        read = _compile(circuit, _tomography_ensemble(), _parities(name, circuit.slots), None,
+                        _COMPUTATIONAL_PAULIS, theta != 0.0)
         groups = np.array(read.plan.groups)
         frames = _branch_frames(name, read.plan.records)
         ideal = ideal_unitary(name)
@@ -435,11 +429,14 @@ class _ClassRun:
             array.flags.writeable = False
         return cls(read, groups, frames, ideal)
 
+    def transfer(self, noise: NoiseParams) -> Superoperator:
+        """The class map's transfer matrix at ``noise``, in a fresh array."""
+        return _class_transfer(self.read.end_values(noise), self.groups, self.frames)
+
     def fidelity(self, noise: NoiseParams) -> float:
-        transfer = _class_transfer(self.read.end_values(noise), self.groups, self.frames)
         # Called through the module global, not bound in the run, so a
         # wrapper set on braiding.average_gate_fidelity sees every point.
-        return average_gate_fidelity(transfer, self.ideal)
+        return average_gate_fidelity(self.transfer(noise), self.ideal)
 
 
 # ---------------------------------------------------------------------------
@@ -478,13 +475,12 @@ def fidelity_scan(
     with p1, p_a in [0, 0.2] at p2 = 0.1.
 
     The class map is compiled once for the scan's theta kind, and each point
-    is :func:`average_class_fidelity` of that compiled run, equal bit for
-    bit to the value of a call by class name."""
+    walks it once: the value of :func:`average_class_fidelity` there."""
     _check_class(name)
     run = _ClassRun.compile(name, theta)
 
     def point(p1: float, pa: float) -> float:
-        return average_class_fidelity(run, NoiseParams(p_a=pa, p1=p1, p2=p2, theta=theta))
+        return run.fidelity(NoiseParams(p_a=pa, p1=p1, p2=p2, theta=theta))
 
     p1_grid, pa_grid, fidelity = walk_grid(point, p1_grid, pa_grid, FIDELITY_GRID, progress)
     return FidelityScan(name, p1_grid, pa_grid, p2, theta, fidelity)

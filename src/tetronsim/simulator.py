@@ -51,18 +51,19 @@ this tractable:
   matter only to the final state.  Lowering fails loudly when a run would
   outgrow the branch or support budget.
 
-Every runner executes such a plan, in two steps.  The compile step does
-what the noise does not touch: it normalizes the kept entries and probes,
-groups the initial branches by their tags, looks the plan up in the cache
-and builds the entry block.  The walk builds the noise tables of one point
-and runs the plan's ops.  :func:`run_circuit` sums the branches and returns
-the final state, :func:`probe_circuit` returns only the probes,
-:func:`read_branches` reads the final branches one by one through an end
-probe, and :func:`sample_circuit` draws its shots from the branches, at each
-probe step and at the end, in proportion to their traces.  Each of them
-compiles and then walks once; a scan over the noise points of one theta
-kind, such as a braiding-fidelity map, compiles its read once and walks it
-per point.
+Every runner executes such a plan, in two steps, and there is no other
+way to a plan.  The compile step, :func:`_compile`, does what the noise
+does not touch: it normalizes the kept entries and probes, groups the
+initial branches by their tags, looks the plan up in the cache and builds
+the entry block.  The walk, :meth:`_CompiledRun.walk`, builds the noise
+tables of one point and runs the plan's ops.  :func:`run_circuit` sums the
+branches and returns the final state, :func:`probe_circuit` returns only
+the probes, :func:`read_branches` reads the final branches one by one
+through an end probe, and :func:`sample_circuit` draws its shots from the
+branches, at each probe step and at the end, in proportion to their
+traces.  Each of them compiles and then walks once; a scan over the noise
+points of one theta kind, such as a braiding-fidelity map, compiles once
+and walks per point.
 
 The test suite checks every kernel, and whole circuits, against the dense
 channel constructors of :mod:`tetronsim.channels`.
@@ -281,26 +282,30 @@ class Circuit:
             elif head == "M1":
                 if len(parts) != 5 or parts[3] != "->":
                     raise ValueError(f"malformed M1 line: {raw!r}")
-                q = _parse_ref(parts[2], "q")
+                q = _parse_ref(parts[2], "q", raw)
                 max_q = max(max_q, q)
-                ops.append(Meas1(q, parts[1], _parse_ref(parts[4], "s")))
+                ops.append(Meas1(q, parts[1], _parse_ref(parts[4], "s", raw)))
             elif head == "M2":
                 if len(parts) != 6 or parts[4] != "->":
                     raise ValueError(f"malformed M2 line: {raw!r}")
-                qa = _parse_ref(parts[2], "q")
-                qb = _parse_ref(parts[3], "q")
+                qa = _parse_ref(parts[2], "q", raw)
+                qb = _parse_ref(parts[3], "q", raw)
                 max_q = max(max_q, qa, qb)
-                ops.append(Meas2(qa, qb, parts[1], _parse_ref(parts[5], "s")))
+                ops.append(Meas2(qa, qb, parts[1], _parse_ref(parts[5], "s", raw)))
             elif head == "ROT":
                 if len(parts) != 4:
                     raise ValueError(f"malformed ROT line: {raw!r}")
-                q = _parse_ref(parts[2], "q")
+                q = _parse_ref(parts[2], "q", raw)
                 max_q = max(max_q, q)
-                ops.append(Rotate(q, parts[1], float(parts[3])))
+                try:
+                    angle = float(parts[3])
+                except ValueError:
+                    raise ValueError(f"bad ROT angle {parts[3]!r} in line {raw!r}") from None
+                ops.append(Rotate(q, parts[1], angle))
             elif head == "DET":
                 if len(parts) < 4 or parts[-2] != "=":
                     raise ValueError(f"malformed DET line: {raw!r}")
-                slots = tuple(_parse_ref(p, "s") for p in parts[1:-2])
+                slots = tuple(_parse_ref(p, "s", raw) for p in parts[1:-2])
                 sign = {"+1": 1, "1": 1, "-1": -1}.get(parts[-1])
                 if sign is None:
                     raise ValueError(f"bad detector sign {parts[-1]!r}")
@@ -315,10 +320,13 @@ class Circuit:
         return cls(num_qubits, tuple(steps), tuple(detectors))
 
 
-def _parse_ref(token: str, prefix: str) -> int:
-    if not token.startswith(prefix):
-        raise ValueError(f"expected {prefix}<int>, got {token!r}")
-    return int(token[len(prefix):])
+def _parse_ref(token: str, prefix: str, raw: str) -> int:
+    """The number of a ``q<int>`` or ``s<int>`` reference of line ``raw``:
+    decimal digits only, so no sign and no underscore."""
+    digits = token[len(prefix):]
+    if not (token.startswith(prefix) and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"expected {prefix}<int>, got {token!r} in line {raw!r}")
+    return int(digits)
 
 
 class CircuitBuilder:
@@ -986,11 +994,13 @@ def _pauli_list(name: str, paulis) -> tuple:
 
 def _normalize_probes(probes, circuit: Circuit) -> tuple:
     """(step index, probed Paulis) pairs, hashable for the plan cache; every
-    step must lie inside ``circuit``."""
+    step must be an integer (not a bool) inside ``circuit``."""
     out: dict[int, tuple] = {}
     if probes:
         for step_i, paulis in probes.items():
-            if not (0 <= int(step_i) < len(circuit.steps)):
+            if isinstance(step_i, bool) or not isinstance(step_i, (int, np.integer)):
+                raise ValueError(f"probe step {step_i!r} is not an integer")
+            if not (0 <= step_i < len(circuit.steps)):
                 raise ValueError(f"probe step {step_i} out of range")
             out[int(step_i)] = _pauli_list(f"probes[{step_i}]", paulis)
     return tuple(out.items())
@@ -1675,14 +1685,18 @@ class _CompiledRun:
         return self.walk(noise)[1][-1][2][:, 1:]
 
 
-def _compile(circuit: Circuit, initial: TrajectoryEnsemble, keep: tuple, probes,
+def _compile(circuit: Circuit, initial: TrajectoryEnsemble, keep_slots, probes,
              finals: "tuple | None", rotating: bool) -> _CompiledRun:
     """Compile a run of ``circuit`` from ``initial`` for the plan kind
-    ``rotating``, keeping the normalized entries ``keep``.
+    ``rotating`` (theta != 0), keeping ``keep_slots`` (see
+    :func:`_normalize_keep`) and probing ``probes``.
 
     With ``finals`` (Paulis, possibly none) the run ends in a probe of them
     instead of returning its final state: the last read is that end probe,
-    and the last block holds only the columns it reads."""
+    and the last block holds only the columns it reads.  Otherwise the last
+    block holds the final state's columns, in the support-major layout of
+    :class:`_Plan`."""
+    keep = _normalize_keep(keep_slots, circuit)
     probes = _normalize_probes(probes, circuit)
     if finals is not None:
         probes += ((None, finals),)
@@ -1692,22 +1706,6 @@ def _compile(circuit: Circuit, initial: TrajectoryEnsemble, keep: tuple, probes,
     entry = _entry_block(initial.coeffs, plan.spare)
     entry.flags.writeable = False
     return _CompiledRun(plan, entry, group_tags, circuit.num_qubits, rotating)
-
-
-def _execute(circuit: Circuit, noise: NoiseParams, initial: TrajectoryEnsemble,
-             keep: tuple, probes, finals: "tuple | None" = None) -> tuple:
-    """Run ``circuit`` from ``initial`` through its cached plan, keeping the
-    normalized entries ``keep``: :func:`_compile`, then one walk.  Returns
-    the plan, the last block, the probe reads in walk order (see
-    :class:`_ProbeOp`) and the tags of each initial branch group.
-
-    The plan's ops pass a support-major block along (see :class:`_Plan`).
-    The last block is in the same layout; only :func:`run_circuit`, which
-    returns the final state, gathers its rows back into sorted-support
-    order."""
-    run = _compile(circuit, initial, keep, probes, finals, noise.theta != 0)
-    block, reads = run.walk(noise)
-    return run.plan, block, reads, run.group_tags
 
 
 def _summed_probes(reads: list) -> "tuple[dict, dict]":
@@ -1770,13 +1768,14 @@ def run_circuit(
     ``("s", entry)``, so ``ensemble.records[Parity((0, 1, 2), -1)]`` is +1
     or -1; branches that agree on all entries are merged.
     """
-    keep = _normalize_keep(keep_slots, circuit)
-    plan, block, reads, group_tags = _execute(circuit, noise, initial, keep, probes)
+    run = _compile(circuit, initial, keep_slots, probes, None, noise.theta != 0)
+    block, reads = run.walk(noise)
+    plan = run.plan
     # One row per final branch, one column per Pauli of the final support.
     coeffs = np.ascontiguousarray(_support_rows(block, plan.rows, plan.support.size).T)
     tags = []
     for group, records in zip(plan.groups, plan.records.tolist()):
-        tag = dict(group_tags[group])
+        tag = dict(run.group_tags[group])
         tag.update(zip(plan.kept, records))
         tags.append(tag)
     ensemble = TrajectoryEnsemble(circuit.num_qubits, plan.support, coeffs, tags)
@@ -1799,7 +1798,7 @@ def probe_circuit(
     :func:`sample_circuit` call with the same probes and no final
     observables, so exact and sampled runs of one circuit share it.
     """
-    _, _, reads, _ = _execute(circuit, noise, initial, (), probes, finals=())
+    _, reads = _compile(circuit, initial, (), probes, (), noise.theta != 0).walk(noise)
     return _summed_probes(reads[:-1])  # the last read is the end probe
 
 
@@ -1832,22 +1831,11 @@ def read_branches(
 
     The run ends in a probe of ``observables``, as :func:`sample_circuit`
     does, so its plan computes only the columns that this probe reads, and
-    ``values`` are the Pauli columns of that probe's block.  It is
-    :func:`_compile_read` and one walk; a scan over noise points of one
-    theta kind compiles the read once and walks it per point.
+    ``values`` are the Pauli columns of that probe's block.
     """
-    run = _compile_read(circuit, initial, observables, keep_slots, noise.theta != 0)
-    return BranchReads(np.array(run.plan.groups), run.plan.records, run.end_values(noise))
-
-
-def _compile_read(circuit: Circuit, initial: TrajectoryEnsemble, observables,
-                  keep_slots, rotating: bool) -> _CompiledRun:
-    """The compiled run of a :func:`read_branches` call for the plan kind
-    ``rotating`` (theta != 0); its :meth:`~_CompiledRun.end_values` are the
-    call's ``values``, and its plan's groups and records the call's."""
-    keep = _normalize_keep(keep_slots, circuit)
     finals = _pauli_list("observables", observables)
-    return _compile(circuit, initial, keep, None, finals, rotating)
+    run = _compile(circuit, initial, keep_slots, None, finals, noise.theta != 0)
+    return BranchReads(np.array(run.plan.groups), run.plan.records, run.end_values(noise))
 
 
 @dataclass
@@ -1859,13 +1847,7 @@ class SampleResult:
     rejected, and ``probe_accepted`` maps each probe step to the accepted
     shots of its draw.  Expectations are averages over accepted shots of
     each shot's branch-conditional expectation, with standard errors.
-
-    ``probe_accepted`` is a slot, not a field: it starts empty, and
-    ``vars()``, the comparison and the repr of a result cover the fields
-    alone, as they did before the counts were kept.
     """
-
-    __slots__ = ("__dict__", "probe_accepted")
 
     shots: int
     accepted: int
@@ -1873,9 +1855,7 @@ class SampleResult:
     probe_stderr: dict = field(default_factory=dict)
     final: dict = field(default_factory=dict)
     final_stderr: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.probe_accepted = {}
+    probe_accepted: dict = field(default_factory=dict)
 
     @property
     def acceptance(self) -> float:
@@ -1923,7 +1903,7 @@ def sample_circuit(
     if not start_trace > 0.0:
         raise ValueError("initial state has no positive trace")
     finals = _pauli_list("final_observables", final_observables)
-    _, _, reads, _ = _execute(circuit, noise, initial, (), probes, finals)
+    _, reads = _compile(circuit, initial, (), probes, finals, noise.theta != 0).walk(noise)
     rng = np.random.default_rng(seed)
     result = SampleResult(shots=shots, accepted=0)
     for step_i, names, block in reads:

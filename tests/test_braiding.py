@@ -324,24 +324,27 @@ def braid_noise_points():
     ]
 
 
+def class_reads(name, noise):
+    """The batched class read of ``name``: every input an initial branch of
+    one ensemble, keeping the correction rule's parities."""
+    circuit = class_circuit(name)
+    return read_branches(circuit, noise, braiding._tomography_ensemble(),
+                         braiding._COMPUTATIONAL_PAULIS,
+                         keep_slots=braiding._parities(name, circuit.slots))
+
+
 @pytest.mark.parametrize("name", CLIFFORD_CLASSES)
 def test_parity_runs_match_per_branch_reference(name, monkeypatch):
-    runs = []
-
-    def counting_run(*args, **kwargs):
-        reads = read_branches(*args, **kwargs)
-        runs.append(reads)
-        return reads
-
     for noise in braid_noise_points():
         want = per_branch_simulate_class(name, noise)
-        with monkeypatch.context() as patch:
-            patch.setattr(braiding, "read_branches", counting_run)
-            got = simulate_class(name, noise).matrix
+        got = simulate_class(name, noise).matrix
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        # One batched run, at most four parity branches per input.
-        assert len(runs) == 1
-        reads = runs.pop()
+        # The map is read off one batched run, at most four parity branches
+        # per input.
+        reads = class_reads(name, noise)
+        frames = braiding._branch_frames(name, reads.records)
+        assert braiding._class_transfer(reads.values, reads.groups, frames).matrix.tobytes() == (
+            got.tobytes())
         per_input = np.bincount(reads.groups, minlength=len(braiding._TOMO_INPUTS))
         assert len(per_input) == 4 and ((1 <= per_input) & (per_input <= 4)).all()
         assert len(reads.groups) <= 16
@@ -377,24 +380,27 @@ def test_class_plans_are_lowered_once_per_class_and_plan_kind():
     assert info.hits == len(CLIFFORD_CLASSES) * (len(braid_noise_points()) * 2 - 2)
 
 
-def test_mutating_results_does_not_leak_into_later_runs(monkeypatch):
-    # Every class, on both plan kinds, so every cached plan is covered.
+def test_mutating_results_does_not_leak_into_later_runs():
+    # Every class, on both plan kinds, so every cached plan is covered: the
+    # class map's compiled run and its read through read_branches share
+    # the cached plan and the batched input's arrays.
     for name in CLIFFORD_CLASSES:
         for theta in (0.0, 0.07):
             noise = NoiseParams(p_a=0.03, p1=0.04, p2=0.05, theta=theta)
             want = per_input_simulate_class(name, noise)
-            seen = []
-
-            def capturing_run(circuit, noise, initial, *args, **kwargs):
-                reads = read_branches(circuit, noise, initial, *args, **kwargs)
-                seen.append((circuit, initial, reads))
-                return reads
-
-            with monkeypatch.context() as patch:
-                patch.setattr(braiding, "read_branches", capturing_run)
-                first = simulate_class(name, noise)
-            circuit, initial, reads = seen.pop()
+            circuit = class_circuit(name)
+            first = simulate_class(name, noise)
             first.matrix[:] = 0.0
+            run = braiding._ClassRun.compile(name, theta)
+            transfer = run.transfer(noise)
+            assert np.array_equal(transfer.matrix, want)
+            transfer.matrix[:] = 0.0
+            for array in (run.groups, run.frames, run.ideal, run.read.entry, run.read.plan.records):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 1
+            initial = braiding._tomography_ensemble()
+            reads = read_branches(circuit, noise, initial, braiding._COMPUTATIONAL_PAULIS,
+                                  keep_slots=braiding._parities(name, circuit.slots))
             for array in (reads.groups, reads.values):
                 array[:] = 7
             with pytest.raises(ValueError, match="read-only"):
@@ -407,6 +413,7 @@ def test_mutating_results_does_not_leak_into_later_runs(monkeypatch):
                 initial.support[0] = 1
             ideal_unitary(name)[:] = 0.0
             assert np.array_equal(simulate_class(name, noise).matrix, want)
+            assert np.array_equal(run.transfer(noise).matrix, want)
             assert class_circuit(name) is circuit
     assert np.array_equal(ideal_unitary("HS"), ideal_unitary("H") @ ideal_unitary("S"))
     assert np.array_equal(ideal_unitary("identity"), np.eye(2))
@@ -523,8 +530,10 @@ def test_compiled_class_run_refuses_the_other_theta_kind():
         run = braiding._ClassRun.compile("HS", theta)
         kind = "!= 0" if theta else "= 0"
         with pytest.raises(ValueError, match=f"compiled for theta {kind} cannot run theta"):
-            average_class_fidelity(run, NoiseParams(p1=0.01, theta=other))
-        assert average_class_fidelity(run, NoiseParams(p1=0.01, theta=theta)) == (
+            run.fidelity(NoiseParams(p1=0.01, theta=other))
+        with pytest.raises(ValueError, match=f"compiled for theta {kind} cannot run theta"):
+            run.transfer(NoiseParams(p1=0.01, theta=other))
+        assert run.fidelity(NoiseParams(p1=0.01, theta=theta)) == (
             average_class_fidelity("HS", NoiseParams(p1=0.01, theta=theta)))
 
 
@@ -537,9 +546,7 @@ def test_reads_between_scan_points_change_no_result():
         circuit = class_circuit(name)
 
         def progress(done, total):
-            reads = read_branches(circuit, noise, braiding._tomography_ensemble(),
-                                  braiding._COMPUTATIONAL_PAULIS,
-                                  keep_slots=braiding._parities(name, circuit.slots))
+            reads = class_reads(name, noise)
             reads.values[:] = 7.0
             reads.groups[:] = 0
             simulate_class(name, noise).matrix[:] = 0.0

@@ -367,8 +367,9 @@ def test_embed_superop_matches_dense_oracle():
 
 _ROWS, _COLS = [1e-3, 2e-2], [1e-4, 1e-3, 1e-2]
 
-# Per scan: its module, the point function it looks up there, a call of the
-# scan on the 2 x 3 grid, the point's (row, column) noise values, and the
+# Per scan: the owner of its point function (a module, or the class of the
+# compiled run whose method a point calls), the function's name, a call of
+# the scan on the 2 x 3 grid, the point's (row, column) noise values, and the
 # scan's values at (i, j) next to those a point result gives.
 _SCANS = {
     "improvement": (
@@ -392,8 +393,8 @@ _SCANS = {
         ),
     ),
     "fidelity": (
-        braiding,
-        "average_class_fidelity",
+        braiding._ClassRun,
+        "fidelity",
         lambda progress: braiding.fidelity_scan("HS", _ROWS, _COLS, 0.1, progress=progress),
         lambda args: (args[1].p1, args[1].p_a),
         lambda scan, i, j: (scan.fidelity[i, j],),
@@ -404,8 +405,8 @@ _SCANS = {
 
 @pytest.mark.parametrize("kind", sorted(_SCANS))
 def test_scans_report_progress_after_each_point_in_row_major_order(monkeypatch, kind):
-    module, name, run, axes_of, scan_values, point_values = _SCANS[kind]
-    original = getattr(module, name)
+    owner, name, run, axes_of, scan_values, point_values = _SCANS[kind]
+    original = getattr(owner, name)
     events = []
 
     def point(*args):
@@ -413,7 +414,7 @@ def test_scans_report_progress_after_each_point_in_row_major_order(monkeypatch, 
         events.append(("point", axes_of(args), result))
         return result
 
-    monkeypatch.setattr(module, name, point)
+    monkeypatch.setattr(owner, name, point)
     scan = run(lambda done, total: events.append(("progress", done, total)))
 
     n1, n2 = len(_ROWS), len(_COLS)

@@ -240,23 +240,26 @@ def test_sampler_branch_traces_match_the_oracle(seed, theta):
     initial = random_initial(rng, circuit.num_qubits)
     steps = sorted({int(s) for s in rng.integers(0, len(circuit.steps), 2)})
     probes = {s: OBSERVABLES for s in steps}
-    walks, execute = [], simulator._execute
-
-    def recorded(*args, **kwargs):
-        walks.append(execute(*args, **kwargs))
-        return walks[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulator, "_execute", recorded)
-        sample_circuit(circuit, noise, initial, 1, seed=seed, probes=probes,
-                       final_observables=OBSERVABLES)
+    finals = simulator._pauli_list("final_observables", OBSERVABLES)
+    # The run sample_circuit compiles and walks for these arguments.
+    _, reads = simulator._compile(circuit, initial, (), probes, finals, theta).walk(noise)
     reference = dense_oracle.run(circuit, noise, initial, probes=probes)
     want = {**reference.probe_traces, None: [float(v[0]) for v in reference.branches.values()]}
-    ((_, _, reads, _),) = walks
     assert [step_i for step_i, _, _ in reads] == [*steps, None]
     for step_i, _, block in reads:
         np.testing.assert_allclose(np.sort(block[:, 0]), np.sort(want[step_i]), rtol=0,
                                    atol=TOL, err_msg=f"probe step {step_i}")
+    # The sampler's accepted counts are its draws from exactly these traces.
+    shots, draws = 1000, np.random.default_rng(seed)
+    accepted = {}
+    for step_i, _, block in reads:
+        weights = np.maximum(block[:, 0], 0.0) / initial.total_trace
+        weights /= max(weights.sum(), 1.0)
+        counts = draws.multinomial(shots, np.append(weights, max(1.0 - weights.sum(), 0.0)))
+        accepted[step_i] = int(counts[:-1].sum())
+    sampled = sample_circuit(circuit, noise, initial, shots, seed=seed, probes=probes,
+                             final_observables=OBSERVABLES)
+    assert accepted == {**sampled.probe_accepted, None: sampled.accepted}
 
 
 def test_sampled_and_exact_decays_each_reuse_their_plan():
@@ -909,7 +912,7 @@ def test_measure_and_merge_kernels_match_references_on_decay_plans():
                 circuit, initial, probes = decay_probes(level, obs)
                 for noise in KERNEL_NOISE:
                     noise = dataclasses.replace(noise, theta=theta)
-                    plan, *_ = simulator._execute(circuit, noise, initial, (), probes, ())
+                    plan = simulator._compile(circuit, initial, (), probes, (), theta != 0).plan
                     ks |= assert_kernels_match_references(plan, initial, noise)
     assert ks == {0, 2, 4, 8}  # groups of 2, 4 and 8, and of 16 through reduceat
 
@@ -920,10 +923,10 @@ def test_measure_and_merge_kernels_match_references_on_braid_class_plans():
     for theta in (0.0, 0.02):
         for name in braiding.CLIFFORD_CLASSES:
             circuit = braiding.class_circuit(name)
-            keep = simulator._normalize_keep(braiding._parities(name, circuit.slots), circuit)
+            keep = braiding._parities(name, circuit.slots)
+            plan = simulator._compile(circuit, initial, keep, None, finals, theta != 0).plan
             for noise in KERNEL_NOISE:
                 noise = dataclasses.replace(noise, theta=theta)
-                plan, *_ = simulator._execute(circuit, noise, initial, keep, None, finals)
                 assert assert_kernels_match_references(plan, initial, noise) <= {2}
 
 

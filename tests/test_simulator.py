@@ -36,6 +36,7 @@ from tetronsim.simulator import (
     Step,
     TrajectoryEnsemble,
     probe_circuit,
+    read_branches,
     run_circuit,
     sample_circuit,
 )
@@ -454,6 +455,18 @@ def test_text_parsing_details():
     assert circuit.detectors == (Parity((0, 1), -1),)
 
 
+# Bad qubit and slot references (a reference is decimal digits, no sign and
+# no underscore) and a bad angle: each message quotes its line.
+BAD_REFERENCES = {
+    "step\nM1 X qx -> s0": r"expected q<int>, got 'qx' in line 'M1 X qx -> s0'",
+    "step\nM1 X q0 -> sA": r"expected s<int>, got 'sA' in line 'M1 X q0 -> sA'",
+    "step\nM2 ZZ q0 q1.5 -> s0": r"expected q<int>, got 'q1\.5' in line 'M2 ZZ q0 q1\.5 -> s0'",
+    "step\nROT Z q0 abc": r"bad ROT angle 'abc' in line 'ROT Z q0 abc'",
+    "step\nM1 X q-1 -> s0": r"expected q<int>, got 'q-1' in line 'M1 X q-1 -> s0'",
+    "step\nM1 X q1_0 -> s0": r"expected q<int>, got 'q1_0' in line 'M1 X q1_0 -> s0'",
+}
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -472,10 +485,11 @@ def test_text_parsing_details():
         "qubits 2\nqubits 2\nstep\nM1 X q0 -> s0",
         "qubits two",
         "bogus line",
+        *BAD_REFERENCES,
     ],
 )
 def test_text_parse_and_validation_errors(bad):
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises((ValueError, TypeError), match=BAD_REFERENCES.get(bad)):
         Circuit.from_text(bad)
 
 
@@ -531,7 +545,9 @@ def test_sampled_decays_draw_as_before_the_end_probe_moved_into_the_plan():
     # value as float.hex, on x86-64 with numpy 2.x) was taken while the
     # sampler read them off the whole final block of run_circuit's plan, so
     # it shows that the pruned plan leaves every draw of the four decay
-    # circuits unchanged.
+    # circuits unchanged.  It covers the six fields a result had then.
+    fields = ("shots", "accepted", "probes", "probe_stderr", "final", "final_stderr")
+
     def canonical(value):
         if isinstance(value, dict):
             return {str(key): canonical(v) for key, v in value.items()}
@@ -552,7 +568,7 @@ def test_sampled_decays_draw_as_before_the_end_probe_moved_into_the_plan():
                     probes=probes, final_observables=[logicals["XX"], logicals["ZI"]],
                 )
                 assert result.final.keys() == {str(logicals["XX"]), str(logicals["ZI"])}
-                results.append(canonical(vars(result)))
+                results.append(canonical({f: getattr(result, f) for f in fields}))
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert digest == "53add21749927d2583a5ad759a6fb61aa5354c012d39ff1b04801ee8f28a86f0"
 
@@ -620,8 +636,7 @@ def test_sampling_accepts_every_shot_when_the_trace_is_kept(noisy, theta):
 
 
 def test_sampling_counts_the_accepted_shots_of_every_probe_step():
-    # The counts come from the draws the sampler makes anyway; vars() of the
-    # result lists the fields alone.
+    # The counts come from the draws the sampler makes anyway.
     spec = qed.DecayExperimentSpec("logical", "XX", noise=NoiseParams(p_a=0.02, p1=5e-3))
     derived = qed._decay_circuit(spec)
     probes = {derived.round_end_steps[r - 1]: [qed.repcode_observables("logical")["XX"]]
@@ -630,7 +645,6 @@ def test_sampling_counts_the_accepted_shots_of_every_probe_step():
                             seed=3, probes=probes)
     assert list(result.probe_accepted) == list(probes)
     assert all(0 < c < 400 for c in result.probe_accepted.values())
-    assert "probe_accepted" not in vars(result)
     again = sample_circuit(derived.circuit, spec.noise, qed._initial_state(spec), 400,
                            seed=3, probes=probes)
     assert again.probe_accepted == result.probe_accepted and again == result
@@ -663,6 +677,15 @@ def test_sampling_rejects_probe_steps_out_of_range():
             sample_circuit(circuit, NOISE, init, 10, seed=1, probes={step: ["Z"]})
         with pytest.raises(ValueError, match="out of range"):
             run_circuit(circuit, NOISE, init, probes={step: ["Z"]})
+    # A key that is not an integer is refused, not truncated to a step.
+    for step in (1.7, True, "1", 0.0):
+        with pytest.raises(ValueError, match=rf"probe step {step!r} is not an integer"):
+            sample_circuit(circuit, NOISE, init, 10, seed=1, probes={step: ["Z"]})
+        with pytest.raises(ValueError, match=rf"probe step {step!r} is not an integer"):
+            run_circuit(circuit, NOISE, init, probes={step: ["Z"]})
+        with pytest.raises(ValueError, match=rf"probe step {step!r} is not an integer"):
+            probe_circuit(circuit, NOISE, init, {step: ["Z"]})
+    assert run_circuit(circuit, NOISE, init, probes={np.int64(0): ["Z"]}).probes.keys() == {0}
 
 
 @pytest.mark.parametrize("qubits", [1, 2])
@@ -680,6 +703,9 @@ def test_runners_reject_a_bare_string_of_paulis(qubits):
     with pytest.raises(ValueError, match=rf"final_observables must be a list of Paulis, got "
                                          rf"the bare '{paulis}'"):
         sample_circuit(circuit, NOISE, init, 10, seed=1, final_observables=paulis)
+    with pytest.raises(ValueError, match=rf"observables must be a list of Paulis, got the "
+                                         rf"bare '{paulis}'"):
+        read_branches(circuit, NOISE, init, paulis)
     assert probe_circuit(circuit, NOISE, init, {0: [paulis[:qubits]]})[0][0] == run_circuit(
         circuit, NOISE, init, probes={0: [paulis[:qubits]]}).probes[0]
 
@@ -691,6 +717,8 @@ def test_runners_reject_initial_state_of_wrong_size():
         sample_circuit(circuit, NOISE, init, 200, seed=1, final_observables=["IX"])
     with pytest.raises(ValueError, match="does not match circuit"):
         run_circuit(circuit, NOISE, init)
+    with pytest.raises(ValueError, match="does not match circuit"):
+        read_branches(circuit, NOISE, init, ["IX"])
 
 
 def test_run_rejects_unknown_keep_slots():
@@ -701,6 +729,8 @@ def test_run_rejects_unknown_keep_slots():
     for bad in ("al", "s0", "", [7], [0, 7], ["0"]):
         with pytest.raises(ValueError, match="'all' or recorded slots"):
             run_circuit(circuit, NOISE, init, keep_slots=bad)
+        with pytest.raises(ValueError, match="'all' or recorded slots"):
+            read_branches(circuit, NOISE, init, ["Z"], keep_slots=bad)
     # A Parity stands for the signed product of its records: it must name
     # recorded slots, at least one, and distinct ones ((1, 1) would be the
     # empty product).  An entry is a slot or a Parity, nothing else: not a
@@ -806,7 +836,8 @@ def test_compiled_run_refuses_the_other_theta_kind():
     circuit = Circuit.from_text("step\nM2 ZZ q0 q1 -> s0\nstep\nM1 X q0 -> s1\n")
     initial = TrajectoryEnsemble.from_product_state(["+", "0"])
     for rotating, theta in ((False, 0.1), (True, 0.0)):
-        run = simulator._compile_read(circuit, initial, ["XI", "ZZ"], (0,), rotating)
+        finals = simulator._pauli_list("observables", ["XI", "ZZ"])
+        run = simulator._compile(circuit, initial, (0,), None, finals, rotating)
         kind = "!= 0" if rotating else "= 0"
         with pytest.raises(ValueError, match=f"a run compiled for theta {kind} cannot run"):
             run.walk(NoiseParams(p1=0.01, theta=theta))
